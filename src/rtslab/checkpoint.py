@@ -44,10 +44,25 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
     Path(path).write_bytes(b"".join(chunks))
 
 
+class CorruptCheckpoint(ValueError):
+    """The file is not a well-formed parameter container."""
+
+
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a parameter container (bad magic)")
+        raise CorruptCheckpoint(f"{path}: not a parameter container (bad magic)")
+    try:
+        out, offset = _parse_entries(raw)
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise CorruptCheckpoint(f"{path}: truncated or malformed container ({exc})") from None
+    if offset != len(raw):
+        raise CorruptCheckpoint(f"{path}: {len(raw) - offset} trailing bytes")
+    return out
+
+
+def _parse_entries(raw: bytes) -> tuple[dict[str, np.ndarray], int]:
+    """Every entry after the magic, and the offset where parsing stopped."""
     (count,) = struct.unpack_from("<I", raw, 8)
     offset = 12
     out: dict[str, np.ndarray] = {}
@@ -66,6 +81,4 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(dims)
         offset += 8 * n
         out[name] = arr.astype(np.float64)
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
-    return out
+    return out, offset

@@ -11,7 +11,8 @@ Subcommands:
 Settings merge from a JSON config file (--config) and flag overrides;
 unknown config keys are rejected by name. Every command is idempotent:
 identical config + seed produces byte-identical output files. Exit codes:
-0 success, 2 missing/unwritable artifact, 3 configuration violation.
+0 success, 2 missing, unwritable or corrupt artifact, 3 configuration
+violation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import lanchester_eval, simple_eval
+from .checkpoint import CorruptCheckpoint
 from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
 from .model.config import PRESETS
 from .sim import (
@@ -112,6 +114,10 @@ class RunConfig:
             raise ConfigViolation(f"fractions must lie in (0, 1]: {self.fractions}")
         if self.threads < 1:
             raise ConfigViolation("threads must be >= 1")
+        if self.max_steps < 1:
+            raise ConfigViolation(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.capture_every < 1:
+            raise ConfigViolation(f"capture_every must be >= 1, got {self.capture_every}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -557,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, _overrides_from_args(args))
         return COMMANDS[args.command](cfg)
-    except MissingArtifact as exc:
+    except (MissingArtifact, CorruptCheckpoint) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

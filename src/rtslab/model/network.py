@@ -23,8 +23,6 @@ attention term entirely; its parameters stay allocated and untouched.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import tensor as T
@@ -70,32 +68,20 @@ class WinPredictor:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _attend(self, x: Tensor, prefix: str, heads: int) -> Tensor:
-        """Scaled dot-product attention over axis 1 of (G, S, E) tokens."""
-        g, s, e = x.shape
-        dh = e // heads
-        scale = 1.0 / math.sqrt(dh)
-        q = T.add(T.matmul(x, self._p(f"{prefix}.wq")), self._p(f"{prefix}.bq"))
-        k = T.add(T.matmul(x, self._p(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
-        v = T.add(T.matmul(x, self._p(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
-        if heads > 1:
-            q = q.reshape(g, s, heads, dh).permute(0, 2, 1, 3)
-            k = k.reshape(g, s, heads, dh).permute(0, 2, 1, 3)
-            v = v.reshape(g, s, heads, dh).permute(0, 2, 1, 3)
-            scores = T.mul(T.matmul(q, k.permute(0, 1, 3, 2)), scale)
-            mix = T.matmul(T.softmax(scores, axis=-1), v)
-            mix = mix.permute(0, 2, 1, 3).reshape(g, s, e)
-        else:
-            scores = T.mul(T.matmul(q, k.permute(0, 2, 1)), scale)
-            mix = T.matmul(T.softmax(scores, axis=-1), v)
-        return T.add(T.matmul(mix, self._p(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
+    def _attend(self, xq: Tensor, xkv: Tensor, prefix: str, heads: int) -> Tensor:
+        """Fused attention of xq over xkv with the weights stored under `prefix`."""
+        weights = (
+            self._p(f"{prefix}.{part}")
+            for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        )
+        return T.attention(xq, xkv, *weights, heads=heads)
 
     def spatial_attention(self, patches: Tensor, layer: int) -> Tensor:
         """Attention among the N patches of each frame; (B, T*N, D) preserved."""
         cfg = self.config
         b = patches.shape[0]
         x = patches.reshape(b * cfg.time_steps, cfg.patches_per_frame, cfg.embed_dim)
-        out = self._attend(x, f"layers.{layer}.sa", cfg.heads)
+        out = self._attend(x, x, f"layers.{layer}.sa", cfg.heads)
         return out.reshape(b, cfg.time_steps * cfg.patches_per_frame, cfg.embed_dim)
 
     def temporal_attention(self, patches: Tensor, layer: int) -> Tensor:
@@ -106,7 +92,7 @@ class WinPredictor:
         x = x.permute(0, 2, 1, 3).reshape(
             b * cfg.patches_per_frame, cfg.time_steps, cfg.embed_dim
         )
-        out = self._attend(x, f"layers.{layer}.ta", cfg.heads)
+        out = self._attend(x, x, f"layers.{layer}.ta", cfg.heads)
         out = out.reshape(b, cfg.patches_per_frame, cfg.time_steps, cfg.embed_dim)
         return out.permute(0, 2, 1, 3).reshape(
             b, cfg.time_steps * cfg.patches_per_frame, cfg.embed_dim
@@ -117,19 +103,12 @@ class WinPredictor:
         cfg = self.config
         b, m, _ = patches.shape
         x = patches.reshape(b * m, cfg.channels, cfg.channel_dim)
-        out = self._attend(x, f"layers.{layer}.fa", heads=1)
+        out = self._attend(x, x, f"layers.{layer}.fa", heads=1)
         return out.reshape(b, m, cfg.embed_dim)
 
     def _summary_update(self, summary: Tensor, patches: Tensor, layer: int) -> Tensor:
         """Cross-attention: summary token queries all patch outputs."""
-        prefix = f"layers.{layer}.cls_attn"
-        scale = 1.0 / math.sqrt(self.config.embed_dim)
-        q = T.add(T.matmul(summary, self._p(f"{prefix}.wq")), self._p(f"{prefix}.bq"))
-        k = T.add(T.matmul(patches, self._p(f"{prefix}.wk")), self._p(f"{prefix}.bk"))
-        v = T.add(T.matmul(patches, self._p(f"{prefix}.wv")), self._p(f"{prefix}.bv"))
-        scores = T.mul(T.matmul(q, k.permute(0, 2, 1)), scale)  # (B, 1, M)
-        mix = T.matmul(T.softmax(scores, axis=-1), v)
-        attended = T.add(T.matmul(mix, self._p(f"{prefix}.wo")), self._p(f"{prefix}.bo"))
+        attended = self._attend(summary, patches, f"layers.{layer}.cls_attn", heads=1)
         return T.layer_norm(
             T.add(summary, attended),
             self._p(f"layers.{layer}.cls_norm.gamma"),

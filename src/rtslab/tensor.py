@@ -98,7 +98,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # keeps 0-d shape, unlike calling it blindly
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("tensor data must be finite (no NaN/Inf)")
         self.data = arr
         self.requires_grad = requires_grad
@@ -122,8 +122,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if g.shape != self.data.shape:
+                g = np.broadcast_to(g, self.data.shape)
+            # a copy, never an alias: later accumulation writes into it
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -179,6 +183,17 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return sum_(self, axis=axis, keepdims=keepdims)
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """True iff every element is finite.
+
+    Any NaN or Inf makes the sum NaN or Inf, so a finite sum proves every
+    element finite; only a sum that is not finite (an overflow of finite
+    values, or a real NaN/Inf) pays for the elementwise scan. Such a sum
+    also raises numpy's overflow/invalid RuntimeWarning.
+    """
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
 
 
 def _scalar_err(t: Tensor):
@@ -256,7 +271,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise a**p for a scalar exponent; base must stay in p's domain."""
     p = float(exponent)
     data = a.data ** p
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise ValueError(f"power({p}) left the finite domain")
 
     def backward(g):
@@ -331,13 +346,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # nonlinearities
 
 
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-subtracted softmax of a plain array; shared by softmax and attention."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`, max-subtracted before exponentiation."""
     if not -a.ndim <= axis < a.ndim:
         raise ValueError(f"softmax axis {axis} out of range for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -379,13 +398,105 @@ def sigmoid(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift.
 
-    Composed from primitive ops, so the backward pass is exact autodiff.
+    One tape node. With xhat = (x - mu) * inv and inv = (var + eps)^-1/2,
+    the backward is closed form: dx = inv * (dxhat - mean(dxhat) -
+    xhat * mean(dxhat * xhat)) over the last axis, where dxhat = g * gamma.
     """
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
+    x = a.data
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = centered * inv
+    data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        if a.requires_grad:
+            dxhat = g * gamma.data
+            proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            a.accumulate_grad(
+                inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * proj)
+            )
+        if gamma.requires_grad:
+            gamma.accumulate_grad(_sum_to_shape(g * xhat, gamma.shape))
+        if beta.requires_grad:
+            beta.accumulate_grad(_sum_to_shape(g, beta.shape))
+
+    return _result(data, (a, gamma, beta), backward)
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(G, S, A) -> contiguous (G, heads, S, A/heads)."""
+    g, s, a = x.shape
+    return np.ascontiguousarray(x.reshape(g, s, heads, a // heads).transpose(0, 2, 1, 3))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(G, heads, S, dh) -> contiguous (G, S, heads*dh); inverse of _split_heads."""
+    g, h, s, dh = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(g, s, h * dh)
+
+
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+
+def _linear_grads(x: np.ndarray, d: np.ndarray, w: Tensor, b: Tensor) -> None:
+    """Accumulate dW = x^T d and db = sum(d) for out = x @ w + b over rows."""
+    if w.requires_grad:
+        rows = x.reshape(-1, x.shape[-1])
+        w.accumulate_grad(np.matmul(_swap_last(rows), d.reshape(-1, d.shape[-1])))
+    if b.requires_grad:
+        b.accumulate_grad(_sum_to_shape(d, b.shape))
+
+
+def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    Queries xq (G, Sq, E) attend over keys/values xkv (G, Sk, E) within each
+    group G; pass the same tensor twice for self-attention. Weights multiply
+    on the right (q = xq @ wq + bq, likewise k and v from xkv); the A
+    projected dims split into `heads` heads of A/heads each, scores scale by
+    1/sqrt(A/heads), and the merged heads go through out = mix @ wo + bo,
+    giving (G, Sq, O). The forward keeps the softmax probabilities and the
+    head-split q/k/v, so the backward is closed form with no recompute.
+    """
+    xq, xkv = _coerce(xq), _coerce(xkv)
+    wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
+    if xq.ndim != 3 or xkv.ndim != 3 or xq.shape[0] != xkv.shape[0]:
+        raise ValueError(
+            f"attention needs (G, S, E) inputs with equal G, got {xq.shape} and {xkv.shape}"
+        )
+    width = wq.shape[-1]
+    if heads < 1 or width % heads:
+        raise ValueError(f"attention width {width} not divisible by heads {heads}")
+    scale = 1.0 / math.sqrt(width // heads)
+    q = _split_heads(np.matmul(xq.data, wq.data) + bq.data, heads)
+    k = _split_heads(np.matmul(xkv.data, wk.data) + bk.data, heads)
+    v = _split_heads(np.matmul(xkv.data, wv.data) + bv.data, heads)
+    p = _softmax(np.matmul(q, _swap_last(k)) * scale)
+    mix = _merge_heads(np.matmul(p, v))
+    data = np.matmul(mix, wo.data) + bo.data
+
+    def backward(g):
+        dmix = _split_heads(np.matmul(g, _swap_last(wo.data)), heads)
+        dp = np.matmul(dmix, _swap_last(v))
+        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+        dq = _merge_heads(np.matmul(ds, k))
+        dk = _merge_heads(np.matmul(_swap_last(ds), q))
+        dv = _merge_heads(np.matmul(_swap_last(p), dmix))
+        _linear_grads(mix, g, wo, bo)
+        _linear_grads(xq.data, dq, wq, bq)
+        _linear_grads(xkv.data, dk, wk, bk)
+        _linear_grads(xkv.data, dv, wv, bv)
+        # for self-attention xq is xkv and the two contributions accumulate
+        if xq.requires_grad:
+            xq.accumulate_grad(np.matmul(dq, _swap_last(wq.data)))
+        if xkv.requires_grad:
+            xkv.accumulate_grad(
+                np.matmul(dk, _swap_last(wk.data)) + np.matmul(dv, _swap_last(wv.data))
+            )
+
+    return _result(data, (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,20 @@ class TrainConfig:
 
 
 class AdamW:
-    """Owns the parameter dict during training; updates data in place."""
+    """Owns the parameter dict during training; updates data in place.
+
+    The moments are two flat vectors over every parameter in dict order, so
+    a step is one vectorized pass over all of them rather than one per
+    parameter. Elementwise, the arithmetic is exactly the formula above.
+    """
 
     def __init__(self, params: dict[str, Tensor], config: TrainConfig):
         self.params = params
         self.config = config
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        n = sum(p.data.size for p in params.values())
+        self._m = np.zeros(n)
+        self._v = np.zeros(n)
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients (missing -> 0)."""
@@ -59,23 +65,32 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - c.beta1 ** t
         bc2 = 1.0 - c.beta2 ** t
+        grads, thetas = [], []
         for name, p in self.params.items():
             g = p.grad
             if g is None:
-                g = np.zeros_like(p.data)
+                g = np.zeros(p.data.size)  # missing -> 0, so decay still applies
             elif g.shape != p.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}"
                 )
-            m = self._m[name]
-            v = self._v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            p.data[...] = p.data * (1.0 - c.lr * c.weight_decay) - update
+            grads.append(g.reshape(-1))
+            thetas.append(p.data.reshape(-1))  # data is contiguous: a view
+        g = np.concatenate(grads)
+        m, v = self._m, self._v
+        m *= c.beta1
+        m += (1.0 - c.beta1) * g
+        v *= c.beta2
+        v += (1.0 - c.beta2) * g * g
+        update = c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        theta = np.concatenate(thetas) * (1.0 - c.lr * c.weight_decay) - update
+        start = 0
+        for flat in thetas:
+            end = start + flat.size
+            flat[:] = theta[start:end]
+            start = end
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+

@@ -5,6 +5,9 @@ the library code they check. Accumulation runs in the same row-major order
 as the library so exact float equality is meaningful.
 """
 
+import math
+
+from rtslab import tensor as T
 from rtslab.baselines import EvalWeights
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
@@ -60,3 +63,29 @@ def random_small_state(rng: SplitMix64) -> GameState:
         carried = rng.randrange(26) if kind in (UnitKind.WORKER, UnitKind.RESOURCE) else 0
         s.units[pos] = Unit(kind=kind, hp=hp, owner=owner, carried=carried)
     return s
+
+
+def composed_attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """Multi-head attention built from primitive tape ops, one node per step.
+
+    Same expressions in the same order as the fused ``T.attention``:
+    projections, head split, scaled scores, softmax, mix, output projection.
+    """
+    g, sq, e = xq.shape
+    sk = xkv.shape[1]
+    dh = e // heads
+    q = T.add(T.matmul(xq, wq), bq).reshape(g, sq, heads, dh).permute(0, 2, 1, 3)
+    k = T.add(T.matmul(xkv, wk), bk).reshape(g, sk, heads, dh).permute(0, 2, 1, 3)
+    v = T.add(T.matmul(xkv, wv), bv).reshape(g, sk, heads, dh).permute(0, 2, 1, 3)
+    scores = T.mul(T.matmul(q, k.permute(0, 1, 3, 2)), 1.0 / math.sqrt(dh))
+    mix = T.matmul(T.softmax(scores, axis=-1), v).permute(0, 2, 1, 3).reshape(g, sq, e)
+    return T.add(T.matmul(mix, wo), bo)
+
+
+def composed_layer_norm(a, gamma, beta, eps=1e-5):
+    """LayerNorm over the last axis from primitive tape ops."""
+    mu = T.mean(a, axis=-1, keepdims=True)
+    centered = T.sub(a, mu)
+    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)

@@ -64,6 +64,14 @@ class TestGenerate:
         assert rc == 3
         assert "Nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--capture-every", "--max-steps"])
+    def test_non_positive_step_settings_exit_3(self, flag, tmp_path, capsys):
+        rc = main(["generate", "--out", str(tmp_path / "x"), flag, "0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be >= 1" in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rounds_per_pair": 2, "bogus_knob": 1}')
@@ -157,6 +165,23 @@ class TestEval:
             "--models", str(tmp_path / "nomodel"), "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+
+class TestCorruptCheckpoint:
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        for name in ("config.json", "train.json"):
+            (model / name).write_bytes((pipeline["model"] / name).read_bytes())
+        raw = (pipeline["model"] / "best.ckpt").read_bytes()
+        (model / "best.ckpt").write_bytes(raw[: len(raw) // 2])
+        rc = main([
+            "compare", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+            "--models", str(model), "--out", str(tmp_path / "c"), "--fractions", "1.0",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "best.ckpt" in err
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 """Model behavior: embedding, attention invariants, blocks, param accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,24 @@ class TestForward:
             lambda: bce_loss(model.forward(x), label), model.params, h=1e-5, tol=1e-4
         )
         assert res.passed, res.summary()
+
+
+class TestTapeBudget:
+    # One desk B=2 train step: embed, two blocks of fused attention and
+    # LayerNorm nodes with their reshapes and residuals, head and loss.
+    # Falling back to attention or LayerNorm composed from primitive ops
+    # roughly triples these counts.
+    @pytest.mark.parametrize("variant,nodes", [("tstf", 74), ("space_time_only", 66)])
+    def test_desk_train_step_node_count(self, variant, nodes):
+        from rtslab.train import bce_loss
+
+        cfg = dataclasses.replace(get_preset("desk"), variant=variant)
+        model = WinPredictor.create(cfg, seed=19)
+        x = random_input(cfg, 2, seed=38)
+        with Tape() as tape:
+            loss = bce_loss(model.forward(x), np.array([0.0, 1.0]))
+            tape.backward(loss)
+        assert len(tape) == nodes
 
 
 class TestParamAccounting:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rtslab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from rtslab.checkpoint import MAGIC, CorruptCheckpoint, load_checkpoint, save_checkpoint
 from rtslab.rng import SplitMix64, derive_seed
 from rtslab.tensor import Tensor
 
@@ -85,4 +85,15 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    # keep the first n bytes: cut inside the magic, the entry count, the
+    # first entry's header and its payload; -1 appends one stray byte
+    @pytest.mark.parametrize("keep", [4, 10, 20, 30, -1])
+    def test_truncated_or_padded_file_is_corrupt(self, tmp_path, keep):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.array([1.0, 2.0]), "b": np.zeros((2, 2))})
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" if keep == -1 else raw[:keep])
+        with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)

@@ -9,6 +9,8 @@ from rtslab import tensor as T
 from rtslab.rng import SplitMix64
 from rtslab.tensor import Tape, Tensor
 
+from oracles import composed_attention, composed_layer_norm
+
 
 def rand(rng, shape):
     return Tensor(
@@ -127,6 +129,29 @@ class TestLayerNorm:
         )
         assert np.allclose(out.data, 7.0)
 
+    def test_fused_forward_matches_composed_reference(self):
+        rng = SplitMix64(120)
+        x, g, b = rand(rng, (3, 4, 6)), rand(rng, (6,)), rand(rng, (6,))
+        fused = T.layer_norm(x, g, b)
+        assert np.allclose(fused.data, composed_layer_norm(x, g, b).data, rtol=0, atol=1e-12)
+
+    def test_one_tape_node(self):
+        rng = SplitMix64(121)
+        x, g, b = rand(rng, (2, 5)), rand(rng, (5,)), rand(rng, (5,))
+        with Tape() as tape:
+            T.layer_norm(x, g, b)
+        assert len(tape) == 1
+
+    def test_gradient_check(self):
+        rng = SplitMix64(122)
+        x, g, b = rand(rng, (3, 4, 6)), rand(rng, (6,)), rand(rng, (6,))
+        w = Tensor(np.array([rng.normal() for _ in range(72)]).reshape(3, 4, 6))
+        res = T.grad_check(
+            lambda: T.sum_(T.mul(T.layer_norm(x, g, b), w)),
+            {"x": x, "gamma": g, "beta": b}, h=1e-5, tol=1e-4,
+        )
+        assert res.passed, res.summary()
+
     def test_normalizes_random_slices(self):
         for seed in range(5):
             rng = SplitMix64(seed + 100)
@@ -134,6 +159,65 @@ class TestLayerNorm:
             out = T.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
             assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
             assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
+
+
+def attention_case(seed: int, groups: int, sq: int, sk: int, width: int, self_attn: bool):
+    """Inputs and the ten attention operands for one attention call."""
+    rng = SplitMix64(seed)
+    xq = rand(rng, (groups, sq, width))
+    xkv = xq if self_attn else rand(rng, (groups, sk, width))
+    weights = []
+    for _ in range(4):
+        weights.append(rand(rng, (width, width)))
+        weights.append(rand(rng, (width,)))
+    return xq, xkv, weights
+
+
+ATTENTION_CASES = {
+    # name: (groups, Sq, Sk, width, heads, self-attention)
+    "self_five_heads": (2, 3, 3, 10, 5, True),
+    "self_one_head": (2, 3, 3, 4, 1, True),
+    "cross_single_query": (2, 1, 4, 6, 1, False),
+}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_fused_forward_matches_composed_reference(self, case):
+        groups, sq, sk, width, heads, self_attn = ATTENTION_CASES[case]
+        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn)
+        fused = T.attention(xq, xkv, *weights, heads=heads)
+        composed = composed_attention(xq, xkv, *weights, heads=heads)
+        assert fused.shape == (groups, sq, width)
+        assert np.allclose(fused.data, composed.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_gradient_check(self, case):
+        groups, sq, sk, width, heads, self_attn = ATTENTION_CASES[case]
+        xq, xkv, weights = attention_case(201, groups, sq, sk, width, self_attn)
+        rng = SplitMix64(202)
+        mix = Tensor(
+            np.array([rng.normal() for _ in range(groups * sq * width)]).reshape(groups, sq, width)
+        )
+        params = {"xq": xq, "xkv": xkv} if not self_attn else {"x": xq}
+        names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        params.update(zip(names, weights))
+        res = T.grad_check(
+            lambda: T.sum_(T.mul(T.attention(xq, xkv, *weights, heads=heads), mix)),
+            params, h=1e-5, tol=1e-4,
+        )
+        assert res.passed, res.summary()
+
+    def test_one_tape_node(self):
+        xq, xkv, weights = attention_case(203, 2, 3, 3, 10, True)
+        with Tape() as tape:
+            T.attention(xq, xkv, *weights, heads=5)
+        assert len(tape) == 1
+
+    def test_heads_must_divide_width(self):
+        xq, xkv, weights = attention_case(204, 1, 2, 2, 10, True)
+        with pytest.raises(ValueError, match="heads"):
+            T.attention(xq, xkv, *weights, heads=3)
 
 
 class TestActivations:
@@ -267,6 +351,42 @@ class TestTape:
     def test_finite_guard(self):
         with pytest.raises(ValueError, match="finite"):
             Tensor([float("nan")])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")
+    def test_overflowing_sum_of_finite_values_accepted(self):
+        x = Tensor(np.array([1e308, 1e308]))
+        assert np.all(np.isfinite(x.data))
+        # power's own check: each square is finite, their sum is not
+        assert np.array_equal(T.power(Tensor([1e154, 1e154]), 2.0).data, [1e308, 1e308])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", [0, 54_321, 99_999])
+    def test_any_non_finite_in_large_array_rejected(self, bad, where):
+        x = np.ones(100_000)
+        x[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tensor(x.reshape(100, 1000))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in reduce")
+    def test_opposite_infinities_rejected(self):
+        # inf + -inf sums to NaN; still rejected, not mistaken for finite
+        with pytest.raises(ValueError, match="finite"):
+            Tensor([float("inf"), float("-inf")])
+
+    def test_power_rejects_non_finite_result(self):
+        with np.errstate(over="ignore", divide="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                T.power(Tensor(np.r_[np.ones(1000), 1e200]), 2.0)
+            with pytest.raises(ValueError, match="finite"):
+                T.power(Tensor([1.0, 0.0]), -1.0)
+
+    def test_first_gradient_is_a_copy(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        g = np.array([3.0, 4.0])
+        x.accumulate_grad(g)
+        x.accumulate_grad(g)
+        assert np.array_equal(x.grad, [6.0, 8.0])
+        assert np.array_equal(g, [3.0, 4.0])
 
 
 class TestGradCheck:

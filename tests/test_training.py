@@ -97,6 +97,38 @@ class TestAdamW:
             assert now < prev
             prev = now
 
+    def test_flat_update_bit_identical_to_per_parameter_formula(self):
+        cfg = TrainConfig(lr=1e-2, weight_decay=0.05)
+        rng = SplitMix64(21)
+        shapes = {"w": (6, 7), "b": (9,), "s": (), "frozen": (3, 1)}
+        params = {
+            k: Tensor(np.array([rng.normal() for _ in range(int(np.prod(s)))]).reshape(s),
+                      requires_grad=True)
+            for k, s in shapes.items()
+        }
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamW(params, cfg)
+        for t in range(1, 11):
+            grads = {
+                k: np.array([rng.normal() for _ in range(int(np.prod(s)))]).reshape(s)
+                for k, s in shapes.items() if k != "frozen"
+            }
+            for k, p in params.items():
+                p.grad = grads.get(k)
+            opt.step()
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            for k in shapes:
+                g = grads.get(k, np.zeros(shapes[k]))
+                m[k] = m[k] * cfg.beta1 + (1.0 - cfg.beta1) * g
+                v[k] = v[k] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
+                update = cfg.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+                ref[k] = ref[k] * (1.0 - cfg.lr * cfg.weight_decay) - update
+            for k, p in params.items():
+                assert p.data.shape == shapes[k]
+                assert np.array_equal(p.data, ref[k]), (t, k)
+
     def test_shape_mismatch_rejected(self):
         theta = Tensor(np.zeros(3), requires_grad=True)
         opt = AdamW({"t": theta}, TrainConfig())
