@@ -7,3 +7,7 @@ progress-stratified evaluation harness, all wired together by a CLI.
 """
 
 __version__ = "0.1.0"
+
+
+class CorruptArtifact(ValueError):
+    """An input file exists but its content is malformed (CLI exit code 2)."""

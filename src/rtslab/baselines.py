@@ -73,14 +73,6 @@ class EvalWeights:
                 f"concentration exponent must be in (0, 1], got {self.concentration_exponent}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalWeights":
-        kwargs = dict(data)
-        for key in ("combat_strength", "unit_cost"):
-            if key in kwargs:
-                kwargs[key] = {UnitKind[k.upper()]: float(v) for k, v in kwargs[key].items()}
-        return cls(**kwargs)
-
 
 DEFAULT_WEIGHTS = EvalWeights()
 
@@ -128,16 +120,21 @@ def lanchester_eval(
     return score
 
 
-def predict_winner_classical(
-    state: GameState, evaluator, weights: EvalWeights = DEFAULT_WEIGHTS
-) -> str:
+def winner_by_score(score_p1: float, score_p2: float) -> str:
     """'p1' when player 1 scores higher, 'p2' when lower, 'tie' on equality.
 
     Ties count as incorrect predictions wherever accuracy is scored.
     """
-    diff = evaluator(state, 1, weights) - evaluator(state, 2, weights)
+    diff = score_p1 - score_p2
     if diff > 0:
         return "p1"
     if diff < 0:
         return "p2"
     return "tie"
+
+
+def predict_winner_classical(
+    state: GameState, evaluator, weights: EvalWeights = DEFAULT_WEIGHTS
+) -> str:
+    """The sign rule of `winner_by_score` applied to both players' scores."""
+    return winner_by_score(evaluator(state, 1, weights), evaluator(state, 2, weights))

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import CorruptArtifact
 from .tensor import Tensor
 
 MAGIC = b"RTSLABP1"
@@ -44,20 +45,21 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
     Path(path).write_bytes(b"".join(chunks))
 
 
-class CorruptCheckpoint(ValueError):
-    """The file is not a well-formed parameter container."""
-
-
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Every named array of a container; CorruptArtifact if it is malformed
+    or holds a NaN/Inf."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a parameter container (bad magic)")
+        raise CorruptArtifact(f"{path}: not a parameter container (bad magic)")
     try:
         out, offset = _parse_entries(raw)
     except (struct.error, ValueError, OverflowError) as exc:
-        raise CorruptCheckpoint(f"{path}: truncated or malformed container ({exc})") from None
+        raise CorruptArtifact(f"{path}: truncated or malformed container ({exc})") from None
     if offset != len(raw):
-        raise CorruptCheckpoint(f"{path}: {len(raw) - offset} trailing bytes")
+        raise CorruptArtifact(f"{path}: {len(raw) - offset} trailing bytes")
+    for name, arr in out.items():
+        if not np.isfinite(arr).all():
+            raise CorruptArtifact(f"{path}: non-finite value in {name}")
     return out
 
 

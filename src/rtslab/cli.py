@@ -10,9 +10,16 @@ Subcommands:
 
 Settings merge from a JSON config file (--config) and flag overrides;
 unknown config keys are rejected by name. Every command is idempotent:
-identical config + seed produces byte-identical output files. Exit codes:
-0 success, 2 missing, unwritable or corrupt artifact, 3 configuration
-violation.
+identical config + seed produces byte-identical output files. Errors end
+in one line on stderr. Exit codes:
+
+    0  success
+    2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
+       line that does not parse or lacks a key (named by file and line),
+       a splits.json whose splits are not disjoint lists of in-range
+       indices of decided matches, a checkpoint that is truncated, padded
+       or holds a NaN/Inf
+    3  configuration violation
 """
 
 from __future__ import annotations
@@ -24,10 +31,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .baselines import lanchester_eval, simple_eval
-from .checkpoint import CorruptCheckpoint
+from . import CorruptArtifact
+from .baselines import lanchester_eval, simple_eval, winner_by_score
 from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
 from .model.config import PRESETS
 from .sim import (
@@ -38,7 +43,8 @@ from .sim import (
     split_dataset,
     write_dataset,
 )
-from .sim.dataset import surviving_units_label
+from .sim.dataset import surviving_units_label, winner_label
+from .sim.encode import decode_planes
 from .sim.engine import sample_timeline
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
@@ -56,7 +62,7 @@ from .train.published import (
     REFERENCE_PRECISION,
     REFERENCE_RECALL,
 )
-from .train.stratified import DEFAULT_FRACTIONS, prefix_state
+from .train.stratified import DEFAULT_FRACTIONS
 
 # per-preset training bundles (batch size / learning rate as published;
 # desk values are this lab's defaults)
@@ -227,30 +233,55 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig):
+def _load_split(cfg: RunConfig) -> dict[str, list]:
+    """Records of each split in the splits.json beside the dataset.
+
+    Every split must be a list of in-range record indices, no record may
+    sit in two splits (or twice in one), and no split may hold a draw.
+    """
     ds_path = _require(cfg.dataset, "dataset")
-    dataset = read_dataset(ds_path)
-    manifest_path = ds_path.parent / "splits.json"
-    if not manifest_path.exists():
-        raise MissingArtifact(f"split manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    parts = {
-        name: [dataset.records[i] for i in manifest[name]]
-        for name in ("train", "test", "validation")
-    }
-    return dataset, parts
+    records = read_dataset(ds_path).records
+    path = ds_path.parent / "splits.json"
+    if not path.exists():
+        raise MissingArtifact(f"split manifest not found: {path}")
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise CorruptArtifact(f"{path}: must hold a JSON object")
+    seen: set[int] = set()
+    parts = {}
+    for name in ("train", "test", "validation"):
+        indices = manifest.get(name)
+        if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+            raise CorruptArtifact(f"{path}: {name!r} must be a list of record indices")
+        for i in indices:
+            if not 0 <= i < len(records):
+                raise CorruptArtifact(
+                    f"{path}: {name} index {i} out of range (dataset has {len(records)} records)"
+                )
+            if i in seen:
+                raise CorruptArtifact(f"{path}: record {i} is listed more than once")
+            if records[i].winner == "draw":
+                raise CorruptArtifact(f"{path}: {name} index {i} is a drawn match")
+            seen.add(i)
+        parts[name] = [records[i] for i in indices]
+    return parts
 
 
 def _label_fn(cfg: RunConfig):
-    if cfg.relabel == "surviving-units":
-        return surviving_units_label
-    return None
+    return surviving_units_label if cfg.relabel == "surviving-units" else winner_label
 
 
-def _labels_for(records, label_fn):
-    if label_fn is None:
-        return [1 if r.winner == "p1" else 0 for r in records]
-    return [label_fn(r) for r in records]
+def _test_split(cfg: RunConfig) -> tuple[list, list[int]]:
+    """Test records that carry a label under `cfg.relabel`, and those labels."""
+    label_fn = _label_fn(cfg)
+    labeled = [(r, label_fn(r)) for r in _load_split(cfg)["test"]]
+    labeled = [(r, y) for r, y in labeled if y is not None]
+    if not labeled:
+        raise ConfigViolation("empty dataset: test split has no usable records")
+    return [r for r, _ in labeled], [y for _, y in labeled]
 
 
 def _model_name(config: ModelConfig) -> str:
@@ -260,7 +291,7 @@ def _model_name(config: ModelConfig) -> str:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    _, parts = _load_split(cfg)
+    parts = _load_split(cfg)
     model_config = get_preset(cfg.preset)
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
@@ -338,14 +369,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.models:
         raise ConfigViolation("eval requires --models pointing at one trained model directory")
     model, meta = _load_model(cfg.models[0])
-    _, parts = _load_split(cfg)
-    label_fn = _label_fn(cfg)
-    records = parts["test"]
-    if label_fn is not None:
-        records = [r for r in records if label_fn(r) is not None]
-    if not records:
-        raise ConfigViolation("empty dataset: test split has no usable records")
-    labels = _labels_for(records, label_fn)
+    records, labels = _test_split(cfg)
     predict = neural_predictor(model, meta["frames"], cfg.threshold)
     rows = progress_stratified_eval(predict, records, fractions=(1.0,), labels=labels)
     _, metrics = rows[0]
@@ -389,14 +413,7 @@ def _paper_reference_rows() -> list[list]:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    _, parts = _load_split(cfg)
-    label_fn = _label_fn(cfg)
-    records = parts["test"]
-    if label_fn is not None:
-        records = [r for r in records if label_fn(r) is not None]
-    if not records:
-        raise ConfigViolation("empty dataset: test split has no usable records")
-    labels = _labels_for(records, label_fn)
+    records, labels = _test_split(cfg)
 
     evaluators: list[tuple[str, object]] = []
     for model_dir in cfg.models:
@@ -435,23 +452,26 @@ def cmd_timeline(cfg: RunConfig) -> int:
         )
     record = dataset.records[cfg.match_id]
 
+    # the row at frame i sees frames[: i + 1] only: the record cut there,
+    # where full progress ends at that frame's step
+    cuts = [
+        dataclasses.replace(record, frames=record.frames[: i + 1], duration=step)
+        for i, (step, _) in enumerate(record.frames)
+    ]
     rows: list[list] = []
     for model_dir in cfg.models:
         model, meta = _load_model(model_dir)
-        for step_index, _ in record.frames:
-            rho = max(min(step_index / record.duration, 1.0), 1e-9)
-            clip = sample_timeline(record, meta["frames"], rho)
+        for cut in cuts:
+            clip = sample_timeline(cut, meta["frames"], 1.0)
             prob = float(model.forward(clip[None]).data[0])
             pred = "p1" if prob >= cfg.threshold else "p2"
             # neural scores are (P1, P2) = (y, 1-y), one probability split
-            rows.append([meta["name"], step_index, prob, 1.0 - prob, pred])
+            rows.append([meta["name"], cut.duration, prob, 1.0 - prob, pred])
+    states = [decode_planes(planes) for _, planes in record.frames]
     for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
-        for step_index, _ in record.frames:
-            rho = max(min(step_index / record.duration, 1.0), 1e-9)
-            state = prefix_state(record, rho)
+        for (step, _), state in zip(record.frames, states):
             s1, s2 = evaluator(state, 1), evaluator(state, 2)
-            pred = "p1" if s1 > s2 else ("p2" if s2 > s1 else "tie")
-            rows.append([name, step_index, s1, s2, pred])
+            rows.append([name, step, s1, s2, winner_by_score(s1, s2)])
     path = out / f"timeline_match{cfg.match_id}.csv"
     note = (
         "# neural rows: p1_score,p2_score = (y, 1-y), one predicted probability split; "
@@ -472,11 +492,48 @@ def cmd_timeline(cfg: RunConfig) -> int:
 # argument plumbing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON run-config file; flags override it")
-    p.add_argument("--out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, help="master seed (default: 0)")
-    p.add_argument("--threads", type=int, help="worker processes for match play (default: 1)")
+# Every flag is declared once; COMMANDS lists the flags of each subcommand
+# after the common ones.
+FLAGS: dict[str, dict] = {
+    "--config": {"help": "JSON run-config file; flags override it"},
+    "--out": {"help": "output directory (default: out)"},
+    "--seed": {"type": int, "help": "master seed (default: 0)"},
+    "--threads": {"type": int, "help": "worker processes for match play (default: 1)"},
+    "--roster": {"help": "comma-separated strategy names "
+                         f"(default: all {len(DEFAULT_ROSTER)} built-ins)"},
+    "--rounds": {"type": int, "dest": "rounds_per_pair",
+                 "help": "matches per pair, half per side (default: 12)"},
+    "--max-steps": {"type": int, "help": "step limit per match (default: 1000)"},
+    "--capture-every": {"type": int, "help": "frame capture cadence in steps (default: 2)"},
+    "--dataset": {"help": "path to dataset.jsonl (splits.json beside it)"},
+    "--preset": {"help": f"model preset, one of {sorted(PRESETS)} (default: desk)"},
+    "--variant": {"choices": ["tstf", "space_time_only"],
+                  "help": "override the preset's attention variant"},
+    "--epochs": {"type": int, "help": "training epochs (default: 30)"},
+    "--batch-size": {"type": int, "help": "override the preset batch size"},
+    "--lr": {"type": float, "help": "override the preset learning rate"},
+    "--relabel": {"choices": ["none", "surviving-units"],
+                  "help": "relabel records by final-frame unit count (default: none)"},
+    "--models": {"help": "comma-separated trained model directories (eval reads the first)"},
+    "--threshold": {"type": float, "help": "decision threshold (default: 0.5)"},
+    "--fractions": {"help": "comma-separated progress fractions "
+                            "(default: 0.04,0.2,0.4,0.6,0.8,1.0)"},
+    "--match-id": {"type": int, "help": "record index within the dataset (default: 0)"},
+}
+COMMON_FLAGS = ("--config", "--out", "--seed", "--threads")
+COMMANDS = {
+    "generate": (cmd_generate, "play a tournament and write the dataset",
+                 ("--roster", "--rounds", "--max-steps", "--capture-every")),
+    "train": (cmd_train, "train a win predictor on a dataset",
+              ("--dataset", "--preset", "--variant", "--epochs", "--batch-size", "--lr",
+               "--relabel")),
+    "eval": (cmd_eval, "score a trained model on the test split",
+             ("--dataset", "--models", "--relabel", "--threshold")),
+    "compare": (cmd_compare, "stratified tables for all evaluators",
+                ("--dataset", "--models", "--fractions", "--relabel", "--threshold")),
+    "timeline": (cmd_timeline, "per-step evaluator scores for one match",
+                 ("--dataset", "--models", "--match-id", "--threshold")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,54 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grid-war win-prediction lab: simulate, train, evaluate, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="play a tournament and write the dataset")
-    _add_common(g)
-    g.add_argument("--roster", help="comma-separated strategy names "
-                                    f"(default: all {len(DEFAULT_ROSTER)} built-ins)")
-    g.add_argument("--rounds", type=int, dest="rounds_per_pair",
-                   help="matches per pair, half per side (default: 12)")
-    g.add_argument("--max-steps", type=int, dest="max_steps",
-                   help="step limit per match (default: 1000)")
-    g.add_argument("--capture-every", type=int, dest="capture_every",
-                   help="frame capture cadence in steps (default: 2)")
-
-    t = sub.add_parser("train", help="train a win predictor on a dataset")
-    _add_common(t)
-    t.add_argument("--dataset", help="path to dataset.jsonl (splits.json beside it)")
-    t.add_argument("--preset", help=f"model preset, one of {sorted(PRESETS)} (default: desk)")
-    t.add_argument("--variant", choices=["tstf", "space_time_only"],
-                   help="override the preset's attention variant")
-    t.add_argument("--epochs", type=int, help="training epochs (default: 30)")
-    t.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="override the preset batch size")
-    t.add_argument("--lr", type=float, help="override the preset learning rate")
-    t.add_argument("--relabel", choices=["none", "surviving-units"],
-                   help="relabel records by final-frame unit count (default: none)")
-
-    e = sub.add_parser("eval", help="score a trained model on the test split")
-    _add_common(e)
-    e.add_argument("--dataset", help="path to dataset.jsonl")
-    e.add_argument("--models", help="trained model directory")
-    e.add_argument("--relabel", choices=["none", "surviving-units"])
-    e.add_argument("--threshold", type=float, help="decision threshold (default: 0.5)")
-
-    c = sub.add_parser("compare", help="stratified tables for all evaluators")
-    _add_common(c)
-    c.add_argument("--dataset", help="path to dataset.jsonl")
-    c.add_argument("--models", help="comma-separated trained model directories")
-    c.add_argument("--fractions", help="comma-separated progress fractions "
-                                       "(default: 0.04,0.2,0.4,0.6,0.8,1.0)")
-    c.add_argument("--relabel", choices=["none", "surviving-units"])
-    c.add_argument("--threshold", type=float)
-
-    m = sub.add_parser("timeline", help="per-step evaluator scores for one match")
-    _add_common(m)
-    m.add_argument("--dataset", help="path to dataset.jsonl")
-    m.add_argument("--models", help="comma-separated trained model directories")
-    m.add_argument("--match-id", type=int, dest="match_id",
-                   help="record index within the dataset (default: 0)")
-    m.add_argument("--threshold", type=float)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in COMMON_FLAGS + flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -549,21 +562,12 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "compare": cmd_compare,
-    "timeline": cmd_timeline,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, _overrides_from_args(args))
-        return COMMANDS[args.command](cfg)
-    except (MissingArtifact, CorruptCheckpoint) as exc:
+        return COMMANDS[args.command][0](cfg)
+    except (MissingArtifact, CorruptArtifact) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -8,7 +8,6 @@ from .params import (
     init_params,
     load_params,
     parameter_spec,
-    save_params,
     zero_params,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "init_params",
     "load_params",
     "parameter_spec",
-    "save_params",
     "zero_params",
 ]

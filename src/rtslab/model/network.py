@@ -26,9 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
+from ..checkpoint import save_checkpoint
 from ..tensor import Tensor
 from .config import ConfigError, ModelConfig
-from .params import init_params, load_params, save_params
+from .params import init_params, load_params
 
 
 def extract_patches(x: np.ndarray, patch: int) -> np.ndarray:
@@ -57,7 +58,7 @@ class WinPredictor:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        save_params(path, self.config, self.params)
+        save_checkpoint(path, self.params)
 
     @classmethod
     def load(cls, path, config: ModelConfig) -> "WinPredictor":
@@ -106,71 +107,36 @@ class WinPredictor:
         out = self._attend(x, x, f"layers.{layer}.fa", heads=1)
         return out.reshape(b, m, cfg.embed_dim)
 
+    def _norm(self, x: Tensor, prefix: str) -> Tensor:
+        """LayerNorm with the gain and shift stored under `prefix`."""
+        return T.layer_norm(x, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
+
     def _summary_update(self, summary: Tensor, patches: Tensor, layer: int) -> Tensor:
         """Cross-attention: summary token queries all patch outputs."""
         attended = self._attend(summary, patches, f"layers.{layer}.cls_attn", heads=1)
-        return T.layer_norm(
-            T.add(summary, attended),
-            self._p(f"layers.{layer}.cls_norm.gamma"),
-            self._p(f"layers.{layer}.cls_norm.beta"),
-        )
+        return self._norm(T.add(summary, attended), f"layers.{layer}.cls_norm")
 
     def encoder_block(self, z: Tensor, layer: int) -> Tensor:
-        """One block: factorized attention over patches + summary update."""
+        """One block: factorized attention over patches + summary update.
+
+        Each scope adds attention of its input to the residual stream; the
+        pre-norm form normalizes that input first, the post-norm form
+        normalizes the patches once after the summary update.
+        """
         cfg = self.config
-        summary, patches = z[:, :1, :], z[:, 1:, :]
         base = f"layers.{layer}"
-        if cfg.block_form == "post_norm":
-            u = T.add(patches, self.spatial_attention(patches, layer))
-            v = T.add(u, self.temporal_attention(u, layer))
-            if cfg.variant == "tstf":
-                w = T.add(v, self.feature_attention(v, layer))
-            else:
-                w = v
-            summary = self._summary_update(summary, w, layer)
-            patches_out = T.layer_norm(
-                w, self._p(f"{base}.norm.gamma"), self._p(f"{base}.norm.beta")
-            )
-        else:
-            u = T.add(
-                patches,
-                self.spatial_attention(
-                    T.layer_norm(
-                        patches,
-                        self._p(f"{base}.norm_sa.gamma"),
-                        self._p(f"{base}.norm_sa.beta"),
-                    ),
-                    layer,
-                ),
-            )
-            v = T.add(
-                u,
-                self.temporal_attention(
-                    T.layer_norm(
-                        u,
-                        self._p(f"{base}.norm_ta.gamma"),
-                        self._p(f"{base}.norm_ta.beta"),
-                    ),
-                    layer,
-                ),
-            )
-            if cfg.variant == "tstf":
-                w = T.add(
-                    v,
-                    self.feature_attention(
-                        T.layer_norm(
-                            v,
-                            self._p(f"{base}.norm_fa.gamma"),
-                            self._p(f"{base}.norm_fa.beta"),
-                        ),
-                        layer,
-                    ),
-                )
-            else:
-                w = v
-            summary = self._summary_update(summary, w, layer)
-            patches_out = w
-        return T.concat([summary, patches_out], axis=1)
+        pre_norm = cfg.block_form == "pre_norm"
+        summary, x = z[:, :1, :], z[:, 1:, :]
+        scopes = [("sa", self.spatial_attention), ("ta", self.temporal_attention)]
+        if cfg.variant == "tstf":
+            scopes.append(("fa", self.feature_attention))
+        for scope, attention in scopes:
+            h = self._norm(x, f"{base}.norm_{scope}") if pre_norm else x
+            x = T.add(x, attention(h, layer))
+        summary = self._summary_update(summary, x, layer)
+        if not pre_norm:
+            x = self._norm(x, f"{base}.norm")
+        return T.concat([summary, x], axis=1)
 
     def embed(self, x: np.ndarray) -> Tensor:
         """Patch-embed a clip and prepend the summary token: (B, T*N+1, D)."""
@@ -196,9 +162,7 @@ class WinPredictor:
             z = self.encoder_block(z, layer)
         summary = z[:, 0, :]
         if self.config.block_form == "pre_norm":
-            summary = T.layer_norm(
-                summary, self._p("final_norm.gamma"), self._p("final_norm.beta")
-            )
+            summary = self._norm(summary, "final_norm")
         hidden = T.gelu(T.add(T.matmul(summary, self._p("head.w1")), self._p("head.b1")))
         logits = T.add(T.matmul(hidden, self._p("head.w2")), self._p("head.b2"))
         return T.sigmoid(logits.reshape(x.shape[0]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..checkpoint import load_checkpoint, save_checkpoint
+from ..checkpoint import load_checkpoint
 from ..rng import SplitMix64
 from ..tensor import Tensor, normal
 from .config import ConfigError, ModelConfig
@@ -237,10 +237,6 @@ def accounting_report() -> str:
             )
             lines.append("")
     return "\n".join(lines) + "\n"
-
-
-def save_params(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
-    save_checkpoint(path, params)
 
 
 def load_params(path, config: ModelConfig) -> dict[str, Tensor]:

@@ -1,7 +1,7 @@
 """Deterministic grid-war simulator: engine, strategies, datasets."""
 
 from .dataset import Dataset, DatasetHeader, read_dataset, split_dataset, write_dataset
-from .encode import StateTensor, decode_planes, decode_state, encode_state, raw_planes
+from .encode import decode_planes, raw_planes
 from .engine import Action, MatchRecord, run_match, sample_timeline, step
 from .rules import DEFAULT_RULES, Rules, UnitKind
 from .state import GameState, Unit, standard_start
@@ -19,14 +19,11 @@ __all__ = [
     "REGISTRY",
     "Rules",
     "ScheduledMatch",
-    "StateTensor",
     "Strategy",
     "TournamentSettings",
     "Unit",
     "UnitKind",
     "decode_planes",
-    "decode_state",
-    "encode_state",
     "make_strategy",
     "raw_planes",
     "read_dataset",

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import CorruptArtifact
 from ..rng import SplitMix64
 from .encode import CHANNELS
 from .engine import MatchRecord
@@ -50,14 +51,6 @@ class DatasetHeader:
 class Dataset:
     header: DatasetHeader
     records: list[MatchRecord]
-
-    def winner_label(self, record: MatchRecord) -> int:
-        """Binary training label: player 1 wins -> 1, player 2 wins -> 0."""
-        if record.winner == "p1":
-            return 1
-        if record.winner == "p2":
-            return 0
-        raise ValueError("draws carry no label; exclude them before labeling")
 
 
 def _dump_line(obj: dict) -> str:
@@ -84,37 +77,47 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    lines = Path(path).read_text().splitlines()
+    """Parse a dataset file; CorruptArtifact names the first bad line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorruptArtifact(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    head = json.loads(lines[0])
-    if head.get("kind") != "header":
-        raise ValueError(f"{path}: first line is not a header record")
-    if head.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {head.get('format_version')}")
-    header = DatasetHeader(
-        **{k: v for k, v in head.items() if k != "kind"}
-    )
-    records = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if obj.get("kind") != "match":
-            raise ValueError(f"{path}: unexpected record kind {obj.get('kind')!r}")
-        records.append(
-            MatchRecord(
-                strategy_a=obj["strategy_a"],
-                strategy_b=obj["strategy_b"],
-                seed=obj["seed"],
-                winner=obj["winner"],
-                duration=obj["duration"],
-                frames=[
-                    (step, np.asarray(planes, dtype=np.int64))
-                    for step, planes in obj["frames"]
-                ],
+        raise CorruptArtifact(f"{path}: empty dataset file")
+    lineno = 1
+    try:
+        head = json.loads(lines[0])
+        if head.get("kind") != "header":
+            raise ValueError("first line is not a header record")
+        if head.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {head.get('format_version')}")
+        header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
+        records = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            if obj.get("kind") != "match":
+                raise ValueError(f"unexpected record kind {obj.get('kind')!r}")
+            records.append(
+                MatchRecord(
+                    strategy_a=obj["strategy_a"],
+                    strategy_b=obj["strategy_b"],
+                    seed=obj["seed"],
+                    winner=obj["winner"],
+                    duration=obj["duration"],
+                    frames=[
+                        (step, np.asarray(planes, dtype=np.int64))
+                        for step, planes in obj["frames"]
+                    ],
+                )
             )
-        )
+    except json.JSONDecodeError as exc:
+        raise CorruptArtifact(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+    except KeyError as exc:
+        raise CorruptArtifact(f"{path}:{lineno}: record lacks key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise CorruptArtifact(f"{path}:{lineno}: {exc}") from None
     return Dataset(header=header, records=records)
 
 
@@ -155,6 +158,13 @@ def split_dataset(
     val = [eligible[i] for i in order[n_train + n_test :]]
     assert len(val) == n_val
     return train, test, val
+
+
+def winner_label(record: MatchRecord) -> int | None:
+    """Label by the recorded winner: 1 if p1 won, 0 if p2 won, None on a draw."""
+    if record.winner == "draw":
+        return None
+    return 1 if record.winner == "p1" else 0
 
 
 def surviving_units_label(record: MatchRecord) -> int | None:

@@ -18,8 +18,6 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rules import NEUTRAL, P1, P2, UnitKind
@@ -33,17 +31,6 @@ PLANE_FACTION_RES = 4
 CHANNELS = 5
 
 SCALES = np.array([7.0, 10.0, 2.0, 25.0, 25.0]).reshape(CHANNELS, 1, 1)
-
-
-@dataclass(frozen=True)
-class StateTensor:
-    """Normalized model-input frame; all values in [0, 1]."""
-
-    planes: np.ndarray  # (5, H, W) float64
-
-    def __post_init__(self):
-        if self.planes.shape[0] != CHANNELS:
-            raise ValueError(f"expected {CHANNELS} planes, got {self.planes.shape}")
 
 
 def raw_planes(state: GameState) -> np.ndarray:
@@ -62,10 +49,6 @@ def raw_planes(state: GameState) -> np.ndarray:
 
 def normalize_planes(raw: np.ndarray) -> np.ndarray:
     return raw.astype(np.float64) / SCALES
-
-
-def encode_state(state: GameState) -> StateTensor:
-    return StateTensor(planes=normalize_planes(raw_planes(state)))
 
 
 def decode_planes(raw: np.ndarray) -> GameState:
@@ -97,9 +80,3 @@ def decode_planes(raw: np.ndarray) -> GameState:
             if owner in (P1, P2):
                 store[owner] = int(raw[PLANE_FACTION_RES, r, c])
     return GameState(height=h, width=w, units=units, store=store, step=0)
-
-
-def decode_state(tensor: StateTensor) -> GameState:
-    """Inverse of encode_state, up to the integer quantization of the planes."""
-    raw = np.rint(tensor.planes * SCALES).astype(np.int64)
-    return decode_planes(raw)

@@ -98,13 +98,6 @@ def standard_start(rules: Rules = DEFAULT_RULES, size: int = 16) -> GameState:
     )
 
 
-def with_unit(state: GameState, pos: Position, unit: Unit) -> GameState:
-    """Copy of `state` with `unit` placed at `pos` (test/setup helper)."""
-    s = state.clone()
-    s.units[pos] = unit
-    return s
-
-
 def empty_state(size: int = 16, store: int = 0) -> GameState:
     return GameState(height=size, width=size, units={}, store={P1: store, P2: store})
 

@@ -10,6 +10,8 @@ import numpy as np
 from .. import tensor as T
 from ..model.network import WinPredictor
 from ..rng import SplitMix64, derive_seed
+from ..sim.dataset import winner_label
+from ..sim.engine import sample_timeline
 from ..tensor import Tape, Tensor
 from .loss import bce_loss
 from .optim import AdamW, TrainConfig
@@ -108,23 +110,14 @@ def train_model(
     )
 
 
-def dataset_to_examples(records, frame_count: int, label_fn=None) -> list[Example]:
+def dataset_to_examples(records, frame_count: int, label_fn=winner_label) -> list[Example]:
     """Materialize (clip, label) pairs at full progress.
 
-    `label_fn(record) -> 0/1/None` overrides the recorded winner (None
-    drops the record); the default labels p1-wins as 1.
+    `label_fn(record) -> 0/1/None` labels each record; None drops it.
     """
-    from ..sim.engine import sample_timeline
-
     out: list[Example] = []
     for rec in records:
-        if label_fn is not None:
-            label = label_fn(rec)
-            if label is None:
-                continue
-        else:
-            if rec.winner == "draw":
-                continue
-            label = 1 if rec.winner == "p1" else 0
-        out.append((sample_timeline(rec, frame_count, 1.0), label))
+        label = label_fn(rec)
+        if label is not None:
+            out.append((sample_timeline(rec, frame_count, 1.0), label))
     return out

@@ -22,15 +22,6 @@ class MetricsReport:
     op: float
     confusion: tuple[int, int, int, int]  # (tp, fp, fn, tn)
 
-    def row(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "op": self.op,
-        }
-
 
 def metrics_from_confusion(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
     total = tp + fp + fn + tn

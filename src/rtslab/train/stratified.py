@@ -16,7 +16,7 @@ import numpy as np
 
 from ..baselines import DEFAULT_WEIGHTS, predict_winner_classical
 from ..model.network import WinPredictor
-from ..sim.dataset import Dataset
+from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
 from ..sim.engine import MatchRecord, sample_timeline
 from .metrics import MetricsReport, compute_metrics
@@ -65,7 +65,7 @@ def progress_stratified_eval(
 ) -> list[tuple[float, MetricsReport]]:
     """One MetricsReport per fraction. `labels` defaults to recorded winners."""
     if labels is None:
-        labels = [1 if r.winner == "p1" else 0 for r in records]
+        labels = [winner_label(r) for r in records]
     if len(labels) != len(records):
         raise ValueError("labels must align with records")
     rows = []

@@ -405,10 +405,10 @@ class TestEndToEndPipeline:
             Dataset(header=DatasetHeader(capture_every=8, max_steps=600, seed=42),
                     records=test_records),
         )
-        n = len(test_records)
+        # splits must be disjoint; timeline and compare read only the test split
         (data_dir / "splits.json").write_text(json.dumps({
-            "train": list(range(n)), "test": list(range(n)),
-            "validation": list(range(n)), "draws": [],
+            "train": [], "test": list(range(len(test_records))),
+            "validation": [], "draws": [],
         }))
         dirs = {}
         for variant, label in (("tstf", "tstf-2"), ("space_time_only", "spacetime-2")):

@@ -133,11 +133,3 @@ class TestProperties:
             EvalWeights(concentration_exponent=0.0)
         with pytest.raises(ValueError, match=">= 0"):
             EvalWeights(resources=-1.0)
-
-    def test_weights_from_dict(self):
-        w = EvalWeights.from_dict(
-            {"resources": 5.0, "combat_strength": {"light": 2.0, "heavy": 3.0,
-                                                   "worker": 1.0, "ranged": 1.0}}
-        )
-        assert w.resources == 5.0
-        assert w.combat_strength[UnitKind.LIGHT] == 2.0

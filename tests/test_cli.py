@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
+from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
 from rtslab.cli import build_parser, main
+from rtslab.sim import decode_planes, read_dataset
 
 
 def sha(path: Path) -> str:
@@ -167,21 +170,109 @@ class TestEval:
         assert rc == 2
 
 
+def assert_one_line_exit_2(rc, capsys, *names):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
 class TestCorruptCheckpoint:
-    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+    def compare_with_checkpoint(self, pipeline, tmp_path, raw: bytes) -> int:
         model = tmp_path / "model"
         model.mkdir()
         for name in ("config.json", "train.json"):
             (model / name).write_bytes((pipeline["model"] / name).read_bytes())
-        raw = (pipeline["model"] / "best.ckpt").read_bytes()
-        (model / "best.ckpt").write_bytes(raw[: len(raw) // 2])
-        rc = main([
+        (model / "best.ckpt").write_bytes(raw)
+        return main([
             "compare", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
             "--models", str(model), "--out", str(tmp_path / "c"), "--fractions", "1.0",
         ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "best.ckpt" in err
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        raw = (pipeline["model"] / "best.ckpt").read_bytes()
+        rc = self.compare_with_checkpoint(pipeline, tmp_path, raw[: len(raw) // 2])
+        assert_one_line_exit_2(rc, capsys, "best.ckpt")
+
+    def test_nan_payload_exits_2(self, pipeline, tmp_path, capsys):
+        raw = (pipeline["model"] / "best.ckpt").read_bytes()
+        raw = raw[:-8] + struct.pack("<d", float("nan"))
+        rc = self.compare_with_checkpoint(pipeline, tmp_path, raw)
+        assert_one_line_exit_2(rc, capsys, "best.ckpt", "non-finite")
+
+
+# each case edits the dataset lines and returns where the error must point
+def _drop_winner(lines):
+    record = json.loads(lines[1])
+    del record["winner"]
+    lines[1] = json.dumps(record)
+    return "dataset.jsonl:2: record lacks key 'winner'"
+
+
+def _truncate_last(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    return f"dataset.jsonl:{len(lines)}: not valid JSON"
+
+
+def _append_non_utf8(lines):
+    lines[-1] += "\udcff"  # written back as the lone byte 0xff
+    return "dataset.jsonl: not UTF-8"
+
+
+class TestCorruptDataset:
+    @pytest.mark.parametrize(
+        "corrupt", [_drop_winner, _truncate_last, _append_non_utf8],
+        ids=["missing-winner", "truncated-line", "non-utf8"],
+    )
+    def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        where = corrupt(lines)
+        data = tmp_path / "dataset.jsonl"
+        data.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
+        rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
+        assert_one_line_exit_2(rc, capsys, where)
+
+
+def _draw_in_test(lines, m):
+    record = json.loads(lines[1 + m["test"][0]])
+    record["winner"] = "draw"
+    lines[1 + m["test"][0]] = json.dumps(record)
+    return json.dumps(m)
+
+
+class TestCorruptSplits:
+    # each case maps (dataset lines, manifest) to the splits.json text; it
+    # may also edit the dataset lines
+    @pytest.mark.parametrize("corrupt,words", [
+        (lambda lines, m: json.dumps({**m, "test": [-1]}), "out of range"),
+        (lambda lines, m: json.dumps({**m, "test": [len(lines) - 1]}), "out of range"),
+        (lambda lines, m: json.dumps({**m, "test": m["test"] + m["train"][:1]}),
+         "more than once"),
+        (lambda lines, m: json.dumps({**m, "test": m["test"] * 2}), "more than once"),
+        (lambda lines, m: json.dumps({**m, "test": [True]}), "list of record indices"),
+        (lambda lines, m: json.dumps({**m, "test": ["0"]}), "list of record indices"),
+        (lambda lines, m: json.dumps({**m, "test": 0}), "list of record indices"),
+        (lambda lines, m: json.dumps({"train": m["train"], "test": m["test"]}),
+         "list of record indices"),
+        (_draw_in_test, "drawn match"),
+        (lambda lines, m: "[1, 2]", "JSON object"),
+        (lambda lines, m: "{not json", "not valid JSON"),
+    ], ids=[
+        "negative", "past-end", "overlap", "repeat", "bool", "string", "not-a-list",
+        "missing-split", "draw", "array", "garbage",
+    ])
+    def test_bad_manifest_exits_2(self, pipeline, tmp_path, capsys, corrupt, words):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        manifest = json.loads((pipeline["data"] / "splits.json").read_text())
+        (tmp_path / "splits.json").write_text(corrupt(lines, manifest))
+        (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main([
+            "compare", "--dataset", str(tmp_path / "dataset.jsonl"),
+            "--out", str(tmp_path / "c"), "--fractions", "1.0",
+        ])
+        assert_one_line_exit_2(rc, capsys, "splits.json", words)
 
 
 class TestCompare:
@@ -253,6 +344,33 @@ class TestTimeline:
             assert main(base + ["--out", str(a)]) == 0
             assert main(base + ["--out", str(b)]) == 0
             assert sha(a / check) == sha(b / check)
+
+    def test_classical_rows_score_the_frame_at_their_step(self, tmp_path):
+        # with a frame at every step, a row at step s must show frame s and
+        # never a later one
+        data = tmp_path / "every"
+        assert main([
+            "generate", "--out", str(data), "--seed", "4",
+            "--roster", "WorkerRushLite,LightRushLite", "--rounds", "2",
+            "--max-steps", "90", "--capture-every", "1",
+        ]) == 0
+        dataset = read_dataset(data / "dataset.jsonl")
+        evaluators = {"simple": simple_eval, "lanchester": lanchester_eval}
+        for match_id, record in enumerate(dataset.records):
+            out = tmp_path / f"t{match_id}"
+            assert main([
+                "timeline", "--dataset", str(data / "dataset.jsonl"),
+                "--match-id", str(match_id), "--out", str(out),
+            ]) == 0
+            frames = dict(record.frames)
+            lines = (out / f"timeline_match{match_id}.csv").read_text().splitlines()[2:]
+            assert len(lines) == 2 * len(frames)
+            for line in lines:
+                name, step, s1, s2, verdict = line.split(",")
+                state = decode_planes(frames[int(step)])
+                evaluator = evaluators[name]
+                assert (s1, s2) == (str(evaluator(state, 1)), str(evaluator(state, 2)))
+                assert verdict == predict_winner_classical(state, evaluator)
 
     def test_match_id_out_of_range_exits_3(self, pipeline, tmp_path):
         rc = main([

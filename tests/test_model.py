@@ -260,6 +260,23 @@ class TestForward:
         x = random_input(cfg, 2, seed=35)
         assert np.array_equal(a.forward(x).data, b.forward(x).data)
 
+    # Exact outputs of a seeded desk model at B=2, as float.hex, for each block
+    # form and variant: a refactor of the block must keep every bit.
+    @pytest.mark.parametrize(
+        "block_form,variant,expected",
+        [
+            ("post_norm", "tstf", ("0x1.c3b77bd800d7dp-2", "0x1.b14bffe4859fep-2")),
+            ("post_norm", "space_time_only", ("0x1.b0264c17c23b4p-2", "0x1.98b771f615f10p-2")),
+            ("pre_norm", "tstf", ("0x1.d9f597deec067p-2", "0x1.ca6601feede44p-2")),
+            ("pre_norm", "space_time_only", ("0x1.e67307d957f69p-2", "0x1.c8d43602eb0d4p-2")),
+        ],
+    )
+    def test_desk_forward_pinned(self, block_form, variant, expected):
+        cfg = dataclasses.replace(get_preset("desk"), block_form=block_form, variant=variant)
+        model = WinPredictor.create(cfg, seed=20)
+        y = model.forward(random_input(cfg, 2, seed=40)).data
+        assert tuple(float(v).hex() for v in y) == expected
+
     @pytest.mark.parametrize("block_form", ["post_norm", "pre_norm"])
     def test_small_gradient_check(self, block_form):
         # full forward + binary cross-entropy at B=1, T=2, N=4, C=5, D=10
@@ -281,11 +298,20 @@ class TestTapeBudget:
     # LayerNorm nodes with their reshapes and residuals, head and loss.
     # Falling back to attention or LayerNorm composed from primitive ops
     # roughly triples these counts.
-    @pytest.mark.parametrize("variant,nodes", [("tstf", 74), ("space_time_only", 66)])
-    def test_desk_train_step_node_count(self, variant, nodes):
+    @pytest.mark.parametrize(
+        "block_form,variant,nodes",
+        [
+            ("post_norm", "tstf", 74),
+            ("post_norm", "space_time_only", 66),
+            ("pre_norm", "tstf", 79),
+            ("pre_norm", "space_time_only", 69),
+        ],
+        ids=["tstf-74", "space_time_only-66", "pre_norm-tstf-79", "pre_norm-space_time_only-69"],
+    )
+    def test_desk_train_step_node_count(self, block_form, variant, nodes):
         from rtslab.train import bce_loss
 
-        cfg = dataclasses.replace(get_preset("desk"), variant=variant)
+        cfg = dataclasses.replace(get_preset("desk"), block_form=block_form, variant=variant)
         model = WinPredictor.create(cfg, seed=19)
         x = random_input(cfg, 2, seed=38)
         with Tape() as tape:

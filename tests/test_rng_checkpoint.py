@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rtslab.checkpoint import MAGIC, CorruptCheckpoint, load_checkpoint, save_checkpoint
+from rtslab import CorruptArtifact
+from rtslab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from rtslab.rng import SplitMix64, derive_seed
 from rtslab.tensor import Tensor
 
@@ -95,5 +96,12 @@ class TestCheckpoint:
         save_checkpoint(path, {"a": np.array([1.0, 2.0]), "b": np.zeros((2, 2))})
         raw = path.read_bytes()
         path.write_bytes(raw + b"\x00" if keep == -1 else raw[:keep])
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(CorruptArtifact):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_corrupt(self, tmp_path, value):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, {"a": np.array([1.0, value])})
+        with pytest.raises(CorruptArtifact, match="non-finite value in a"):
             load_checkpoint(path)

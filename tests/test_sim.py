@@ -9,8 +9,6 @@ from rtslab.sim import (
     MatchRecord,
     UnitKind,
     decode_planes,
-    decode_state,
-    encode_state,
     make_strategy,
     raw_planes,
     run_match,
@@ -24,6 +22,7 @@ from rtslab.sim.encode import (
     PLANE_HEALTH,
     PLANE_NEUTRAL_RES,
     PLANE_TYPE,
+    normalize_planes,
 )
 from rtslab.sim.engine import check_winner
 from rtslab.sim.rules import DEFAULT_RULES, P1, P2
@@ -167,14 +166,14 @@ class TestRunMatch:
 
 class TestEncode:
     def test_empty_map_all_zero(self):
-        planes = encode_state(empty_state()).planes
+        planes = normalize_planes(raw_planes(empty_state()))
         assert planes.shape == (5, 16, 16)
         assert np.all(planes == 0.0)
 
     def test_single_worker_plane_values(self):
         s = empty_state()
         s.units[(3, 4)] = Unit(UnitKind.WORKER, 1, P1)
-        planes = encode_state(s).planes
+        planes = normalize_planes(raw_planes(s))
         assert planes[PLANE_TYPE, 3, 4] == pytest.approx(4 / 7)
         assert planes[PLANE_HEALTH, 3, 4] == pytest.approx(1 / 10)
         assert planes[PLANE_FACTION, 3, 4] == pytest.approx(1 / 2)
@@ -185,7 +184,7 @@ class TestEncode:
     def test_full_resource_node_hits_range_endpoint(self):
         s = empty_state()
         s.units[(0, 0)] = Unit(UnitKind.RESOURCE, 1, 0, carried=25)
-        planes = encode_state(s).planes
+        planes = normalize_planes(raw_planes(s))
         assert planes[PLANE_NEUTRAL_RES, 0, 0] == 1.0
 
     def test_worker_cargo_counts_as_neutral(self):
@@ -213,15 +212,13 @@ class TestEncode:
 
     def test_decode_of_encoded_state(self):
         s = standard_start()
-        back = decode_state(encode_state(s))
+        back = decode_planes(raw_planes(s))
         assert sorted(back.units.items()) == sorted(s.units.items())
         assert back.store == s.store
 
     def test_all_values_normalized(self):
         rec = run_match(make_strategy("RandomBiasedLite"), make_strategy("WorkerRushLite"), 4)
         for _, raw in rec.frames:
-            from rtslab.sim.encode import normalize_planes
-
             planes = normalize_planes(raw)
             assert planes.min() >= 0.0 and planes.max() <= 1.0
 
