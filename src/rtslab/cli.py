@@ -15,7 +15,9 @@ in one line on stderr. Exit codes:
 
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
-       line that does not parse or lacks a key (named by file and line),
+       line that does not parse, lacks a key or disagrees with the header
+       (no frames, frame shape, step order, winner value; named by file
+       and line),
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a checkpoint that is truncated, padded
        or holds a NaN/Inf
@@ -46,6 +48,7 @@ from .sim import (
 from .sim.dataset import surviving_units_label, winner_label
 from .sim.encode import decode_planes
 from .sim.engine import sample_timeline
+from .sim.state import MIN_MAP_SIZE
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
     TrainConfig,
@@ -124,6 +127,8 @@ class RunConfig:
             raise ConfigViolation(f"max_steps must be >= 1, got {self.max_steps}")
         if self.capture_every < 1:
             raise ConfigViolation(f"capture_every must be >= 1, got {self.capture_every}")
+        if self.map_size < MIN_MAP_SIZE:
+            raise ConfigViolation(f"map_size must be >= {MIN_MAP_SIZE}, got {self.map_size}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:

@@ -32,6 +32,7 @@ from .encode import CHANNELS
 from .engine import MatchRecord
 
 FORMAT_VERSION = 1
+WINNERS = ("p1", "p2", "draw")
 
 
 @dataclass
@@ -76,8 +77,30 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_frames(frames: list[tuple[int, np.ndarray]], shape: tuple[int, int, int]) -> None:
+    """At least one frame; every frame holds planes of the header's shape;
+    steps are strictly increasing ints."""
+    if not frames:
+        raise ValueError("record has no frames")
+    last = None
+    for i, (step, planes) in enumerate(frames):
+        if type(step) is not int:
+            raise ValueError(f"frame {i} step {step!r} is not an int")
+        if last is not None and step <= last:
+            raise ValueError(f"frame {i} step {step} does not follow step {last}")
+        if planes.shape != shape:
+            raise ValueError(f"frame {i} planes have shape {planes.shape}, header says {shape}")
+        last = step
+
+
 def read_dataset(path: str | Path) -> Dataset:
-    """Parse a dataset file; CorruptArtifact names the first bad line."""
+    """Parse a dataset file; CorruptArtifact names the first bad line.
+
+    Each record is checked against the header: it has at least one frame,
+    every frame's planes have shape (channels, map_height, map_width),
+    frame steps are strictly increasing ints and the winner is one of
+    WINNERS.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:
@@ -92,6 +115,7 @@ def read_dataset(path: str | Path) -> Dataset:
         if head.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {head.get('format_version')}")
         header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
+        shape = (header.channels, header.map_height, header.map_width)
         records = []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
@@ -99,6 +123,12 @@ def read_dataset(path: str | Path) -> Dataset:
             obj = json.loads(line)
             if obj.get("kind") != "match":
                 raise ValueError(f"unexpected record kind {obj.get('kind')!r}")
+            if obj["winner"] not in WINNERS:
+                raise ValueError(f"winner {obj['winner']!r} is not one of {WINNERS}")
+            frames = [
+                (step, np.asarray(planes, dtype=np.int64)) for step, planes in obj["frames"]
+            ]
+            _check_frames(frames, shape)
             records.append(
                 MatchRecord(
                     strategy_a=obj["strategy_a"],
@@ -106,10 +136,7 @@ def read_dataset(path: str | Path) -> Dataset:
                     seed=obj["seed"],
                     winner=obj["winner"],
                     duration=obj["duration"],
-                    frames=[
-                        (step, np.asarray(planes, dtype=np.int64))
-                        for step, planes in obj["frames"]
-                    ],
+                    frames=frames,
                 )
             )
     except json.JSONDecodeError as exc:

@@ -71,8 +71,16 @@ class GameState:
         )
 
 
+# The smallest map on which standard_start's cells and their mirror images
+# are distinct and in bounds: player 1's worker at (3, 3) must sit above
+# and left of player 2's at (size - 4, size - 4).
+MIN_MAP_SIZE = 8
+
+
 def standard_start(rules: Rules = DEFAULT_RULES, size: int = 16) -> GameState:
     """Mirror-symmetric opening: one base and worker per side, corner resources."""
+    if size < MIN_MAP_SIZE:
+        raise ValueError(f"map size must be >= {MIN_MAP_SIZE}, got {size}")
     h = w = size
     units: dict[Position, Unit] = {}
 

@@ -5,6 +5,18 @@ scanned row-major, targets break ties by (distance, row, col), and the only
 randomness comes from the per-player SplitMix64 stream handed to plan().
 Strategy objects carry no mutable state, so one instance can serve any
 number of concurrent matches.
+
+Target search runs on a unit index that each plan() builds in one pass
+over the map (`_UnitIndex`): the cells of each owner, the resource nodes
+that still hold stock, and the bases of each owner, all in row-major
+order. A query scans only the list that holds its possible answers. The
+key (manhattan distance, row, col) is a total order on cells, so the
+nearest cell does not depend on the order of the scan.
+
+A combat unit makes one scan for the nearest enemy: it attacks that enemy
+if it is within attack range and otherwise steps toward it. If the
+nearest enemy is out of range, so is every other, so this is the same
+decision as looking for the nearest enemy in range first.
 """
 
 from __future__ import annotations
@@ -12,87 +24,106 @@ from __future__ import annotations
 from ..rng import SplitMix64
 from .engine import Action
 from .rules import (
-    COMBAT_KINDS,
     DEFAULT_RULES,
     Rules,
     TRAINABLE_AT_BARRACKS,
     UnitKind,
 )
-from .state import GameState, Position, Unit, manhattan
-
-# canonical neighbor order: up, left, right, down
-_DIRS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+from .state import GameState, Position, manhattan
 
 
-def _neighbors(state: GameState, pos: Position) -> list[Position]:
-    out = []
-    for dr, dc in _DIRS:
-        q = (pos[0] + dr, pos[1] + dc)
-        if state.in_bounds(q):
-            out.append(q)
-    return out
+class _UnitIndex:
+    """One plan's view of the map, built in one row-major pass.
+
+    `cells[owner]` lists the cells of owner 0 (resource nodes), 1 and 2;
+    `nodes` the resource nodes with stock left; `bases[owner]` the bases.
+    Built per plan() call and never kept, so strategies stay stateless.
+    """
+
+    __slots__ = ("cells", "nodes", "bases")
+
+    def __init__(self, state: GameState):
+        cells: tuple[list[Position], ...] = ([], [], [])
+        nodes: list[Position] = []
+        bases: tuple[list[Position], ...] = ([], [], [])
+        units = state.units
+        for pos in sorted(units):
+            u = units[pos]
+            cells[u.owner].append(pos)
+            if u.kind == UnitKind.BASE:
+                bases[u.owner].append(pos)
+            elif u.kind == UnitKind.RESOURCE and u.carried > 0:
+                nodes.append(pos)
+        self.cells, self.nodes, self.bases = cells, nodes, bases
 
 
-def _free_neighbors(state: GameState, pos: Position) -> list[Position]:
-    return [q for q in _neighbors(state, pos) if q not in state.units]
-
-
-def _nearest(state: GameState, pos: Position, pred) -> tuple[Position, Unit] | None:
+def _nearest(pos: Position, cells: list[Position]) -> Position | None:
+    """The cell of `cells` first by (manhattan distance to pos, row, col)."""
+    r, c = pos
     best = None
-    best_key = None
-    for q, u in state.units.items():
-        if not pred(q, u):
-            continue
-        key = (manhattan(pos, q), q[0], q[1])
-        if best_key is None or key < best_key:
-            best, best_key = (q, u), key
+    best_d = 1 << 30  # farther than any cell
+    for q in cells:
+        d = abs(q[0] - r) + abs(q[1] - c)
+        if d < best_d or (d == best_d and q < best):
+            best, best_d = q, d
     return best
 
 
+def _free_neighbors(state: GameState, pos: Position) -> list[Position]:
+    """Empty in-bounds neighbors in the canonical order up, left, right, down."""
+    r, c = pos
+    units = state.units
+    out = []
+    if r > 0 and (r - 1, c) not in units:
+        out.append((r - 1, c))
+    if c > 0 and (r, c - 1) not in units:
+        out.append((r, c - 1))
+    if c + 1 < state.width and (r, c + 1) not in units:
+        out.append((r, c + 1))
+    if r + 1 < state.height and (r + 1, c) not in units:
+        out.append((r + 1, c))
+    return out
+
+
 def _step_toward(state: GameState, src: Position, dst: Position) -> Action | None:
-    """Greedy move: the free neighbor closest to dst, if it improves at all."""
-    options = _free_neighbors(state, src)
-    if not options:
-        return None
-    best = min(options, key=lambda q: (manhattan(q, dst), q[0], q[1]))
-    if manhattan(best, dst) >= manhattan(src, dst):
-        return None
-    return Action("move", src, best)
+    """Greedy move: the first free neighbor, in canonical order, that is
+    closer to dst. Every closer neighbor is exactly one nearer, so this is
+    the free neighbor first by (distance to dst, row, col), taken only if
+    it improves. dst is an occupied, hence in-bounds, cell, so a step
+    toward it never leaves the map."""
+    r, c = src
+    dr, dc = dst[0] - r, dst[1] - c
+    units = state.units
+    if dr < 0 and (r - 1, c) not in units:
+        return Action("move", src, (r - 1, c))
+    if dc < 0 and (r, c - 1) not in units:
+        return Action("move", src, (r, c - 1))
+    if dc > 0 and (r, c + 1) not in units:
+        return Action("move", src, (r, c + 1))
+    if dr > 0 and (r + 1, c) not in units:
+        return Action("move", src, (r + 1, c))
+    return None
 
 
-def _attack_or_advance(state: GameState, player: int, pos: Position, unit: Unit,
-                       rules: Rules) -> Action | None:
-    rng_range = rules.attack_range.get(unit.kind, 0)
-    enemy = 3 - player
-    in_range = _nearest(
-        state, pos, lambda q, u: u.owner == enemy and manhattan(pos, q) <= rng_range
-    )
-    if in_range is not None:
-        return Action("attack", pos, in_range[0])
-    target = _nearest(state, pos, lambda q, u: u.owner == enemy)
+def _attack_or_advance(state: GameState, pos: Position, reach: int,
+                       foe: Position | None) -> Action | None:
+    """Attack `foe`, the nearest enemy, if it is within `reach`; else step toward it."""
+    if foe is None:
+        return None
+    if manhattan(pos, foe) <= reach:
+        return Action("attack", pos, foe)
+    return _step_toward(state, pos, foe)
+
+
+def _harvest_cycle(state: GameState, index: _UnitIndex, player: int, pos: Position,
+                   carried: int) -> Action | None:
+    """Carry cargo to the nearest own base, or fetch it from the nearest live node."""
+    target = _nearest(pos, index.bases[player] if carried > 0 else index.nodes)
     if target is None:
         return None
-    return _step_toward(state, pos, target[0])
-
-
-def _harvest_cycle(state: GameState, player: int, pos: Position, unit: Unit) -> Action | None:
-    if unit.carried > 0:
-        base = _nearest(
-            state, pos, lambda q, u: u.owner == player and u.kind == UnitKind.BASE
-        )
-        if base is None:
-            return None
-        if manhattan(pos, base[0]) == 1:
-            return Action("deposit", pos, base[0])
-        return _step_toward(state, pos, base[0])
-    node = _nearest(
-        state, pos, lambda q, u: u.kind == UnitKind.RESOURCE and u.carried > 0
-    )
-    if node is None:
-        return None
-    if manhattan(pos, node[0]) == 1:
-        return Action("harvest", pos, node[0])
-    return _step_toward(state, pos, node[0])
+    if manhattan(pos, target) == 1:
+        return Action("deposit" if carried > 0 else "harvest", pos, target)
+    return _step_toward(state, pos, target)
 
 
 def _train_action(state: GameState, pos: Position, produce: UnitKind) -> Action | None:
@@ -100,10 +131,6 @@ def _train_action(state: GameState, pos: Position, produce: UnitKind) -> Action 
     if not free:
         return None
     return Action("train", pos, free[0], produce)
-
-
-def _resources_left(state: GameState) -> bool:
-    return any(u.kind == UnitKind.RESOURCE and u.carried > 0 for u in state.units.values())
 
 
 class Strategy:
@@ -114,6 +141,9 @@ class Strategy:
 
     def plan(self, state: GameState, player: int, rng: SplitMix64) -> list[Action]:
         raise NotImplementedError
+
+    def reach(self, kind: UnitKind) -> int:
+        return self.rules.attack_range.get(kind, 0)
 
     def __repr__(self):
         return self.name
@@ -135,36 +165,32 @@ class WorkerRushLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        workers = [
-            (p, u) for p, u in state.units_of(player) if u.kind == UnitKind.WORKER
-        ]
+        index = _UnitIndex(state)
+        units = state.units
+        mine = index.cells[player]
+        foes = index.cells[3 - player]
+        workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
         harvester: Position | None = None
-        if workers and _resources_left(state):
+        if workers and index.nodes:
             harvester = min(
-                workers,
-                key=lambda item: (
-                    _nearest_dist(state, item[0], UnitKind.RESOURCE),
-                    item[0],
-                ),
-            )[0]
-        for pos, u in state.units_of(player):
+                workers, key=lambda p: (manhattan(p, _nearest(p, index.nodes)), p)
+            )
+        for pos in mine:
+            u = units[pos]
             act: Action | None = None
             if u.kind == UnitKind.BASE:
                 if state.store[player] >= self.rules.cost[UnitKind.WORKER]:
                     act = _train_action(state, pos, UnitKind.WORKER)
             elif u.kind == UnitKind.WORKER:
                 if pos == harvester:
-                    act = _harvest_cycle(state, player, pos, u)
+                    act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:
-                    act = _attack_or_advance(state, player, pos, u, self.rules)
+                    act = _attack_or_advance(
+                        state, pos, self.reach(u.kind), _nearest(pos, foes)
+                    )
             if act is not None:
                 acts.append(act)
         return acts
-
-
-def _nearest_dist(state: GameState, pos: Position, kind: UnitKind) -> int:
-    found = _nearest(state, pos, lambda q, u: u.kind == kind and u.carried > 0)
-    return manhattan(pos, found[0]) if found else 10**6
 
 
 class _BarracksRush(Strategy):
@@ -175,14 +201,18 @@ class _BarracksRush(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        mine = state.units_of(player)
-        workers = [(p, u) for p, u in mine if u.kind == UnitKind.WORKER]
-        barracks = [(p, u) for p, u in mine if u.kind == UnitKind.BARRACKS]
+        index = _UnitIndex(state)
+        units = state.units
+        mine = index.cells[player]
+        foes = index.cells[3 - player]
+        workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
+        has_barracks = any(units[p].kind == UnitKind.BARRACKS for p in mine)
         need_barracks = (
-            not barracks and state.store[player] >= self.rules.cost[UnitKind.BARRACKS]
+            not has_barracks and state.store[player] >= self.rules.cost[UnitKind.BARRACKS]
         )
-        builder = workers[-1][0] if (need_barracks and workers) else None
-        for pos, u in mine:
+        builder = workers[-1] if (need_barracks and workers) else None
+        for pos in mine:
+            u = units[pos]
             act: Action | None = None
             if u.kind == UnitKind.BASE:
                 if (
@@ -199,11 +229,13 @@ class _BarracksRush(Strategy):
                     if free:
                         act = Action("build", pos, free[0], UnitKind.BARRACKS)
                 if act is None:
-                    act = _harvest_cycle(state, player, pos, u)
+                    act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:  # mined out: join the fight
-                    act = _attack_or_advance(state, player, pos, u, self.rules)
+                    act = _attack_or_advance(
+                        state, pos, self.reach(u.kind), _nearest(pos, foes)
+                    )
             else:
-                act = _attack_or_advance(state, player, pos, u, self.rules)
+                act = _attack_or_advance(state, pos, self.reach(u.kind), _nearest(pos, foes))
             if act is not None:
                 acts.append(act)
         return acts
@@ -239,28 +271,26 @@ class EconomyRushLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        enemy = 3 - player
-        mine = state.units_of(player)
-        workers = [(p, u) for p, u in mine if u.kind == UnitKind.WORKER]
-        for pos, u in mine:
+        index = _UnitIndex(state)
+        units = state.units
+        mine = index.cells[player]
+        foes = index.cells[3 - player]
+        n_workers = sum(1 for p in mine if units[p].kind == UnitKind.WORKER)
+        for pos in mine:
+            u = units[pos]
             act: Action | None = None
             if u.kind == UnitKind.BASE:
                 if (
-                    len(workers) < self.worker_target
+                    n_workers < self.worker_target
                     and state.store[player] >= self.rules.cost[UnitKind.WORKER]
                 ):
                     act = _train_action(state, pos, UnitKind.WORKER)
             elif u.kind == UnitKind.WORKER:
-                threat = _nearest(
-                    state,
-                    pos,
-                    lambda q, v: v.owner == enemy
-                    and manhattan(pos, q) <= self.defense_radius,
-                )
-                if threat is not None:
-                    act = _attack_or_advance(state, player, pos, u, self.rules)
+                foe = _nearest(pos, foes)
+                if foe is not None and manhattan(pos, foe) <= self.defense_radius:
+                    act = _attack_or_advance(state, pos, self.reach(u.kind), foe)
                 else:
-                    act = _harvest_cycle(state, player, pos, u)
+                    act = _harvest_cycle(state, index, player, pos, u.carried)
             if act is not None:
                 acts.append(act)
         return acts
@@ -273,7 +303,11 @@ class RandomBiasedLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        for pos, u in state.units_of(player):
+        index = _UnitIndex(state)
+        units = state.units
+        foes = index.cells[3 - player]
+        for pos in index.cells[player]:
+            u = units[pos]
             if u.kind in (UnitKind.BASE, UnitKind.BARRACKS):
                 if rng.uniform() < 0.5:
                     choices = (
@@ -293,11 +327,11 @@ class RandomBiasedLite(Strategy):
                             acts.append(act)
                 continue
             weighted: list[tuple[Action, int]] = []
-            attack = _attack_or_advance(state, player, pos, u, self.rules)
-            if attack is not None and attack.kind == "attack":
-                weighted.append((attack, 5))
+            foe = _nearest(pos, foes)
+            if foe is not None and manhattan(pos, foe) <= self.reach(u.kind):
+                weighted.append((Action("attack", pos, foe), 5))
             if u.kind == UnitKind.WORKER:
-                cycle = _harvest_cycle(state, player, pos, u)
+                cycle = _harvest_cycle(state, index, player, pos, u.carried)
                 if cycle is not None:
                     weighted.append((cycle, 3))
             free = _free_neighbors(state, pos)

@@ -11,6 +11,7 @@ from rtslab import tensor as T
 from rtslab.baselines import EvalWeights
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
+from rtslab.sim.engine import Action
 from rtslab.sim.rules import MAX_HP, P1, P2
 from rtslab.sim.state import GameState, Unit, empty_state
 
@@ -89,3 +90,60 @@ def composed_layer_norm(a, gamma, beta, eps=1e-5):
     var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
     inv = T.power(T.add(var, eps), -0.5)
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
+
+
+# canonical neighbor order of the scripted strategies: up, left, right, down
+_DIRS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def _dist(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def oracle_nearest(state: GameState, pos, pred):
+    """Strategy target search as a full scan of the map: the cell of the
+    unit that passes pred(cell, unit), first by (manhattan, row, col)."""
+    best = None
+    best_key = None
+    for q, u in state.units.items():
+        if not pred(q, u):
+            continue
+        key = (_dist(pos, q), q[0], q[1])
+        if best_key is None or key < best_key:
+            best, best_key = q, key
+    return best
+
+
+def oracle_free_neighbors(state: GameState, pos):
+    out = []
+    for dr, dc in _DIRS:
+        q = (pos[0] + dr, pos[1] + dc)
+        if 0 <= q[0] < state.height and 0 <= q[1] < state.width and q not in state.units:
+            out.append(q)
+    return out
+
+
+def oracle_step_toward(state: GameState, src, dst):
+    """The free neighbor first by (distance to dst, row, col), if it is closer."""
+    options = oracle_free_neighbors(state, src)
+    if not options:
+        return None
+    best = min(options, key=lambda q: (_dist(q, dst), q[0], q[1]))
+    if _dist(best, dst) >= _dist(src, dst):
+        return None
+    return Action("move", src, best)
+
+
+def oracle_attack_or_advance(state: GameState, player: int, pos, reach: int):
+    """Two scans: the nearest enemy in reach to attack, else the nearest
+    enemy to step toward."""
+    enemy = 3 - player
+    in_reach = oracle_nearest(
+        state, pos, lambda q, u: u.owner == enemy and _dist(pos, q) <= reach
+    )
+    if in_reach is not None:
+        return Action("attack", pos, in_reach)
+    target = oracle_nearest(state, pos, lambda q, u: u.owner == enemy)
+    if target is None:
+        return None
+    return oracle_step_toward(state, pos, target)

@@ -75,6 +75,30 @@ class TestGenerate:
         assert err.count("\n") == 1 and "must be >= 1" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("size", [0, 4])
+    def test_map_below_minimum_exits_3(self, size, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_size": size}))
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "map_size must be >= 8" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_smallest_map_generates(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map_size": 8}))
+        out = tmp_path / "g"
+        rc = main([
+            "generate", "--config", str(cfg), "--out", str(out), "--seed", "1",
+            "--roster", "WorkerRushLite,EconomyRushLite",
+            "--rounds", "2", "--max-steps", "60", "--capture-every", "4",
+        ])
+        assert rc == 0
+        dataset = read_dataset(out / "dataset.jsonl")
+        assert dataset.header.map_height == dataset.header.map_width == 8
+        assert all(planes.shape == (5, 8, 8) for r in dataset.records for _, planes in r.frames)
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rounds_per_pair": 2, "bogus_knob": 1}')
@@ -220,10 +244,41 @@ def _append_non_utf8(lines):
     return "dataset.jsonl: not UTF-8"
 
 
+def _three_planes(lines):
+    record = json.loads(lines[1])
+    record["frames"][0][1] = record["frames"][0][1][:3]
+    lines[1] = json.dumps(record)
+    return "dataset.jsonl:2: frame 0 planes have shape (3,"
+
+
+def _repeated_step(lines):
+    record = json.loads(lines[2])
+    record["frames"][1][0] = record["frames"][0][0]
+    lines[2] = json.dumps(record)
+    return "dataset.jsonl:3: frame 1 step"
+
+
+def _no_frames(lines):
+    record = json.loads(lines[1])
+    record["frames"] = []
+    lines[1] = json.dumps(record)
+    return "dataset.jsonl:2: record has no frames"
+
+
+def _unknown_winner(lines):
+    record = json.loads(lines[1])
+    record["winner"] = "p3"
+    lines[1] = json.dumps(record)
+    return "dataset.jsonl:2: winner 'p3'"
+
+
 class TestCorruptDataset:
     @pytest.mark.parametrize(
-        "corrupt", [_drop_winner, _truncate_last, _append_non_utf8],
-        ids=["missing-winner", "truncated-line", "non-utf8"],
+        "corrupt",
+        [_drop_winner, _truncate_last, _append_non_utf8, _three_planes, _repeated_step,
+         _no_frames, _unknown_winner],
+        ids=["missing-winner", "truncated-line", "non-utf8", "three-planes", "repeated-step",
+             "no-frames", "unknown-winner"],
     )
     def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -232,6 +287,17 @@ class TestCorruptDataset:
         data.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
         rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
+        assert_one_line_exit_2(rc, capsys, where)
+
+    def test_three_plane_frame_stops_timeline(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        where = _three_planes(lines)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "timeline", "--dataset", str(data), "--models", str(pipeline["model"]),
+            "--match-id", "0", "--out", str(tmp_path / "t"),
+        ])
         assert_one_line_exit_2(rc, capsys, where)
 
 

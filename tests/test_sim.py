@@ -24,8 +24,8 @@ from rtslab.sim.encode import (
     PLANE_TYPE,
     normalize_planes,
 )
-from rtslab.sim.engine import check_winner
-from rtslab.sim.rules import DEFAULT_RULES, P1, P2
+from rtslab.sim.engine import PHASES, check_winner
+from rtslab.sim.rules import DEFAULT_RULES, MAX_HP, P1, P2
 from rtslab.sim.state import GameState, Unit, empty_state
 
 
@@ -104,6 +104,81 @@ class TestStep:
 
         after = step(s, Duel(), Duel(), rngs())
         assert (4, 4) not in after.units and (4, 5) not in after.units
+
+
+class RandomPlans:
+    """Seeded random actions, mostly illegal (unknown kinds; foreign,
+    neutral, empty and off-map actors; off-map, occupied and distant
+    targets), shuffled into a scripted strategy's plan so the match moves."""
+
+    name = "RandomPlans"
+    kinds = PHASES + ("teleport", "")
+    produce = (*UnitKind, None)
+
+    def __init__(self, scripted: str):
+        self.scripted = make_strategy(scripted)
+
+    def plan(self, state, player, rng):
+        occupied = sorted(state.units)
+        mine = [p for p in occupied if state.units[p].owner == player]
+        acts = []
+        for _ in range(rng.randrange(12)):
+            roll = rng.randrange(4)
+            if roll == 0 or not occupied:
+                actor = (rng.randrange(20) - 2, rng.randrange(20) - 2)
+            elif roll == 1 or not mine:
+                actor = rng.choice(occupied)
+            else:
+                actor = rng.choice(mine)
+            roll = rng.randrange(4)
+            if roll == 0:
+                target = (rng.randrange(20) - 2, rng.randrange(20) - 2)
+            elif roll == 1:
+                target = rng.choice(occupied) if occupied else None
+            else:
+                dr, dc = rng.choice(((-1, 0), (0, -1), (0, 1), (1, 0)))
+                target = (actor[0] + dr, actor[1] + dc)
+            acts.append(
+                Action(rng.choice(self.kinds), actor, target, rng.choice(self.produce))
+            )
+        acts += self.scripted.plan(state, player, rng)
+        rng.shuffle(acts)
+        return acts
+
+
+def resources_held(s: GameState) -> int:
+    """Node stock + worker cargo + banked store."""
+    return sum(u.carried for u in s.units.values()) + s.store[P1] + s.store[P2]
+
+
+class TestEngineFuzz:
+    @pytest.mark.parametrize(
+        "seed, scripted",
+        [(0, ("WorkerRushLite", "LightRushLite")), (1, ("EconomyRushLite", "RangedRushLite")),
+         (2, ("RandomBiasedLite", "HeavyRushLite")), (3, ("LightRushLite", "EconomyRushLite"))],
+    )
+    def test_invariants_under_random_plans(self, seed, scripted):
+        p1, p2 = (RandomPlans(name) for name in scripted)
+        state = standard_start()
+        streams = rngs(100 + seed)
+        applied: set[str] = set()
+        for _ in range(300):
+            forked = tuple(SplitMix64(r.state) for r in streams)
+            before = state_snapshot(state)
+            events = []
+            after = step(state, p1, p2, streams, events=events)
+            assert state_snapshot(state) == before  # the input is not mutated
+            twin = step(state, p1, p2, forked)
+            assert state_snapshot(twin) == state_snapshot(after)
+            for (r, c), u in after.units.items():
+                assert 0 <= r < after.height and 0 <= c < after.width
+                assert 1 <= u.hp <= MAX_HP[u.kind]
+            for player in (P1, P2):
+                assert 0 <= after.store[player] <= DEFAULT_RULES.store_cap
+            assert resources_held(after) <= resources_held(state)
+            applied.update(e.phase for e in events)
+            state = after
+        assert applied == set(PHASES)
 
 
 class TestRunMatch:

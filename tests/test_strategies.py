@@ -1,0 +1,118 @@
+"""Scripted strategies: the per-plan unit index against the full-map scan,
+and a pin of every decision through the hash of a generated dataset."""
+
+import hashlib
+
+import pytest
+
+from rtslab.cli import main
+from rtslab.rng import SplitMix64
+from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, UnitKind
+from rtslab.sim.state import Unit, empty_state
+from rtslab.sim.strategies import (
+    _attack_or_advance,
+    _free_neighbors,
+    _nearest,
+    _step_toward,
+    _UnitIndex,
+)
+
+from oracles import (
+    oracle_attack_or_advance,
+    oracle_free_neighbors,
+    oracle_nearest,
+    oracle_step_toward,
+)
+
+SIZE = 16
+
+
+def random_state(rng: SplitMix64):
+    """A 16x16 map with 0..60 units of random kind, owner, hp and carried."""
+    s = empty_state(size=SIZE)
+    kinds = list(UnitKind)
+    for _ in range(rng.randrange(61)):
+        pos = (rng.randrange(SIZE), rng.randrange(SIZE))
+        kind = kinds[rng.randrange(len(kinds))]
+        owner = NEUTRAL if kind == UnitKind.RESOURCE else rng.randrange(2) + 1
+        s.units[pos] = Unit(
+            kind=kind,
+            hp=rng.randrange(MAX_HP[kind] + 1),
+            owner=owner,
+            carried=rng.randrange(26),
+        )
+    return s
+
+
+def dist(a, b):
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indexed_queries_match_the_full_scan(seed):
+    rng = SplitMix64(1000 + seed)
+    for _ in range(75):
+        s = random_state(rng)
+        index = _UnitIndex(s)
+        for player in (P1, P2):
+            assert index.cells[player] == sorted(
+                p for p, u in s.units.items() if u.owner == player
+            )
+        for pos in s.units:
+            for player in (P1, P2):
+                enemy = 3 - player
+                foe = _nearest(pos, index.cells[enemy])
+                assert foe == oracle_nearest(s, pos, lambda q, u: u.owner == enemy)
+                for reach in range(4):
+                    in_reach = foe if foe is not None and dist(pos, foe) <= reach else None
+                    assert in_reach == oracle_nearest(
+                        s, pos, lambda q, u: u.owner == enemy and dist(pos, q) <= reach
+                    )
+                    assert _attack_or_advance(s, pos, reach, foe) == (
+                        oracle_attack_or_advance(s, player, pos, reach)
+                    )
+                base = _nearest(pos, index.bases[player])
+                assert base == oracle_nearest(
+                    s, pos, lambda q, u: u.owner == player and u.kind == UnitKind.BASE
+                )
+                if base is not None:
+                    assert _step_toward(s, pos, base) == oracle_step_toward(s, pos, base)
+            node = _nearest(pos, index.nodes)
+            assert node == oracle_nearest(
+                s, pos, lambda q, u: u.kind == UnitKind.RESOURCE and u.carried > 0
+            )
+            if node is not None:
+                assert _step_toward(s, pos, node) == oracle_step_toward(s, pos, node)
+        for r in range(SIZE):
+            for c in range(SIZE):
+                assert _free_neighbors(s, (r, c)) == oracle_free_neighbors(s, (r, c))
+
+
+def test_nearest_ignores_scan_order():
+    # four cells tie at distance 1 of (4, 4); (3, 4) comes first by row, col
+    cells = [(5, 4), (4, 5), (2, 4), (4, 3), (3, 4), (6, 6)]
+    for k in range(len(cells)):
+        assert _nearest((4, 4), cells[k:] + cells[:k]) == (3, 4)
+        assert _nearest((4, 4), cells[k:][::-1] + cells[:k][::-1]) == (3, 4)
+    assert _nearest((4, 4), []) is None
+
+
+def sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_decisions_pinned_by_dataset_hash(tmp_path):
+    """Every strategy decision feeds the dataset bytes. These hashes were
+    recorded with the full-map target scan; any moved decision changes them."""
+    out = tmp_path / "g"
+    rc = main([
+        "generate", "--out", str(out), "--seed", "7", "--rounds", "2",
+        "--max-steps", "200", "--capture-every", "4",
+    ])
+    assert rc == 0
+    assert sha(out / "dataset.jsonl") == (
+        "f48c3e7b472432ac2e30c53de826614449eda7831d6d3e971b14335bf76696a2"
+    )
+    assert sha(out / "splits.json") == (
+        "563ebefb09e6e69047b04840e110ef1effca6f0a5864c7bfb68c421a62033f07"
+    )
