@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .sim.rules import COMBAT_KINDS, UnitKind
+from .sim.rules import COMBAT_KINDS, MAX_HP, UnitKind
 from .sim.state import GameState
 
 
@@ -77,12 +77,6 @@ class EvalWeights:
 DEFAULT_WEIGHTS = EvalWeights()
 
 
-def _max_hp(kind: UnitKind) -> int:
-    from .sim.rules import MAX_HP
-
-    return MAX_HP[kind]
-
-
 def simple_eval(state: GameState, player: int, weights: EvalWeights = DEFAULT_WEIGHTS) -> float:
     """Linear score: resources + carried cargo + cost-weighted unit health."""
     score = weights.resources * state.store[player]
@@ -93,7 +87,7 @@ def simple_eval(state: GameState, player: int, weights: EvalWeights = DEFAULT_WE
             weights.unit_value
             * weights.unit_cost.get(u.kind, 0.0)
             * u.hp
-            / _max_hp(u.kind)
+            / MAX_HP[u.kind]
         )
     return score
 
@@ -106,7 +100,7 @@ def lanchester_eval(
     strength = 0.0
     n_combat = 0
     for _, u in state.units_of(player):
-        ratio = u.hp / _max_hp(u.kind)
+        ratio = u.hp / MAX_HP[u.kind]
         if u.kind == UnitKind.WORKER:
             score += weights.worker_cargo * u.carried
         if u.kind == UnitKind.BASE:

@@ -19,9 +19,11 @@ in one line on stderr. Exit codes:
        (no frames, frame shape, step order, winner value; named by file
        and line),
        a splits.json whose splits are not disjoint lists of in-range
-       indices of decided matches, a checkpoint that is truncated, padded
-       or holds a NaN/Inf
-    3  configuration violation
+       indices of decided matches, a model directory's config.json that
+       does not parse or holds a bad key or value, a checkpoint that is
+       truncated, padded or holds a NaN/Inf
+    3  configuration violation, including a config-file value of the
+       wrong type
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import CorruptArtifact
@@ -42,6 +46,7 @@ from .sim import (
     DatasetHeader,
     TournamentSettings,
     read_dataset,
+    run_tournament,
     split_dataset,
     write_dataset,
 )
@@ -131,8 +136,37 @@ class RunConfig:
             raise ConfigViolation(f"map_size must be >= {MIN_MAP_SIZE}, got {self.map_size}")
 
 
+# A kind of config value: (description, check). type() is exact, so a JSON
+# true/false is not an integer.
+Kind = tuple[str, Callable[[object], bool]]
+INT: Kind = ("an integer", lambda v: type(v) is int)
+NUMBER: Kind = ("a number", lambda v: type(v) in (int, float) and math.isfinite(v))
+STR: Kind = ("a string", lambda v: type(v) is str)
+
+
+def _optional(kind: Kind) -> Kind:
+    return f"{kind[0]} or null", lambda v: v is None or kind[1](v)
+
+
+def _list_of(kind: Kind, what: str) -> Kind:
+    return what, lambda v: isinstance(v, (list, tuple)) and all(map(kind[1], v))
+
+
+# The kind of value each RunConfig field accepts.
+FIELD_TYPES: dict[str, Kind] = {
+    **dict.fromkeys(("out", "preset", "relabel"), STR),
+    **dict.fromkeys(("variant", "dataset"), _optional(STR)),
+    **dict.fromkeys(("roster", "models"), _list_of(STR, "a list of strings")),
+    "fractions": _list_of(NUMBER, "a list of numbers"),
+    **dict.fromkeys(("seed", "rounds_per_pair", "max_steps", "capture_every", "map_size",
+                     "match_id", "threads", "epochs"), INT),
+    "batch_size": _optional(INT),
+    "lr": _optional(NUMBER),
+    **dict.fromkeys(("weight_decay", "threshold"), NUMBER),
+}
+
+
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
     merged: dict = {}
     if path is not None:
         p = Path(path)
@@ -142,14 +176,18 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigViolation("config file must hold a JSON object")
         for key in data:
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ConfigViolation(f"unknown config key {key!r}")
         merged.update(data)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
+    for key, value in merged.items():
+        what, check = FIELD_TYPES[key]
+        if not check(value):
+            raise ConfigViolation(f"config key {key!r} must be {what}, got {value!r}")
     for key in ("roster", "models"):
-        if key in merged and isinstance(merged[key], (list, tuple)):
+        if key in merged:
             merged[key] = tuple(merged[key])
     if "fractions" in merged:
         merged["fractions"] = tuple(float(x) for x in merged["fractions"])
@@ -191,8 +229,6 @@ def _require(path: str | None, what: str) -> Path:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    from .sim.tournament import run_tournament
-
     out = _out_dir(cfg)
     settings = TournamentSettings(
         max_steps=cfg.max_steps, capture_every=cfg.capture_every, size=cfg.map_size
@@ -359,23 +395,24 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_model(model_dir: str) -> tuple[WinPredictor, dict]:
+def _load_model(model_dir: str) -> tuple[str, WinPredictor]:
+    """(evaluator name, model) from `config.json` and `best.ckpt`; the
+    directory's `train.json` is a record of the run and is not read back."""
     d = Path(model_dir)
-    for needed in ("config.json", "best.ckpt", "train.json"):
+    for needed in ("config.json", "best.ckpt"):
         if not (d / needed).exists():
             raise MissingArtifact(f"model artifact not found: {d / needed}")
     config = ModelConfig.load(d / "config.json")
-    meta = json.loads((d / "train.json").read_text())
-    return WinPredictor.load(d / "best.ckpt", config), meta
+    return _model_name(config), WinPredictor.load(d / "best.ckpt", config)
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if not cfg.models:
         raise ConfigViolation("eval requires --models pointing at one trained model directory")
-    model, meta = _load_model(cfg.models[0])
+    name, model = _load_model(cfg.models[0])
     records, labels = _test_split(cfg)
-    predict = neural_predictor(model, meta["frames"], cfg.threshold)
+    predict = neural_predictor(model, model.config.time_steps, cfg.threshold)
     rows = progress_stratified_eval(predict, records, fractions=(1.0,), labels=labels)
     _, metrics = rows[0]
     tp, fp, fn, tn = metrics.confusion
@@ -383,11 +420,11 @@ def cmd_eval(cfg: RunConfig) -> int:
         out / "metrics_report.csv",
         ["model", "fraction", "accuracy", "precision", "recall", "f1", "op",
          "tp", "fp", "fn", "tn"],
-        [[meta["name"], 1.0, metrics.accuracy, metrics.precision, metrics.recall,
+        [[name, 1.0, metrics.accuracy, metrics.precision, metrics.recall,
           metrics.f1, metrics.op, tp, fp, fn, tn]],
     )
     print(
-        f"{meta['name']}: accuracy {metrics.accuracy:.4f} precision {metrics.precision:.4f} "
+        f"{name}: accuracy {metrics.accuracy:.4f} precision {metrics.precision:.4f} "
         f"recall {metrics.recall:.4f} f1 {metrics.f1:.4f} op {metrics.op:.4f}"
     )
     print(f"wrote {out / 'metrics_report.csv'}")
@@ -422,8 +459,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     evaluators: list[tuple[str, object]] = []
     for model_dir in cfg.models:
-        model, meta = _load_model(model_dir)
-        evaluators.append((meta["name"], neural_predictor(model, meta["frames"], cfg.threshold)))
+        name, model = _load_model(model_dir)
+        evaluators.append((name, neural_predictor(model, model.config.time_steps, cfg.threshold)))
     evaluators.append(("simple", classical_predictor(simple_eval)))
     evaluators.append(("lanchester", classical_predictor(lanchester_eval)))
 
@@ -465,13 +502,13 @@ def cmd_timeline(cfg: RunConfig) -> int:
     ]
     rows: list[list] = []
     for model_dir in cfg.models:
-        model, meta = _load_model(model_dir)
+        name, model = _load_model(model_dir)
         for cut in cuts:
-            clip = sample_timeline(cut, meta["frames"], 1.0)
+            clip = sample_timeline(cut, model.config.time_steps, 1.0)
             prob = float(model.forward(clip[None]).data[0])
             pred = "p1" if prob >= cfg.threshold else "p2"
             # neural scores are (P1, P2) = (y, 1-y), one probability split
-            rows.append([meta["name"], cut.duration, prob, 1.0 - prob, pred])
+            rows.append([name, cut.duration, prob, 1.0 - prob, pred])
     states = [decode_planes(planes) for _, planes in record.frames]
     for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
         for (step, _), state in zip(record.frames, states):

@@ -8,8 +8,10 @@ each head works on D/h dims, each channel token on D/C dims.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from .. import CorruptArtifact
 
 VARIANTS = ("tstf", "space_time_only")
 BLOCK_FORMS = ("post_norm", "pre_norm")
@@ -81,7 +83,22 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        """Read a saved config. A file that does not parse, is not an object,
+        or has an unknown, missing or bad value is a CorruptArtifact naming it."""
+        path = Path(path)
+        try:
+            data = json.loads(path.read_text())
+            if not isinstance(data, dict):
+                raise ConfigError("must hold a JSON object")
+            types = {f.name: f.type for f in fields(cls)}  # annotations: "int" or "str"
+            for key, value in data.items():
+                if key not in types:
+                    raise ConfigError(f"unknown key {key!r}")
+                if type(value).__name__ != types[key]:  # exact, so true is not an int
+                    raise ConfigError(f"{key!r} must be {types[key]}, got {value!r}")
+            return cls(**data)
+        except (ValueError, TypeError) as exc:  # a missing key is a TypeError
+            raise CorruptArtifact(f"{path}: {exc}") from None
 
 
 # Full-scale presets mirror the published training setups; only the desk

@@ -116,17 +116,19 @@ class WinPredictor:
         attended = self._attend(summary, patches, f"layers.{layer}.cls_attn", heads=1)
         return self._norm(T.add(summary, attended), f"layers.{layer}.cls_norm")
 
-    def encoder_block(self, z: Tensor, layer: int) -> Tensor:
+    def encoder_block(
+        self, summary: Tensor, x: Tensor, layer: int
+    ) -> tuple[Tensor, Tensor]:
         """One block: factorized attention over patches + summary update.
 
-        Each scope adds attention of its input to the residual stream; the
-        pre-norm form normalizes that input first, the post-norm form
-        normalizes the patches once after the summary update.
+        Takes and returns (summary (B,1,D), patches (B,T*N,D)). Each scope
+        adds attention of its input to the residual stream; the pre-norm
+        form normalizes that input first, the post-norm form normalizes the
+        patches once after the summary update.
         """
         cfg = self.config
         base = f"layers.{layer}"
         pre_norm = cfg.block_form == "pre_norm"
-        summary, x = z[:, :1, :], z[:, 1:, :]
         scopes = [("sa", self.spatial_attention), ("ta", self.temporal_attention)]
         if cfg.variant == "tstf":
             scopes.append(("fa", self.feature_attention))
@@ -136,10 +138,10 @@ class WinPredictor:
         summary = self._summary_update(summary, x, layer)
         if not pre_norm:
             x = self._norm(x, f"{base}.norm")
-        return T.concat([summary, x], axis=1)
+        return summary, x
 
-    def embed(self, x: np.ndarray) -> Tensor:
-        """Patch-embed a clip and prepend the summary token: (B, T*N+1, D)."""
+    def embed(self, x: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Patch-embed a clip: (summary token (B,1,D), patches (B,T*N,D))."""
         cfg = self.config
         expected = (cfg.time_steps, cfg.channels, cfg.map_height, cfg.map_width)
         if x.ndim != 5 or tuple(x.shape[1:]) != expected:
@@ -153,15 +155,16 @@ class WinPredictor:
         tokens = T.add(tokens, self._p("pos")[1:, :])
         summary = T.add(self._p("cls"), self._p("pos")[0, :]).reshape(1, 1, cfg.embed_dim)
         summary = T.add(T.zeros((b, 1, cfg.embed_dim)), summary)
-        return T.concat([summary, tokens], axis=1)
+        return summary, tokens
 
     def forward(self, x: np.ndarray) -> Tensor:
         """Win probability for player 1, one value in (0,1) per batch row."""
-        z = self.embed(x)
-        for layer in range(self.config.layers):
-            z = self.encoder_block(z, layer)
-        summary = z[:, 0, :]
-        if self.config.block_form == "pre_norm":
+        cfg = self.config
+        summary, patches = self.embed(x)
+        for layer in range(cfg.layers):
+            summary, patches = self.encoder_block(summary, patches, layer)
+        summary = summary.reshape(x.shape[0], cfg.embed_dim)
+        if cfg.block_form == "pre_norm":
             summary = self._norm(summary, "final_norm")
         hidden = T.gelu(T.add(T.matmul(summary, self._p("head.w1")), self._p("head.b1")))
         logits = T.add(T.matmul(hidden, self._p("head.w2")), self._p("head.b2"))

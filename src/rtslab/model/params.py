@@ -27,7 +27,7 @@ import numpy as np
 from ..checkpoint import load_checkpoint
 from ..rng import SplitMix64
 from ..tensor import Tensor, normal
-from .config import ConfigError, ModelConfig
+from .config import PRESETS, ConfigError, ModelConfig
 
 ATTN_SCOPES = ("sa", "ta", "fa")
 
@@ -201,7 +201,6 @@ def count_params(config: ModelConfig) -> ParamCount:
 
 def accounting_report() -> str:
     """Markdown census of every preset vs the published full-scale counts."""
-    from .config import PRESETS
     from ..train.published import REFERENCE_PARAM_COUNTS
 
     lines = [

@@ -3,7 +3,7 @@
 from .dataset import Dataset, DatasetHeader, read_dataset, split_dataset, write_dataset
 from .encode import decode_planes, raw_planes
 from .engine import Action, MatchRecord, run_match, sample_timeline, step
-from .rules import DEFAULT_RULES, Rules, UnitKind
+from .rules import UnitKind
 from .state import GameState, Unit, standard_start
 from .strategies import DEFAULT_ROSTER, REGISTRY, Strategy, make_strategy
 from .tournament import ScheduledMatch, TournamentSettings, run_tournament, schedule_round_robin
@@ -13,11 +13,9 @@ __all__ = [
     "Dataset",
     "DatasetHeader",
     "DEFAULT_ROSTER",
-    "DEFAULT_RULES",
     "GameState",
     "MatchRecord",
     "REGISTRY",
-    "Rules",
     "ScheduledMatch",
     "Strategy",
     "TournamentSettings",

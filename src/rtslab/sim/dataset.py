@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import CorruptArtifact
 from ..rng import SplitMix64
-from .encode import CHANNELS
+from .encode import CHANNELS, PLANE_FACTION
 from .engine import MatchRecord
 
 FORMAT_VERSION = 1
@@ -198,8 +198,6 @@ def surviving_units_label(record: MatchRecord) -> int | None:
     """Relabel by the final frame's unit count: 1 if p1 has more cells
     occupied than p2, 0 if fewer, None on a tie. Makes a toy dataset whose
     label is a function of the visible input."""
-    from .encode import PLANE_FACTION
-
     faction = record.frames[-1][1][PLANE_FACTION]
     n1 = int((faction == 1).sum())
     n2 = int((faction == 2).sum())

@@ -17,13 +17,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..rng import SplitMix64, derive_seed
-from .encode import raw_planes
+from .encode import normalize_planes, raw_planes
 from .rules import (
-    DEFAULT_RULES,
+    ATTACK_RANGE,
+    CARRY_CAPACITY,
+    COST,
+    DAMAGE,
+    HARVEST_AMOUNT,
+    MAX_HP,
     MOBILE_KINDS,
     P1,
     P2,
-    Rules,
+    STORE_CAP,
     TRAINABLE_AT_BARRACKS,
     UnitKind,
 )
@@ -76,7 +81,6 @@ def step(
     strat1,
     strat2,
     rngs: tuple[SplitMix64, SplitMix64],
-    rules: Rules = DEFAULT_RULES,
     events: list[Event] | None = None,
 ) -> GameState:
     """Advance one tick. Pure given (state, strategies, rng states)."""
@@ -101,11 +105,11 @@ def step(
         target = s.units.get(act.target) if act.target else None
         if attacker is None or target is None:
             continue
-        dmg = rules.damage.get(attacker.kind, 0)
+        dmg = DAMAGE.get(attacker.kind, 0)
         if (
             dmg <= 0
             or target.owner in (0, player)
-            or manhattan(act.actor, act.target) > rules.attack_range.get(attacker.kind, 0)
+            or manhattan(act.actor, act.target) > ATTACK_RANGE.get(attacker.kind, 0)
         ):
             log.debug("dropping invalid attack %s", act)
             continue
@@ -131,11 +135,11 @@ def step(
             or node.kind != UnitKind.RESOURCE
             or node.carried <= 0
             or manhattan(act.actor, act.target) != 1
-            or worker.carried >= rules.carry_capacity
+            or worker.carried >= CARRY_CAPACITY
         ):
             log.debug("dropping invalid harvest %s", act)
             continue
-        take = min(rules.harvest_amount, node.carried, rules.carry_capacity - worker.carried)
+        take = min(HARVEST_AMOUNT, node.carried, CARRY_CAPACITY - worker.carried)
         s.units[act.actor] = replace(worker, carried=worker.carried + take)
         if node.carried - take <= 0:
             del s.units[act.target]
@@ -159,7 +163,7 @@ def step(
         ):
             log.debug("dropping invalid deposit %s", act)
             continue
-        s.store[player] = min(rules.store_cap, s.store[player] + worker.carried)
+        s.store[player] = min(STORE_CAP, s.store[player] + worker.carried)
         s.units[act.actor] = replace(worker, carried=0)
         record("deposit", player, act)
 
@@ -175,7 +179,7 @@ def step(
             legal = (actor.kind == UnitKind.BASE and act.produce == UnitKind.WORKER) or (
                 actor.kind == UnitKind.BARRACKS and act.produce in TRAINABLE_AT_BARRACKS
             )
-        cost = rules.cost.get(act.produce, 10**9)
+        cost = COST.get(act.produce, 10**9)
         if (
             not legal
             or s.store[player] < cost
@@ -186,9 +190,7 @@ def step(
             log.debug("dropping invalid %s %s", act.kind, act)
             continue
         s.store[player] -= cost
-        s.units[act.target] = Unit(
-            kind=act.produce, hp=rules.max_hp(act.produce), owner=player
-        )
+        s.units[act.target] = Unit(kind=act.produce, hp=MAX_HP[act.produce], owner=player)
         record(act.kind, player, act)
 
     for player, act in ordered:
@@ -250,7 +252,6 @@ def run_match(
     seed: int,
     max_steps: int = 1000,
     capture_every: int = 2,
-    rules: Rules = DEFAULT_RULES,
     size: int = 16,
 ) -> MatchRecord:
     """Play strat_a as player 1 vs strat_b as player 2 until a base falls
@@ -260,12 +261,12 @@ def run_match(
     Frames are captured after every `capture_every`-th step, plus the
     terminal state if it would otherwise be missed.
     """
-    state = standard_start(rules, size=size)
+    state = standard_start(size)
     rngs = (SplitMix64(derive_seed(seed, P1)), SplitMix64(derive_seed(seed, P2)))
     frames: list[tuple[int, np.ndarray]] = []
     winner: str | None = None
     while state.step < max_steps:
-        state = step(state, strat_a, strat_b, rngs, rules)
+        state = step(state, strat_a, strat_b, rngs)
         if state.step % capture_every == 0:
             frames.append((state.step, raw_planes(state)))
         winner = check_winner(state)
@@ -285,26 +286,27 @@ def run_match(
     )
 
 
-def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0) -> np.ndarray:
-    """Select `frame_count` evenly spaced frames from the visible prefix.
-
-    The prefix holds every frame with step <= ceil(progress * duration)
-    (never fewer than one frame). For P prefix frames, frame i comes from
-    prefix index round_half_up(i*(P-1)/(T-1)); T=1 degenerates to the last
-    prefix frame. Returns normalized planes, shape (T, C, H, W).
-    """
-    from .encode import normalize_planes
-
-    if frame_count < 1:
-        raise ValueError(f"frame_count must be >= 1, got {frame_count}")
+def visible_prefix(record: MatchRecord, progress: float) -> list[tuple[int, np.ndarray]]:
+    """The frames seen at `progress`: every frame with step <=
+    ceil(progress * duration), or the first frame if none is that early."""
     if not 0.0 < progress <= 1.0:
         raise ValueError(f"progress must be in (0, 1], got {progress}")
     if not record.frames:
         raise ValueError("record has no frames")
     cutoff = math.ceil(progress * record.duration)
-    prefix = [f for f in record.frames if f[0] <= cutoff]
-    if not prefix:
-        prefix = [record.frames[0]]
+    return [f for f in record.frames if f[0] <= cutoff] or record.frames[:1]
+
+
+def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0) -> np.ndarray:
+    """Select `frame_count` evenly spaced frames from the visible prefix.
+
+    For P prefix frames (`visible_prefix`), frame i comes from prefix index
+    round_half_up(i*(P-1)/(T-1)); T=1 degenerates to the last prefix frame.
+    Returns normalized planes, shape (T, C, H, W).
+    """
+    if frame_count < 1:
+        raise ValueError(f"frame_count must be >= 1, got {frame_count}")
+    prefix = visible_prefix(record, progress)
     last = len(prefix) - 1
     if frame_count == 1:
         picks = [last]

@@ -2,13 +2,13 @@
 
 Unit kinds and hit points follow the fixed encoding (types 1..7, hp 0..10).
 Everything else — costs, damage, attack range, harvest rates — exists to
-make matches decidable and is collected in one configurable table.
+make matches decidable. That rule table is the module constants below
+(COST through RESOURCE_STOCK), one fixed set that every match plays under.
 Distances are Manhattan; movement is 4-directional, one cell per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 NEUTRAL = 0
@@ -41,43 +41,27 @@ MOBILE_KINDS = COMBAT_KINDS
 TRAINABLE_AT_BARRACKS = (UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
 
 
-@dataclass(frozen=True)
-class Rules:
-    """Tunable stats; the defaults below are this lab's documented choice."""
-
-    cost: dict[UnitKind, int] = field(
-        default_factory=lambda: {
-            UnitKind.WORKER: 1,
-            UnitKind.LIGHT: 2,
-            UnitKind.HEAVY: 3,
-            UnitKind.RANGED: 2,
-            UnitKind.BARRACKS: 4,
-        }
-    )
-    damage: dict[UnitKind, int] = field(
-        default_factory=lambda: {
-            UnitKind.WORKER: 1,
-            UnitKind.LIGHT: 2,
-            UnitKind.HEAVY: 4,
-            UnitKind.RANGED: 1,
-        }
-    )
-    attack_range: dict[UnitKind, int] = field(
-        default_factory=lambda: {
-            UnitKind.WORKER: 1,
-            UnitKind.LIGHT: 1,
-            UnitKind.HEAVY: 1,
-            UnitKind.RANGED: 3,
-        }
-    )
-    harvest_amount: int = 1
-    carry_capacity: int = 1
-    store_cap: int = 25
-    starting_store: int = 5
-    resource_stock: int = 25
-
-    def max_hp(self, kind: UnitKind) -> int:
-        return MAX_HP[kind]
-
-
-DEFAULT_RULES = Rules()
+COST: dict[UnitKind, int] = {
+    UnitKind.WORKER: 1,
+    UnitKind.LIGHT: 2,
+    UnitKind.HEAVY: 3,
+    UnitKind.RANGED: 2,
+    UnitKind.BARRACKS: 4,
+}
+DAMAGE: dict[UnitKind, int] = {
+    UnitKind.WORKER: 1,
+    UnitKind.LIGHT: 2,
+    UnitKind.HEAVY: 4,
+    UnitKind.RANGED: 1,
+}
+ATTACK_RANGE: dict[UnitKind, int] = {
+    UnitKind.WORKER: 1,
+    UnitKind.LIGHT: 1,
+    UnitKind.HEAVY: 1,
+    UnitKind.RANGED: 3,
+}
+HARVEST_AMOUNT = 1
+CARRY_CAPACITY = 1
+STORE_CAP = 25
+STARTING_STORE = 5
+RESOURCE_STOCK = 25

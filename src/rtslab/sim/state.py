@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .rules import DEFAULT_RULES, MAX_HP, NEUTRAL, P1, P2, Rules, UnitKind
+from .rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STARTING_STORE, UnitKind
 
 Position = tuple[int, int]  # (row, col)
 
@@ -77,7 +77,7 @@ class GameState:
 MIN_MAP_SIZE = 8
 
 
-def standard_start(rules: Rules = DEFAULT_RULES, size: int = 16) -> GameState:
+def standard_start(size: int = 16) -> GameState:
     """Mirror-symmetric opening: one base and worker per side, corner resources."""
     if size < MIN_MAP_SIZE:
         raise ValueError(f"map size must be >= {MIN_MAP_SIZE}, got {size}")
@@ -91,8 +91,8 @@ def standard_start(rules: Rules = DEFAULT_RULES, size: int = 16) -> GameState:
         return (h - 1 - pos[0], w - 1 - pos[1])
 
     for pos in ((0, 0), (0, 1)):
-        place(pos, UnitKind.RESOURCE, NEUTRAL, carried=rules.resource_stock)
-        place(mirror(pos), UnitKind.RESOURCE, NEUTRAL, carried=rules.resource_stock)
+        place(pos, UnitKind.RESOURCE, NEUTRAL, carried=RESOURCE_STOCK)
+        place(mirror(pos), UnitKind.RESOURCE, NEUTRAL, carried=RESOURCE_STOCK)
     place((2, 2), UnitKind.BASE, P1)
     place(mirror((2, 2)), UnitKind.BASE, P2)
     place((3, 3), UnitKind.WORKER, P1)
@@ -102,7 +102,7 @@ def standard_start(rules: Rules = DEFAULT_RULES, size: int = 16) -> GameState:
         height=h,
         width=w,
         units=units,
-        store={P1: rules.starting_store, P2: rules.starting_store},
+        store={P1: STARTING_STORE, P2: STARTING_STORE},
     )
 
 

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from ..rng import SplitMix64
 from .engine import Action
-from .rules import (
-    DEFAULT_RULES,
-    Rules,
-    TRAINABLE_AT_BARRACKS,
-    UnitKind,
-)
+from .rules import ATTACK_RANGE, COST, TRAINABLE_AT_BARRACKS, UnitKind
 from .state import GameState, Position, manhattan
 
 
@@ -136,14 +131,8 @@ def _train_action(state: GameState, pos: Position, produce: UnitKind) -> Action 
 class Strategy:
     name = "Strategy"
 
-    def __init__(self, rules: Rules = DEFAULT_RULES):
-        self.rules = rules
-
     def plan(self, state: GameState, player: int, rng: SplitMix64) -> list[Action]:
         raise NotImplementedError
-
-    def reach(self, kind: UnitKind) -> int:
-        return self.rules.attack_range.get(kind, 0)
 
     def __repr__(self):
         return self.name
@@ -179,14 +168,14 @@ class WorkerRushLite(Strategy):
             u = units[pos]
             act: Action | None = None
             if u.kind == UnitKind.BASE:
-                if state.store[player] >= self.rules.cost[UnitKind.WORKER]:
+                if state.store[player] >= COST[UnitKind.WORKER]:
                     act = _train_action(state, pos, UnitKind.WORKER)
             elif u.kind == UnitKind.WORKER:
                 if pos == harvester:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:
                     act = _attack_or_advance(
-                        state, pos, self.reach(u.kind), _nearest(pos, foes)
+                        state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
                     )
             if act is not None:
                 acts.append(act)
@@ -208,7 +197,7 @@ class _BarracksRush(Strategy):
         workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
         has_barracks = any(units[p].kind == UnitKind.BARRACKS for p in mine)
         need_barracks = (
-            not has_barracks and state.store[player] >= self.rules.cost[UnitKind.BARRACKS]
+            not has_barracks and state.store[player] >= COST[UnitKind.BARRACKS]
         )
         builder = workers[-1] if (need_barracks and workers) else None
         for pos in mine:
@@ -217,11 +206,11 @@ class _BarracksRush(Strategy):
             if u.kind == UnitKind.BASE:
                 if (
                     len(workers) < self.worker_target
-                    and state.store[player] >= self.rules.cost[UnitKind.WORKER]
+                    and state.store[player] >= COST[UnitKind.WORKER]
                 ):
                     act = _train_action(state, pos, UnitKind.WORKER)
             elif u.kind == UnitKind.BARRACKS:
-                if state.store[player] >= self.rules.cost[self.produce]:
+                if state.store[player] >= COST[self.produce]:
                     act = _train_action(state, pos, self.produce)
             elif u.kind == UnitKind.WORKER:
                 if pos == builder:
@@ -232,10 +221,12 @@ class _BarracksRush(Strategy):
                     act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:  # mined out: join the fight
                     act = _attack_or_advance(
-                        state, pos, self.reach(u.kind), _nearest(pos, foes)
+                        state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
                     )
             else:
-                act = _attack_or_advance(state, pos, self.reach(u.kind), _nearest(pos, foes))
+                act = _attack_or_advance(
+                    state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                )
             if act is not None:
                 acts.append(act)
         return acts
@@ -282,13 +273,13 @@ class EconomyRushLite(Strategy):
             if u.kind == UnitKind.BASE:
                 if (
                     n_workers < self.worker_target
-                    and state.store[player] >= self.rules.cost[UnitKind.WORKER]
+                    and state.store[player] >= COST[UnitKind.WORKER]
                 ):
                     act = _train_action(state, pos, UnitKind.WORKER)
             elif u.kind == UnitKind.WORKER:
                 foe = _nearest(pos, foes)
                 if foe is not None and manhattan(pos, foe) <= self.defense_radius:
-                    act = _attack_or_advance(state, pos, self.reach(u.kind), foe)
+                    act = _attack_or_advance(state, pos, ATTACK_RANGE.get(u.kind, 0), foe)
                 else:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
             if act is not None:
@@ -316,11 +307,11 @@ class RandomBiasedLite(Strategy):
                         else [
                             k
                             for k in TRAINABLE_AT_BARRACKS
-                            if state.store[player] >= self.rules.cost[k]
+                            if state.store[player] >= COST[k]
                         ]
                     )
                     if choices and state.store[player] >= min(
-                        self.rules.cost[k] for k in choices
+                        COST[k] for k in choices
                     ):
                         act = _train_action(state, pos, rng.choice(choices))
                         if act is not None:
@@ -328,7 +319,7 @@ class RandomBiasedLite(Strategy):
                 continue
             weighted: list[tuple[Action, int]] = []
             foe = _nearest(pos, foes)
-            if foe is not None and manhattan(pos, foe) <= self.reach(u.kind):
+            if foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(u.kind, 0):
                 weighted.append((Action("attack", pos, foe), 5))
             if u.kind == UnitKind.WORKER:
                 cycle = _harvest_cycle(state, index, player, pos, u.carried)
@@ -365,8 +356,8 @@ REGISTRY: dict[str, type[Strategy]] = {
 DEFAULT_ROSTER = tuple(REGISTRY)
 
 
-def make_strategy(name: str, rules: Rules = DEFAULT_RULES) -> Strategy:
+def make_strategy(name: str) -> Strategy:
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown strategy {name!r}; registered: {known}")
-    return REGISTRY[name](rules)
+    return REGISTRY[name]()

@@ -11,11 +11,10 @@ always merged back in schedule order.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..rng import derive_seed
 from .engine import MatchRecord, run_match
-from .rules import DEFAULT_RULES, Rules
 from .strategies import make_strategy
 
 
@@ -62,18 +61,16 @@ class TournamentSettings:
     max_steps: int = 1000
     capture_every: int = 2
     size: int = 16
-    rules: Rules = field(default_factory=lambda: DEFAULT_RULES)
 
 
 def _play(args: tuple[ScheduledMatch, TournamentSettings]) -> MatchRecord:
     slot, settings = args
     return run_match(
-        make_strategy(slot.first, settings.rules),
-        make_strategy(slot.second, settings.rules),
+        make_strategy(slot.first),
+        make_strategy(slot.second),
         seed=slot.seed,
         max_steps=settings.max_steps,
         capture_every=settings.capture_every,
-        rules=settings.rules,
         size=settings.size,
     )
 

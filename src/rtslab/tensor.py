@@ -129,9 +129,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -532,23 +529,6 @@ def permute(a: Tensor, axes) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("concat of no tensors")
-    tensors = [_coerce(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis if axis >= 0 else t.ndim + axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t.accumulate_grad(piece)
-
-    return _result(data, tuple(tensors), backward)
-
-
 def index(a: Tensor, key) -> Tensor:
     """Basic (slice/int) indexing; gradient scatters back into place."""
     data = a.data[key]
@@ -610,11 +590,6 @@ def normal(rng, shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:
     n = math.prod(shape) if shape else 1
     vals = np.fromiter((rng.normal(0.0, std) for _ in range(n)), dtype=np.float64, count=n)
     return Tensor(vals.reshape(shape), requires_grad=requires_grad)
-
-
-def zero_grads(params) -> None:
-    for p in (params.values() if isinstance(params, dict) else params):
-        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ the final winner label; a classical tie counts as an incorrect prediction.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from ..baselines import DEFAULT_WEIGHTS, predict_winner_classical
 from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
-from ..sim.engine import MatchRecord, sample_timeline
+from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
 from .metrics import MetricsReport, compute_metrics
 
 log = logging.getLogger(__name__)
@@ -40,9 +39,7 @@ def neural_predictor(model: WinPredictor, frame_count: int, threshold: float = 0
 
 def prefix_state(record: MatchRecord, rho: float):
     """Decoded game state at the end of the visible prefix."""
-    cutoff = math.ceil(rho * record.duration)
-    prefix = [f for f in record.frames if f[0] <= cutoff] or [record.frames[0]]
-    return decode_planes(prefix[-1][1])
+    return decode_planes(visible_prefix(record, rho)[-1][1])
 
 
 def classical_predictor(evaluator, weights=DEFAULT_WEIGHTS):

@@ -1,5 +1,6 @@
 """CLI pipeline: artifacts, determinism, exit codes, schemas."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
-from rtslab.cli import build_parser, main
+from rtslab.cli import FIELD_TYPES, RunConfig, build_parser, main
 from rtslab.sim import decode_planes, read_dataset
 
 
@@ -105,6 +106,35 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "y")])
         assert rc == 3
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"map_size": "x"}, "map_size"),
+            ({"threads": None}, "threads"),
+            ({"seed": "a"}, "seed"),
+            ({"max_steps": True}, "max_steps"),
+            ({"fractions": 5}, "fractions"),
+            ({"fractions": [0.5, "1"]}, "fractions"),
+            ({"roster": "PassiveLite"}, "roster"),
+            ({"models": [1]}, "models"),
+            ({"lr": "fast"}, "lr"),
+        ],
+        ids=["map_size-str", "threads-null", "seed-str", "max_steps-bool", "fractions-number",
+             "fractions-str-item", "roster-str", "models-int-item", "lr-str"],
+    )
+    def test_config_value_of_wrong_type_exits_3(self, entry, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"config key {key!r} must be" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_type_table_covers_every_field(self):
+        assert set(FIELD_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
 
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -224,6 +254,55 @@ class TestCorruptCheckpoint:
         raw = raw[:-8] + struct.pack("<d", float("nan"))
         rc = self.compare_with_checkpoint(pipeline, tmp_path, raw)
         assert_one_line_exit_2(rc, capsys, "best.ckpt", "non-finite")
+
+
+class TestModelDirectory:
+    def compare_with(self, pipeline, tmp_path, config: str | None, train_json: str | None):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "best.ckpt").write_bytes((pipeline["model"] / "best.ckpt").read_bytes())
+        for name, text in (("config.json", config), ("train.json", train_json)):
+            if text is not None:
+                (model / name).write_text(text)
+        return main([
+            "compare", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+            "--models", str(model), "--out", str(tmp_path / "c"), "--fractions", "1.0",
+        ])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:-3],
+            lambda text: "[1, 2]",
+            lambda text: text.replace("{", '{"bogus": 1, ', 1),
+            lambda text: text.replace('"layers": 2', '"layers": "2"'),
+            lambda text: text.replace('"layers": 2', '"layers": true'),
+            lambda text: text.replace('"layers": 2, ', ""),
+            lambda text: text.replace('"heads": 5', '"heads": 3'),
+        ],
+        ids=["not-json", "not-object", "unknown-key", "layers-str", "layers-bool",
+             "missing-key", "heads-not-dividing"],
+    )
+    def test_bad_config_json_exits_2_naming_it(self, pipeline, tmp_path, capsys, edit):
+        text = json.dumps(json.loads((pipeline["model"] / "config.json").read_text()),
+                          sort_keys=True)
+        bad = edit(text)
+        assert bad != text
+        rc = self.compare_with(pipeline, tmp_path, bad, "{}")
+        assert_one_line_exit_2(rc, capsys, "config.json")
+
+    @pytest.mark.parametrize("train_json", [None, "[]", '{"frames": 4}'],
+                             ids=["missing", "list", "wrong-frames"])
+    def test_train_json_is_not_read(self, pipeline, tmp_path, train_json):
+        config = (pipeline["model"] / "config.json").read_text()
+        assert self.compare_with(pipeline, tmp_path, config, train_json) == 0
+        ours = (tmp_path / "c" / "stratified_tstf-2.csv").read_text()
+        ref = tmp_path / "ref"
+        assert main([
+            "compare", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+            "--models", str(pipeline["model"]), "--out", str(ref), "--fractions", "1.0",
+        ]) == 0
+        assert ours == (ref / "stratified_tstf-2.csv").read_text()
 
 
 # each case edits the dataset lines and returns where the error must point

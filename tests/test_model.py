@@ -60,10 +60,11 @@ class TestConfig:
 
 class TestEmbed:
     def test_sequence_length(self):
-        cfg = small_config(time_steps=3)  # N=4 -> 3*4+1
+        cfg = small_config(time_steps=3)  # N=4 -> 3*4 patches beside the summary
         model = WinPredictor.create(cfg, seed=1)
-        z = model.embed(random_input(cfg, 2, seed=3))
-        assert z.shape == (2, 13, 10)
+        summary, patches = model.embed(random_input(cfg, 2, seed=3))
+        assert summary.shape == (2, 1, 10)
+        assert patches.shape == (2, 12, 10)
 
     def test_sixteen_patches_per_frame_at_full_scale(self):
         assert get_preset("tstf-6").patches_per_frame == 16
@@ -72,8 +73,10 @@ class TestEmbed:
         cfg = small_config()
         model = WinPredictor.create(cfg, seed=2)
         zero_out(model, "embed.weight", "embed.bias", "cls")
-        z = model.embed(np.zeros((1, 2, 5, 8, 8)))
-        assert np.allclose(z.data[0], model.params["pos"].data, atol=1e-12)
+        summary, patches = model.embed(np.zeros((1, 2, 5, 8, 8)))
+        pos = model.params["pos"].data
+        assert np.allclose(summary.data[0], pos[:1], atol=1e-12)
+        assert np.allclose(patches.data[0], pos[1:], atol=1e-12)
 
     def test_input_shape_validation(self):
         cfg = small_config()
@@ -180,36 +183,38 @@ class TestEncoderBlock:
         for scope in ("sa", "ta", "fa", "cls_attn"):
             zero_out(model, f"layers.0.{scope}.wv", f"layers.0.{scope}.bv", f"layers.0.{scope}.bo")
         rng = SplitMix64(15)
-        z = Tensor(np.array([rng.normal() for _ in range(9 * 10)]).reshape(1, 9, 10))
-        out = model.encoder_block(z, 0)
+        z = np.array([rng.normal() for _ in range(9 * 10)]).reshape(1, 9, 10)
+        summary, x = Tensor(z[:, :1, :]), Tensor(z[:, 1:, :])
+        out_summary, out_x = model.encoder_block(summary, x, 0)
         expect_patches = T.layer_norm(
-            z[:, 1:, :],
+            x,
             model.params["layers.0.norm.gamma"],
             model.params["layers.0.norm.beta"],
         )
-        assert np.allclose(out.data[:, 1:, :], expect_patches.data, atol=1e-12)
+        assert np.allclose(out_x.data, expect_patches.data, atol=1e-12)
         # doubling the residual path changes nothing after normalization
         doubled = T.layer_norm(
-            T.mul(z[:, 1:, :], 2.0),
+            T.mul(x, 2.0),
             model.params["layers.0.norm.gamma"],
             model.params["layers.0.norm.beta"],
         )
-        assert np.allclose(out.data[:, 1:, :], doubled.data, atol=1e-6)
+        assert np.allclose(out_x.data, doubled.data, atol=1e-6)
         expect_summary = T.layer_norm(
-            z[:, :1, :],
+            summary,
             model.params["layers.0.cls_norm.gamma"],
             model.params["layers.0.cls_norm.beta"],
         )
-        assert np.allclose(out.data[:, :1, :], expect_summary.data, atol=1e-12)
+        assert np.allclose(out_summary.data, expect_summary.data, atol=1e-12)
 
     @pytest.mark.parametrize("block_form", ["post_norm", "pre_norm"])
     @pytest.mark.parametrize("variant", ["tstf", "space_time_only"])
     def test_shape_preserved(self, block_form, variant):
         cfg = small_config(layers=2, block_form=block_form, variant=variant)
         model = WinPredictor.create(cfg, seed=10)
-        z = model.embed(random_input(cfg, 2, seed=30))
-        out = model.encoder_block(z, 0)
-        assert out.shape == z.shape
+        summary, x = model.embed(random_input(cfg, 2, seed=30))
+        out_summary, out_x = model.encoder_block(summary, x, 0)
+        assert out_summary.shape == summary.shape
+        assert out_x.shape == x.shape
 
     def test_space_time_only_never_touches_feature_params(self):
         cfg = small_config(variant="space_time_only", layers=2)
@@ -219,11 +224,15 @@ class TestEncoderBlock:
             y = model.forward(x)
             loss = T.mean(T.mul(y, y))
             tape.backward(loss)
-        for name, p in model.params.items():
-            if ".fa." in name:
-                assert p.grad is None, f"{name} received gradient"
-            elif name.startswith("layers."):
-                assert p.grad is not None, f"{name} missing gradient"
+        # The head reads only the summary token, so the patches' closing
+        # LayerNorm of the last post-norm block gets no gradient either.
+        no_grad = {
+            name for name, p in model.params.items()
+            if name.startswith("layers.") and p.grad is None
+        }
+        feature = {name for name in model.params if ".fa." in name}
+        assert feature
+        assert no_grad == feature | {"layers.1.norm.gamma", "layers.1.norm.beta"}
 
     def test_ablation_matches_silenced_feature_attention(self):
         full = WinPredictor.create(small_config(variant="tstf"), seed=12)
@@ -301,12 +310,12 @@ class TestTapeBudget:
     @pytest.mark.parametrize(
         "block_form,variant,nodes",
         [
-            ("post_norm", "tstf", 74),
-            ("post_norm", "space_time_only", 66),
-            ("pre_norm", "tstf", 79),
-            ("pre_norm", "space_time_only", 69),
+            ("post_norm", "tstf", 67),
+            ("post_norm", "space_time_only", 59),
+            ("pre_norm", "tstf", 72),
+            ("pre_norm", "space_time_only", 62),
         ],
-        ids=["tstf-74", "space_time_only-66", "pre_norm-tstf-79", "pre_norm-space_time_only-69"],
+        ids=["tstf-67", "space_time_only-59", "pre_norm-tstf-72", "pre_norm-space_time_only-62"],
     )
     def test_desk_train_step_node_count(self, block_form, variant, nodes):
         from rtslab.train import bce_loss

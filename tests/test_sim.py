@@ -25,7 +25,7 @@ from rtslab.sim.encode import (
     normalize_planes,
 )
 from rtslab.sim.engine import PHASES, check_winner
-from rtslab.sim.rules import DEFAULT_RULES, MAX_HP, P1, P2
+from rtslab.sim.rules import MAX_HP, P1, P2, STORE_CAP
 from rtslab.sim.state import GameState, Unit, empty_state
 
 
@@ -174,7 +174,7 @@ class TestEngineFuzz:
                 assert 0 <= r < after.height and 0 <= c < after.width
                 assert 1 <= u.hp <= MAX_HP[u.kind]
             for player in (P1, P2):
-                assert 0 <= after.store[player] <= DEFAULT_RULES.store_cap
+                assert 0 <= after.store[player] <= STORE_CAP
             assert resources_held(after) <= resources_held(state)
             applied.update(e.phase for e in events)
             state = after
