@@ -9,108 +9,63 @@ Two stateless scoring rules over a game state:
   superlinearly with army size).
 
 The published source defers the weight values to engine internals it never
-prints; the defaults here are this lab's own documented choice and every
-one of them is configurable. Scores accumulate cell contributions in
-row-major scan order, so independent re-implementations that follow the
-same order can compare bit-exactly.
+prints. The module constants below are this lab's own documented choice,
+fixed for every run; the unit costs are the simulator's build costs
+(`sim.rules.COST`). Scores accumulate cell contributions in row-major scan
+order, so independent re-implementations that follow the same order can
+compare bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .sim.rules import COMBAT_KINDS, MAX_HP, UnitKind
+from .sim.rules import COMBAT_KINDS, COST, MAX_HP, UnitKind
 from .sim.state import GameState
 
-
-def _default_combat_strength() -> dict[UnitKind, float]:
-    return {
-        UnitKind.WORKER: 1.0,
-        UnitKind.LIGHT: 4.0,
-        UnitKind.HEAVY: 8.0,
-        UnitKind.RANGED: 2.0,
-    }
-
-
-def _default_unit_cost() -> dict[UnitKind, float]:
-    # build costs from the simulator's table; bases are never built, so the
-    # simple score gives them weight 0 (their loss still ends the match)
-    return {
-        UnitKind.BASE: 0.0,
-        UnitKind.BARRACKS: 4.0,
-        UnitKind.WORKER: 1.0,
-        UnitKind.LIGHT: 2.0,
-        UnitKind.HEAVY: 3.0,
-        UnitKind.RANGED: 2.0,
-    }
+RESOURCE_WEIGHT = 20.0
+CARGO_WEIGHT = 10.0
+UNIT_WEIGHT = 40.0
+BASE_WEIGHT = 50.0
+BARRACKS_WEIGHT = 25.0
+COMBAT_STRENGTH: dict[UnitKind, float] = {
+    UnitKind.WORKER: 1.0,
+    UnitKind.LIGHT: 4.0,
+    UnitKind.HEAVY: 8.0,
+    UnitKind.RANGED: 2.0,
+}
+CONCENTRATION_EXPONENT = 0.7
 
 
-@dataclass(frozen=True)
-class EvalWeights:
-    resources: float = 20.0
-    worker_cargo: float = 10.0
-    unit_value: float = 40.0
-    base_value: float = 50.0
-    barracks_value: float = 25.0
-    combat_strength: dict[UnitKind, float] = field(default_factory=_default_combat_strength)
-    unit_cost: dict[UnitKind, float] = field(default_factory=_default_unit_cost)
-    concentration_exponent: float = 0.7
+def simple_eval(state: GameState, player: int) -> float:
+    """Linear score: resources + carried cargo + cost-weighted unit health.
 
-    def __post_init__(self):
-        scalars = (
-            self.resources,
-            self.worker_cargo,
-            self.unit_value,
-            self.base_value,
-            self.barracks_value,
-            *self.combat_strength.values(),
-            *self.unit_cost.values(),
-        )
-        if any(w < 0 or w != w for w in scalars):
-            raise ValueError("all evaluator weights must be finite and >= 0")
-        if not 0.0 < self.concentration_exponent <= 1.0:
-            raise ValueError(
-                f"concentration exponent must be in (0, 1], got {self.concentration_exponent}"
-            )
-
-
-DEFAULT_WEIGHTS = EvalWeights()
-
-
-def simple_eval(state: GameState, player: int, weights: EvalWeights = DEFAULT_WEIGHTS) -> float:
-    """Linear score: resources + carried cargo + cost-weighted unit health."""
-    score = weights.resources * state.store[player]
+    A unit weighs its build cost from the simulator's table; bases are never
+    built, so they weigh 0 (their loss still ends the match).
+    """
+    score = RESOURCE_WEIGHT * state.store[player]
     for _, u in state.units_of(player):
         if u.kind == UnitKind.WORKER:
-            score += weights.worker_cargo * u.carried
-        score += (
-            weights.unit_value
-            * weights.unit_cost.get(u.kind, 0.0)
-            * u.hp
-            / MAX_HP[u.kind]
-        )
+            score += CARGO_WEIGHT * u.carried
+        score += UNIT_WEIGHT * COST.get(u.kind, 0) * u.hp / MAX_HP[u.kind]
     return score
 
 
-def lanchester_eval(
-    state: GameState, player: int, weights: EvalWeights = DEFAULT_WEIGHTS
-) -> float:
+def lanchester_eval(state: GameState, player: int) -> float:
     """Attrition-law score with an N^0.7 force-concentration factor."""
-    score = weights.resources * state.store[player]
+    score = RESOURCE_WEIGHT * state.store[player]
     strength = 0.0
     n_combat = 0
     for _, u in state.units_of(player):
         ratio = u.hp / MAX_HP[u.kind]
         if u.kind == UnitKind.WORKER:
-            score += weights.worker_cargo * u.carried
+            score += CARGO_WEIGHT * u.carried
         if u.kind == UnitKind.BASE:
-            score += weights.base_value * ratio
+            score += BASE_WEIGHT * ratio
         elif u.kind == UnitKind.BARRACKS:
-            score += weights.barracks_value * ratio
+            score += BARRACKS_WEIGHT * ratio
         elif u.kind in COMBAT_KINDS:
-            strength += weights.combat_strength.get(u.kind, 0.0) * ratio
+            strength += COMBAT_STRENGTH[u.kind] * ratio
             n_combat += 1
-    score += strength * n_combat ** weights.concentration_exponent
+    score += strength * n_combat ** CONCENTRATION_EXPONENT
     return score
 
 
@@ -127,8 +82,6 @@ def winner_by_score(score_p1: float, score_p2: float) -> str:
     return "tie"
 
 
-def predict_winner_classical(
-    state: GameState, evaluator, weights: EvalWeights = DEFAULT_WEIGHTS
-) -> str:
+def predict_winner_classical(state: GameState, evaluator) -> str:
     """The sign rule of `winner_by_score` applied to both players' scores."""
-    return winner_by_score(evaluator(state, 1, weights), evaluator(state, 2, weights))
+    return winner_by_score(evaluator(state, 1), evaluator(state, 2))

@@ -21,9 +21,9 @@ in one line on stderr. Exit codes:
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
        does not parse or holds a bad key or value, a checkpoint that is
-       truncated, padded or holds a NaN/Inf
-    3  configuration violation, including a config-file value of the
-       wrong type
+       truncated, padded, holds a NaN/Inf or does not fit its config.json
+    3  configuration violation, including a --config file that is not
+       UTF-8 JSON or holds a value of the wrong type
 """
 
 from __future__ import annotations
@@ -72,14 +72,13 @@ from .train.published import (
 )
 from .train.stratified import DEFAULT_FRACTIONS
 
-# per-preset training bundles (batch size / learning rate as published;
-# desk values are this lab's defaults)
-TRAIN_PRESETS: dict[str, dict] = {
-    "desk": {"batch_size": 2, "lr": 1e-4},
-    "desk-4": {"batch_size": 2, "lr": 1e-4},
-    "tstf-6": {"batch_size": 1, "lr": 1e-4},
-    "tstf-8": {"batch_size": 1, "lr": 1e-4},
-    "timesformer-12": {"batch_size": 2, "lr": 1e-4},
+# batch size per preset (as published; desk values are this lab's defaults)
+PRESET_BATCH_SIZE: dict[str, int] = {
+    "desk": 2,
+    "desk-4": 2,
+    "tstf-6": 1,
+    "tstf-8": 1,
+    "timesformer-12": 2,
 }
 
 
@@ -172,7 +171,10 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise MissingArtifact(f"config file not found: {path}")
-        data = json.loads(p.read_text())
+        try:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # a UnicodeDecodeError is a ValueError too
+            raise ConfigViolation(f"config file {path} is not UTF-8 JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigViolation("config file must hold a JSON object")
         for key in data:
@@ -336,11 +338,10 @@ def cmd_train(cfg: RunConfig) -> int:
     model_config = get_preset(cfg.preset)
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
-    bundle = TRAIN_PRESETS[cfg.preset]
     train_config = TrainConfig(
-        lr=cfg.lr if cfg.lr is not None else bundle["lr"],
+        lr=cfg.lr if cfg.lr is not None else TrainConfig.lr,
         weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size if cfg.batch_size is not None else bundle["batch_size"],
+        batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
         epochs=cfg.epochs,
         seed=cfg.seed,
         threshold=cfg.threshold,
@@ -403,7 +404,11 @@ def _load_model(model_dir: str) -> tuple[str, WinPredictor]:
         if not (d / needed).exists():
             raise MissingArtifact(f"model artifact not found: {d / needed}")
     config = ModelConfig.load(d / "config.json")
-    return _model_name(config), WinPredictor.load(d / "best.ckpt", config)
+    try:
+        model = WinPredictor.load(d / "best.ckpt", config)
+    except ConfigError as exc:
+        raise CorruptArtifact(f"{d / 'best.ckpt'} does not fit {d / 'config.json'}: {exc}") from None
+    return _model_name(config), model
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -553,7 +558,7 @@ FLAGS: dict[str, dict] = {
                   "help": "override the preset's attention variant"},
     "--epochs": {"type": int, "help": "training epochs (default: 30)"},
     "--batch-size": {"type": int, "help": "override the preset batch size"},
-    "--lr": {"type": float, "help": "override the preset learning rate"},
+    "--lr": {"type": float, "help": "learning rate (default: 1e-4)"},
     "--relabel": {"choices": ["none", "surviving-units"],
                   "help": "relabel records by final-frame unit count (default: none)"},
     "--models": {"help": "comma-separated trained model directories (eval reads the first)"},

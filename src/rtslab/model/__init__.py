@@ -8,7 +8,6 @@ from .params import (
     init_params,
     load_params,
     parameter_spec,
-    zero_params,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "init_params",
     "load_params",
     "parameter_spec",
-    "zero_params",
 ]

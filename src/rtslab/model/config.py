@@ -67,10 +67,6 @@ class ModelConfig:
         return self.time_steps * self.patches_per_frame + 1
 
     @property
-    def head_dim(self) -> int:  # d_h
-        return self.embed_dim // self.heads
-
-    @property
     def channel_dim(self) -> int:  # d'
         return self.embed_dim // self.channels
 

@@ -106,14 +106,6 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def zero_params(config: ModelConfig) -> dict[str, Tensor]:
-    """All-zero allocation; for shape/accounting work, not for training."""
-    return {
-        name: Tensor(np.zeros(shape), requires_grad=True)
-        for name, shape, _ in parameter_spec(config)
-    }
-
-
 def _group_of(name: str) -> str:
     if name.startswith("embed."):
         return "embedding"
@@ -162,12 +154,6 @@ class ParamCount:
     per_layer: dict[str, int]
     total_allocated: int
     total_active: int
-
-    def breakdown(self) -> str:
-        lines = [f"{g:>12}: {self.groups.get(g, 0):>12,}" for g in GROUP_ORDER]
-        lines.append(f"{'allocated':>12}: {self.total_allocated:>12,}")
-        lines.append(f"{'active':>12}: {self.total_active:>12,}")
-        return "\n".join(lines)
 
 
 def count_params(config: ModelConfig) -> ParamCount:

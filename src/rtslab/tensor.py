@@ -117,9 +117,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             if g.shape != self.data.shape:
@@ -133,39 +130,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar; all real work happens in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division unsupported; use mul + pow")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, key):
         return index(self, key)
 
@@ -174,12 +138,6 @@ class Tensor:
 
     def permute(self, *axes):
         return permute(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -191,10 +149,6 @@ def _all_finite(arr: np.ndarray) -> bool:
     also raises numpy's overflow/invalid RuntimeWarning.
     """
     return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
-
-
-def _scalar_err(t: Tensor):
-    raise ValueError(f"expected a scalar tensor, got shape {t.shape}")
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -239,10 +193,6 @@ def add(a: Tensor, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return add(a, neg(_coerce(b)))
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
@@ -262,30 +212,6 @@ def mul(a: Tensor, b) -> Tensor:
             b.accumulate_grad(_sum_to_shape(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise a**p for a scalar exponent; base must stay in p's domain."""
-    p = float(exponent)
-    data = a.data ** p
-    if not _all_finite(data):
-        raise ValueError(f"power({p}) left the finite domain")
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * p * a.data ** (p - 1.0))
-
-    return _result(data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * data)
-
-    return _result(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -558,31 +484,12 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(np.asarray(data), (a,), backward)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate_grad(np.full(a.shape, float(g.reshape(()))))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(gg, a.shape).copy())
-
-    return _result(np.asarray(data), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 def normal(rng, shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:

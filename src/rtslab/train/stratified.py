@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..baselines import DEFAULT_WEIGHTS, predict_winner_classical
+from ..baselines import predict_winner_classical
 from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
@@ -42,11 +42,11 @@ def prefix_state(record: MatchRecord, rho: float):
     return decode_planes(visible_prefix(record, rho)[-1][1])
 
 
-def classical_predictor(evaluator, weights=DEFAULT_WEIGHTS):
+def classical_predictor(evaluator):
     """predict(record, rho) -> 0/1/None (None = tie, scored as wrong)."""
 
     def predict(record: MatchRecord, rho: float) -> int | None:
-        verdict = predict_winner_classical(prefix_state(record, rho), evaluator, weights)
+        verdict = predict_winner_classical(prefix_state(record, rho), evaluator)
         if verdict == "tie":
             return None
         return 1 if verdict == "p1" else 0

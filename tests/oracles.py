@@ -8,30 +8,38 @@ as the library so exact float equality is meaningful.
 import math
 
 from rtslab import tensor as T
-from rtslab.baselines import EvalWeights
+from rtslab.baselines import (
+    BARRACKS_WEIGHT,
+    BASE_WEIGHT,
+    CARGO_WEIGHT,
+    COMBAT_STRENGTH,
+    CONCENTRATION_EXPONENT,
+    RESOURCE_WEIGHT,
+    UNIT_WEIGHT,
+)
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
 from rtslab.sim.engine import Action
-from rtslab.sim.rules import MAX_HP, P1, P2
+from rtslab.sim.rules import COST, MAX_HP, P1, P2
 from rtslab.sim.state import GameState, Unit, empty_state
 
 COMBAT = (UnitKind.WORKER, UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
 
 
-def oracle_simple(state: GameState, player: int, w: EvalWeights) -> float:
-    total = w.resources * state.store[player]
+def oracle_simple(state: GameState, player: int) -> float:
+    total = RESOURCE_WEIGHT * state.store[player]
     for pos in sorted(state.units):
         u = state.units[pos]
         if u.owner != player:
             continue
         if u.kind == UnitKind.WORKER:
-            total += w.worker_cargo * u.carried
-        total += w.unit_value * w.unit_cost.get(u.kind, 0.0) * (u.hp / MAX_HP[u.kind])
+            total += CARGO_WEIGHT * u.carried
+        total += UNIT_WEIGHT * COST.get(u.kind, 0) * (u.hp / MAX_HP[u.kind])
     return total
 
 
-def oracle_lanchester(state: GameState, player: int, w: EvalWeights) -> float:
-    total = w.resources * state.store[player]
+def oracle_lanchester(state: GameState, player: int) -> float:
+    total = RESOURCE_WEIGHT * state.store[player]
     army = 0.0
     n = 0
     for pos in sorted(state.units):
@@ -40,15 +48,15 @@ def oracle_lanchester(state: GameState, player: int, w: EvalWeights) -> float:
             continue
         frac = u.hp / MAX_HP[u.kind]
         if u.kind == UnitKind.WORKER:
-            total += w.worker_cargo * u.carried
+            total += CARGO_WEIGHT * u.carried
         if u.kind == UnitKind.BASE:
-            total += w.base_value * frac
+            total += BASE_WEIGHT * frac
         elif u.kind == UnitKind.BARRACKS:
-            total += w.barracks_value * frac
+            total += BARRACKS_WEIGHT * frac
         elif u.kind in COMBAT:
-            army += w.combat_strength.get(u.kind, 0.0) * frac
+            army += COMBAT_STRENGTH[u.kind] * frac
             n += 1
-    return total + army * n ** w.concentration_exponent
+    return total + army * n ** CONCENTRATION_EXPONENT
 
 
 def random_small_state(rng: SplitMix64) -> GameState:
@@ -81,15 +89,6 @@ def composed_attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     scores = T.mul(T.matmul(q, k.permute(0, 1, 3, 2)), 1.0 / math.sqrt(dh))
     mix = T.matmul(T.softmax(scores, axis=-1), v).permute(0, 2, 1, 3).reshape(g, sq, e)
     return T.add(T.matmul(mix, wo), bo)
-
-
-def composed_layer_norm(a, gamma, beta, eps=1e-5):
-    """LayerNorm over the last axis from primitive tape ops."""
-    mu = T.mean(a, axis=-1, keepdims=True)
-    centered = T.sub(a, mu)
-    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv = T.power(T.add(var, eps), -0.5)
-    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
 # canonical neighbor order of the scripted strategies: up, left, right, down

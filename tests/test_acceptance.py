@@ -17,15 +17,15 @@ import pytest
 from oracles import oracle_lanchester, oracle_simple, random_small_state
 
 from rtslab import tensor as T
-from rtslab.baselines import DEFAULT_WEIGHTS, lanchester_eval, simple_eval
+from rtslab.baselines import lanchester_eval, simple_eval
 from rtslab.cli import main
 from rtslab.model import (
     ModelConfig,
     WinPredictor,
     count_params,
     get_preset,
+    init_params,
     parameter_spec,
-    zero_params,
 )
 from rtslab.model.params import GROUP_ORDER, accounting_report
 from rtslab.rng import SplitMix64
@@ -242,7 +242,8 @@ class TestCriterion05ParameterAccounting:
         assert doc.exists(), "docs/parameter_counts.md missing"
         assert doc.read_text() == accounting_report(), (
             "docs/parameter_counts.md is stale; regenerate with "
-            "python3 -m rtslab.model.params"
+            "PYTHONPATH=src python3 -c 'from rtslab.model.params import accounting_report; "
+            "print(accounting_report(), end=\"\")' > docs/parameter_counts.md"
         )
         deltas = []
         for preset in ("tstf-6", "tstf-8", "timesformer-12"):
@@ -260,7 +261,7 @@ class TestCriterion05ParameterAccounting:
             delta_pct = 100.0 * (counts.total_active - published) / published
             deltas.append(f"{preset}: ours {counts.total_active:,} vs "
                           f"published {published:,} ({delta_pct:+.1f}%)")
-        desk = zero_params(get_preset("desk"))
+        desk = init_params(get_preset("desk"), 0)
         assert sum(p.size for p in desk.values()) == count_params(get_preset("desk")).total_allocated
         ok(5, "breakdown documented; layer-local counts exact; deltas: " + "; ".join(deltas))
 
@@ -271,10 +272,8 @@ class TestCriterion06OracleEquivalence:
         for _ in range(1000):
             s = random_small_state(rng)
             for player in (1, 2):
-                assert simple_eval(s, player) == oracle_simple(s, player, DEFAULT_WEIGHTS)
-                assert lanchester_eval(s, player) == oracle_lanchester(
-                    s, player, DEFAULT_WEIGHTS
-                )
+                assert simple_eval(s, player) == oracle_simple(s, player)
+                assert lanchester_eval(s, player) == oracle_lanchester(s, player)
 
     def test_duplication_law(self):
         def army(n: int) -> float:

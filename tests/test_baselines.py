@@ -6,8 +6,7 @@ import pytest
 from oracles import oracle_lanchester, oracle_simple, random_small_state
 
 from rtslab.baselines import (
-    DEFAULT_WEIGHTS,
-    EvalWeights,
+    BASE_WEIGHT,
     lanchester_eval,
     predict_winner_classical,
     simple_eval,
@@ -39,7 +38,7 @@ class TestLanchesterEval:
     def test_no_combat_units_no_combat_term(self):
         s = empty_state()
         s.units[(1, 1)] = Unit(UnitKind.BASE, 10, P1)
-        expect = DEFAULT_WEIGHTS.base_value  # full-health base only
+        expect = BASE_WEIGHT  # full-health base only
         assert lanchester_eval(s, P1) == pytest.approx(expect, abs=1e-12)
 
     def test_single_light_unit(self):
@@ -84,8 +83,8 @@ class TestPredictWinner:
         for _ in range(300):
             s = random_small_state(rng)
             for player in (P1, P2):
-                assert simple_eval(s, player) == oracle_simple(s, player, DEFAULT_WEIGHTS)
-                assert lanchester_eval(s, player) == oracle_lanchester(s, player, DEFAULT_WEIGHTS)
+                assert simple_eval(s, player) == oracle_simple(s, player)
+                assert lanchester_eval(s, player) == oracle_lanchester(s, player)
 
 
 class TestProperties:
@@ -104,22 +103,6 @@ class TestProperties:
             s.store[P1] = min(25, s.store[P1] + 1)
             assert simple_eval(s, P1) >= before_s
 
-    def test_weight_scaling_invariance(self):
-        rng = SplitMix64(6)
-        scaled = EvalWeights(
-            resources=60.0, worker_cargo=30.0, unit_value=120.0,
-            base_value=150.0, barracks_value=75.0,
-            combat_strength={k: 3 * v for k, v in DEFAULT_WEIGHTS.combat_strength.items()},
-            unit_cost=DEFAULT_WEIGHTS.unit_cost,
-        )
-        for _ in range(30):
-            s = random_small_state(rng)
-            base = simple_eval(s, P1, DEFAULT_WEIGHTS)
-            assert simple_eval(s, P1, scaled) == pytest.approx(3 * base, rel=1e-12)
-            assert predict_winner_classical(s, simple_eval, scaled) == predict_winner_classical(
-                s, simple_eval, DEFAULT_WEIGHTS
-            )
-
     def test_pure_functions_do_not_mutate(self):
         s = standard_start()
         snapshot = (dict(s.units), dict(s.store), s.step)
@@ -127,9 +110,3 @@ class TestProperties:
         lanchester_eval(s, P2)
         predict_winner_classical(s, simple_eval)
         assert (s.units, s.store, s.step) == snapshot
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="exponent"):
-            EvalWeights(concentration_exponent=0.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            EvalWeights(resources=-1.0)

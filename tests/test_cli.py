@@ -100,6 +100,16 @@ class TestGenerate:
         assert dataset.header.map_height == dataset.header.map_width == 8
         assert all(planes.shape == (5, 8, 8) for r in dataset.records for _, planes in r.frames)
 
+    @pytest.mark.parametrize("raw", [b"{", b'{"seed": "\xff"}'], ids=["not-json", "not-utf8"])
+    def test_unreadable_config_file_exits_3_naming_it(self, raw, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rounds_per_pair": 2, "bogus_knob": 1}')
@@ -290,6 +300,13 @@ class TestModelDirectory:
         assert bad != text
         rc = self.compare_with(pipeline, tmp_path, bad, "{}")
         assert_one_line_exit_2(rc, capsys, "config.json")
+
+    def test_config_not_fitting_checkpoint_exits_2_naming_both(self, pipeline, tmp_path, capsys):
+        text = (pipeline["model"] / "config.json").read_text()
+        bad = text.replace('"time_steps": 8', '"time_steps": 4')
+        assert bad != text
+        rc = self.compare_with(pipeline, tmp_path, bad, "{}")
+        assert_one_line_exit_2(rc, capsys, "config.json", "best.ckpt")
 
     @pytest.mark.parametrize("train_json", [None, "[]", '{"frames": 4}'],
                              ids=["missing", "list", "wrong-frames"])

@@ -12,8 +12,8 @@ from rtslab.model import (
     WinPredictor,
     count_params,
     get_preset,
+    init_params,
     parameter_spec,
-    zero_params,
 )
 from rtslab.rng import SplitMix64
 from rtslab.tensor import Tape, Tensor
@@ -42,7 +42,7 @@ def zero_out(model: WinPredictor, *names: str) -> None:
 class TestConfig:
     def test_published_dimension_algebra(self):
         cfg = get_preset("tstf-8")
-        assert cfg.head_dim == 31 and cfg.channel_dim == 31
+        assert cfg.embed_dim // cfg.heads == 31 and cfg.channel_dim == 31
         assert cfg.patches_per_frame == 16
         assert cfg.seq_len == 500 * 16 + 1
 
@@ -345,7 +345,7 @@ class TestParamAccounting:
 
     def test_zero_alloc_sizes_agree(self):
         cfg = get_preset("desk")
-        params = zero_params(cfg)
+        params = init_params(cfg, 0)
         assert sum(p.size for p in params.values()) == count_params(cfg).total_allocated
 
     def test_monotone_capacity(self):
