@@ -44,7 +44,6 @@ from .model.config import PRESETS
 from .sim import (
     Dataset,
     DatasetHeader,
-    TournamentSettings,
     read_dataset,
     run_tournament,
     split_dataset,
@@ -232,12 +231,15 @@ def _require(path: str | None, what: str) -> Path:
 
 def cmd_generate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    settings = TournamentSettings(
-        max_steps=cfg.max_steps, capture_every=cfg.capture_every, size=cfg.map_size
-    )
     roster = list(cfg.roster)
     records = run_tournament(
-        roster, cfg.rounds_per_pair, cfg.seed, settings=settings, threads=cfg.threads
+        roster,
+        cfg.rounds_per_pair,
+        cfg.seed,
+        max_steps=cfg.max_steps,
+        capture_every=cfg.capture_every,
+        size=cfg.map_size,
+        threads=cfg.threads,
     )
     dataset = Dataset(
         header=DatasetHeader(
@@ -614,11 +616,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, _overrides_from_args(args))
         return COMMANDS[args.command][0](cfg)
-    except (MissingArtifact, CorruptArtifact) as exc:
+    except (OSError, CorruptArtifact) as exc:  # OSError covers MissingArtifact
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing artifact: {exc}", file=sys.stderr)
         return 2
     except (ConfigViolation, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

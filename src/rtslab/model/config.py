@@ -14,7 +14,6 @@ from pathlib import Path
 from .. import CorruptArtifact
 
 VARIANTS = ("tstf", "space_time_only")
-BLOCK_FORMS = ("post_norm", "pre_norm")
 
 
 class ConfigError(ValueError):
@@ -32,9 +31,6 @@ class ModelConfig:
     map_width: int = 16
     patch: int = 4
     variant: str = "tstf"
-    # post_norm: residual around each attention submodule, one LN closing the
-    # block. pre_norm: LN before each submodule plus a final LN feeding the head.
-    block_form: str = "post_norm"
 
     def __post_init__(self):
         if self.embed_dim % self.heads != 0:
@@ -51,10 +47,6 @@ class ModelConfig:
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.block_form not in BLOCK_FORMS:
-            raise ConfigError(
-                f"block_form must be one of {BLOCK_FORMS}, got {self.block_form!r}"
-            )
         if min(self.layers, self.embed_dim, self.heads, self.channels, self.time_steps) < 1:
             raise ConfigError("all dimensions must be positive")
 
@@ -75,17 +67,24 @@ class ModelConfig:
         return self.channels * self.patch * self.patch
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), sort_keys=True, indent=2) + "\n")
+        # The file names the block layout, which is always post_norm; the
+        # entry keeps config.json's bytes fixed.
+        data = {**asdict(self), "block_form": "post_norm"}
+        Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
         """Read a saved config. A file that does not parse, is not an object,
-        or has an unknown, missing or bad value is a CorruptArtifact naming it."""
+        or has an unknown, missing or bad value is a CorruptArtifact naming it.
+        The optional "block_form" entry must name the one layout, post_norm."""
         path = Path(path)
         try:
             data = json.loads(path.read_text())
             if not isinstance(data, dict):
                 raise ConfigError("must hold a JSON object")
+            block_form = data.pop("block_form", "post_norm")
+            if block_form != "post_norm":
+                raise ConfigError(f"'block_form' must be 'post_norm', got {block_form!r}")
             types = {f.name: f.type for f in fields(cls)}  # annotations: "int" or "str"
             for key, value in data.items():
                 if key not in types:

@@ -14,10 +14,9 @@ norm), and the prediction head reads it after the last block:
 
     p(win) = sigmoid(w2 . gelu(w1 . summary + b1) + b2)
 
-Block forms: "post_norm" keeps a residual around every attention submodule
-and closes the block with one LayerNorm (so a block with silenced
-attention reduces to LN of its input); "pre_norm" is the conventional
-LN-before-submodule layout. The space/time-only variant skips the feature
+Each block keeps a residual around every attention submodule and closes
+with one LayerNorm of the patches (so a block with silenced attention
+reduces to LN of its input). The space/time-only variant skips the feature
 attention term entirely; its parameters stay allocated and untouched.
 """
 
@@ -122,23 +121,16 @@ class WinPredictor:
         """One block: factorized attention over patches + summary update.
 
         Takes and returns (summary (B,1,D), patches (B,T*N,D)). Each scope
-        adds attention of its input to the residual stream; the pre-norm
-        form normalizes that input first, the post-norm form normalizes the
-        patches once after the summary update.
+        adds attention of its input to the residual stream; the patches are
+        normalized once after the summary update.
         """
-        cfg = self.config
-        base = f"layers.{layer}"
-        pre_norm = cfg.block_form == "pre_norm"
-        scopes = [("sa", self.spatial_attention), ("ta", self.temporal_attention)]
-        if cfg.variant == "tstf":
-            scopes.append(("fa", self.feature_attention))
-        for scope, attention in scopes:
-            h = self._norm(x, f"{base}.norm_{scope}") if pre_norm else x
-            x = T.add(x, attention(h, layer))
+        attentions = [self.spatial_attention, self.temporal_attention]
+        if self.config.variant == "tstf":
+            attentions.append(self.feature_attention)
+        for attention in attentions:
+            x = T.add(x, attention(x, layer))
         summary = self._summary_update(summary, x, layer)
-        if not pre_norm:
-            x = self._norm(x, f"{base}.norm")
-        return summary, x
+        return summary, self._norm(x, f"layers.{layer}.norm")
 
     def embed(self, x: np.ndarray) -> tuple[Tensor, Tensor]:
         """Patch-embed a clip: (summary token (B,1,D), patches (B,T*N,D))."""
@@ -164,8 +156,6 @@ class WinPredictor:
         for layer in range(cfg.layers):
             summary, patches = self.encoder_block(summary, patches, layer)
         summary = summary.reshape(x.shape[0], cfg.embed_dim)
-        if cfg.block_form == "pre_norm":
-            summary = self._norm(summary, "final_norm")
         hidden = T.gelu(T.add(T.matmul(summary, self._p("head.w1")), self._p("head.b1")))
         logits = T.add(T.matmul(hidden, self._p("head.w2")), self._p("head.b2"))
         return T.sigmoid(logits.reshape(x.shape[0]))

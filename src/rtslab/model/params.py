@@ -8,8 +8,7 @@ Naming scheme (all keys in one flat dict):
     layers.{l}.fa.{wq,wk,wv,wo} (d', d') and biases (d',)
     layers.{l}.cls_attn.*  single-head cross-attention, (D, D) / (D,)
     layers.{l}.cls_norm.{gamma,beta} (D,)
-    post_norm: layers.{l}.norm.{gamma,beta} (D,)
-    pre_norm:  layers.{l}.norm_{sa,ta,fa}.{gamma,beta} (D,) + final_norm.{gamma,beta}
+    layers.{l}.norm.{gamma,beta} (D,)   the LayerNorm closing each block
     head.w1 (D, 4D)  head.b1 (4D,)  head.w2 (4D, 1)  head.b2 ()
 
 Weight matrices multiply row-vector activations on the right (out = x @ W + b).
@@ -28,8 +27,6 @@ from ..checkpoint import load_checkpoint
 from ..rng import SplitMix64
 from ..tensor import Tensor, normal
 from .config import PRESETS, ConfigError, ModelConfig
-
-ATTN_SCOPES = ("sa", "ta", "fa")
 
 
 def _attention_names(prefix: str, dim: int) -> list[tuple[str, tuple[int, ...], str]]:
@@ -60,20 +57,9 @@ def parameter_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]
         spec += [
             (f"{base}.cls_norm.gamma", (d,), "one"),
             (f"{base}.cls_norm.beta", (d,), "zero"),
+            (f"{base}.norm.gamma", (d,), "one"),
+            (f"{base}.norm.beta", (d,), "zero"),
         ]
-        if config.block_form == "post_norm":
-            spec += [
-                (f"{base}.norm.gamma", (d,), "one"),
-                (f"{base}.norm.beta", (d,), "zero"),
-            ]
-        else:
-            for scope in ("sa", "ta", "fa"):
-                spec += [
-                    (f"{base}.norm_{scope}.gamma", (d,), "one"),
-                    (f"{base}.norm_{scope}.beta", (d,), "zero"),
-                ]
-    if config.block_form == "pre_norm":
-        spec += [("final_norm.gamma", (d,), "one"), ("final_norm.beta", (d,), "zero")]
     spec += [
         ("head.w1", (d, 4 * d), "weight"),
         ("head.b1", (4 * d,), "zero"),
@@ -115,8 +101,6 @@ def _group_of(name: str) -> str:
         return "cls_token"
     if name.startswith("head."):
         return "head"
-    if name == "final_norm.gamma" or name == "final_norm.beta":
-        return "norms"
     # layers.{l}.<scope>...
     scope = name.split(".")[2]
     if scope == "sa":
@@ -174,9 +158,6 @@ def count_params(config: ModelConfig) -> ParamCount:
     inactive = _INACTIVE_BY_VARIANT[config.variant]
     total_allocated = sum(groups.values())
     total_active = sum(n for g, n in groups.items() if g not in inactive)
-    if config.block_form == "pre_norm" and "feature" in inactive:
-        # the unused fa pre-norm is still counted under norms; subtract it
-        total_active -= 2 * config.embed_dim * config.layers
     return ParamCount(
         groups=groups,
         per_layer=per_layer,

@@ -6,7 +6,7 @@ from .engine import Action, MatchRecord, run_match, sample_timeline, step
 from .rules import UnitKind
 from .state import GameState, Unit, standard_start
 from .strategies import DEFAULT_ROSTER, REGISTRY, Strategy, make_strategy
-from .tournament import ScheduledMatch, TournamentSettings, run_tournament, schedule_round_robin
+from .tournament import ScheduledMatch, run_tournament, schedule_round_robin
 
 __all__ = [
     "Action",
@@ -18,7 +18,6 @@ __all__ = [
     "REGISTRY",
     "ScheduledMatch",
     "Strategy",
-    "TournamentSettings",
     "Unit",
     "UnitKind",
     "decode_planes",

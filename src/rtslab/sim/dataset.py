@@ -96,10 +96,10 @@ def _check_frames(frames: list[tuple[int, np.ndarray]], shape: tuple[int, int, i
 def read_dataset(path: str | Path) -> Dataset:
     """Parse a dataset file; CorruptArtifact names the first bad line.
 
-    Each record is checked against the header: it has at least one frame,
-    every frame's planes have shape (channels, map_height, map_width),
-    frame steps are strictly increasing ints and the winner is one of
-    WINNERS.
+    The header must give CHANNELS channels. Each record is checked against
+    the header: it has at least one frame, every frame's planes have shape
+    (channels, map_height, map_width), frame steps are strictly increasing
+    ints and the winner is one of WINNERS.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -115,6 +115,8 @@ def read_dataset(path: str | Path) -> Dataset:
         if head.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {head.get('format_version')}")
         header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
+        if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
+            raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
         shape = (header.channels, header.map_height, header.map_width)
         records = []
         for lineno, line in enumerate(lines[1:], start=2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from ..rng import derive_seed
 from .engine import MatchRecord, run_match
@@ -20,9 +21,6 @@ from .strategies import make_strategy
 
 @dataclass(frozen=True)
 class ScheduledMatch:
-    index: int
-    pair_index: int
-    round_index: int
     first: str   # plays as p1
     second: str  # plays as p2
     seed: int
@@ -44,34 +42,14 @@ def schedule_round_robin(
         for r in range(rounds_per_pair):
             first, second = (names[i], names[j]) if r < half else (names[j], names[i])
             out.append(
-                ScheduledMatch(
-                    index=len(out),
-                    pair_index=pi,
-                    round_index=r,
-                    first=first,
-                    second=second,
-                    seed=derive_seed(seed, pi, r),
-                )
+                ScheduledMatch(first=first, second=second, seed=derive_seed(seed, pi, r))
             )
     return out
 
 
-@dataclass
-class TournamentSettings:
-    max_steps: int = 1000
-    capture_every: int = 2
-    size: int = 16
-
-
-def _play(args: tuple[ScheduledMatch, TournamentSettings]) -> MatchRecord:
-    slot, settings = args
+def _play(slot: ScheduledMatch, **settings) -> MatchRecord:
     return run_match(
-        make_strategy(slot.first),
-        make_strategy(slot.second),
-        seed=slot.seed,
-        max_steps=settings.max_steps,
-        capture_every=settings.capture_every,
-        size=settings.size,
+        make_strategy(slot.first), make_strategy(slot.second), seed=slot.seed, **settings
     )
 
 
@@ -79,14 +57,17 @@ def run_tournament(
     names: list[str],
     rounds_per_pair: int,
     seed: int,
-    settings: TournamentSettings | None = None,
+    *,
+    max_steps: int = 1000,
+    capture_every: int = 2,
+    size: int = 16,
     threads: int = 1,
 ) -> list[MatchRecord]:
-    """Play the full schedule; records come back in schedule order."""
-    settings = settings or TournamentSettings()
+    """Play the full schedule; records come back in schedule order.
+    `max_steps`, `capture_every` and `size` go to every `run_match`."""
+    play = partial(_play, max_steps=max_steps, capture_every=capture_every, size=size)
     sched = schedule_round_robin(names, rounds_per_pair, seed)
-    jobs = [(slot, settings) for slot in sched]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_play, jobs, chunksize=4))
-    return [_play(job) for job in jobs]
+            return list(pool.map(play, sched, chunksize=4))
+    return [play(slot) for slot in sched]

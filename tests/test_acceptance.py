@@ -30,7 +30,6 @@ from rtslab.model import (
 from rtslab.model.params import GROUP_ORDER, accounting_report
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
-    TournamentSettings,
     run_tournament,
     schedule_round_robin,
     split_dataset,
@@ -69,12 +68,11 @@ def ok(n: int, text: str) -> None:
 def toy_lab():
     """Toy separable dataset (>=200 matches) + both trained variants."""
     t0 = time.time()
-    settings = TournamentSettings(max_steps=600, capture_every=8)
     roster = [
         "PassiveLite", "RandomBiasedLite", "WorkerRushLite", "LightRushLite",
         "HeavyRushLite", "RangedRushLite", "EconomyRushLite",
     ]
-    records = run_tournament(roster, 12, seed=42, settings=settings)
+    records = run_tournament(roster, 12, seed=42, max_steps=600, capture_every=8)
     relabeled = []
     for rec in records:
         label = surviving_units_label(rec)

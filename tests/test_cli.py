@@ -289,9 +289,10 @@ class TestModelDirectory:
             lambda text: text.replace('"layers": 2', '"layers": true'),
             lambda text: text.replace('"layers": 2, ', ""),
             lambda text: text.replace('"heads": 5', '"heads": 3'),
+            lambda text: text.replace('"post_norm"', '"pre_norm"'),
         ],
         ids=["not-json", "not-object", "unknown-key", "layers-str", "layers-bool",
-             "missing-key", "heads-not-dividing"],
+             "missing-key", "heads-not-dividing", "block-form-pre-norm"],
     )
     def test_bad_config_json_exits_2_naming_it(self, pipeline, tmp_path, capsys, edit):
         text = json.dumps(json.loads((pipeline["model"] / "config.json").read_text()),
@@ -368,13 +369,24 @@ def _unknown_winner(lines):
     return "dataset.jsonl:2: winner 'p3'"
 
 
+def _three_channel_header(lines):
+    header = json.loads(lines[0])
+    header["channels"] = 3
+    lines[0] = json.dumps(header)
+    for i in range(1, len(lines)):
+        record = json.loads(lines[i])
+        record["frames"] = [[step, planes[:3]] for step, planes in record["frames"]]
+        lines[i] = json.dumps(record)
+    return "dataset.jsonl:1: header channels 3 is not 5"
+
+
 class TestCorruptDataset:
     @pytest.mark.parametrize(
         "corrupt",
         [_drop_winner, _truncate_last, _append_non_utf8, _three_planes, _repeated_step,
-         _no_frames, _unknown_winner],
+         _no_frames, _unknown_winner, _three_channel_header],
         ids=["missing-winner", "truncated-line", "non-utf8", "three-planes", "repeated-step",
-             "no-frames", "unknown-winner"],
+             "no-frames", "unknown-winner", "three-channel-header"],
     )
     def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -395,6 +407,22 @@ class TestCorruptDataset:
             "--match-id", "0", "--out", str(tmp_path / "t"),
         ])
         assert_one_line_exit_2(rc, capsys, where)
+
+
+class TestDirectoryAsInput:
+    @pytest.mark.parametrize("command", ["generate", "train", "compare", "timeline"])
+    def test_directory_path_exits_2_naming_it(self, command, pipeline, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "generate": ["generate", "--config", str(folder)],
+            "train": ["train", "--dataset", str(folder)],
+            "compare": ["compare", "--dataset", str(folder), "--models", str(pipeline["model"])],
+            "timeline": ["timeline", "--dataset", str(folder),
+                         "--models", str(pipeline["model"]), "--match-id", "0"],
+        }[command]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert_one_line_exit_2(rc, capsys, str(folder))
 
 
 def _draw_in_test(lines, m):

@@ -6,7 +6,6 @@ import pytest
 from rtslab.sim import (
     Dataset,
     DatasetHeader,
-    TournamentSettings,
     read_dataset,
     run_tournament,
     schedule_round_robin,
@@ -98,18 +97,17 @@ class TestSplit:
 
 class TestTournamentRun:
     def test_small_tournament_runs_and_orders(self):
-        settings = TournamentSettings(max_steps=60, capture_every=4)
-        recs = run_tournament(["WorkerRushLite", "PassiveLite"], 2, seed=3, settings=settings)
+        recs = run_tournament(
+            ["WorkerRushLite", "PassiveLite"], 2, seed=3, max_steps=60, capture_every=4
+        )
         assert len(recs) == 2
         assert recs[0].strategy_a == "WorkerRushLite" and recs[1].strategy_a == "PassiveLite"
 
     def test_parallel_matches_serial_output(self):
-        settings = TournamentSettings(max_steps=40, capture_every=4)
-        serial = run_tournament(
-            ["WorkerRushLite", "EconomyRushLite"], 2, seed=8, settings=settings
-        )
+        settings = dict(max_steps=40, capture_every=4)
+        serial = run_tournament(["WorkerRushLite", "EconomyRushLite"], 2, seed=8, **settings)
         parallel = run_tournament(
-            ["WorkerRushLite", "EconomyRushLite"], 2, seed=8, settings=settings, threads=2
+            ["WorkerRushLite", "EconomyRushLite"], 2, seed=8, **settings, threads=2
         )
         assert [r.winner for r in serial] == [r.winner for r in parallel]
         for a, b in zip(serial, parallel):
@@ -119,8 +117,9 @@ class TestTournamentRun:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        settings = TournamentSettings(max_steps=50, capture_every=5)
-        recs = run_tournament(["WorkerRushLite", "PassiveLite"], 2, seed=6, settings=settings)
+        recs = run_tournament(
+            ["WorkerRushLite", "PassiveLite"], 2, seed=6, max_steps=50, capture_every=5
+        )
         ds = Dataset(
             header=DatasetHeader(
                 capture_every=5, max_steps=50, seed=6,

@@ -1,6 +1,7 @@
 """Model behavior: embedding, attention invariants, blocks, param accounting."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestConfig:
     def test_config_round_trip(self, tmp_path):
         cfg = small_config()
         cfg.save(tmp_path / "c.json")
+        assert ModelConfig.load(tmp_path / "c.json") == cfg
+        # the file names the one block layout; a file without the entry loads too
+        data = json.loads((tmp_path / "c.json").read_text())
+        assert data.pop("block_form") == "post_norm"
+        (tmp_path / "c.json").write_text(json.dumps(data))
         assert ModelConfig.load(tmp_path / "c.json") == cfg
 
 
@@ -206,10 +212,9 @@ class TestEncoderBlock:
         )
         assert np.allclose(out_summary.data, expect_summary.data, atol=1e-12)
 
-    @pytest.mark.parametrize("block_form", ["post_norm", "pre_norm"])
     @pytest.mark.parametrize("variant", ["tstf", "space_time_only"])
-    def test_shape_preserved(self, block_form, variant):
-        cfg = small_config(layers=2, block_form=block_form, variant=variant)
+    def test_shape_preserved(self, variant):
+        cfg = small_config(layers=2, variant=variant)
         model = WinPredictor.create(cfg, seed=10)
         summary, x = model.embed(random_input(cfg, 2, seed=30))
         out_summary, out_x = model.encoder_block(summary, x, 0)
@@ -269,29 +274,26 @@ class TestForward:
         x = random_input(cfg, 2, seed=35)
         assert np.array_equal(a.forward(x).data, b.forward(x).data)
 
-    # Exact outputs of a seeded desk model at B=2, as float.hex, for each block
-    # form and variant: a refactor of the block must keep every bit.
+    # Exact outputs of a seeded desk model at B=2, as float.hex, for each
+    # variant: a refactor of the block must keep every bit.
     @pytest.mark.parametrize(
-        "block_form,variant,expected",
+        "variant,expected",
         [
-            ("post_norm", "tstf", ("0x1.c3b77bd800d7dp-2", "0x1.b14bffe4859fep-2")),
-            ("post_norm", "space_time_only", ("0x1.b0264c17c23b4p-2", "0x1.98b771f615f10p-2")),
-            ("pre_norm", "tstf", ("0x1.d9f597deec067p-2", "0x1.ca6601feede44p-2")),
-            ("pre_norm", "space_time_only", ("0x1.e67307d957f69p-2", "0x1.c8d43602eb0d4p-2")),
+            ("tstf", ("0x1.c3b77bd800d7dp-2", "0x1.b14bffe4859fep-2")),
+            ("space_time_only", ("0x1.b0264c17c23b4p-2", "0x1.98b771f615f10p-2")),
         ],
     )
-    def test_desk_forward_pinned(self, block_form, variant, expected):
-        cfg = dataclasses.replace(get_preset("desk"), block_form=block_form, variant=variant)
+    def test_desk_forward_pinned(self, variant, expected):
+        cfg = dataclasses.replace(get_preset("desk"), variant=variant)
         model = WinPredictor.create(cfg, seed=20)
         y = model.forward(random_input(cfg, 2, seed=40)).data
         assert tuple(float(v).hex() for v in y) == expected
 
-    @pytest.mark.parametrize("block_form", ["post_norm", "pre_norm"])
-    def test_small_gradient_check(self, block_form):
+    def test_small_gradient_check(self):
         # full forward + binary cross-entropy at B=1, T=2, N=4, C=5, D=10
         from rtslab.train import bce_loss
 
-        cfg = small_config(block_form=block_form)
+        cfg = small_config()
         model = WinPredictor.create(cfg, seed=16)
         x = random_input(cfg, 1, seed=36)
         label = np.array([1.0])
@@ -308,19 +310,14 @@ class TestTapeBudget:
     # Falling back to attention or LayerNorm composed from primitive ops
     # roughly triples these counts.
     @pytest.mark.parametrize(
-        "block_form,variant,nodes",
-        [
-            ("post_norm", "tstf", 67),
-            ("post_norm", "space_time_only", 59),
-            ("pre_norm", "tstf", 72),
-            ("pre_norm", "space_time_only", 62),
-        ],
-        ids=["tstf-67", "space_time_only-59", "pre_norm-tstf-72", "pre_norm-space_time_only-62"],
+        "variant,nodes",
+        [("tstf", 67), ("space_time_only", 59)],
+        ids=["tstf-67", "space_time_only-59"],
     )
-    def test_desk_train_step_node_count(self, block_form, variant, nodes):
+    def test_desk_train_step_node_count(self, variant, nodes):
         from rtslab.train import bce_loss
 
-        cfg = dataclasses.replace(get_preset("desk"), block_form=block_form, variant=variant)
+        cfg = dataclasses.replace(get_preset("desk"), variant=variant)
         model = WinPredictor.create(cfg, seed=19)
         x = random_input(cfg, 2, seed=38)
         with Tape() as tape:
