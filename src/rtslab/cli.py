@@ -21,7 +21,8 @@ in one line on stderr. Exit codes:
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
        does not parse or holds a bad key or value, a checkpoint that is
-       truncated, padded, holds a NaN/Inf or does not fit its config.json
+       truncated, padded, holds a NaN/Inf or does not fit its config.json,
+       a model whose map size differs from the dataset header's
     3  configuration violation, including a --config file that is not
        UTF-8 JSON or holds a value of the wrong type
 """
@@ -60,6 +61,7 @@ from .train import (
     dataset_to_examples,
     neural_predictor,
     op_stability,
+    predict_probs,
     progress_stratified_eval,
     train_model,
 )
@@ -278,14 +280,16 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig) -> dict[str, list]:
-    """Records of each split in the splits.json beside the dataset.
+def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
+    """The dataset header, and the records of each split in the
+    splits.json beside the dataset.
 
     Every split must be a list of in-range record indices, no record may
     sit in two splits (or twice in one), and no split may hold a draw.
     """
     ds_path = _require(cfg.dataset, "dataset")
-    records = read_dataset(ds_path).records
+    dataset = read_dataset(ds_path)
+    records = dataset.records
     path = ds_path.parent / "splits.json"
     if not path.exists():
         raise MissingArtifact(f"split manifest not found: {path}")
@@ -312,21 +316,23 @@ def _load_split(cfg: RunConfig) -> dict[str, list]:
                 raise CorruptArtifact(f"{path}: {name} index {i} is a drawn match")
             seen.add(i)
         parts[name] = [records[i] for i in indices]
-    return parts
+    return dataset.header, parts
 
 
 def _label_fn(cfg: RunConfig):
     return surviving_units_label if cfg.relabel == "surviving-units" else winner_label
 
 
-def _test_split(cfg: RunConfig) -> tuple[list, list[int]]:
-    """Test records that carry a label under `cfg.relabel`, and those labels."""
+def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list, list[int]]:
+    """The dataset header, the test records that carry a label under
+    `cfg.relabel`, and those labels."""
     label_fn = _label_fn(cfg)
-    labeled = [(r, label_fn(r)) for r in _load_split(cfg)["test"]]
+    header, parts = _load_split(cfg)
+    labeled = [(r, label_fn(r)) for r in parts["test"]]
     labeled = [(r, y) for r, y in labeled if y is not None]
     if not labeled:
         raise ConfigViolation("empty dataset: test split has no usable records")
-    return [r for r, _ in labeled], [y for _, y in labeled]
+    return header, [r for r, _ in labeled], [y for _, y in labeled]
 
 
 def _model_name(config: ModelConfig) -> str:
@@ -336,7 +342,7 @@ def _model_name(config: ModelConfig) -> str:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    parts = _load_split(cfg)
+    _, parts = _load_split(cfg)
     model_config = get_preset(cfg.preset)
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
@@ -398,9 +404,11 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_model(model_dir: str) -> tuple[str, WinPredictor]:
+def _load_model(model_dir: str, header: DatasetHeader, dataset: str) -> tuple[str, WinPredictor]:
     """(evaluator name, model) from `config.json` and `best.ckpt`; the
-    directory's `train.json` is a record of the run and is not read back."""
+    directory's `train.json` is a record of the run and is not read back.
+    A model whose map size differs from the header of `dataset` is a
+    CorruptArtifact naming both."""
     d = Path(model_dir)
     for needed in ("config.json", "best.ckpt"):
         if not (d / needed).exists():
@@ -410,6 +418,11 @@ def _load_model(model_dir: str) -> tuple[str, WinPredictor]:
         model = WinPredictor.load(d / "best.ckpt", config)
     except ConfigError as exc:
         raise CorruptArtifact(f"{d / 'best.ckpt'} does not fit {d / 'config.json'}: {exc}") from None
+    if (header.map_height, header.map_width) != (config.map_height, config.map_width):
+        raise CorruptArtifact(
+            f"{dataset} holds {header.map_height}x{header.map_width} maps but "
+            f"{d / 'config.json'} expects {config.map_height}x{config.map_width}"
+        )
     return _model_name(config), model
 
 
@@ -417,8 +430,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if not cfg.models:
         raise ConfigViolation("eval requires --models pointing at one trained model directory")
-    name, model = _load_model(cfg.models[0])
-    records, labels = _test_split(cfg)
+    header, records, labels = _test_split(cfg)
+    name, model = _load_model(cfg.models[0], header, cfg.dataset)
     predict = neural_predictor(model, model.config.time_steps, cfg.threshold)
     rows = progress_stratified_eval(predict, records, fractions=(1.0,), labels=labels)
     _, metrics = rows[0]
@@ -462,11 +475,11 @@ def _paper_reference_rows() -> list[list]:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    records, labels = _test_split(cfg)
+    header, records, labels = _test_split(cfg)
 
     evaluators: list[tuple[str, object]] = []
     for model_dir in cfg.models:
-        name, model = _load_model(model_dir)
+        name, model = _load_model(model_dir, header, cfg.dataset)
         evaluators.append((name, neural_predictor(model, model.config.time_steps, cfg.threshold)))
     evaluators.append(("simple", classical_predictor(simple_eval)))
     evaluators.append(("lanchester", classical_predictor(lanchester_eval)))
@@ -507,12 +520,11 @@ def cmd_timeline(cfg: RunConfig) -> int:
         dataclasses.replace(record, frames=record.frames[: i + 1], duration=step)
         for i, (step, _) in enumerate(record.frames)
     ]
+    models = [_load_model(d, dataset.header, cfg.dataset) for d in cfg.models]
     rows: list[list] = []
-    for model_dir in cfg.models:
-        name, model = _load_model(model_dir)
-        for cut in cuts:
-            clip = sample_timeline(cut, model.config.time_steps, 1.0)
-            prob = float(model.forward(clip[None]).data[0])
+    for name, model in models:
+        clips = (sample_timeline(cut, model.config.time_steps, 1.0) for cut in cuts)
+        for cut, prob in zip(cuts, predict_probs(model, clips).tolist()):
             pred = "p1" if prob >= cfg.threshold else "p2"
             # neural scores are (P1, P2) = (y, 1-y), one probability split
             rows.append([name, cut.duration, prob, 1.0 - prob, pred])

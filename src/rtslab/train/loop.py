@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +39,50 @@ class TrainResult:
     best_val_acc: float
 
 
-def predict_probs(model: WinPredictor, clips: list[np.ndarray], batch_size: int = 64) -> np.ndarray:
-    """Forward in inference mode (no tape), batched for throughput."""
-    out = []
-    for i in range(0, len(clips), batch_size):
-        x = np.stack(clips[i : i + batch_size])
-        out.append(model.forward(x).data)
-    return np.concatenate(out) if out else np.zeros(0)
+# Clips per tape-free forward. A desk forward costs 2.70 / 2.03 / 2.01 / 1.96
+# ms per sample at B = 1 / 4 / 8 / 32 on a 2-core Xeon VM, and adds 0.9 /
+# 2.7 / 13.5 MB of peak RSS at B = 4 / 8 / 32 over B = 1 (README, "Training
+# and evaluation").
+INFER_BATCH = 4
+
+
+def predict_probs(
+    model: WinPredictor, clips: Iterable[np.ndarray], cache: dict[bytes, float] | None = None
+) -> np.ndarray:
+    """Win probability of each clip, in input order, from tape-free forwards.
+
+    Each clip is keyed by the sha256 of its bytes, and only clips whose key
+    is neither in `cache` nor already pending are forwarded, in batches of
+    INFER_BATCH. The input is streamed: at most INFER_BATCH clips are held
+    at a time, so `clips` may be a generator. `cache` maps digest to
+    probability and is filled in place; pass one dict to several calls on
+    the same model to forward each distinct clip once across them. A
+    batched probability can differ from a B=1 forward in the last bits.
+    """
+    if cache is None:
+        cache = {}
+    keys: list[bytes] = []
+    pending: dict[bytes, np.ndarray] = {}
+
+    def flush() -> None:
+        probs = model.forward(np.stack(list(pending.values()))).data
+        cache.update(zip(pending, probs.tolist()))
+        pending.clear()
+
+    for clip in clips:
+        key = hashlib.sha256(clip).digest()
+        keys.append(key)
+        if key not in cache and key not in pending:
+            pending[key] = clip
+            if len(pending) == INFER_BATCH:
+                flush()
+    if pending:
+        flush()
+    return np.array([cache[k] for k in keys])
 
 
 def evaluate_accuracy(model: WinPredictor, dataset: list[Example], threshold: float = 0.5) -> float:
-    probs = predict_probs(model, [x for x, _ in dataset])
+    probs = predict_probs(model, (x for x, _ in dataset))
     preds = (probs >= threshold).astype(int)
     labels = np.array([y for _, y in dataset])
     return float((preds == labels).mean())

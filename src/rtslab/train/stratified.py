@@ -18,6 +18,7 @@ from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
 from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
+from .loop import predict_probs
 from .metrics import MetricsReport, compute_metrics
 
 log = logging.getLogger(__name__)
@@ -27,12 +28,18 @@ PHASE_SPLIT = 0.4
 
 
 def neural_predictor(model: WinPredictor, frame_count: int, threshold: float = 0.5):
-    """predict(record, rho) -> 0/1 via prefix resampling + forward pass."""
+    """predict(records, rho) -> list of 0/1, one per record.
 
-    def predict(record: MatchRecord, rho: float) -> int:
-        clip = sample_timeline(record, frame_count, rho)
-        prob = float(model.forward(clip[None]).data[0])
-        return 1 if prob >= threshold else 0
+    Each record's clip is resampled from its visible prefix with
+    `sample_timeline` and scored by `predict_probs`. One digest->probability
+    cache serves every call, so a clip that recurs across records or
+    fractions is forwarded once.
+    """
+    cache: dict[bytes, float] = {}
+
+    def predict(records: list[MatchRecord], rho: float) -> list[int]:
+        clips = (sample_timeline(r, frame_count, rho) for r in records)
+        return [1 if p >= threshold else 0 for p in predict_probs(model, clips, cache)]
 
     return predict
 
@@ -43,15 +50,15 @@ def prefix_state(record: MatchRecord, rho: float):
 
 
 def classical_predictor(evaluator):
-    """predict(record, rho) -> 0/1/None (None = tie, scored as wrong)."""
+    """predict(records, rho) -> list of 0/1/None (None = tie, scored as wrong)."""
 
-    def predict(record: MatchRecord, rho: float) -> int | None:
-        verdict = predict_winner_classical(prefix_state(record, rho), evaluator)
-        if verdict == "tie":
+    def verdict(record: MatchRecord, rho: float) -> int | None:
+        winner = predict_winner_classical(prefix_state(record, rho), evaluator)
+        if winner == "tie":
             return None
-        return 1 if verdict == "p1" else 0
+        return 1 if winner == "p1" else 0
 
-    return predict
+    return lambda records, rho: [verdict(r, rho) for r in records]
 
 
 def progress_stratified_eval(
@@ -60,19 +67,22 @@ def progress_stratified_eval(
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
     labels: list[int] | None = None,
 ) -> list[tuple[float, MetricsReport]]:
-    """One MetricsReport per fraction. `labels` defaults to recorded winners."""
+    """One MetricsReport per fraction. `predict(records, rho)` returns one
+    0/1/None per record (None scores as wrong); `labels` defaults to
+    recorded winners."""
     if labels is None:
         labels = [winner_label(r) for r in records]
     if len(labels) != len(records):
         raise ValueError("labels must align with records")
     rows = []
     for rho in fractions:
-        preds = []
-        for rec, truth in zip(records, labels):
-            p = predict(rec, rho)
-            if p is None:
-                p = 1 - truth  # a tie can never score as correct
-            preds.append(p)
+        preds = predict(records, rho)
+        if len(preds) != len(records):
+            raise ValueError(
+                f"predict returned {len(preds)} predictions for {len(records)} records"
+            )
+        # a tie can never score as correct
+        preds = [1 - truth if p is None else p for p, truth in zip(preds, labels)]
         rows.append((rho, compute_metrics(preds, labels)))
     return rows
 

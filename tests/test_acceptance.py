@@ -422,10 +422,10 @@ class TestEndToEndPipeline:
         model_dir = dirs["tstf"]
 
         # pick a match the converged model classifies correctly at rho=1
-        predict = neural_predictor(model, toy_lab["frames"])
+        preds = neural_predictor(model, toy_lab["frames"])(test_records, 1.0)
         match_id = next(
-            i for i, rec in enumerate(test_records)
-            if predict(rec, 1.0) == (1 if rec.winner == "p1" else 0)
+            i for i, (rec, pred) in enumerate(zip(test_records, preds))
+            if pred == (1 if rec.winner == "p1" else 0)
         )
         out = tmp_path / "timeline"
         rc = main([

@@ -323,6 +323,36 @@ class TestModelDirectory:
         assert ours == (ref / "stratified_tstf-2.csv").read_text()
 
 
+class TestMapSizeMismatch:
+    """A dataset whose maps differ in size from a model's config.json is a
+    pair of inconsistent artifacts: exit 2 naming both, before any forward."""
+
+    @pytest.fixture(scope="class")
+    def small_maps(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("small")
+        config = root / "config.json"
+        config.write_text(json.dumps({"map_size": 8}))
+        data = root / "data"
+        assert main([
+            "generate", "--config", str(config), "--out", str(data), "--seed", "5",
+            "--roster", "WorkerRushLite,LightRushLite,PassiveLite",
+            "--rounds", "2", "--max-steps", "80", "--capture-every", "4",
+        ]) == 0
+        return data / "dataset.jsonl"
+
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["compare", "--fractions", "1.0"], ["timeline", "--match-id", "0"],
+    ], ids=["eval", "compare", "timeline"])
+    def test_exits_2_naming_dataset_and_model(self, pipeline, small_maps, tmp_path, capsys,
+                                              command):
+        rc = main(command + [
+            "--dataset", str(small_maps), "--models", str(pipeline["model"]),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert_one_line_exit_2(rc, capsys, str(small_maps), str(pipeline["model"]), "8x8",
+                               "16x16")
+
+
 # each case edits the dataset lines and returns where the error must point
 def _drop_winner(lines):
     record = json.loads(lines[1])

@@ -1,13 +1,23 @@
 """Loss, optimizer, metrics, loop, and stratified-eval behavior."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from rtslab import tensor as T
-from rtslab.model import ModelConfig, WinPredictor
+from rtslab.cli import main
+from rtslab.model import ModelConfig, WinPredictor, get_preset
 from rtslab.rng import SplitMix64
+from rtslab.sim import (
+    Dataset,
+    DatasetHeader,
+    MatchRecord,
+    raw_planes,
+    standard_start,
+    write_dataset,
+)
 from rtslab.tensor import Tape, Tensor
 from rtslab.train import (
     AdamW,
@@ -18,9 +28,11 @@ from rtslab.train import (
     evaluate_accuracy,
     neural_predictor,
     op_stability,
+    predict_probs,
     progress_stratified_eval,
     train_model,
 )
+from rtslab.train.loop import INFER_BATCH
 from rtslab.train.metrics import metrics_from_confusion
 
 
@@ -267,6 +279,104 @@ def constant_series(values):
     ]
 
 
+class TestPredictProbs:
+    """Tape-free inference forwards each distinct clip once, in batches of
+    at most INFER_BATCH, and returns probabilities in input order."""
+
+    ORDER = [0, 1, 0, 2, 3, 1, 4, 0, 5, 5]  # 10 clips, 6 distinct
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return WinPredictor.create(get_preset("desk"), seed=21)
+
+    @pytest.fixture(scope="class")
+    def distinct(self, desk):
+        cfg = desk.config
+        shape = (cfg.time_steps, cfg.channels, cfg.map_height, cfg.map_width)
+        rng = SplitMix64(22)
+        return [
+            np.array([rng.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+            for _ in range(6)
+        ]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The input of every WinPredictor.forward call."""
+        seen = []
+        forward = WinPredictor.forward
+
+        def counting(model, x):
+            seen.append(x.copy())
+            return forward(model, x)
+
+        monkeypatch.setattr(WinPredictor, "forward", counting)
+        return seen
+
+    def test_each_distinct_clip_forwarded_once_in_bounded_batches(self, desk, distinct, batches):
+        predict_probs(desk, (distinct[i] for i in self.ORDER))
+        assert all(len(b) <= INFER_BATCH for b in batches)
+        rows = [row.tobytes() for b in batches for row in b]
+        assert sorted(rows) == sorted(c.tobytes() for c in distinct)
+
+    def test_input_order_and_b1_agreement(self, desk, distinct):
+        probs = predict_probs(desk, (distinct[i] for i in self.ORDER))
+        single = [float(desk.forward(c[None]).data[0]) for c in distinct]
+        assert len(set(single)) == len(single)  # so the order check below can fail
+        expected = np.array([single[i] for i in self.ORDER])
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(probs >= 0.5, expected >= 0.5)
+
+    def test_shared_cache_runs_no_second_forward(self, desk, distinct, batches):
+        cache = {}
+        first = predict_probs(desk, (distinct[i] for i in self.ORDER), cache)
+        batches.clear()
+        again = predict_probs(desk, (distinct[i] for i in self.ORDER), cache)
+        assert batches == []
+        np.testing.assert_array_equal(again, first)
+
+    def test_input_is_streamed(self, desk, distinct):
+        # each yielded clip is a fresh copy; count the copies still alive
+        alive = []
+        most = 0
+
+        def clips():
+            nonlocal most
+            for i in range(3 * INFER_BATCH):
+                most = max(most, sum(ref() is not None for ref in alive))
+                clip = distinct[i % len(distinct)] + i
+                alive.append(weakref.ref(clip))
+                yield clip
+
+        assert len(predict_probs(desk, clips())) == 3 * INFER_BATCH
+        assert most <= INFER_BATCH
+
+    def test_empty_input(self, desk):
+        assert predict_probs(desk, iter([])).shape == (0,)
+
+    def test_timeline_of_a_static_record_runs_one_forward_per_model(
+        self, desk, batches, tmp_path
+    ):
+        planes = raw_planes(standard_start())
+        frames = [(step, planes.copy()) for step in range(2, 42, 2)]
+        record = MatchRecord("A", "B", 0, "p1", 40, frames)
+        data = tmp_path / "dataset.jsonl"
+        write_dataset(data, Dataset(header=DatasetHeader(), records=[record]))
+        model_dir = tmp_path / "desk"
+        model_dir.mkdir()
+        desk.config.save(model_dir / "config.json")
+        desk.save(model_dir / "best.ckpt")
+        rc = main([
+            "timeline", "--dataset", str(data), "--models", f"{model_dir},{model_dir}",
+            "--out", str(tmp_path / "t"),
+        ])
+        assert rc == 0
+        assert [len(b) for b in batches] == [1, 1]
+        lines = (tmp_path / "t" / "timeline_match0.csv").read_text().splitlines()
+        neural = [ln for ln in lines[2:] if ln.startswith("tstf-2,")]
+        assert len(neural) == 2 * len(frames)
+        assert len({ln.split(",", 2)[2] for ln in neural}) == 1
+
+
 class TestStratified:
     def test_row_count_and_rho_one_matches_plain_eval(self):
         model = tiny_model(seed=16, layers=1)
@@ -287,16 +397,23 @@ class TestStratified:
         rows = progress_stratified_eval(predict, records, fractions=(0.5, 1.0))
         assert len(rows) == 2
         labels = np.array([1 if r.winner == "p1" else 0 for r in records])
-        direct = np.array([predict(r, 1.0) for r in records])
+        direct = np.array(predict(records, 1.0))
         assert rows[1][1].accuracy == pytest.approx(float((direct == labels).mean()))
 
     def test_tie_predictions_score_as_wrong(self):
         records = [None, None]  # predictor ignores the record
         labels = [1, 0]
         rows = progress_stratified_eval(
-            lambda rec, rho: None, records, fractions=(1.0,), labels=labels
+            lambda recs, rho: [None] * len(recs), records, fractions=(1.0,), labels=labels
         )
         assert rows[0][1].accuracy == 0.0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_prediction_count_must_match_records(self, count):
+        with pytest.raises(ValueError, match="2 records"):
+            progress_stratified_eval(
+                lambda recs, rho: [1] * count, [None, None], fractions=(1.0,), labels=[1, 0]
+            )
 
     def test_op_stability_constant_series(self):
         rows = constant_series([(0.1, 5), (0.3, 5), (0.6, 5), (0.9, 5)])
