@@ -16,15 +16,17 @@ in one line on stderr. Exit codes:
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
        line that does not parse, lacks a key or disagrees with the header
-       (no frames, frame shape, step order, winner value; named by file
-       and line),
+       (no frames, frame shape, a plane value outside its range, a
+       duration below 1, frame steps out of order or past the duration,
+       winner value; named by file and line),
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
        does not parse or holds a bad key or value, a checkpoint that is
        truncated, padded, holds a NaN/Inf or does not fit its config.json,
        a model whose map size differs from the dataset header's
     3  configuration violation, including a --config file that is not
-       UTF-8 JSON or holds a value of the wrong type
+       UTF-8 JSON or holds a value of the wrong type, and a dataset whose
+       map size the preset's patch does not divide
 """
 
 from __future__ import annotations
@@ -342,8 +344,16 @@ def _model_name(config: ModelConfig) -> str:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    _, parts = _load_split(cfg)
-    model_config = get_preset(cfg.preset)
+    header, parts = _load_split(cfg)
+    try:  # the preset's model, sized to the dataset's maps
+        model_config = dataclasses.replace(
+            get_preset(cfg.preset), map_height=header.map_height, map_width=header.map_width
+        )
+    except ConfigError as exc:
+        raise ConfigViolation(
+            f"{cfg.dataset} holds {header.map_height}x{header.map_width} maps, which the "
+            f"{cfg.preset} preset does not fit: {exc}"
+        ) from None
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
     train_config = TrainConfig(

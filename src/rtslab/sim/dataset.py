@@ -12,9 +12,11 @@ followed by one match record per line
      "winner":"p1"|"p2"|"draw","duration":...,
      "frames":[[step,[5 x H x W ints]],...]}
 
-Frames hold raw (unnormalized) integer plane values; normalization to
-[0,1] happens at load time. Keys are sorted and separators fixed, so a
-dataset is byte-identical across reruns of the same configuration.
+Frames hold raw (unnormalized) integer plane values, each within its
+plane's range (encode.PLANE_MAX), so they are uint8 in memory;
+normalization to [0,1] happens at load time. Keys are sorted and
+separators fixed, so a dataset is byte-identical across reruns of the
+same configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .. import CorruptArtifact
 from ..rng import SplitMix64
-from .encode import CHANNELS, PLANE_FACTION
+from .encode import CHANNELS, PLANE_FACTION, PLANE_MAX
 from .engine import MatchRecord
 
 FORMAT_VERSION = 1
@@ -59,10 +61,11 @@ def _dump_line(obj: dict) -> str:
 
 
 def write_dataset(path: str | Path, dataset: Dataset) -> None:
-    lines = [_dump_line({"kind": "header", **asdict(dataset.header)})]
-    for rec in dataset.records:
-        lines.append(
-            _dump_line(
+    """Write the header, then one line per record as it is encoded."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_dump_line({"kind": "header", **asdict(dataset.header)}) + "\n")
+        for rec in dataset.records:
+            line = _dump_line(
                 {
                     "kind": "match",
                     "strategy_a": rec.strategy_a,
@@ -73,80 +76,184 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
                     "frames": [[step, planes.tolist()] for step, planes in rec.frames],
                 }
             )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+            f.write(line + "\n")
 
 
-def _check_frames(frames: list[tuple[int, np.ndarray]], shape: tuple[int, int, int]) -> None:
-    """At least one frame; every frame holds planes of the header's shape;
-    steps are strictly increasing ints."""
-    if not frames:
+_DIGITS = b"0123456789"
+_DIGITS_TO_ZERO = bytes.maketrans(_DIGITS, b"0" * 10)
+_IS_INT = np.frompyfunc(lambda v: type(v) is int, 1, 1)
+
+
+def _frame_skeleton(shape: tuple[int, int, int]) -> bytes:
+    """One `[step,planes]` frame in the writer's layout, every number written as 0."""
+    c, h, w = shape
+    row = b"[" + b",".join([b"0"] * w) + b"]"
+    plane = b"[" + b",".join([row] * h) + b"]"
+    return b"[0,[" + b",".join([plane] * c) + b"]]"
+
+
+def _canonical_match(line: bytes, shape: tuple[int, int, int]):
+    """(fields other than frames, frame steps, (F, C, H, W) int64 planes) of
+    a match line in the writer's layout, or None when the line is not
+    provably in it.
+
+    The writer sorts keys and uses (",", ":") separators, so a match line
+    is `{"duration":D,"frames":[...],"kind":...}`. The small part around the
+    frames goes through json.loads; the frames text is read by numpy. That
+    is taken only when it gives the values json.loads would: the text with
+    each run of digits written as one 0 must be the frame skeleton repeated
+    F times, every number must be below 10**18 (np.fromstring clamps an
+    int64 overflow to 2**63 - 1), and the digit count must equal that of
+    the values written without leading zeros.
+    """
+    text = line[:-1] if line.endswith(b"\n") else line
+    if not text.startswith(b'{"duration":'):
+        return None
+    a = text.find(b',"frames":[', 12)
+    b = text.find(b'],"kind":', a)
+    if a < 0 or b < 0 or not text[12:a].isdigit():
+        return None
+    try:
+        fields = json.loads((text[:a] + text[b + 1 :]).decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(fields, dict) or "frames" in fields:
+        return None
+    frames = text[a + 10 : b + 1]
+    c, h, w = shape
+    if 2 * c * h * w > len(frames):  # too short for one frame; spares building the skeleton
+        return None
+    frame = _frame_skeleton(shape)
+    skeleton = frames.translate(_DIGITS_TO_ZERO)
+    while b"00" in skeleton:  # halves every run of digits
+        skeleton = skeleton.replace(b"00", b"0")
+    count = (len(skeleton) - 1) // (len(frame) + 1)
+    if count < 1 or skeleton != b"[" + b",".join([frame] * count) + b"]":
+        return None
+    values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
+    stride = 1 + c * h * w
+    if values.size != count * stride or values.max() >= 10**18:
+        return None
+    digits, power = values.size, 10
+    while n := np.count_nonzero(values >= power):  # values of more than log10(power) digits
+        digits, power = digits + n, power * 10
+    if digits != len(frames) - len(frames.translate(None, _DIGITS)):
+        return None
+    values = values.reshape(count, stride)
+    return fields, values[:, 0].tolist(), values[:, 1:].reshape(count, c, h, w)
+
+
+def _json_match(line: bytes, shape: tuple[int, int, int]):
+    """The same triple as `_canonical_match` for any line, through
+    json.loads; planes are an object array holding the JSON values."""
+    obj = json.loads(line.decode("utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError("record is not a JSON object")
+    frames = obj.pop("frames")
+    if not isinstance(frames, list) or not frames:
         raise ValueError("record has no frames")
-    last = None
-    for i, (step, planes) in enumerate(frames):
+    steps, planes = [], []
+    for i, (step, frame) in enumerate(frames):
+        frame = np.array(frame, dtype=object)
+        if frame.shape != shape:
+            raise ValueError(f"frame {i} planes have shape {frame.shape}, header says {shape}")
+        steps.append(step)
+        planes.append(frame)
+    return obj, steps, np.stack(planes)
+
+
+def _check_planes(planes: np.ndarray) -> None:
+    """Every value is an int in its plane's range 0..PLANE_MAX."""
+    values = planes
+    if planes.dtype == object:  # from json.loads, so any JSON value
+        values = np.where(_IS_INT(planes).astype(bool), planes, -1)
+    bad = (values < 0) | (values > PLANE_MAX)
+    if bad.any():
+        f, p, r, c = np.argwhere(bad)[0]
+        raise ValueError(
+            f"frame {f} plane {p} holds {planes[f, p, r, c]} at ({r}, {c}), "
+            f"not an int in 0..{PLANE_MAX[p, 0, 0]}"
+        )
+
+
+def _match_record(fields: dict, steps: list, planes: np.ndarray) -> MatchRecord:
+    """Check a parsed match line and build its record: frames are views
+    into one uint8 (F, C, H, W) array."""
+    if fields.get("kind") != "match":
+        raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
+    if fields["winner"] not in WINNERS:
+        raise ValueError(f"winner {fields['winner']!r} is not one of {WINNERS}")
+    duration = fields["duration"]
+    if type(duration) is not int or duration < 1:
+        raise ValueError(f"duration {duration!r} is not an int >= 1")
+    last = -1
+    for i, step in enumerate(steps):
         if type(step) is not int:
             raise ValueError(f"frame {i} step {step!r} is not an int")
-        if last is not None and step <= last:
+        if not 0 <= step <= duration:
+            raise ValueError(f"frame {i} step {step} is outside 0..{duration}")
+        if step <= last:
             raise ValueError(f"frame {i} step {step} does not follow step {last}")
-        if planes.shape != shape:
-            raise ValueError(f"frame {i} planes have shape {planes.shape}, header says {shape}")
         last = step
+    _check_planes(planes)
+    return MatchRecord(
+        strategy_a=fields["strategy_a"],
+        strategy_b=fields["strategy_b"],
+        seed=fields["seed"],
+        winner=fields["winner"],
+        duration=duration,
+        frames=list(zip(steps, planes.astype(np.uint8))),
+    )
+
+
+def _read_header(line: bytes) -> DatasetHeader:
+    head = json.loads(line.decode("utf-8"))
+    if head.get("kind") != "header":
+        raise ValueError("first line is not a header record")
+    if head.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {head.get('format_version')}")
+    header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
+    if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
+        raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
+    for size in (header.map_height, header.map_width):
+        if type(size) is not int or size < 1:
+            raise ValueError(f"header map size {size!r} is not an int >= 1")
+    return header
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Parse a dataset file; CorruptArtifact names the first bad line.
+    """Parse a dataset file one line at a time; CorruptArtifact names the
+    first bad line.
 
-    The header must give CHANNELS channels. Each record is checked against
-    the header: it has at least one frame, every frame's planes have shape
-    (channels, map_height, map_width), frame steps are strictly increasing
-    ints and the winner is one of WINNERS.
+    The header must give CHANNELS channels and int map sizes. Each match
+    line is checked against it: its duration is an int >= 1; it has at
+    least one frame; every frame's planes have shape (channels, map_height,
+    map_width) and hold ints in the plane's range (PLANE_MAX); frame steps
+    are strictly increasing ints in 0..duration; the winner is one of
+    WINNERS. Lines in the writer's layout are read by `_canonical_match`,
+    any other line by json.loads.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CorruptArtifact(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    if not lines:
-        raise CorruptArtifact(f"{path}: empty dataset file")
+    records = []
     lineno = 1
-    try:
-        head = json.loads(lines[0])
-        if head.get("kind") != "header":
-            raise ValueError("first line is not a header record")
-        if head.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {head.get('format_version')}")
-        header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
-        if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
-            raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
-        shape = (header.channels, header.map_height, header.map_width)
-        records = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj.get("kind") != "match":
-                raise ValueError(f"unexpected record kind {obj.get('kind')!r}")
-            if obj["winner"] not in WINNERS:
-                raise ValueError(f"winner {obj['winner']!r} is not one of {WINNERS}")
-            frames = [
-                (step, np.asarray(planes, dtype=np.int64)) for step, planes in obj["frames"]
-            ]
-            _check_frames(frames, shape)
-            records.append(
-                MatchRecord(
-                    strategy_a=obj["strategy_a"],
-                    strategy_b=obj["strategy_b"],
-                    seed=obj["seed"],
-                    winner=obj["winner"],
-                    duration=obj["duration"],
-                    frames=frames,
-                )
-            )
-    except json.JSONDecodeError as exc:
-        raise CorruptArtifact(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
-    except KeyError as exc:
-        raise CorruptArtifact(f"{path}:{lineno}: record lacks key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise CorruptArtifact(f"{path}:{lineno}: {exc}") from None
+    with open(path, "rb") as f:
+        first = f.readline()
+        if not first:
+            raise CorruptArtifact(f"{path}: empty dataset file")
+        try:
+            header = _read_header(first)
+            shape = (header.channels, header.map_height, header.map_width)
+            for lineno, line in enumerate(f, start=2):
+                if line.strip():
+                    parsed = _canonical_match(line, shape) or _json_match(line, shape)
+                    records.append(_match_record(*parsed))
+        except UnicodeDecodeError as exc:
+            raise CorruptArtifact(f"{path}:{lineno}: not UTF-8 text (byte {exc.start})") from None
+        except json.JSONDecodeError as exc:
+            raise CorruptArtifact(f"{path}:{lineno}: not valid JSON ({exc.msg})") from None
+        except KeyError as exc:
+            raise CorruptArtifact(f"{path}:{lineno}: record lacks key {exc}") from None
+        except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+            raise CorruptArtifact(f"{path}:{lineno}: {exc}") from None
     return Dataset(header=header, records=records)
 
 

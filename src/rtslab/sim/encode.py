@@ -30,12 +30,13 @@ PLANE_NEUTRAL_RES = 3
 PLANE_FACTION_RES = 4
 CHANNELS = 5
 
-SCALES = np.array([7.0, 10.0, 2.0, 25.0, 25.0]).reshape(CHANNELS, 1, 1)
+# each plane's raw values lie in 0..PLANE_MAX; normalization divides by it
+PLANE_MAX = np.array([7, 10, 2, 25, 25]).reshape(CHANNELS, 1, 1)
 
 
 def raw_planes(state: GameState) -> np.ndarray:
-    """Integer-valued planes, the serialization form of a frame."""
-    planes = np.zeros((CHANNELS, state.height, state.width), dtype=np.int64)
+    """uint8 planes, the serialization form of a frame."""
+    planes = np.zeros((CHANNELS, state.height, state.width), dtype=np.uint8)
     for (r, c), u in state.units.items():
         planes[PLANE_TYPE, r, c] = int(u.kind)
         planes[PLANE_HEALTH, r, c] = u.hp
@@ -48,11 +49,12 @@ def raw_planes(state: GameState) -> np.ndarray:
 
 
 def normalize_planes(raw: np.ndarray) -> np.ndarray:
-    return raw.astype(np.float64) / SCALES
+    return raw.astype(np.float64) / PLANE_MAX
 
 
 def decode_planes(raw: np.ndarray) -> GameState:
-    """Rebuild a GameState from integer planes.
+    """Rebuild a GameState from integer planes (uint8 from `raw_planes`
+    and `read_dataset`).
 
     Exact inverse for kind/hp/owner/carried of every occupied cell. Player
     stores are recovered from any owned cell (0 if a player has no units);

@@ -5,7 +5,11 @@ the library code they check. Accumulation runs in the same row-major order
 as the library so exact float equality is meaningful.
 """
 
+import json
 import math
+from pathlib import Path
+
+import numpy as np
 
 from rtslab import tensor as T
 from rtslab.baselines import (
@@ -57,6 +61,18 @@ def oracle_lanchester(state: GameState, player: int) -> float:
             army += COMBAT_STRENGTH[u.kind] * frac
             n += 1
     return total + army * n ** CONCENTRATION_EXPONENT
+
+
+def oracle_read_dataset(path):
+    """(header, matches) of a dataset file read with plain json.loads per
+    line; each match's frames become (step, np.asarray(planes)) pairs."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    matches = []
+    for line in lines[1:]:
+        match = json.loads(line)
+        match["frames"] = [(step, np.asarray(planes)) for step, planes in match["frames"]]
+        matches.append(match)
+    return json.loads(lines[0]), matches
 
 
 def random_small_state(rng: SplitMix64) -> GameState:

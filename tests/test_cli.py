@@ -324,8 +324,9 @@ class TestModelDirectory:
 
 
 class TestMapSizeMismatch:
-    """A dataset whose maps differ in size from a model's config.json is a
-    pair of inconsistent artifacts: exit 2 naming both, before any forward."""
+    """`train` sizes the preset's model from the dataset header. A dataset
+    whose maps differ in size from a model's config.json is a pair of
+    inconsistent artifacts: exit 2 naming both, before any forward."""
 
     @pytest.fixture(scope="class")
     def small_maps(self, tmp_path_factory):
@@ -352,6 +353,30 @@ class TestMapSizeMismatch:
         assert_one_line_exit_2(rc, capsys, str(small_maps), str(pipeline["model"]), "8x8",
                                "16x16")
 
+    def test_train_sizes_the_model_from_the_header(self, small_maps, tmp_path):
+        model = tmp_path / "m"
+        assert main(["train", "--dataset", str(small_maps), "--out", str(model),
+                     "--epochs", "1"]) == 0
+        config = json.loads((model / "config.json").read_text())
+        assert (config["map_height"], config["map_width"]) == (8, 8)
+        assert main(["compare", "--dataset", str(small_maps), "--models", str(model),
+                     "--out", str(tmp_path / "c"), "--fractions", "1.0"]) == 0
+
+    def test_map_size_the_patch_does_not_divide_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"map_size": 10}))
+        data = tmp_path / "data"
+        assert main([
+            "generate", "--config", str(config), "--out", str(data), "--seed", "5",
+            "--roster", "WorkerRushLite,LightRushLite,PassiveLite",
+            "--rounds", "2", "--max-steps", "80", "--capture-every", "4",
+        ]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(data / "dataset.jsonl"), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.count("\n") == 1 and "Traceback" not in err
+        assert str(data / "dataset.jsonl") in err and "10x10" in err and "desk" in err
+
 
 # each case edits the dataset lines and returns where the error must point
 def _drop_winner(lines):
@@ -368,7 +393,7 @@ def _truncate_last(lines):
 
 def _append_non_utf8(lines):
     lines[-1] += "\udcff"  # written back as the lone byte 0xff
-    return "dataset.jsonl: not UTF-8"
+    return f"dataset.jsonl:{len(lines)}: not UTF-8"
 
 
 def _three_planes(lines):
@@ -410,13 +435,43 @@ def _three_channel_header(lines):
     return "dataset.jsonl:1: header channels 3 is not 5"
 
 
+def _deep_nesting(lines):
+    lines[1] = "[" * 100_000
+    return "dataset.jsonl:2: maximum recursion depth"
+
+
+def _canonical_dump(record):
+    """The writer's own layout."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# each edit changes a parsed match record and returns what the error must say
+def _set_cell(plane, value):
+    def edit(record):
+        record["frames"][0][1][plane][0][0] = value
+        return f"frame 0 plane {plane}"
+    return edit
+
+
+def _set_duration(value):
+    def edit(record):
+        record["duration"] = value
+        return "duration"
+    return edit
+
+
+def _step_past_duration(record):
+    record["frames"][-1][0] = record["duration"] + 1
+    return f"frame {len(record['frames']) - 1} step"
+
+
 class TestCorruptDataset:
     @pytest.mark.parametrize(
         "corrupt",
         [_drop_winner, _truncate_last, _append_non_utf8, _three_planes, _repeated_step,
-         _no_frames, _unknown_winner, _three_channel_header],
+         _no_frames, _unknown_winner, _three_channel_header, _deep_nesting],
         ids=["missing-winner", "truncated-line", "non-utf8", "three-planes", "repeated-step",
-             "no-frames", "unknown-winner", "three-channel-header"],
+             "no-frames", "unknown-winner", "three-channel-header", "deep-nesting"],
     )
     def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -426,6 +481,24 @@ class TestCorruptDataset:
         (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
         rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
         assert_one_line_exit_2(rc, capsys, where)
+
+    @pytest.mark.parametrize("dump", [_canonical_dump, json.dumps], ids=["canonical", "default"])
+    @pytest.mark.parametrize("edit", [
+        _set_cell(0, 10**30), _set_cell(1, 1.5), _set_cell(4, -7), _set_cell(3, 26),
+        _set_cell(0, 9), _set_cell(2, True), _set_duration("x"), _set_duration(-5),
+        _step_past_duration,
+    ], ids=["huge", "float", "negative", "26-in-plane-3", "9-in-plane-0", "bool",
+            "string-duration", "negative-duration", "step-past-duration"])
+    def test_bad_value_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, edit, dump):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        where = edit(record)
+        lines[1] = dump(record)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
+        rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:2: {where}")
 
     def test_three_plane_frame_stops_timeline(self, pipeline, tmp_path, capsys):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()

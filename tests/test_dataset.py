@@ -1,8 +1,14 @@
 """Tournament protocol arithmetic, splits, and dataset persistence."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from oracles import oracle_read_dataset
 
+from rtslab import CorruptArtifact
+from rtslab.rng import SplitMix64
 from rtslab.sim import (
     Dataset,
     DatasetHeader,
@@ -12,7 +18,7 @@ from rtslab.sim import (
     split_dataset,
     write_dataset,
 )
-from rtslab.sim.dataset import largest_remainder_sizes, surviving_units_label
+from rtslab.sim.dataset import _canonical_match, largest_remainder_sizes, surviving_units_label
 from rtslab.sim.engine import MatchRecord
 
 
@@ -149,6 +155,130 @@ class TestPersistence:
         p.write_text('{"kind":"match"}\n')
         with pytest.raises(ValueError, match="header"):
             read_dataset(p)
+
+
+SHAPE = (5, 8, 8)
+FUZZ_BYTES = b'0123456789,[]-.e :{}"t\xff'
+
+
+def _canonical_lines(tmp_path) -> tuple[bytes, bytes]:
+    """The header line and the one match line `write_dataset` writes for a
+    random in-range record on 8x8 maps, with steps of up to four digits."""
+    rng = SplitMix64(3)
+    step, frames = 0, []
+    for _ in range(3):
+        step += 1 + rng.randrange(400)
+        planes = [[[rng.randrange(top + 1) for _ in range(8)] for _ in range(8)]
+                  for top in (7, 10, 2, 25, 25)]
+        frames.append((step, np.array(planes, dtype=np.uint8)))
+    record = MatchRecord("A", "B", 1, "p2", step + rng.randrange(3), frames)
+    path = tmp_path / "canonical.jsonl"
+    write_dataset(path, Dataset(DatasetHeader(map_height=8, map_width=8), [record]))
+    header, line = path.read_bytes().splitlines()
+    return header, line
+
+
+def _mutate(line: bytes, rng: SplitMix64) -> bytes:
+    """One seeded byte insertion, deletion or replacement."""
+    at = rng.randrange(len(line))
+    byte = FUZZ_BYTES[rng.randrange(len(FUZZ_BYTES)):][:1]
+    op = rng.randrange(3)
+    if op == 0:
+        return line[:at] + byte + line[at:]
+    return line[:at] + (byte if op == 1 else b"") + line[at + 1:]
+
+
+def _read_like_oracle(path) -> bool:
+    """read_dataset rejects the file with CorruptArtifact or returns what the
+    json.loads oracle reads, as uint8 planes; True when it accepted."""
+    try:
+        got = read_dataset(path)
+    except CorruptArtifact:
+        return False
+    header, matches = oracle_read_dataset(path)
+    assert {"kind": "header", **asdict(got.header)} == header
+    assert len(got.records) == len(matches)
+    for record, match in zip(got.records, matches):
+        assert type(match["duration"]) is int
+        assert (record.winner, record.duration) == (match["winner"], match["duration"])
+        assert all(type(step) is int for step, _ in match["frames"])
+        assert [step for step, _ in record.frames] == [step for step, _ in match["frames"]]
+        for (_, planes), (_, want) in zip(record.frames, match["frames"]):
+            assert planes.dtype == np.uint8 and want.dtype.kind == "i"
+            assert np.array_equal(planes, want)
+    return True
+
+
+def _fast_path_like_json(line: bytes) -> bool:
+    """The numpy reader of canonical lines declines the line or returns what
+    json.loads reads; True when it took the line."""
+    fast = _canonical_match(line, SHAPE)
+    if fast is None:
+        return False
+    fields, steps, planes = fast
+    want = json.loads(line.decode("utf-8"))
+    frames = want.pop("frames")
+    assert fields == want
+    assert all(type(step) is int for step, _ in frames)
+    assert steps == [step for step, _ in frames]
+    assert planes.dtype == np.int64
+    assert np.array_equal(planes, np.array([p for _, p in frames]))
+    return True
+
+
+def _edit_record(edit):
+    """A line edit that changes the parsed record and writes it back canonically."""
+    def line_edit(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return line_edit
+
+
+def _big_first_step(record):
+    # one frame at step 2**63 of a match that long: in range, and past int64
+    record["frames"] = [[2**63, record["frames"][0][1]]]
+    record["duration"] = 2**63
+
+
+def _empty_slot(line):
+    at = line.index(b",", line.index(b"[[["))
+    return line[:at] + b"," + line[at:]
+
+
+class TestReadParity:
+    """read_dataset against a plain json.loads reader: it either raises
+    CorruptArtifact or returns the same record."""
+
+    def test_seeded_mutations_of_canonical_lines(self, tmp_path):
+        header, line = _canonical_lines(tmp_path)
+        assert _fast_path_like_json(line)
+        rng = SplitMix64(2024)
+        path = tmp_path / "d.jsonl"
+        tally = {"fast": 0, "accepted": 0, "rejected": 0}
+        for _ in range(1000):
+            mutated = _mutate(line, rng)
+            tally["fast"] += _fast_path_like_json(mutated)
+            path.write_bytes(header + b"\n" + mutated + b"\n")
+            tally["accepted" if _read_like_oracle(path) else "rejected"] += 1
+        assert min(tally.values()) > 0, tally  # every outcome occurs
+
+    @pytest.mark.parametrize("edit,accepted", [
+        (lambda line: line.replace(b"[[[", b"[[[0", 1), False),
+        (lambda line: line.replace(b"]", b"]7", 1), False),
+        (_empty_slot, False),
+        (lambda line: line.replace(b",", b", "), True),
+        (_edit_record(lambda r: r["frames"][0][1][3][0].__setitem__(0, 10**18)), False),
+        (_edit_record(_big_first_step), True),
+    ], ids=["leading-zero", "digit-after-bracket", "empty-slot", "whitespace",
+            "19-digit-value", "2**63-step"])
+    def test_fixed_edits(self, tmp_path, edit, accepted):
+        header, line = _canonical_lines(tmp_path)
+        edited = edit(line)
+        assert not _fast_path_like_json(edited)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(header + b"\n" + edited + b"\n")
+        assert _read_like_oracle(path) is accepted
 
 
 class TestRelabel:
