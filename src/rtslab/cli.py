@@ -176,10 +176,10 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise MissingArtifact(f"config file not found: {path}")
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except ValueError as exc:  # a UnicodeDecodeError is a ValueError too
+        except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError too
             raise ConfigViolation(f"config file {path} is not UTF-8 JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise ConfigViolation("config file must hold a JSON object")
+            raise ConfigViolation(f"config file {path} must hold a JSON object")
         for key in data:
             if key not in FIELD_TYPES:
                 raise ConfigViolation(f"unknown config key {key!r}")
@@ -297,7 +297,7 @@ def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
         raise MissingArtifact(f"split manifest not found: {path}")
     try:
         manifest = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptArtifact(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise CorruptArtifact(f"{path}: must hold a JSON object")

@@ -92,7 +92,7 @@ class ModelConfig:
                 if type(value).__name__ != types[key]:  # exact, so true is not an int
                     raise ConfigError(f"{key!r} must be {types[key]}, got {value!r}")
             return cls(**data)
-        except (ValueError, TypeError) as exc:  # a missing key is a TypeError
+        except (ValueError, TypeError, RecursionError) as exc:  # a missing key is a TypeError
             raise CorruptArtifact(f"{path}: {exc}") from None
 
 

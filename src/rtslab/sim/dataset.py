@@ -16,7 +16,9 @@ Frames hold raw (unnormalized) integer plane values, each within its
 plane's range (encode.PLANE_MAX), so they are uint8 in memory;
 normalization to [0,1] happens at load time. Keys are sorted and
 separators fixed, so a dataset is byte-identical across reruns of the
-same configuration.
+same configuration. Both ends handle the frames text with numpy, in the
+one layout `_frame_skeleton` spells out; the writer checks each record as
+the reader does, so it never writes a line the reader rejects.
 """
 
 from __future__ import annotations
@@ -60,25 +62,6 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_dataset(path: str | Path, dataset: Dataset) -> None:
-    """Write the header, then one line per record as it is encoded."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_dump_line({"kind": "header", **asdict(dataset.header)}) + "\n")
-        for rec in dataset.records:
-            line = _dump_line(
-                {
-                    "kind": "match",
-                    "strategy_a": rec.strategy_a,
-                    "strategy_b": rec.strategy_b,
-                    "seed": rec.seed,
-                    "winner": rec.winner,
-                    "duration": rec.duration,
-                    "frames": [[step, planes.tolist()] for step, planes in rec.frames],
-                }
-            )
-            f.write(line + "\n")
-
-
 _DIGITS = b"0123456789"
 _DIGITS_TO_ZERO = bytes.maketrans(_DIGITS, b"0" * 10)
 _IS_INT = np.frompyfunc(lambda v: type(v) is int, 1, 1)
@@ -90,6 +73,93 @@ def _frame_skeleton(shape: tuple[int, int, int]) -> bytes:
     row = b"[" + b",".join([b"0"] * w) + b"]"
     plane = b"[" + b",".join([row] * h) + b"]"
     return b"[0,[" + b",".join([plane] * c) + b"]]"
+
+
+# Cell v: the digits of v right-aligned in three bytes, padded with spaces,
+# then a zero byte that a value's separator code is or-ed into.
+_DIGIT_CELLS = np.frombuffer(b"".join([b"%3d\0" % v for v in range(256)]), dtype=np.uint32)
+
+
+# Frames formatted per write, so a long match holds a few hundred KB of
+# cells and text at a time rather than several MB: on 16x16 maps, writing
+# the 42-match perfbench dataset added 3 MB to peak RSS this way and 10 MB
+# with whole records.
+_FRAMES_PER_WRITE = 32
+
+
+def _frame_layout(shape: tuple[int, int, int]):
+    """How `_frames_text` writes frames of `shape` in `_frame_skeleton`'s
+    layout: the separator code after each value as (C, H, W) cells to or
+    into digit cells (code 0 ends a frame), a translation of the one-byte
+    codes, the (code, separator) pairs of the longer ones, and a
+    `%`-template of one frame taking its step and its values text."""
+    head, after_step, *between, tail = _frame_skeleton(shape).split(b"0")
+    separators = list(dict.fromkeys(between))
+    codes = [separators.index(sep) + 1 for sep in between] + [0]
+    cells = np.frombuffer(b"".join([b"\0\0\0%c" % code for code in codes]), dtype=np.uint32)
+    table, longer = bytearray(range(256)), []
+    for code, sep in enumerate(separators, start=1):
+        if len(sep) == 1:
+            table[code] = sep[0]
+        else:
+            longer.append((bytes([code]), sep))
+    return cells.reshape(shape), bytes(table), longer, head + b"%d" + after_step + b"%s" + tail
+
+
+def _frames_text(steps: list[int], planes: np.ndarray, layout) -> bytes:
+    """The `[step,planes],...` text of checked (F, C, H, W) planes, as
+    json.dumps with (",", ":") separators writes it."""
+    codes, table, longer, frame = layout
+    text = (np.take(_DIGIT_CELLS, planes) | codes).tobytes().translate(table, b" ")
+    for code, sep in longer:
+        text = text.replace(code, sep)
+    return b",".join([frame % pair for pair in zip(steps, text.split(b"\0"))])
+
+
+def write_dataset(path: str | Path, dataset: Dataset) -> None:
+    """Write the header, then one line per record, in the layout
+    `read_dataset` parses: json.dumps with sorted keys and (",", ":")
+    separators.
+
+    The header and each record first pass the reader's checks; a failure
+    is a ValueError naming the record, and no file is left behind. The
+    frames text is written by numpy in `_frame_skeleton`'s layout, at most
+    _FRAMES_PER_WRITE frames at a time, and the other fields go through
+    json.dumps.
+    """
+    header = dataset.header
+    _check_header(header)
+    shape = (header.channels, header.map_height, header.map_width)
+    layout = _frame_layout(shape)
+    try:
+        with open(path, "wb") as f:
+            f.write(_dump_line({"kind": "header", **asdict(header)}).encode() + b"\n")
+            for i, rec in enumerate(dataset.records):
+                steps = [step for step, _ in rec.frames]
+                try:
+                    planes = _stack_frames([frame for _, frame in rec.frames], shape)
+                    _check_match(rec.winner, rec.duration, steps, planes)
+                except ValueError as exc:
+                    raise ValueError(f"record {i}: {exc}") from None
+                # keys sort as duration, frames, then these, so the line is
+                # what json.dumps of the whole record would write
+                rest = _dump_line({
+                    "kind": "match",
+                    "seed": rec.seed,
+                    "strategy_a": rec.strategy_a,
+                    "strategy_b": rec.strategy_b,
+                    "winner": rec.winner,
+                })
+                f.write(b'{"duration":%d,"frames":[' % rec.duration)
+                for at in range(0, len(steps), _FRAMES_PER_WRITE):
+                    if at:
+                        f.write(b",")
+                    chunk = slice(at, at + _FRAMES_PER_WRITE)
+                    f.write(_frames_text(steps[chunk], planes[chunk], layout))
+                f.write(b"]," + rest[1:].encode() + b"\n")
+    except ValueError:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _canonical_match(line: bytes, shape: tuple[int, int, int]):
@@ -150,22 +220,28 @@ def _json_match(line: bytes, shape: tuple[int, int, int]):
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     frames = obj.pop("frames")
-    if not isinstance(frames, list) or not frames:
+    if not isinstance(frames, list):
         raise ValueError("record has no frames")
-    steps, planes = [], []
-    for i, (step, frame) in enumerate(frames):
-        frame = np.array(frame, dtype=object)
-        if frame.shape != shape:
-            raise ValueError(f"frame {i} planes have shape {frame.shape}, header says {shape}")
-        steps.append(step)
-        planes.append(frame)
-    return obj, steps, np.stack(planes)
+    steps = [step for step, _ in frames]
+    planes = [np.array(planes, dtype=object) for _, planes in frames]
+    return obj, steps, _stack_frames(planes, shape)
+
+
+def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:
+    """One (F, C, H, W) array of a record's frame planes; there must be at
+    least one frame, and each must have the header's `shape`."""
+    if not frames:
+        raise ValueError("record has no frames")
+    for i, planes in enumerate(frames):
+        if planes.shape != shape:
+            raise ValueError(f"frame {i} planes have shape {planes.shape}, header says {shape}")
+    return np.stack(frames)
 
 
 def _check_planes(planes: np.ndarray) -> None:
     """Every value is an int in its plane's range 0..PLANE_MAX."""
     values = planes
-    if planes.dtype == object:  # from json.loads, so any JSON value
+    if planes.dtype.kind not in "iu":  # JSON values from json.loads, or not ints
         values = np.where(_IS_INT(planes).astype(bool), planes, -1)
     bad = (values < 0) | (values > PLANE_MAX)
     if bad.any():
@@ -176,14 +252,22 @@ def _check_planes(planes: np.ndarray) -> None:
         )
 
 
-def _match_record(fields: dict, steps: list, planes: np.ndarray) -> MatchRecord:
-    """Check a parsed match line and build its record: frames are views
-    into one uint8 (F, C, H, W) array."""
-    if fields.get("kind") != "match":
-        raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
-    if fields["winner"] not in WINNERS:
-        raise ValueError(f"winner {fields['winner']!r} is not one of {WINNERS}")
-    duration = fields["duration"]
+def _check_header(header: DatasetHeader) -> None:
+    """The header's checks on read and on write: CHANNELS channels and
+    map sizes that are ints >= 1."""
+    if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
+        raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
+    for size in (header.map_height, header.map_width):
+        if type(size) is not int or size < 1:
+            raise ValueError(f"header map size {size!r} is not an int >= 1")
+
+
+def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
+    """The checks of a match record on read and on write: the winner is
+    one of WINNERS, the duration an int >= 1, frame steps strictly
+    increasing ints in 0..duration, and planes in range (`_check_planes`)."""
+    if winner not in WINNERS:
+        raise ValueError(f"winner {winner!r} is not one of {WINNERS}")
     if type(duration) is not int or duration < 1:
         raise ValueError(f"duration {duration!r} is not an int >= 1")
     last = -1
@@ -196,12 +280,20 @@ def _match_record(fields: dict, steps: list, planes: np.ndarray) -> MatchRecord:
             raise ValueError(f"frame {i} step {step} does not follow step {last}")
         last = step
     _check_planes(planes)
+
+
+def _match_record(fields: dict, steps: list, planes: np.ndarray) -> MatchRecord:
+    """Check a parsed match line and build its record: frames are views
+    into one uint8 (F, C, H, W) array."""
+    if fields.get("kind") != "match":
+        raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
+    _check_match(fields["winner"], fields["duration"], steps, planes)
     return MatchRecord(
         strategy_a=fields["strategy_a"],
         strategy_b=fields["strategy_b"],
         seed=fields["seed"],
         winner=fields["winner"],
-        duration=duration,
+        duration=fields["duration"],
         frames=list(zip(steps, planes.astype(np.uint8))),
     )
 
@@ -213,11 +305,7 @@ def _read_header(line: bytes) -> DatasetHeader:
     if head.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {head.get('format_version')}")
     header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
-    if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
-        raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
-    for size in (header.map_height, header.map_width):
-        if type(size) is not int or size < 1:
-            raise ValueError(f"header map size {size!r} is not an int >= 1")
+    _check_header(header)
     return header
 
 

@@ -7,6 +7,7 @@ as the library so exact float equality is meaningful.
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,30 @@ def oracle_read_dataset(path):
         match["frames"] = [(step, np.asarray(planes)) for step, planes in match["frames"]]
         matches.append(match)
     return json.loads(lines[0]), matches
+
+
+def oracle_write_dataset(path, dataset) -> None:
+    """A dataset file written with plain json.dumps per line: sorted keys,
+    (",", ":") separators, frame planes through tolist()."""
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dump({"kind": "header", **asdict(dataset.header)}) + "\n")
+        for rec in dataset.records:
+            line = dump(
+                {
+                    "kind": "match",
+                    "strategy_a": rec.strategy_a,
+                    "strategy_b": rec.strategy_b,
+                    "seed": rec.seed,
+                    "winner": rec.winner,
+                    "duration": rec.duration,
+                    "frames": [[step, planes.tolist()] for step, planes in rec.frames],
+                }
+            )
+            f.write(line + "\n")
 
 
 def random_small_state(rng: SplitMix64) -> GameState:

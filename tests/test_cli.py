@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
 from rtslab.cli import FIELD_TYPES, RunConfig, build_parser, main
+from rtslab.rng import SplitMix64
 from rtslab.sim import decode_planes, read_dataset
 
 
@@ -100,7 +102,8 @@ class TestGenerate:
         assert dataset.header.map_height == dataset.header.map_width == 8
         assert all(planes.shape == (5, 8, 8) for r in dataset.records for _, planes in r.frames)
 
-    @pytest.mark.parametrize("raw", [b"{", b'{"seed": "\xff"}'], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("raw", [b"{", b'{"seed": "\xff"}', b"[" * 100_000, b"[1, 2]"],
+                             ids=["not-json", "not-utf8", "deep-nesting", "not-object"])
     def test_unreadable_config_file_exits_3_naming_it(self, raw, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(raw)
@@ -290,9 +293,10 @@ class TestModelDirectory:
             lambda text: text.replace('"layers": 2, ', ""),
             lambda text: text.replace('"heads": 5', '"heads": 3'),
             lambda text: text.replace('"post_norm"', '"pre_norm"'),
+            lambda text: "[" * 100_000,
         ],
         ids=["not-json", "not-object", "unknown-key", "layers-str", "layers-bool",
-             "missing-key", "heads-not-dividing", "block-form-pre-norm"],
+             "missing-key", "heads-not-dividing", "block-form-pre-norm", "deep-nesting"],
     )
     def test_bad_config_json_exits_2_naming_it(self, pipeline, tmp_path, capsys, edit):
         text = json.dumps(json.loads((pipeline["model"] / "config.json").read_text()),
@@ -552,9 +556,10 @@ class TestCorruptSplits:
         (_draw_in_test, "drawn match"),
         (lambda lines, m: "[1, 2]", "JSON object"),
         (lambda lines, m: "{not json", "not valid JSON"),
+        (lambda lines, m: "[" * 100_000, "not valid JSON"),
     ], ids=[
         "negative", "past-end", "overlap", "repeat", "bool", "string", "not-a-list",
-        "missing-split", "draw", "array", "garbage",
+        "missing-split", "draw", "array", "garbage", "deep-nesting",
     ])
     def test_bad_manifest_exits_2(self, pipeline, tmp_path, capsys, corrupt, words):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -566,6 +571,62 @@ class TestCorruptSplits:
             "--out", str(tmp_path / "c"), "--fractions", "1.0",
         ])
         assert_one_line_exit_2(rc, capsys, "splits.json", words)
+
+
+def _corrupt(raw: bytes, rng: SplitMix64) -> bytes:
+    """One seeded byte replacement, insertion or deletion; half of them
+    fall in the first 512 bytes, where headers and small fields sit."""
+    at = rng.randrange(min(len(raw), 512) if rng.randrange(2) else len(raw))
+    byte = bytes([rng.randrange(256)])
+    op = rng.randrange(3)
+    if op == 0:
+        return raw[:at] + byte + raw[at:]
+    return raw[:at] + (byte if op == 1 else b"") + raw[at + 1:]
+
+
+class TestSeededFuzz:
+    """`compare` on a tiny 8x8 lab with one corrupted byte in one input:
+    every run exits 0, 2 or 3, and a failing run prints one line and no
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def tiny_lab(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        sizes = root / "sizes.json"
+        sizes.write_text(json.dumps({"map_size": 8}))
+        assert main([
+            "generate", "--config", str(sizes), "--out", str(root / "data"), "--seed", "2",
+            "--roster", "WorkerRushLite,PassiveLite", "--rounds", "4",
+            "--max-steps", "40", "--capture-every", "4",
+        ]) == 0
+        assert main(["train", "--dataset", str(root / "data" / "dataset.jsonl"),
+                     "--out", str(root / "model"), "--epochs", "1"]) == 0
+        return root
+
+    @pytest.mark.parametrize("artifact", [
+        "run.json", "data/dataset.jsonl", "data/splits.json", "model/config.json",
+        "model/best.ckpt",
+    ], ids=["config", "dataset", "splits", "model-config", "checkpoint"])
+    def test_corrupted_input(self, tiny_lab, tmp_path, capsys, artifact):
+        lab = tmp_path / "lab"
+        shutil.copytree(tiny_lab, lab)
+        (lab / "run.json").write_text(json.dumps({
+            "dataset": str(lab / "data" / "dataset.jsonl"), "models": [str(lab / "model")],
+            "fractions": [1.0],
+        }))
+        pristine = (lab / artifact).read_bytes()
+        rng = SplitMix64(7)
+        capsys.readouterr()
+        codes = set()
+        for _ in range(200):
+            (lab / artifact).write_bytes(_corrupt(pristine, rng))
+            rc = main(["compare", "--config", str(lab / "run.json"), "--out", str(tmp_path / "c")])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3) and "Traceback" not in err, (rc, err)
+            if rc:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            codes.add(rc)
+        assert codes - {0}, codes  # some corruption is caught
 
 
 class TestCompare:

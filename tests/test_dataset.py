@@ -1,11 +1,11 @@
 """Tournament protocol arithmetic, splits, and dataset persistence."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from oracles import oracle_read_dataset
+from oracles import oracle_read_dataset, oracle_write_dataset
 
 from rtslab import CorruptArtifact
 from rtslab.rng import SplitMix64
@@ -18,7 +18,13 @@ from rtslab.sim import (
     split_dataset,
     write_dataset,
 )
-from rtslab.sim.dataset import _canonical_match, largest_remainder_sizes, surviving_units_label
+from rtslab.sim.dataset import (
+    WINNERS,
+    _canonical_match,
+    largest_remainder_sizes,
+    surviving_units_label,
+)
+from rtslab.sim.encode import PLANE_MAX
 from rtslab.sim.engine import MatchRecord
 
 
@@ -144,7 +150,7 @@ class TestPersistence:
                 assert sa == sb and np.array_equal(fa, fb)
 
     def test_write_is_deterministic(self, tmp_path):
-        ds = Dataset(header=DatasetHeader(), records=fake_records(3))
+        ds = Dataset(header=DatasetHeader(map_height=4, map_width=4), records=fake_records(3))
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_dataset(p1, ds)
         write_dataset(p2, ds)
@@ -279,6 +285,115 @@ class TestReadParity:
         path = tmp_path / "d.jsonl"
         path.write_bytes(header + b"\n" + edited + b"\n")
         assert _read_like_oracle(path) is accepted
+
+
+NAMES = ('Rush "A"', "back\\slash", "\u00dcn\u00efc\u00f8d\u00e9 \u03bb", 'mix\\"\u2603')
+
+
+def _steps(rng: SplitMix64, count: int) -> list[int]:
+    """`count` distinct increasing steps of 1 to 5 digits."""
+    seen: set[int] = set()
+    while len(seen) < count:
+        seen.add(rng.randrange(10 ** (1 + rng.randrange(5))))
+    return sorted(seen)
+
+
+def _seeded_record(rng: SplitMix64, shape, frames: int, dtype) -> MatchRecord:
+    """Planes drawn over each plane's full range, with 0 and the plane's
+    maximum in every frame; strategy names that json.dumps escapes."""
+    planes = np.random.default_rng(rng.next_u64()).integers(
+        0, PLANE_MAX + 1, size=(frames, *shape)).astype(dtype)
+    planes[:, :, 0, 0] = 0
+    planes[:, :, 0, 1] = PLANE_MAX[:, 0, 0]
+    steps = _steps(rng, frames)
+    return MatchRecord(
+        NAMES[rng.randrange(len(NAMES))], NAMES[rng.randrange(len(NAMES))], rng.next_u64(),
+        WINNERS[rng.randrange(3)], max(1, steps[-1] + rng.randrange(3)),
+        list(zip(steps, planes)),
+    )
+
+
+class TestWriteParity:
+    """write_dataset writes the bytes of a plain json.dumps writer, and the
+    reader's numpy path takes every match line it writes."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["uint8", "int64"])
+    @pytest.mark.parametrize("frames", [1, 300])
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (5, 16, 16), (5, 8, 12)],
+                             ids=["8x8", "16x16", "8x12"])
+    def test_bytes_equal_json_dumps(self, tmp_path, shape, frames, dtype):
+        rng = SplitMix64(1000 * frames + shape[1] * shape[2])
+        records = [_seeded_record(rng, shape, frames, dtype) for _ in range(3)]
+        if frames > 1:
+            assert {len(str(step)) for step, _ in records[0].frames} == {1, 2, 3, 4, 5}
+        dataset = Dataset(DatasetHeader(map_height=shape[1], map_width=shape[2]), records)
+        ours, oracle = tmp_path / "ours.jsonl", tmp_path / "oracle.jsonl"
+        write_dataset(ours, dataset)
+        oracle_write_dataset(oracle, dataset)
+        assert ours.read_bytes() == oracle.read_bytes()
+        for line in ours.read_bytes().splitlines()[1:]:
+            assert _canonical_match(line, shape) is not None
+
+
+def _frames(*steps, dtype=np.int64, shape=(5, 4, 4)):
+    return [(step, np.zeros(shape, dtype=dtype)) for step in steps]
+
+
+def _with_value(value, plane, dtype=np.int64):
+    """Frames at steps 2 and 6 where the second holds `value` in `plane`."""
+    frames = _frames(2, 6, dtype=dtype)
+    frames[1][1][plane, 3, 2] = value
+    return frames
+
+
+class TestWriterChecks:
+    """write_dataset rejects, with a ValueError naming the record, every
+    value the reader rejects, and leaves no file behind."""
+
+    @pytest.mark.parametrize("changes,words", [
+        ({"frames": _with_value(-1, 3)}, "frame 1 plane 3 holds -1"),
+        ({"frames": _with_value(26, 4)}, "frame 1 plane 4 holds 26"),
+        ({"frames": _with_value(8, 0, dtype=np.uint8)}, "frame 1 plane 0 holds 8"),
+        ({"frames": _frames(2, 6, dtype=np.float64)}, "frame 0 plane 0 holds 0.0"),
+        ({"frames": _frames(2) + [(np.int64(6), np.zeros((5, 4, 4), np.int64))]},
+         "frame 1 step np.int64(6) is not an int"),
+        ({"frames": _frames(2, 6.0)}, "frame 1 step 6.0 is not an int"),
+        ({"frames": _frames(-1, 6)}, "frame 0 step -1 is outside 0..10"),
+        ({"frames": _frames(2, 11)}, "frame 1 step 11 is outside 0..10"),
+        ({"frames": _frames(6, 6)}, "frame 1 step 6 does not follow step 6"),
+        ({"frames": _frames(6, 2)}, "frame 1 step 2 does not follow step 6"),
+        ({"frames": []}, "record has no frames"),
+        ({"frames": _frames(2, 6) + _frames(8, shape=(5, 4, 3))},
+         "frame 2 planes have shape (5, 4, 3)"),
+        ({"duration": 0}, "duration 0 is not an int >= 1"),
+        ({"duration": True}, "duration True is not an int >= 1"),
+        ({"duration": 10.0}, "duration 10.0 is not an int >= 1"),
+        ({"winner": "p3"}, "winner 'p3' is not one of"),
+    ], ids=["negative", "26-in-plane-4", "uint8-8-in-plane-0", "float-planes",
+            "numpy-int-step", "float-step", "negative-step", "step-past-duration",
+            "repeated-step", "decreasing-step", "no-frames", "frame-shape",
+            "zero-duration", "bool-duration", "float-duration", "unknown-winner"])
+    def test_rejected_naming_record_and_frame(self, tmp_path, changes, words):
+        good = MatchRecord("A", "B", 0, "p1", 10, _frames(2, 6))
+        bad = replace(good, seed=1, **changes)
+        path = tmp_path / "d.jsonl"
+        header = DatasetHeader(map_height=4, map_width=4)
+        with pytest.raises(ValueError) as caught:
+            write_dataset(path, Dataset(header, [good, bad]))
+        assert str(caught.value).startswith("record 1: ")
+        assert words in str(caught.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header,words", [
+        (DatasetHeader(map_height=4, map_width=4, channels=4), "header channels 4 is not 5"),
+        (DatasetHeader(map_height=4, map_width="4"), "header map size '4' is not an int"),
+    ], ids=["four-channels", "str-map-size"])
+    def test_bad_header_rejected(self, tmp_path, header, words):
+        path = tmp_path / "d.jsonl"
+        record = MatchRecord("A", "B", 0, "p1", 10, _frames(2, 6))
+        with pytest.raises(ValueError, match=words):
+            write_dataset(path, Dataset(header, [record]))
+        assert not path.exists()
 
 
 class TestRelabel:
