@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import CorruptArtifact
 from .. import tensor as T
 from ..checkpoint import save_checkpoint
 from ..tensor import Tensor
@@ -46,9 +47,10 @@ def extract_patches(x: np.ndarray, patch: int) -> np.ndarray:
 class WinPredictor:
     """Config + parameter bundle with the forward pass as methods."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], checkpoint=None):
         self.config = config
         self.params = params
+        self.checkpoint = checkpoint  # the file `load` read the params from
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int) -> "WinPredictor":
@@ -61,7 +63,7 @@ class WinPredictor:
 
     @classmethod
     def load(cls, path, config: ModelConfig) -> "WinPredictor":
-        return cls(config, load_params(path, config))
+        return cls(config, load_params(path, config), checkpoint=path)
 
     # -- forward ------------------------------------------------------------
 
@@ -150,12 +152,24 @@ class WinPredictor:
         return summary, tokens
 
     def forward(self, x: np.ndarray) -> Tensor:
-        """Win probability for player 1, one value in (0,1) per batch row."""
+        """Win probability for player 1, one value in (0,1) per batch row.
+
+        A NaN or Inf on the way is a NonFiniteError, with no numpy warning
+        before it; for a loaded model it is a CorruptArtifact naming the
+        checkpoint, whose weights are then too large for the forward."""
         cfg = self.config
-        summary, patches = self.embed(x)
-        for layer in range(cfg.layers):
-            summary, patches = self.encoder_block(summary, patches, layer)
-        summary = summary.reshape(x.shape[0], cfg.embed_dim)
-        hidden = T.gelu(T.add(T.matmul(summary, self._p("head.w1")), self._p("head.b1")))
-        logits = T.add(T.matmul(hidden, self._p("head.w2")), self._p("head.b2"))
-        return T.sigmoid(logits.reshape(x.shape[0]))
+        try:
+            with np.errstate(all="ignore"):
+                summary, patches = self.embed(x)
+                for layer in range(cfg.layers):
+                    summary, patches = self.encoder_block(summary, patches, layer)
+                summary = summary.reshape(x.shape[0], cfg.embed_dim)
+                hidden = T.gelu(T.add(T.matmul(summary, self._p("head.w1")), self._p("head.b1")))
+                logits = T.add(T.matmul(hidden, self._p("head.w2")), self._p("head.b2"))
+                return T.sigmoid(logits.reshape(x.shape[0]))
+        except T.NonFiniteError:
+            if self.checkpoint is None:
+                raise
+            raise CorruptArtifact(
+                f"{self.checkpoint}: weights overflow the forward to NaN/Inf"
+            ) from None

@@ -16,9 +16,14 @@ Frames hold raw (unnormalized) integer plane values, each within its
 plane's range (encode.PLANE_MAX), so they are uint8 in memory;
 normalization to [0,1] happens at load time. Keys are sorted and
 separators fixed, so a dataset is byte-identical across reruns of the
-same configuration. Both ends handle the frames text with numpy, in the
-one layout `_frame_skeleton` spells out; the writer checks each record as
-the reader does, so it never writes a line the reader rejects.
+same configuration.
+
+The writer's code is the one definition of a match line: `_match_pieces`
+renders it, formatting the frames text with numpy in the layout
+`_frame_skeleton` spells out. The reader parses a match line only in that
+layout, and accepts it only if the record it read renders back to the
+same bytes. Both run the same checks on a record, so the writer never
+writes a line the reader rejects.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .engine import MatchRecord
 
 FORMAT_VERSION = 1
 WINNERS = ("p1", "p2", "draw")
+_INT64_MAX = 2**63 - 1
+_NOT_LAYOUT = "match line is not in the writer's layout"
 
 
 @dataclass
@@ -60,11 +67,6 @@ class Dataset:
 
 def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-_DIGITS = b"0123456789"
-_DIGITS_TO_ZERO = bytes.maketrans(_DIGITS, b"0" * 10)
-_IS_INT = np.frompyfunc(lambda v: type(v) is int, 1, 1)
 
 
 def _frame_skeleton(shape: tuple[int, int, int]) -> bytes:
@@ -116,16 +118,31 @@ def _frames_text(steps: list[int], planes: np.ndarray, layout) -> bytes:
     return b",".join([frame % pair for pair in zip(steps, text.split(b"\0"))])
 
 
+def _match_pieces(rec: MatchRecord, steps: list[int], planes: np.ndarray, layout):
+    """The bytes of a checked record's line, in pieces: joined, they are
+    what json.dumps of the whole record with sorted keys and (",", ":")
+    separators writes, plus a newline. Frames go _FRAMES_PER_WRITE at a
+    time through `_frames_text`."""
+    # keys sort as duration, frames, then the rest
+    yield b'{"duration":%d,"frames":[' % rec.duration
+    for at in range(0, len(steps), _FRAMES_PER_WRITE):
+        if at:
+            yield b","
+        chunk = slice(at, at + _FRAMES_PER_WRITE)
+        yield _frames_text(steps[chunk], planes[chunk], layout)
+    rest = {"kind": "match", "seed": rec.seed, "strategy_a": rec.strategy_a,
+            "strategy_b": rec.strategy_b, "winner": rec.winner}
+    yield b"]," + _dump_line(rest)[1:].encode() + b"\n"
+
+
 def write_dataset(path: str | Path, dataset: Dataset) -> None:
     """Write the header, then one line per record, in the layout
     `read_dataset` parses: json.dumps with sorted keys and (",", ":")
     separators.
 
     The header and each record first pass the reader's checks; a failure
-    is a ValueError naming the record, and no file is left behind. The
-    frames text is written by numpy in `_frame_skeleton`'s layout, at most
-    _FRAMES_PER_WRITE frames at a time, and the other fields go through
-    json.dumps.
+    is a ValueError naming the record, and no file is left behind. Each
+    match line is written in `_match_pieces`.
     """
     header = dataset.header
     _check_header(header)
@@ -141,90 +158,10 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
                     _check_match(rec.winner, rec.duration, steps, planes)
                 except ValueError as exc:
                     raise ValueError(f"record {i}: {exc}") from None
-                # keys sort as duration, frames, then these, so the line is
-                # what json.dumps of the whole record would write
-                rest = _dump_line({
-                    "kind": "match",
-                    "seed": rec.seed,
-                    "strategy_a": rec.strategy_a,
-                    "strategy_b": rec.strategy_b,
-                    "winner": rec.winner,
-                })
-                f.write(b'{"duration":%d,"frames":[' % rec.duration)
-                for at in range(0, len(steps), _FRAMES_PER_WRITE):
-                    if at:
-                        f.write(b",")
-                    chunk = slice(at, at + _FRAMES_PER_WRITE)
-                    f.write(_frames_text(steps[chunk], planes[chunk], layout))
-                f.write(b"]," + rest[1:].encode() + b"\n")
+                f.writelines(_match_pieces(rec, steps, planes, layout))
     except ValueError:
         Path(path).unlink(missing_ok=True)
         raise
-
-
-def _canonical_match(line: bytes, shape: tuple[int, int, int]):
-    """(fields other than frames, frame steps, (F, C, H, W) int64 planes) of
-    a match line in the writer's layout, or None when the line is not
-    provably in it.
-
-    The writer sorts keys and uses (",", ":") separators, so a match line
-    is `{"duration":D,"frames":[...],"kind":...}`. The small part around the
-    frames goes through json.loads; the frames text is read by numpy. That
-    is taken only when it gives the values json.loads would: the text with
-    each run of digits written as one 0 must be the frame skeleton repeated
-    F times, every number must be below 10**18 (np.fromstring clamps an
-    int64 overflow to 2**63 - 1), and the digit count must equal that of
-    the values written without leading zeros.
-    """
-    text = line[:-1] if line.endswith(b"\n") else line
-    if not text.startswith(b'{"duration":'):
-        return None
-    a = text.find(b',"frames":[', 12)
-    b = text.find(b'],"kind":', a)
-    if a < 0 or b < 0 or not text[12:a].isdigit():
-        return None
-    try:
-        fields = json.loads((text[:a] + text[b + 1 :]).decode("utf-8"))
-    except ValueError:
-        return None
-    if not isinstance(fields, dict) or "frames" in fields:
-        return None
-    frames = text[a + 10 : b + 1]
-    c, h, w = shape
-    if 2 * c * h * w > len(frames):  # too short for one frame; spares building the skeleton
-        return None
-    frame = _frame_skeleton(shape)
-    skeleton = frames.translate(_DIGITS_TO_ZERO)
-    while b"00" in skeleton:  # halves every run of digits
-        skeleton = skeleton.replace(b"00", b"0")
-    count = (len(skeleton) - 1) // (len(frame) + 1)
-    if count < 1 or skeleton != b"[" + b",".join([frame] * count) + b"]":
-        return None
-    values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
-    stride = 1 + c * h * w
-    if values.size != count * stride or values.max() >= 10**18:
-        return None
-    digits, power = values.size, 10
-    while n := np.count_nonzero(values >= power):  # values of more than log10(power) digits
-        digits, power = digits + n, power * 10
-    if digits != len(frames) - len(frames.translate(None, _DIGITS)):
-        return None
-    values = values.reshape(count, stride)
-    return fields, values[:, 0].tolist(), values[:, 1:].reshape(count, c, h, w)
-
-
-def _json_match(line: bytes, shape: tuple[int, int, int]):
-    """The same triple as `_canonical_match` for any line, through
-    json.loads; planes are an object array holding the JSON values."""
-    obj = json.loads(line.decode("utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    frames = obj.pop("frames")
-    if not isinstance(frames, list):
-        raise ValueError("record has no frames")
-    steps = [step for step, _ in frames]
-    planes = [np.array(planes, dtype=object) for _, planes in frames]
-    return obj, steps, _stack_frames(planes, shape)
 
 
 def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:
@@ -240,10 +177,10 @@ def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.n
 
 def _check_planes(planes: np.ndarray) -> None:
     """Every value is an int in its plane's range 0..PLANE_MAX."""
-    values = planes
-    if planes.dtype.kind not in "iu":  # JSON values from json.loads, or not ints
-        values = np.where(_IS_INT(planes).astype(bool), planes, -1)
-    bad = (values < 0) | (values > PLANE_MAX)
+    if planes.dtype.kind in "iu":
+        bad = (planes < 0) | (planes > PLANE_MAX)
+    else:  # float or bool planes, say: every cell is bad
+        bad = np.ones(planes.shape, dtype=bool)
     if bad.any():
         f, p, r, c = np.argwhere(bad)[0]
         raise ValueError(
@@ -265,37 +202,66 @@ def _check_header(header: DatasetHeader) -> None:
 def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
     """The checks of a match record on read and on write: the winner is
     one of WINNERS, the duration an int >= 1, frame steps strictly
-    increasing ints in 0..duration, and planes in range (`_check_planes`)."""
+    increasing ints in 0..duration and below 2**63 (the reader parses them
+    as int64), and planes in range (`_check_planes`)."""
     if winner not in WINNERS:
         raise ValueError(f"winner {winner!r} is not one of {WINNERS}")
     if type(duration) is not int or duration < 1:
         raise ValueError(f"duration {duration!r} is not an int >= 1")
-    last = -1
+    last, top = -1, min(duration, _INT64_MAX)
     for i, step in enumerate(steps):
         if type(step) is not int:
             raise ValueError(f"frame {i} step {step!r} is not an int")
-        if not 0 <= step <= duration:
-            raise ValueError(f"frame {i} step {step} is outside 0..{duration}")
+        if not 0 <= step <= top:
+            raise ValueError(f"frame {i} step {step} is outside 0..{top}")
         if step <= last:
             raise ValueError(f"frame {i} step {step} does not follow step {last}")
         last = step
     _check_planes(planes)
 
 
-def _match_record(fields: dict, steps: list, planes: np.ndarray) -> MatchRecord:
-    """Check a parsed match line and build its record: frames are views
-    into one uint8 (F, C, H, W) array."""
+def _read_match(line: bytes, layout) -> MatchRecord:
+    """The record of a match line, which must be in the writer's layout.
+
+    The line is split around its frames text: the rest goes through
+    json.loads, and numpy parses the frames text as int64 values that must
+    fill whole frames. The record passes the writer's checks, then must
+    render back to the line's bytes in `_match_pieces`. So json.loads of
+    an accepted line gives the values read, and writing the record gives
+    the line back. Frames are views into one uint8 (F, C, H, W) array.
+    """
+    line.decode("utf-8")  # names the first byte that is not UTF-8
+    a = line.find(b',"frames":[')
+    b = line.find(b'],"kind":', a) if a >= 0 else -1
+    if b < 0:
+        json.loads(line.decode("utf-8"))  # names the fault of a line that is not JSON
+        raise ValueError(_NOT_LAYOUT)
+    fields = json.loads((line[:a] + line[b + 1 :]).decode("utf-8"))
+    if not isinstance(fields, dict):
+        raise ValueError(_NOT_LAYOUT)
     if fields.get("kind") != "match":
         raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
-    _check_match(fields["winner"], fields["duration"], steps, planes)
-    return MatchRecord(
-        strategy_a=fields["strategy_a"],
-        strategy_b=fields["strategy_b"],
-        seed=fields["seed"],
-        winner=fields["winner"],
-        duration=fields["duration"],
-        frames=list(zip(steps, planes.astype(np.uint8))),
-    )
+    c, h, w = layout[0].shape
+    try:
+        values = np.fromstring(line[a + 10 : b + 1].translate(None, b"[]"), dtype=np.int64, sep=",")
+        values = values.reshape(-1, 1 + c * h * w)
+    except ValueError:  # not ints between commas, or not whole frames
+        raise ValueError(_NOT_LAYOUT) from None
+    if not len(values):
+        raise ValueError("record has no frames")
+    steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, c, h, w)
+    try:
+        _check_match(fields["winner"], fields["duration"], steps, planes)
+    except ValueError:
+        if (values == _INT64_MAX).any():  # np.fromstring reads any number past int64 as this
+            raise ValueError(_NOT_LAYOUT) from None
+        raise
+    planes = planes.astype(np.uint8)
+    record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
+                         fields["winner"], fields["duration"], list(zip(steps, planes)))
+    if b"".join(_match_pieces(record, steps, planes, layout)) != line:
+        raise ValueError(_NOT_LAYOUT)
+    return record
 
 
 def _read_header(line: bytes) -> DatasetHeader:
@@ -314,12 +280,10 @@ def read_dataset(path: str | Path) -> Dataset:
     first bad line.
 
     The header must give CHANNELS channels and int map sizes. Each match
-    line is checked against it: its duration is an int >= 1; it has at
-    least one frame; every frame's planes have shape (channels, map_height,
-    map_width) and hold ints in the plane's range (PLANE_MAX); frame steps
-    are strictly increasing ints in 0..duration; the winner is one of
-    WINNERS. Lines in the writer's layout are read by `_canonical_match`,
-    any other line by json.loads.
+    line must hold at least one frame of the header's shape and pass
+    `_check_match`. It is read only in the writer's layout, and accepted
+    only if its record rewrites to the same bytes (`_read_match`); any
+    other line is "not in the writer's layout".
     """
     records = []
     lineno = 1
@@ -329,11 +293,10 @@ def read_dataset(path: str | Path) -> Dataset:
             raise CorruptArtifact(f"{path}: empty dataset file")
         try:
             header = _read_header(first)
-            shape = (header.channels, header.map_height, header.map_width)
+            layout = _frame_layout((header.channels, header.map_height, header.map_width))
             for lineno, line in enumerate(f, start=2):
                 if line.strip():
-                    parsed = _canonical_match(line, shape) or _json_match(line, shape)
-                    records.append(_match_record(*parsed))
+                    records.append(_read_match(line, layout))
         except UnicodeDecodeError as exc:
             raise CorruptArtifact(f"{path}:{lineno}: not UTF-8 text (byte {exc.start})") from None
         except json.JSONDecodeError as exc:

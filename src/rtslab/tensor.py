@@ -14,7 +14,8 @@ Contracts:
 * Calling ``backward`` twice on the same tape accumulates leaf gradients
   additively; intermediate node gradients are reset per call.
 * Every public operation leaves only finite values behind; an op that would
-  produce NaN/Inf raises immediately instead of letting it propagate.
+  produce NaN/Inf raises NonFiniteError immediately instead of letting it
+  propagate.
 * A tape is confined to one thread; distinct tapes may run concurrently.
 """
 
@@ -41,6 +42,10 @@ def _stack() -> list:
 def _active_tape():
     tapes = _stack()
     return tapes[-1] if tapes else None
+
+
+class NonFiniteError(ValueError):
+    """An operation produced a NaN or an Inf."""
 
 
 class Tape:
@@ -99,7 +104,7 @@ class Tensor:
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)  # keeps 0-d shape, unlike calling it blindly
         if not _all_finite(arr):
-            raise ValueError("tensor data must be finite (no NaN/Inf)")
+            raise NonFiniteError("tensor data must be finite (no NaN/Inf)")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None

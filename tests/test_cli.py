@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,15 @@ class TestCorruptCheckpoint:
         rc = self.compare_with_checkpoint(pipeline, tmp_path, raw)
         assert_one_line_exit_2(rc, capsys, "best.ckpt", "non-finite")
 
+    def test_huge_weight_exits_2_with_no_warning(self, pipeline, tmp_path, capsys):
+        raw = (pipeline["model"] / "best.ckpt").read_bytes()
+        raw = raw[:-8] + struct.pack("<d", 1e300)  # finite, but the forward overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = self.compare_with_checkpoint(pipeline, tmp_path, raw)
+        assert_one_line_exit_2(rc, capsys, "best.ckpt", "NaN/Inf")
+        assert [str(w.message) for w in caught] == []
+
 
 class TestModelDirectory:
     def compare_with(self, pipeline, tmp_path, config: str | None, train_json: str | None):
@@ -382,11 +392,19 @@ class TestMapSizeMismatch:
         assert str(data / "dataset.jsonl") in err and "10x10" in err and "desk" in err
 
 
+LAYOUT = "match line is not in the writer's layout"
+
+
+def _canonical_dump(record):
+    """The writer's own layout."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 # each case edits the dataset lines and returns where the error must point
 def _drop_winner(lines):
     record = json.loads(lines[1])
     del record["winner"]
-    lines[1] = json.dumps(record)
+    lines[1] = _canonical_dump(record)
     return "dataset.jsonl:2: record lacks key 'winner'"
 
 
@@ -403,28 +421,28 @@ def _append_non_utf8(lines):
 def _three_planes(lines):
     record = json.loads(lines[1])
     record["frames"][0][1] = record["frames"][0][1][:3]
-    lines[1] = json.dumps(record)
-    return "dataset.jsonl:2: frame 0 planes have shape (3,"
+    lines[1] = _canonical_dump(record)
+    return f"dataset.jsonl:2: {LAYOUT}"  # the values do not fill whole frames
 
 
 def _repeated_step(lines):
     record = json.loads(lines[2])
     record["frames"][1][0] = record["frames"][0][0]
-    lines[2] = json.dumps(record)
+    lines[2] = _canonical_dump(record)
     return "dataset.jsonl:3: frame 1 step"
 
 
 def _no_frames(lines):
     record = json.loads(lines[1])
     record["frames"] = []
-    lines[1] = json.dumps(record)
+    lines[1] = _canonical_dump(record)
     return "dataset.jsonl:2: record has no frames"
 
 
 def _unknown_winner(lines):
     record = json.loads(lines[1])
     record["winner"] = "p3"
-    lines[1] = json.dumps(record)
+    lines[1] = _canonical_dump(record)
     return "dataset.jsonl:2: winner 'p3'"
 
 
@@ -444,16 +462,12 @@ def _deep_nesting(lines):
     return "dataset.jsonl:2: maximum recursion depth"
 
 
-def _canonical_dump(record):
-    """The writer's own layout."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 # each edit changes a parsed match record and returns what the error must say
-def _set_cell(plane, value):
+def _set_cell(plane, value, words=None):
+    """`words` is for a value numpy does not parse as an int64."""
     def edit(record):
         record["frames"][0][1][plane][0][0] = value
-        return f"frame 0 plane {plane}"
+        return words or f"frame 0 plane {plane}"
     return edit
 
 
@@ -486,17 +500,20 @@ class TestCorruptDataset:
         rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
         assert_one_line_exit_2(rc, capsys, where)
 
+    # json.dumps with default separators is not the writer's layout
     @pytest.mark.parametrize("dump", [_canonical_dump, json.dumps], ids=["canonical", "default"])
     @pytest.mark.parametrize("edit", [
-        _set_cell(0, 10**30), _set_cell(1, 1.5), _set_cell(4, -7), _set_cell(3, 26),
-        _set_cell(0, 9), _set_cell(2, True), _set_duration("x"), _set_duration(-5),
-        _step_past_duration,
+        _set_cell(0, 10**30, LAYOUT), _set_cell(1, 1.5, LAYOUT), _set_cell(4, -7),
+        _set_cell(3, 26), _set_cell(0, 9), _set_cell(2, True, LAYOUT), _set_duration("x"),
+        _set_duration(-5), _step_past_duration,
     ], ids=["huge", "float", "negative", "26-in-plane-3", "9-in-plane-0", "bool",
             "string-duration", "negative-duration", "step-past-duration"])
     def test_bad_value_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, edit, dump):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
         record = json.loads(lines[1])
         where = edit(record)
+        if dump is json.dumps:
+            where = LAYOUT
         lines[1] = dump(record)
         data = tmp_path / "dataset.jsonl"
         data.write_text("\n".join(lines) + "\n")
@@ -535,7 +552,7 @@ class TestDirectoryAsInput:
 def _draw_in_test(lines, m):
     record = json.loads(lines[1 + m["test"][0]])
     record["winner"] = "draw"
-    lines[1 + m["test"][0]] = json.dumps(record)
+    lines[1 + m["test"][0]] = _canonical_dump(record)
     return json.dumps(m)
 
 

@@ -1,6 +1,7 @@
 """Tournament protocol arithmetic, splits, and dataset persistence."""
 
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -18,12 +19,7 @@ from rtslab.sim import (
     split_dataset,
     write_dataset,
 )
-from rtslab.sim.dataset import (
-    WINNERS,
-    _canonical_match,
-    largest_remainder_sizes,
-    surviving_units_label,
-)
+from rtslab.sim.dataset import WINNERS, largest_remainder_sizes, surviving_units_label
 from rtslab.sim.encode import PLANE_MAX
 from rtslab.sim.engine import MatchRecord
 
@@ -163,7 +159,6 @@ class TestPersistence:
             read_dataset(p)
 
 
-SHAPE = (5, 8, 8)
 FUZZ_BYTES = b'0123456789,[]-.e :{}"t\xff'
 
 
@@ -194,13 +189,17 @@ def _mutate(line: bytes, rng: SplitMix64) -> bytes:
     return line[:at] + (byte if op == 1 else b"") + line[at + 1:]
 
 
-def _read_like_oracle(path) -> bool:
-    """read_dataset rejects the file with CorruptArtifact or returns what the
+def _read_round_trip(path) -> bool:
+    """read_dataset rejects the file with CorruptArtifact, or returns records
+    that write_dataset writes back to the file's bytes, holding what the
     json.loads oracle reads, as uint8 planes; True when it accepted."""
     try:
         got = read_dataset(path)
     except CorruptArtifact:
         return False
+    rewritten = path.with_name("rewritten.jsonl")
+    write_dataset(rewritten, got)
+    assert rewritten.read_bytes() == path.read_bytes()
     header, matches = oracle_read_dataset(path)
     assert {"kind": "header", **asdict(got.header)} == header
     assert len(got.records) == len(matches)
@@ -215,21 +214,7 @@ def _read_like_oracle(path) -> bool:
     return True
 
 
-def _fast_path_like_json(line: bytes) -> bool:
-    """The numpy reader of canonical lines declines the line or returns what
-    json.loads reads; True when it took the line."""
-    fast = _canonical_match(line, SHAPE)
-    if fast is None:
-        return False
-    fields, steps, planes = fast
-    want = json.loads(line.decode("utf-8"))
-    frames = want.pop("frames")
-    assert fields == want
-    assert all(type(step) is int for step, _ in frames)
-    assert steps == [step for step, _ in frames]
-    assert planes.dtype == np.int64
-    assert np.array_equal(planes, np.array([p for _, p in frames]))
-    return True
+LAYOUT = "match line is not in the writer's layout"
 
 
 def _edit_record(edit):
@@ -253,38 +238,39 @@ def _empty_slot(line):
 
 
 class TestReadParity:
-    """read_dataset against a plain json.loads reader: it either raises
-    CorruptArtifact or returns the same record."""
+    """read_dataset round-trips through its own writer: it either raises
+    CorruptArtifact or returns records that write back to the same bytes,
+    holding what a plain json.loads reader reads."""
 
     def test_seeded_mutations_of_canonical_lines(self, tmp_path):
         header, line = _canonical_lines(tmp_path)
-        assert _fast_path_like_json(line)
         rng = SplitMix64(2024)
         path = tmp_path / "d.jsonl"
-        tally = {"fast": 0, "accepted": 0, "rejected": 0}
+        path.write_bytes(header + b"\n" + line + b"\n")
+        assert _read_round_trip(path)
+        tally = {"accepted": 0, "rejected": 0}
         for _ in range(1000):
             mutated = _mutate(line, rng)
-            tally["fast"] += _fast_path_like_json(mutated)
             path.write_bytes(header + b"\n" + mutated + b"\n")
-            tally["accepted" if _read_like_oracle(path) else "rejected"] += 1
+            tally["accepted" if _read_round_trip(path) else "rejected"] += 1
         assert min(tally.values()) > 0, tally  # every outcome occurs
 
-    @pytest.mark.parametrize("edit,accepted", [
-        (lambda line: line.replace(b"[[[", b"[[[0", 1), False),
-        (lambda line: line.replace(b"]", b"]7", 1), False),
-        (_empty_slot, False),
-        (lambda line: line.replace(b",", b", "), True),
-        (_edit_record(lambda r: r["frames"][0][1][3][0].__setitem__(0, 10**18)), False),
-        (_edit_record(_big_first_step), True),
+    @pytest.mark.parametrize("edit,words", [
+        (lambda line: line.replace(b"[[[", b"[[[0", 1), LAYOUT),
+        (lambda line: line.replace(b"]", b"]7", 1), ""),  # the brackets go before numpy parses
+        (_empty_slot, LAYOUT),
+        (lambda line: line.replace(b",", b", "), LAYOUT),
+        (_edit_record(lambda r: r["frames"][0][1][3][0].__setitem__(0, 10**18)),
+         "frame 0 plane 3 holds 1000000000000000000 at (0, 0)"),
+        (_edit_record(_big_first_step), LAYOUT),
     ], ids=["leading-zero", "digit-after-bracket", "empty-slot", "whitespace",
             "19-digit-value", "2**63-step"])
-    def test_fixed_edits(self, tmp_path, edit, accepted):
+    def test_fixed_edits(self, tmp_path, edit, words):
         header, line = _canonical_lines(tmp_path)
-        edited = edit(line)
-        assert not _fast_path_like_json(edited)
         path = tmp_path / "d.jsonl"
-        path.write_bytes(header + b"\n" + edited + b"\n")
-        assert _read_like_oracle(path) is accepted
+        path.write_bytes(header + b"\n" + edit(line) + b"\n")
+        with pytest.raises(CorruptArtifact, match=re.escape(f"d.jsonl:2: {words}")):
+            read_dataset(path)
 
 
 NAMES = ('Rush "A"', "back\\slash", "\u00dcn\u00efc\u00f8d\u00e9 \u03bb", 'mix\\"\u2603')
@@ -314,8 +300,8 @@ def _seeded_record(rng: SplitMix64, shape, frames: int, dtype) -> MatchRecord:
 
 
 class TestWriteParity:
-    """write_dataset writes the bytes of a plain json.dumps writer, and the
-    reader's numpy path takes every match line it writes."""
+    """write_dataset writes the bytes of a plain json.dumps writer, and every
+    file it writes reads back to records it writes to the same bytes."""
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["uint8", "int64"])
     @pytest.mark.parametrize("frames", [1, 300])
@@ -331,8 +317,9 @@ class TestWriteParity:
         write_dataset(ours, dataset)
         oracle_write_dataset(oracle, dataset)
         assert ours.read_bytes() == oracle.read_bytes()
-        for line in ours.read_bytes().splitlines()[1:]:
-            assert _canonical_match(line, shape) is not None
+        back = tmp_path / "back.jsonl"
+        write_dataset(back, read_dataset(ours))
+        assert back.read_bytes() == ours.read_bytes()
 
 
 def _frames(*steps, dtype=np.int64, shape=(5, 4, 4)):
@@ -369,10 +356,13 @@ class TestWriterChecks:
         ({"duration": True}, "duration True is not an int >= 1"),
         ({"duration": 10.0}, "duration 10.0 is not an int >= 1"),
         ({"winner": "p3"}, "winner 'p3' is not one of"),
+        ({"duration": 2**63, "frames": _frames(2**63)},
+         "frame 0 step 9223372036854775808 is outside 0..9223372036854775807"),
     ], ids=["negative", "26-in-plane-4", "uint8-8-in-plane-0", "float-planes",
             "numpy-int-step", "float-step", "negative-step", "step-past-duration",
             "repeated-step", "decreasing-step", "no-frames", "frame-shape",
-            "zero-duration", "bool-duration", "float-duration", "unknown-winner"])
+            "zero-duration", "bool-duration", "float-duration", "unknown-winner",
+            "2**63-step"])
     def test_rejected_naming_record_and_frame(self, tmp_path, changes, words):
         good = MatchRecord("A", "B", 0, "p1", 10, _frames(2, 6))
         bad = replace(good, seed=1, **changes)
