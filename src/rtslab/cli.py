@@ -24,9 +24,12 @@ in one line on stderr. Exit codes:
        does not parse or holds a bad key or value, a checkpoint that is
        truncated, padded, holds a NaN/Inf or does not fit its config.json,
        a model whose map size differs from the dataset header's
-    3  configuration violation, including a --config file that is not
-       UTF-8 JSON or holds a value of the wrong type, and a dataset whose
-       map size the preset's patch does not divide
+    3  configuration violation: a flag that does not parse, is unknown or
+       is not one the subcommand takes, a missing subcommand, a --config
+       file that is not UTF-8 JSON or holds an unknown key or a value of
+       the wrong type, a value out of range, eval given other than one
+       model directory, and a dataset whose map size the preset's patch
+       does not divide
 """
 
 from __future__ import annotations
@@ -34,16 +37,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import CorruptArtifact
 from .baselines import lanchester_eval, simple_eval, winner_by_score
 from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
-from .model.config import PRESETS
+from .model.config import PRESETS, VARIANTS, fields_from_json
 from .sim import (
     Dataset,
     DatasetHeader,
@@ -52,7 +53,6 @@ from .sim import (
     split_dataset,
     write_dataset,
 )
-from .sim.dataset import surviving_units_label, winner_label
 from .sim.encode import decode_planes
 from .sim.engine import sample_timeline
 from .sim.state import MIN_MAP_SIZE
@@ -85,10 +85,6 @@ PRESET_BATCH_SIZE: dict[str, int] = {
 }
 
 
-class ConfigViolation(ValueError):
-    """Bad run configuration (exit code 3)."""
-
-
 class MissingArtifact(FileNotFoundError):
     """Referenced input does not exist or output is unwritable (exit code 2)."""
 
@@ -111,92 +107,47 @@ class RunConfig:
     models: tuple[str, ...] = ()
     epochs: int = 30
     batch_size: int | None = None
-    lr: float | None = None
+    lr: float = TrainConfig.lr
     weight_decay: float = 0.01
     threshold: float = 0.5
-    relabel: str = "none"  # or "surviving-units"
 
     def validate(self) -> None:
-        if self.relabel not in ("none", "surviving-units"):
-            raise ConfigViolation(f"relabel must be 'none' or 'surviving-units', got {self.relabel!r}")
         if self.preset not in PRESETS:
-            raise ConfigViolation(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         for name in self.roster:
             if name not in REGISTRY:
-                raise ConfigViolation(
+                raise ConfigError(
                     f"unknown strategy {name!r}; registered: {sorted(REGISTRY)}"
                 )
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ConfigViolation(f"fractions must lie in (0, 1]: {self.fractions}")
+            raise ConfigError(f"fractions must lie in (0, 1]: {self.fractions}")
         if self.threads < 1:
-            raise ConfigViolation("threads must be >= 1")
+            raise ConfigError("threads must be >= 1")
         if self.max_steps < 1:
-            raise ConfigViolation(f"max_steps must be >= 1, got {self.max_steps}")
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.capture_every < 1:
-            raise ConfigViolation(f"capture_every must be >= 1, got {self.capture_every}")
+            raise ConfigError(f"capture_every must be >= 1, got {self.capture_every}")
         if self.map_size < MIN_MAP_SIZE:
-            raise ConfigViolation(f"map_size must be >= {MIN_MAP_SIZE}, got {self.map_size}")
-
-
-# A kind of config value: (description, check). type() is exact, so a JSON
-# true/false is not an integer.
-Kind = tuple[str, Callable[[object], bool]]
-INT: Kind = ("an integer", lambda v: type(v) is int)
-NUMBER: Kind = ("a number", lambda v: type(v) in (int, float) and math.isfinite(v))
-STR: Kind = ("a string", lambda v: type(v) is str)
-
-
-def _optional(kind: Kind) -> Kind:
-    return f"{kind[0]} or null", lambda v: v is None or kind[1](v)
-
-
-def _list_of(kind: Kind, what: str) -> Kind:
-    return what, lambda v: isinstance(v, (list, tuple)) and all(map(kind[1], v))
-
-
-# The kind of value each RunConfig field accepts.
-FIELD_TYPES: dict[str, Kind] = {
-    **dict.fromkeys(("out", "preset", "relabel"), STR),
-    **dict.fromkeys(("variant", "dataset"), _optional(STR)),
-    **dict.fromkeys(("roster", "models"), _list_of(STR, "a list of strings")),
-    "fractions": _list_of(NUMBER, "a list of numbers"),
-    **dict.fromkeys(("seed", "rounds_per_pair", "max_steps", "capture_every", "map_size",
-                     "match_id", "threads", "epochs"), INT),
-    "batch_size": _optional(INT),
-    "lr": _optional(NUMBER),
-    **dict.fromkeys(("weight_decay", "threshold"), NUMBER),
-}
+            raise ConfigError(f"map_size must be >= {MIN_MAP_SIZE}, got {self.map_size}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
+    """The run config from the JSON file at `path` (if any), with
+    `overrides` (flag values) on top; every value is checked against its
+    RunConfig field and then `RunConfig.validate`."""
     merged: dict = {}
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise MissingArtifact(f"config file not found: {path}")
         try:
-            data = json.loads(p.read_text(encoding="utf-8"))
+            merged = json.loads(p.read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError too
-            raise ConfigViolation(f"config file {path} is not UTF-8 JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigViolation(f"config file {path} must hold a JSON object")
-        for key in data:
-            if key not in FIELD_TYPES:
-                raise ConfigViolation(f"unknown config key {key!r}")
-        merged.update(data)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    for key, value in merged.items():
-        what, check = FIELD_TYPES[key]
-        if not check(value):
-            raise ConfigViolation(f"config key {key!r} must be {what}, got {value!r}")
-    for key in ("roster", "models"):
-        if key in merged:
-            merged[key] = tuple(merged[key])
-    if "fractions" in merged:
-        merged["fractions"] = tuple(float(x) for x in merged["fractions"])
-    cfg = RunConfig(**merged)
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
+        if not isinstance(merged, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+    merged.update(overrides)
+    cfg = RunConfig(**fields_from_json(RunConfig, merged))
     cfg.validate()
     return cfg
 
@@ -222,7 +173,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _require(path: str | None, what: str) -> Path:
     if path is None:
-        raise ConfigViolation(f"{what} path is required")
+        raise ConfigError(f"{what} path is required")
     p = Path(path)
     if not p.exists():
         raise MissingArtifact(f"{what} not found: {path}")
@@ -259,9 +210,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     )
     write_dataset(out / "dataset.jsonl", dataset)
 
-    decided = [i for i, r in enumerate(records) if r.winner != "draw"]
     draws = [i for i, r in enumerate(records) if r.winner == "draw"]
-    train, test, val = split_dataset([records[i] for i in decided], seed=cfg.seed)
+    train, test, val = split_dataset(records, seed=cfg.seed)
     # map split membership back to file indices via identity
     by_id = {id(r): i for i, r in enumerate(records)}
     manifest = {
@@ -321,20 +271,12 @@ def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
     return dataset.header, parts
 
 
-def _label_fn(cfg: RunConfig):
-    return surviving_units_label if cfg.relabel == "surviving-units" else winner_label
-
-
-def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list, list[int]]:
-    """The dataset header, the test records that carry a label under
-    `cfg.relabel`, and those labels."""
-    label_fn = _label_fn(cfg)
+def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list]:
+    """The dataset header and the test records; an empty test split is a ConfigError."""
     header, parts = _load_split(cfg)
-    labeled = [(r, label_fn(r)) for r in parts["test"]]
-    labeled = [(r, y) for r, y in labeled if y is not None]
-    if not labeled:
-        raise ConfigViolation("empty dataset: test split has no usable records")
-    return header, [r for r, _ in labeled], [y for _, y in labeled]
+    if not parts["test"]:
+        raise ConfigError("empty dataset: test split has no usable records")
+    return header, parts["test"]
 
 
 def _model_name(config: ModelConfig) -> str:
@@ -350,26 +292,25 @@ def cmd_train(cfg: RunConfig) -> int:
             get_preset(cfg.preset), map_height=header.map_height, map_width=header.map_width
         )
     except ConfigError as exc:
-        raise ConfigViolation(
+        raise ConfigError(
             f"{cfg.dataset} holds {header.map_height}x{header.map_width} maps, which the "
             f"{cfg.preset} preset does not fit: {exc}"
         ) from None
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
     train_config = TrainConfig(
-        lr=cfg.lr if cfg.lr is not None else TrainConfig.lr,
+        lr=cfg.lr,
         weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
         epochs=cfg.epochs,
         seed=cfg.seed,
         threshold=cfg.threshold,
     )
-    label_fn = _label_fn(cfg)
     frames = model_config.time_steps
-    train_set = dataset_to_examples(parts["train"], frames, label_fn)
-    val_set = dataset_to_examples(parts["validation"], frames, label_fn)
+    train_set = dataset_to_examples(parts["train"], frames)
+    val_set = dataset_to_examples(parts["validation"], frames)
     if not train_set or not val_set:
-        raise ConfigViolation("empty dataset: train or validation split has no usable records")
+        raise ConfigError("empty dataset: train or validation split has no usable records")
 
     model = WinPredictor.create(model_config, seed=cfg.seed)
     counts = count_params(model_config)
@@ -394,7 +335,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 "preset": cfg.preset,
                 "name": _model_name(model_config),
                 "frames": frames,
-                "relabel": cfg.relabel,
+                "relabel": "none",  # labels are always the recorded winner
                 "best_epoch": result.best_epoch,
                 "best_val_acc": result.best_val_acc,
                 "train_config": dataclasses.asdict(train_config),
@@ -437,13 +378,13 @@ def _load_model(model_dir: str, header: DatasetHeader, dataset: str) -> tuple[st
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    if len(cfg.models) != 1:
+        raise ConfigError(f"eval takes exactly one model directory in --models, got {len(cfg.models)}")
     out = _out_dir(cfg)
-    if not cfg.models:
-        raise ConfigViolation("eval requires --models pointing at one trained model directory")
-    header, records, labels = _test_split(cfg)
+    header, records = _test_split(cfg)
     name, model = _load_model(cfg.models[0], header, cfg.dataset)
     predict = neural_predictor(model, model.config.time_steps, cfg.threshold)
-    rows = progress_stratified_eval(predict, records, fractions=(1.0,), labels=labels)
+    rows = progress_stratified_eval(predict, records, fractions=(1.0,))
     _, metrics = rows[0]
     tp, fp, fn, tn = metrics.confusion
     _write_csv(
@@ -485,7 +426,7 @@ def _paper_reference_rows() -> list[list]:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    header, records, labels = _test_split(cfg)
+    header, records = _test_split(cfg)
 
     evaluators: list[tuple[str, object]] = []
     for model_dir in cfg.models:
@@ -496,7 +437,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     stability_rows: list[list] = []
     for name, predict in evaluators:
-        rows = progress_stratified_eval(predict, records, cfg.fractions, labels=labels)
+        rows = progress_stratified_eval(predict, records, cfg.fractions)
         _write_csv(out / f"stratified_{name}.csv", _STRAT_HEADER, _stratified_rows(name, rows))
         stds = op_stability(rows)
         stability_rows.append([name, "ours", stds["early"], stds["late"]])
@@ -519,7 +460,7 @@ def cmd_timeline(cfg: RunConfig) -> int:
     ds_path = _require(cfg.dataset, "dataset")
     dataset = read_dataset(ds_path)
     if not 0 <= cfg.match_id < len(dataset.records):
-        raise ConfigViolation(
+        raise ConfigError(
             f"match_id {cfg.match_id} out of range (dataset has {len(dataset.records)} records)"
         )
     record = dataset.records[cfg.match_id]
@@ -563,6 +504,16 @@ def cmd_timeline(cfg: RunConfig) -> int:
 # argument plumbing
 
 
+def name_list(text: str) -> tuple[str, ...]:
+    """A comma-separated list of names; empty items are skipped."""
+    return tuple(x for x in text.split(",") if x)
+
+
+def float_list(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers."""
+    return tuple(float(x) for x in text.split(","))
+
+
 # Every flag is declared once; COMMANDS lists the flags of each subcommand
 # after the common ones.
 FLAGS: dict[str, dict] = {
@@ -570,45 +521,52 @@ FLAGS: dict[str, dict] = {
     "--out": {"help": "output directory (default: out)"},
     "--seed": {"type": int, "help": "master seed (default: 0)"},
     "--threads": {"type": int, "help": "worker processes for match play (default: 1)"},
-    "--roster": {"help": "comma-separated strategy names "
-                         f"(default: all {len(DEFAULT_ROSTER)} built-ins)"},
+    "--roster": {"type": name_list, "help": "comma-separated strategy names "
+                                            f"(default: all {len(DEFAULT_ROSTER)} built-ins)"},
     "--rounds": {"type": int, "dest": "rounds_per_pair",
                  "help": "matches per pair, half per side (default: 12)"},
     "--max-steps": {"type": int, "help": "step limit per match (default: 1000)"},
     "--capture-every": {"type": int, "help": "frame capture cadence in steps (default: 2)"},
     "--dataset": {"help": "path to dataset.jsonl (splits.json beside it)"},
     "--preset": {"help": f"model preset, one of {sorted(PRESETS)} (default: desk)"},
-    "--variant": {"choices": ["tstf", "space_time_only"],
-                  "help": "override the preset's attention variant"},
+    "--variant": {"choices": VARIANTS, "help": "override the preset's attention variant"},
     "--epochs": {"type": int, "help": "training epochs (default: 30)"},
     "--batch-size": {"type": int, "help": "override the preset batch size"},
-    "--lr": {"type": float, "help": "learning rate (default: 1e-4)"},
-    "--relabel": {"choices": ["none", "surviving-units"],
-                  "help": "relabel records by final-frame unit count (default: none)"},
-    "--models": {"help": "comma-separated trained model directories (eval reads the first)"},
+    "--lr": {"type": float, "help": f"learning rate (default: {TrainConfig.lr:g})"},
+    "--models": {"type": name_list,
+                 "help": "comma-separated trained model directories (eval takes exactly one)"},
     "--threshold": {"type": float, "help": "decision threshold (default: 0.5)"},
-    "--fractions": {"help": "comma-separated progress fractions "
-                            "(default: 0.04,0.2,0.4,0.6,0.8,1.0)"},
+    "--fractions": {"type": float_list, "help": "comma-separated progress fractions "
+                                                "(default: 0.04,0.2,0.4,0.6,0.8,1.0)"},
     "--match-id": {"type": int, "help": "record index within the dataset (default: 0)"},
 }
-COMMON_FLAGS = ("--config", "--out", "--seed", "--threads")
+COMMON_FLAGS = ("--config", "--out")
 COMMANDS = {
     "generate": (cmd_generate, "play a tournament and write the dataset",
-                 ("--roster", "--rounds", "--max-steps", "--capture-every")),
+                 ("--seed", "--threads", "--roster", "--rounds", "--max-steps",
+                  "--capture-every")),
     "train": (cmd_train, "train a win predictor on a dataset",
-              ("--dataset", "--preset", "--variant", "--epochs", "--batch-size", "--lr",
-               "--relabel")),
+              ("--seed", "--dataset", "--preset", "--variant", "--epochs", "--batch-size",
+               "--lr")),
     "eval": (cmd_eval, "score a trained model on the test split",
-             ("--dataset", "--models", "--relabel", "--threshold")),
+             ("--dataset", "--models", "--threshold")),
     "compare": (cmd_compare, "stratified tables for all evaluators",
-                ("--dataset", "--models", "--fractions", "--relabel", "--threshold")),
+                ("--dataset", "--models", "--fractions", "--threshold")),
     "timeline": (cmd_timeline, "per-step evaluator scores for one match",
                  ("--dataset", "--models", "--match-id", "--threshold")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so it ends like any
+    other bad setting: one line, exit 3. --help still exits 0."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtslab",
         description="Grid-war win-prediction lab: simulate, train, evaluate, compare.",
     )
@@ -620,28 +578,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        if key in ("roster", "models"):
-            value = tuple(x for x in value.split(",") if x)
-        elif key == "fractions":
-            value = tuple(float(x) for x in value.split(","))
-        overrides[key] = value
-    return overrides
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config, _overrides_from_args(args))
-        return COMMANDS[args.command][0](cfg)
+        args = vars(build_parser().parse_args(argv))
+        command, path = args.pop("command"), args.pop("config")
+        overrides = {key: value for key, value in args.items() if value is not None}
+        return COMMANDS[command][0](load_run_config(path, overrides))
     except (OSError, CorruptArtifact) as exc:  # OSError covers MissingArtifact
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigViolation, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

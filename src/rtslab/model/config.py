@@ -8,7 +8,10 @@ each head works on D/h dims, each channel token on D/C dims.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+import typing
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .. import CorruptArtifact
@@ -17,7 +20,53 @@ VARIANTS = ("tstf", "space_time_only")
 
 
 class ConfigError(ValueError):
-    """Inconsistent model configuration."""
+    """Bad configuration: a model config, a run config or a command line
+    (CLI exit code 3)."""
+
+
+# Per scalar type: its description, the plural for a list of it, and the
+# check of a JSON value. type() is exact, so a JSON true/false is not an int.
+_SCALARS: dict[type, tuple[str, str, Callable[[object], bool]]] = {
+    int: ("an integer", "integers", lambda v: type(v) is int),
+    float: ("a number", "numbers", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    str: ("a string", "strings", lambda v: type(v) is str),
+}
+
+
+def field_kind(annotation) -> tuple[str, Callable[[object], bool]]:
+    """(description, check) of the JSON values a dataclass field accepts:
+    int, float or str, one of those or None, or `tuple[X, ...]` of one
+    of those (given as a list). TypeError for any other annotation."""
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple and args[1:] == (...,) and args[0] in _SCALARS:
+        _, items, check = _SCALARS[args[0]]
+        return f"a list of {items}", lambda v: isinstance(v, (list, tuple)) and all(map(check, v))
+    if args[1:] == (type(None),) and args[0] in _SCALARS:  # X | None
+        what, _, check = _SCALARS[args[0]]
+        return f"{what} or null", lambda v: v is None or check(v)
+    if annotation in _SCALARS:
+        what, _, check = _SCALARS[annotation]
+        return what, check
+    raise TypeError(f"no config kind for the annotation {annotation!r}")
+
+
+def fields_from_json(cls, data: dict) -> dict:
+    """Keyword arguments for the dataclass `cls` from the JSON object
+    `data`. Each key must name a field and each value fit its annotation
+    (`field_kind`), else ConfigError. A list becomes a tuple of the
+    annotation's item type, so [1] for `tuple[float, ...]` is (1.0,)."""
+    hints = typing.get_type_hints(cls)  # the fields' annotations
+    kwargs = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigError(f"unknown config key {key!r}")
+        what, check = field_kind(hints[key])
+        if not check(value):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+        if type(value) is list:
+            value = tuple(map(typing.get_args(hints[key])[0], value))
+        kwargs[key] = value
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -85,13 +134,7 @@ class ModelConfig:
             block_form = data.pop("block_form", "post_norm")
             if block_form != "post_norm":
                 raise ConfigError(f"'block_form' must be 'post_norm', got {block_form!r}")
-            types = {f.name: f.type for f in fields(cls)}  # annotations: "int" or "str"
-            for key, value in data.items():
-                if key not in types:
-                    raise ConfigError(f"unknown key {key!r}")
-                if type(value).__name__ != types[key]:  # exact, so true is not an int
-                    raise ConfigError(f"{key!r} must be {types[key]}, got {value!r}")
-            return cls(**data)
+            return cls(**fields_from_json(cls, data))
         except (ValueError, TypeError, RecursionError) as exc:  # a missing key is a TypeError
             raise CorruptArtifact(f"{path}: {exc}") from None
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from .engine import MatchRecord
 FORMAT_VERSION = 1
 WINNERS = ("p1", "p2", "draw")
 _INT64_MAX = 2**63 - 1
+_JOINED = re.compile(rb"\d[\[\]]+\d")  # digits that deleting the brackets would join
 _NOT_LAYOUT = "match line is not in the writer's layout"
 
 
@@ -242,8 +244,9 @@ def _read_match(line: bytes, layout) -> MatchRecord:
     if fields.get("kind") != "match":
         raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
     c, h, w = layout[0].shape
+    frames = line[a + 10 : b + 1]
     try:
-        values = np.fromstring(line[a + 10 : b + 1].translate(None, b"[]"), dtype=np.int64, sep=",")
+        values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
         values = values.reshape(-1, 1 + c * h * w)
     except ValueError:  # not ints between commas, or not whole frames
         raise ValueError(_NOT_LAYOUT) from None
@@ -253,7 +256,10 @@ def _read_match(line: bytes, layout) -> MatchRecord:
     try:
         _check_match(fields["winner"], fields["duration"], steps, planes)
     except ValueError:
-        if (values == _INT64_MAX).any():  # np.fromstring reads any number past int64 as this
+        # the check would name a number the file does not hold: np.fromstring
+        # reads any number past int64 as _INT64_MAX, and a bracket between
+        # digits joins them
+        if (values == _INT64_MAX).any() or _JOINED.search(frames):
             raise ValueError(_NOT_LAYOUT) from None
         raise
     planes = planes.astype(np.uint8)

@@ -145,14 +145,12 @@ def train_model(
     )
 
 
-def dataset_to_examples(records, frame_count: int, label_fn=winner_label) -> list[Example]:
-    """Materialize (clip, label) pairs at full progress.
-
-    `label_fn(record) -> 0/1/None` labels each record; None drops it.
-    """
+def dataset_to_examples(records, frame_count: int) -> list[Example]:
+    """Materialize (clip, label) pairs at full progress, labelled by
+    `winner_label`; draws are dropped."""
     out: list[Example] = []
     for rec in records:
-        label = label_fn(rec)
+        label = winner_label(rec)
         if label is not None:
             out.append((sample_timeline(rec, frame_count, 1.0), label))
     return out

@@ -5,13 +5,16 @@ import hashlib
 import json
 import shutil
 import struct
+import typing
 import warnings
 from pathlib import Path
 
 import pytest
 
 from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
-from rtslab.cli import FIELD_TYPES, RunConfig, build_parser, main
+from rtslab.cli import RunConfig, build_parser, main
+from rtslab.model import ModelConfig
+from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
 from rtslab.sim import decode_planes, read_dataset
 
@@ -147,8 +150,15 @@ class TestGenerate:
         assert f"config key {key!r} must be" in err
         assert not (tmp_path / "x").exists()
 
-    def test_config_type_table_covers_every_field(self):
-        assert set(FIELD_TYPES) == {f.name for f in dataclasses.fields(RunConfig)}
+    @pytest.mark.parametrize("cls", [RunConfig, ModelConfig])
+    def test_every_config_field_has_a_kind(self, cls):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            what, check = field_kind(hints[field.name])
+            if field.default is not dataclasses.MISSING:
+                assert check(field.default), (field.name, what)
+        with pytest.raises(TypeError, match="no config kind"):
+            field_kind(dict[str, int])
 
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -229,6 +239,16 @@ class TestEval:
         ])
         assert rc == 3
         assert "empty dataset" in capsys.readouterr().err
+
+    def test_more_than_one_model_exits_3(self, pipeline, tmp_path, capsys):
+        rc = main([
+            "eval", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+            "--models", f"{pipeline['model']},{pipeline['model']}", "--out", str(tmp_path / "e"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exactly one model directory" in err and "got 2" in err
+        assert not (tmp_path / "e").exists()
 
     def test_missing_checkpoint_exits_2(self, pipeline, tmp_path):
         rc = main([
@@ -750,6 +770,31 @@ class TestTimeline:
             "--out", str(tmp_path / "t2"),
         ])
         assert rc == 3
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("argv,words", [
+        (["generate", "--max-steps", "abc"], "invalid int value: 'abc'"),
+        (["compare", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["eval", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["compare", "--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["compare", "--fractions", "0.5,x"], "invalid float_list value: '0.5,x'"),
+        (["train", "--variant", "big"], "invalid choice: 'big'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad-int", "unknown-flag", "eval-seed", "compare-threads", "bad-fraction",
+            "bad-variant", "no-command"])
+    def test_exits_3_on_one_line(self, argv, words, tmp_path, capsys):
+        rc = main(argv + (["--out", str(tmp_path / "x")] if argv else []))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: rtslab") and err.count("\n") == 1 and words in err, err
+        assert not (tmp_path / "x").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert "--models" in capsys.readouterr().out
 
 
 class TestHelp:

@@ -257,7 +257,7 @@ class TestReadParity:
 
     @pytest.mark.parametrize("edit,words", [
         (lambda line: line.replace(b"[[[", b"[[[0", 1), LAYOUT),
-        (lambda line: line.replace(b"]", b"]7", 1), ""),  # the brackets go before numpy parses
+        (lambda line: line.replace(b"]", b"]7", 1), LAYOUT),
         (_empty_slot, LAYOUT),
         (lambda line: line.replace(b",", b", "), LAYOUT),
         (_edit_record(lambda r: r["frames"][0][1][3][0].__setitem__(0, 10**18)),
