@@ -119,8 +119,12 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown strategy {name!r}; registered: {sorted(REGISTRY)}"
                 )
+        if not self.fractions:
+            raise ConfigError("config key 'fractions' must be a non-empty list, got []")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must lie in (0, 1]: {self.fractions}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"config key 'threshold' must be in (0, 1), got {self.threshold}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.max_steps < 1:

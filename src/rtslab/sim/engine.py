@@ -1,11 +1,12 @@
 """Deterministic match engine.
 
 Both strategies plan against the same pre-step state, then actions resolve
-in fixed phases: attacks (simultaneous), harvest, deposit, build, train,
-move. Within a phase, actions apply in row-major order of the acting
-unit's cell. Anything invalid at application time (dead actor, occupied
-target, insufficient store) is dropped and logged at debug level, so a
-strategy can never corrupt the state.
+in fixed passes: attacks (simultaneous), harvests, deposits, builds and
+trains (one pass), moves. Within a pass, actions apply in row-major order
+of the acting unit's cell. Anything invalid at application time (dead
+actor, occupied target, insufficient store) is dropped, so a strategy can
+never corrupt the state; each dropped action logs one "dropping ..." line
+at debug level.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .state import GameState, Position, Unit, manhattan, standard_start
 
 log = logging.getLogger(__name__)
 
-PHASES = ("attack", "harvest", "deposit", "build", "train", "move")
+# the pass each action kind resolves in; builds and trains share one
+_PASS = {"attack": 0, "harvest": 1, "deposit": 2, "build": 3, "train": 3, "move": 4}
+PHASES = tuple(_PASS)
 
 
 @dataclass(frozen=True)
@@ -47,23 +50,13 @@ class Action:
     produce: UnitKind | None = None
 
 
-@dataclass(frozen=True)
-class Event:
-    """An action that actually applied (observability for tests/logs)."""
-
-    phase: str
-    player: int
-    actor: Position
-    target: Position | None = None
-    produce: UnitKind | None = None
-
-
 def _merge_plans(state, plans: dict[int, list[Action]]) -> list[tuple[int, Action]]:
-    """One action per unit, actor ownership enforced, row-major apply order."""
+    """One action per unit, actor ownership enforced, in pass order and
+    row-major within a pass."""
     chosen: dict[Position, tuple[int, Action]] = {}
     for player, actions in plans.items():
         for act in actions:
-            if act.kind not in PHASES:
+            if act.kind not in _PASS:
                 log.debug("dropping unknown action kind %r", act.kind)
                 continue
             unit = state.units.get(act.actor)
@@ -71,9 +64,82 @@ def _merge_plans(state, plans: dict[int, list[Action]]) -> list[tuple[int, Actio
                 log.debug("dropping action by %s on foreign/empty cell %s", player, act.actor)
                 continue
             if act.actor in chosen:
+                log.debug("dropping second order for %s: %s", act.actor, act)
                 continue
             chosen[act.actor] = (player, act)
-    return [chosen[pos] for pos in sorted(chosen)]
+    return sorted(chosen.values(), key=lambda pa: (_PASS[pa[1].kind], pa[1].actor))
+
+
+def _attack_damage(s: GameState, player: int, act: Action) -> int:
+    """The damage `act` deals, judged against `s` before any attack lands;
+    0 if it is illegal."""
+    attacker = s.units.get(act.actor)
+    target = s.units.get(act.target)
+    if (
+        attacker is None
+        or target is None
+        or target.owner in (0, player)
+        or manhattan(act.actor, act.target) > ATTACK_RANGE.get(attacker.kind, 0)
+    ):
+        return 0
+    return DAMAGE.get(attacker.kind, 0)
+
+
+def _resolve(s: GameState, player: int, act: Action) -> bool:
+    """Apply a harvest, deposit, build, train or move to `s` if it is legal;
+    whether it applied."""
+    actor = s.units.get(act.actor)
+    if actor is None or act.target is None or manhattan(act.actor, act.target) != 1:
+        return False
+    target = s.units.get(act.target)
+    if act.kind == "harvest":
+        if (
+            actor.kind != UnitKind.WORKER
+            or actor.carried >= CARRY_CAPACITY
+            or target is None
+            or target.kind != UnitKind.RESOURCE
+            or target.carried <= 0
+        ):
+            return False
+        take = min(HARVEST_AMOUNT, target.carried, CARRY_CAPACITY - actor.carried)
+        s.units[act.actor] = replace(actor, carried=actor.carried + take)
+        if target.carried - take <= 0:
+            del s.units[act.target]
+        else:
+            s.units[act.target] = replace(target, carried=target.carried - take)
+        return True
+    if act.kind == "deposit":
+        if (
+            actor.kind != UnitKind.WORKER
+            or actor.carried <= 0
+            or target is None
+            or target.kind != UnitKind.BASE
+            or target.owner != player
+        ):
+            return False
+        s.store[player] = min(STORE_CAP, s.store[player] + actor.carried)
+        s.units[act.actor] = replace(actor, carried=0)
+        return True
+    # build, train and move need an empty cell on the map
+    if target is not None or not s.in_bounds(act.target):
+        return False
+    if act.kind == "move":
+        if actor.kind not in MOBILE_KINDS:
+            return False
+        del s.units[act.actor]
+        s.units[act.target] = actor
+        return True
+    if act.kind == "build":
+        legal = actor.kind == UnitKind.WORKER and act.produce == UnitKind.BARRACKS
+    else:
+        legal = (actor.kind == UnitKind.BASE and act.produce == UnitKind.WORKER) or (
+            actor.kind == UnitKind.BARRACKS and act.produce in TRAINABLE_AT_BARRACKS
+        )
+    if not legal or s.store[player] < COST[act.produce]:
+        return False
+    s.store[player] -= COST[act.produce]
+    s.units[act.target] = Unit(kind=act.produce, hp=MAX_HP[act.produce], owner=player)
+    return True
 
 
 def step(
@@ -81,40 +147,28 @@ def step(
     strat1,
     strat2,
     rngs: tuple[SplitMix64, SplitMix64],
-    events: list[Event] | None = None,
+    events: list[tuple[int, Action]] | None = None,
 ) -> GameState:
-    """Advance one tick. Pure given (state, strategies, rng states)."""
+    """Advance one tick. Pure given (state, strategies, rng states).
+
+    Each applied action is appended to `events` as (player, action), in the
+    order it resolved."""
     plans = {
         P1: strat1.plan(state, P1, rngs[0]),
         P2: strat2.plan(state, P2, rngs[1]),
     }
     ordered = _merge_plans(state, plans)
     s = state.clone()
-
-    def record(phase, player, act):
-        if events is not None:
-            events.append(Event(phase, player, act.actor, act.target, act.produce))
-
-    # Attacks hit simultaneously: validate all against the pre-phase state,
+    verdicts: list[tuple[int, Action, bool]] = []
+    # Attacks hit simultaneously: judge all against the pre-attack state,
     # then apply the summed damage.
     damage: dict[Position, int] = {}
     for player, act in ordered:
-        if act.kind != "attack":
-            continue
-        attacker = s.units.get(act.actor)
-        target = s.units.get(act.target) if act.target else None
-        if attacker is None or target is None:
-            continue
-        dmg = DAMAGE.get(attacker.kind, 0)
-        if (
-            dmg <= 0
-            or target.owner in (0, player)
-            or manhattan(act.actor, act.target) > ATTACK_RANGE.get(attacker.kind, 0)
-        ):
-            log.debug("dropping invalid attack %s", act)
-            continue
-        damage[act.target] = damage.get(act.target, 0) + dmg
-        record("attack", player, act)
+        if act.kind == "attack":
+            dmg = _attack_damage(s, player, act)
+            if dmg > 0:
+                damage[act.target] = damage.get(act.target, 0) + dmg
+            verdicts.append((player, act, dmg > 0))
     for pos, dmg in sorted(damage.items()):
         victim = s.units[pos]
         hp = victim.hp - dmg
@@ -122,95 +176,14 @@ def step(
             del s.units[pos]
         else:
             s.units[pos] = replace(victim, hp=hp)
-
     for player, act in ordered:
-        if act.kind != "harvest":
-            continue
-        worker = s.units.get(act.actor)
-        node = s.units.get(act.target) if act.target else None
-        if (
-            worker is None
-            or worker.kind != UnitKind.WORKER
-            or node is None
-            or node.kind != UnitKind.RESOURCE
-            or node.carried <= 0
-            or manhattan(act.actor, act.target) != 1
-            or worker.carried >= CARRY_CAPACITY
-        ):
-            log.debug("dropping invalid harvest %s", act)
-            continue
-        take = min(HARVEST_AMOUNT, node.carried, CARRY_CAPACITY - worker.carried)
-        s.units[act.actor] = replace(worker, carried=worker.carried + take)
-        if node.carried - take <= 0:
-            del s.units[act.target]
-        else:
-            s.units[act.target] = replace(node, carried=node.carried - take)
-        record("harvest", player, act)
-
-    for player, act in ordered:
-        if act.kind != "deposit":
-            continue
-        worker = s.units.get(act.actor)
-        base = s.units.get(act.target) if act.target else None
-        if (
-            worker is None
-            or worker.kind != UnitKind.WORKER
-            or worker.carried <= 0
-            or base is None
-            or base.kind != UnitKind.BASE
-            or base.owner != player
-            or manhattan(act.actor, act.target) != 1
-        ):
-            log.debug("dropping invalid deposit %s", act)
-            continue
-        s.store[player] = min(STORE_CAP, s.store[player] + worker.carried)
-        s.units[act.actor] = replace(worker, carried=0)
-        record("deposit", player, act)
-
-    for player, act in ordered:
-        if act.kind not in ("build", "train"):
-            continue
-        actor = s.units.get(act.actor)
-        if actor is None or act.produce is None or act.target is None:
-            continue
-        if act.kind == "build":
-            legal = actor.kind == UnitKind.WORKER and act.produce == UnitKind.BARRACKS
-        else:
-            legal = (actor.kind == UnitKind.BASE and act.produce == UnitKind.WORKER) or (
-                actor.kind == UnitKind.BARRACKS and act.produce in TRAINABLE_AT_BARRACKS
-            )
-        cost = COST.get(act.produce, 10**9)
-        if (
-            not legal
-            or s.store[player] < cost
-            or not s.in_bounds(act.target)
-            or act.target in s.units
-            or manhattan(act.actor, act.target) != 1
-        ):
+        if act.kind != "attack":
+            verdicts.append((player, act, _resolve(s, player, act)))
+    for player, act, applied in verdicts:
+        if not applied:
             log.debug("dropping invalid %s %s", act.kind, act)
-            continue
-        s.store[player] -= cost
-        s.units[act.target] = Unit(kind=act.produce, hp=MAX_HP[act.produce], owner=player)
-        record(act.kind, player, act)
-
-    for player, act in ordered:
-        if act.kind != "move":
-            continue
-        mover = s.units.get(act.actor)
-        if (
-            mover is None
-            or mover.kind not in MOBILE_KINDS
-            or act.target is None
-            or not s.in_bounds(act.target)
-            or act.target in s.units
-            or manhattan(act.actor, act.target) != 1
-        ):
-            log.debug("dropping invalid move %s", act)
-            continue
-        del s.units[act.actor]
-        s.units[act.target] = mover
-        record("move", player, act)
-
+        elif events is not None:
+            events.append((player, act))
     s.step += 1
     return s
 

@@ -301,18 +301,11 @@ class RandomBiasedLite(Strategy):
             u = units[pos]
             if u.kind in (UnitKind.BASE, UnitKind.BARRACKS):
                 if rng.uniform() < 0.5:
-                    choices = (
-                        [UnitKind.WORKER]
-                        if u.kind == UnitKind.BASE
-                        else [
-                            k
-                            for k in TRAINABLE_AT_BARRACKS
-                            if state.store[player] >= COST[k]
-                        ]
+                    trainable = (
+                        (UnitKind.WORKER,) if u.kind == UnitKind.BASE else TRAINABLE_AT_BARRACKS
                     )
-                    if choices and state.store[player] >= min(
-                        COST[k] for k in choices
-                    ):
+                    choices = [k for k in trainable if state.store[player] >= COST[k]]
+                    if choices:
                         act = _train_action(state, pos, rng.choice(choices))
                         if act is not None:
                             acts.append(act)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import logging
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -17,8 +16,6 @@ from ..sim.engine import sample_timeline
 from ..tensor import Tape, Tensor
 from .loss import bce_loss
 from .optim import AdamW, TrainConfig
-
-log = logging.getLogger(__name__)
 
 Example = tuple[np.ndarray, int]  # ((T, C, H, W) clip, label)
 
@@ -128,10 +125,6 @@ def train_model(
             val_acc=evaluate_accuracy(model, val_set, config.threshold),
         )
         history.append(row)
-        log.info(
-            "epoch %d: loss %.4f train_acc %.3f val_acc %.3f",
-            row.epoch, row.train_loss, row.train_acc, row.val_acc,
-        )
         if progress is not None:
             progress(row)
         if row.val_acc > best[0]:

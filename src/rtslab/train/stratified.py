@@ -65,15 +65,11 @@ def progress_stratified_eval(
     predict,
     records: list[MatchRecord],
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    labels: list[int] | None = None,
 ) -> list[tuple[float, MetricsReport]]:
-    """One MetricsReport per fraction. `predict(records, rho)` returns one
-    0/1/None per record (None scores as wrong); `labels` defaults to
-    recorded winners."""
-    if labels is None:
-        labels = [winner_label(r) for r in records]
-    if len(labels) != len(records):
-        raise ValueError("labels must align with records")
+    """One MetricsReport per fraction, scored against the recorded winners.
+    `predict(records, rho)` returns one 0/1/None per record (None scores as
+    wrong)."""
+    labels = [winner_label(r) for r in records]
     rows = []
     for rho in fractions:
         preds = predict(records, rho)

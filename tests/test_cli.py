@@ -136,9 +136,13 @@ class TestGenerate:
             ({"roster": "PassiveLite"}, "roster"),
             ({"models": [1]}, "models"),
             ({"lr": "fast"}, "lr"),
+            ({"fractions": []}, "fractions"),
+            ({"threshold": 5}, "threshold"),
+            ({"threshold": -1}, "threshold"),
         ],
         ids=["map_size-str", "threads-null", "seed-str", "max_steps-bool", "fractions-number",
-             "fractions-str-item", "roster-str", "models-int-item", "lr-str"],
+             "fractions-str-item", "roster-str", "models-int-item", "lr-str", "fractions-empty",
+             "threshold-above-1", "threshold-negative"],
     )
     def test_config_value_of_wrong_type_exits_3(self, entry, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Simulator behavior: engine rules, encoding, strategies, determinism."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def rngs(seed=0):
 
 def state_snapshot(s: GameState):
     return (sorted(s.units.items()), dict(s.store), s.step)
+
+
+def drop_phases(records) -> list[str]:
+    """The phase of each engine "dropping ..." record: the kind an invalid
+    action names, or "merge" for one rejected while merging the plans."""
+    return [
+        str(r.args[0]) if r.msg.startswith("dropping invalid ") else "merge"
+        for r in records
+        if r.name == "rtslab.sim.engine" and r.msg.startswith("dropping")
+    ]
 
 
 class TestStep:
@@ -105,6 +117,32 @@ class TestStep:
         after = step(s, Duel(), Duel(), rngs())
         assert (4, 4) not in after.units and (4, 5) not in after.units
 
+    @pytest.mark.parametrize(
+        "orders, phase",
+        [
+            ([Action("attack", (4, 4), (4, 5))], "attack"),
+            ([Action("train", (2, 2), (2, 3))], "train"),
+            ([Action("move", (4, 4), (4, 5)), Action("move", (4, 4), (3, 4))], "merge"),
+        ],
+        ids=["attack-on-empty-cell", "train-without-produce", "second-order-for-a-unit"],
+    )
+    def test_each_drop_logs_one_line(self, orders, phase, caplog):
+        s = empty_state()
+        s.units[(4, 4)] = Unit(UnitKind.WORKER, 1, P1)
+        s.units[(2, 2)] = Unit(UnitKind.BASE, 10, P1)
+
+        class Scripted:
+            name = "Scripted"
+
+            def plan(self, state, player, rng):
+                return list(orders) if player == P1 else []
+
+        events = []
+        with caplog.at_level(logging.DEBUG, logger="rtslab.sim.engine"):
+            step(s, Scripted(), make_strategy("PassiveLite"), rngs(), events=events)
+        assert drop_phases(caplog.records) == [phase]
+        assert len(events) == len(orders) - 1
+
 
 class RandomPlans:
     """Seeded random actions, mostly illegal (unknown kinds; foreign,
@@ -117,6 +155,7 @@ class RandomPlans:
 
     def __init__(self, scripted: str):
         self.scripted = make_strategy(scripted)
+        self.planned = 0
 
     def plan(self, state, player, rng):
         occupied = sorted(state.units)
@@ -143,6 +182,7 @@ class RandomPlans:
             )
         acts += self.scripted.plan(state, player, rng)
         rng.shuffle(acts)
+        self.planned += len(acts)
         return acts
 
 
@@ -157,16 +197,22 @@ class TestEngineFuzz:
         [(0, ("WorkerRushLite", "LightRushLite")), (1, ("EconomyRushLite", "RangedRushLite")),
          (2, ("RandomBiasedLite", "HeavyRushLite")), (3, ("LightRushLite", "EconomyRushLite"))],
     )
-    def test_invariants_under_random_plans(self, seed, scripted):
+    def test_invariants_under_random_plans(self, seed, scripted, caplog):
         p1, p2 = (RandomPlans(name) for name in scripted)
         state = standard_start()
         streams = rngs(100 + seed)
         applied: set[str] = set()
+        caplog.set_level(logging.DEBUG, logger="rtslab.sim.engine")
         for _ in range(300):
             forked = tuple(SplitMix64(r.state) for r in streams)
             before = state_snapshot(state)
             events = []
+            caplog.clear()
+            planned = p1.planned + p2.planned
             after = step(state, p1, p2, streams, events=events)
+            # every planned action either applies or logs exactly one drop
+            planned = p1.planned + p2.planned - planned
+            assert planned == len(events) + len(drop_phases(caplog.records))
             assert state_snapshot(state) == before  # the input is not mutated
             twin = step(state, p1, p2, forked)
             assert state_snapshot(twin) == state_snapshot(after)
@@ -176,7 +222,7 @@ class TestEngineFuzz:
             for player in (P1, P2):
                 assert 0 <= after.store[player] <= STORE_CAP
             assert resources_held(after) <= resources_held(state)
-            applied.update(e.phase for e in events)
+            applied.update(act.kind for _, act in events)
             state = after
         assert applied == set(PHASES)
 
@@ -217,21 +263,18 @@ class TestRunMatch:
     def test_unit_conservation(self):
         """Unit counts only rise via paid build/train, only fall via damage
         or resource exhaustion."""
-        from rtslab.sim.engine import Event
-
         state = standard_start()
         strat1 = make_strategy("WorkerRushLite")
         strat2 = make_strategy("LightRushLite")
         streams = rngs(17)
         for _ in range(300):
-            events: list[Event] = []
+            events = []
             after = step(state, strat1, strat2, streams, events=events)
-            made = sum(1 for e in events if e.phase in ("build", "train"))
             for player in (P1, P2):
                 n_before = state.count_of(player)
                 n_after = after.count_of(player)
                 made_p = sum(
-                    1 for e in events if e.phase in ("build", "train") and e.player == player
+                    1 for who, act in events if act.kind in ("build", "train") and who == player
                 )
                 assert n_after <= n_before + made_p
             if check_winner(after):

@@ -400,11 +400,15 @@ class TestStratified:
         direct = np.array(predict(records, 1.0))
         assert rows[1][1].accuracy == pytest.approx(float((direct == labels).mean()))
 
+    @staticmethod
+    def two_records() -> list[MatchRecord]:
+        """Two finished matches, one won by each side (labels 1 and 0)."""
+        frames = [(4, np.zeros((5, 8, 8), dtype=np.uint8))]
+        return [MatchRecord("A", "B", i, w, 4, frames) for i, w in enumerate(("p1", "p2"))]
+
     def test_tie_predictions_score_as_wrong(self):
-        records = [None, None]  # predictor ignores the record
-        labels = [1, 0]
         rows = progress_stratified_eval(
-            lambda recs, rho: [None] * len(recs), records, fractions=(1.0,), labels=labels
+            lambda recs, rho: [None] * len(recs), self.two_records(), fractions=(1.0,)
         )
         assert rows[0][1].accuracy == 0.0
 
@@ -412,7 +416,7 @@ class TestStratified:
     def test_prediction_count_must_match_records(self, count):
         with pytest.raises(ValueError, match="2 records"):
             progress_stratified_eval(
-                lambda recs, rho: [1] * count, [None, None], fractions=(1.0,), labels=[1, 0]
+                lambda recs, rho: [1] * count, self.two_records(), fractions=(1.0,)
             )
 
     def test_op_stability_constant_series(self):
