@@ -16,7 +16,9 @@ norm), and the prediction head reads it after the last block:
 
 Each block keeps a residual around every attention submodule and closes
 with one LayerNorm of the patches (so a block with silenced attention
-reduces to LN of its input). The space/time-only variant skips the feature
+reduces to LN of its input). The last block skips that LayerNorm, since the
+head reads only the summary; its parameters stay allocated, so checkpoints
+keep their shape. The space/time-only variant skips the feature
 attention term entirely; its parameters stay allocated and untouched.
 """
 
@@ -124,7 +126,8 @@ class WinPredictor:
 
         Takes and returns (summary (B,1,D), patches (B,T*N,D)). Each scope
         adds attention of its input to the residual stream; the patches are
-        normalized once after the summary update.
+        normalized once after the summary update, except on the last block,
+        whose patches nothing reads.
         """
         attentions = [self.spatial_attention, self.temporal_attention]
         if self.config.variant == "tstf":
@@ -132,6 +135,8 @@ class WinPredictor:
         for attention in attentions:
             x = T.add(x, attention(x, layer))
         summary = self._summary_update(summary, x, layer)
+        if layer == self.config.layers - 1:
+            return summary, x  # the head reads only the summary
         return summary, self._norm(x, f"layers.{layer}.norm")
 
     def embed(self, x: np.ndarray) -> tuple[Tensor, Tensor]:

@@ -9,6 +9,7 @@ Naming scheme (all keys in one flat dict):
     layers.{l}.cls_attn.*  single-head cross-attention, (D, D) / (D,)
     layers.{l}.cls_norm.{gamma,beta} (D,)
     layers.{l}.norm.{gamma,beta} (D,)   the LayerNorm closing each block
+                                        (allocated but unread on the last)
     head.w1 (D, 4D)  head.b1 (4D,)  head.w2 (4D, 1)  head.b2 ()
 
 Weight matrices multiply row-vector activations on the right (out = x @ W + b).

@@ -63,22 +63,18 @@ def decode_planes(raw: np.ndarray) -> GameState:
     _, h, w = raw.shape
     units: dict[tuple[int, int], Unit] = {}
     store = {P1: 0, P2: 0}
-    for r in range(h):
-        for c in range(w):
-            kind_val = int(raw[PLANE_TYPE, r, c])
-            if kind_val == 0:
-                continue
-            kind = UnitKind(kind_val)
-            owner = int(raw[PLANE_FACTION, r, c])
-            carried = 0
-            if kind in (UnitKind.RESOURCE, UnitKind.WORKER):
-                carried = int(raw[PLANE_NEUTRAL_RES, r, c])
-            units[(r, c)] = Unit(
-                kind=kind,
-                hp=int(raw[PLANE_HEALTH, r, c]),
-                owner=owner if kind != UnitKind.RESOURCE else NEUTRAL,
-                carried=carried,
-            )
-            if owner in (P1, P2):
-                store[owner] = int(raw[PLANE_FACTION_RES, r, c])
+    rows, cols = np.nonzero(raw[PLANE_TYPE])  # occupied cells, row-major
+    cells = raw[:, rows, cols].T.tolist()
+    for r, c, (kind_val, hp, owner, carried, owner_store) in zip(
+        rows.tolist(), cols.tolist(), cells
+    ):
+        kind = UnitKind(kind_val)
+        units[(r, c)] = Unit(
+            kind=kind,
+            hp=hp,
+            owner=owner if kind != UnitKind.RESOURCE else NEUTRAL,
+            carried=carried if kind in (UnitKind.RESOURCE, UnitKind.WORKER) else 0,
+        )
+        if owner in (P1, P2):
+            store[owner] = owner_store
     return GameState(height=h, width=w, units=units, store=store, step=0)

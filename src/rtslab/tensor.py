@@ -30,6 +30,8 @@ import numpy as np
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
 _tape_stack = threading.local()
 
 
@@ -329,21 +331,26 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     One tape node. With xhat = (x - mu) * inv and inv = (var + eps)^-1/2,
     the backward is closed form: dx = inv * (dxhat - mean(dxhat) -
     xhat * mean(dxhat * xhat)) over the last axis, where dxhat = g * gamma.
+    Every row mean is an einsum row sum over n: numpy's `mean(axis=-1)`
+    over rows this short costs several times an elementwise pass.
     """
     a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     x = a.data
-    centered = x - x.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    xhat = centered * inv
-    data = xhat * gamma.data + beta.data
+    n = x.shape[-1]
+    xhat = x - (np.einsum("...i->...", x) / n)[..., None]
+    inv = (np.einsum("...i,...i->...", xhat, xhat) / n + eps)[..., None] ** -0.5
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
 
     def backward(g):
         if a.requires_grad:
             dxhat = g * gamma.data
-            proj = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(
-                inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * proj)
-            )
+            proj = np.einsum("...i,...i->...", dxhat, xhat) / n
+            dx = dxhat - (np.einsum("...i->...", dxhat) / n)[..., None]
+            dx -= xhat * proj[..., None]
+            dx *= inv
+            a.accumulate_grad(dx)
         if gamma.requires_grad:
             gamma.accumulate_grad(_sum_to_shape(g * xhat, gamma.shape))
         if beta.requires_grad:
@@ -352,29 +359,47 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _result(data, (a, gamma, beta), backward)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(G, S, A) -> contiguous (G, heads, S, A/heads)."""
-    g, s, a = x.shape
-    return np.ascontiguousarray(x.reshape(g, s, heads, a // heads).transpose(0, 2, 1, 3))
+def _split_heads(rows: np.ndarray, groups: int, heads: int, transpose: bool = False) -> np.ndarray:
+    """(G*S, A) rows -> contiguous (G, heads, S, A/heads), or with
+    `transpose` (G, heads, A/heads, S). numpy's batched matmul on a
+    transposed view costs about twice the copy and the matmul together."""
+    x = rows.reshape(groups, -1, heads, rows.shape[-1] // heads)
+    return np.ascontiguousarray(x.transpose((0, 2, 3, 1) if transpose else (0, 2, 1, 3)))
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(G, heads, S, dh) -> contiguous (G, S, heads*dh); inverse of _split_heads."""
+    """(G, heads, S, dh) -> (G*S, heads*dh) rows; inverse of _split_heads."""
     g, h, s, dh = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(g, s, h * dh)
-
-
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    return x.transpose(0, 2, 1, 3).reshape(g * s, h * dh)
 
 
 def _linear_grads(x: np.ndarray, d: np.ndarray, w: Tensor, b: Tensor) -> None:
-    """Accumulate dW = x^T d and db = sum(d) for out = x @ w + b over rows."""
+    """Accumulate dW = x^T d and db = 1^T d for rows out = x @ w + b.
+
+    Both are products: a column sum of rows as short as 4 costs several
+    times the matrix-vector product."""
     if w.requires_grad:
-        rows = x.reshape(-1, x.shape[-1])
-        w.accumulate_grad(np.matmul(_swap_last(rows), d.reshape(-1, d.shape[-1])))
+        w.accumulate_grad(np.matmul(x.T, d))
     if b.requires_grad:
-        b.accumulate_grad(_sum_to_shape(d, b.shape))
+        b.accumulate_grad(_sum_to_shape(np.matmul(np.ones(d.shape[0]), d), b.shape))
+
+
+def _block_softmax(s: np.ndarray) -> np.ndarray | None:
+    """Softmax over the last axis of (G, h, Sq, Sk) scores, in place.
+
+    Each (group, head) block is shifted by its own max, a reduction over the
+    last two axes, so no max runs along a short row and clips in one batch
+    stay independent. A row whose max lies about 708 or more below its
+    block's max underflows to a sum below the smallest normal float; then
+    the result is None and the caller recomputes with the row-max _softmax.
+    """
+    s -= s.max(axis=(-2, -1), keepdims=True)
+    np.exp(s, out=s)
+    total = np.einsum("...i->...", s)
+    if total.min() < _TINY:
+        return None
+    s /= total[..., None]
+    return s
 
 
 def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
@@ -385,8 +410,14 @@ def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     on the right (q = xq @ wq + bq, likewise k and v from xkv); the A
     projected dims split into `heads` heads of A/heads each, scores scale by
     1/sqrt(A/heads), and the merged heads go through out = mix @ wo + bo,
-    giving (G, Sq, O). The forward keeps the softmax probabilities and the
-    head-split q/k/v, so the backward is closed form with no recompute.
+    giving (G, Sq, O). Each projection is one 2-D product over all G*S
+    rows, and the scale is folded into q's weights. The softmax shifts each
+    (group, head) block of scores by the block's max (see _block_softmax);
+    only a row whose exponentials underflow there, one whose max lies about
+    708 or more below its block's, sends the call to the row-max _softmax.
+    The forward keeps the probabilities, the head-split q and the k and v
+    rows, so the backward is closed form with no recompute; its products
+    are 2-D over rows too.
     """
     xq, xkv = _coerce(xq), _coerce(xkv)
     wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
@@ -397,34 +428,48 @@ def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     width = wq.shape[-1]
     if heads < 1 or width % heads:
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
+    groups, sq = xq.shape[:2]
     scale = 1.0 / math.sqrt(width // heads)
-    q = _split_heads(np.matmul(xq.data, wq.data) + bq.data, heads)
-    k = _split_heads(np.matmul(xkv.data, wk.data) + bk.data, heads)
-    v = _split_heads(np.matmul(xkv.data, wv.data) + bv.data, heads)
-    p = _softmax(np.matmul(q, _swap_last(k)) * scale)
-    mix = _merge_heads(np.matmul(p, v))
-    data = np.matmul(mix, wo.data) + bo.data
+    xq2 = xq.data.reshape(groups * sq, -1)
+    xkv2 = xkv.data.reshape(-1, xkv.shape[-1])
+    q = np.matmul(xq2, wq.data * scale)
+    q += bq.data * scale
+    q = _split_heads(q, groups, heads)
+    k = np.matmul(xkv2, wk.data)
+    k += bk.data
+    kt = _split_heads(k, groups, heads, transpose=True)
+    v = np.matmul(xkv2, wv.data)
+    v += bv.data
+    p = _block_softmax(np.matmul(q, kt))
+    if p is None:
+        p = _softmax(np.matmul(q, kt))
+    mix = _merge_heads(np.matmul(p, _split_heads(v, groups, heads)))
+    data = np.matmul(mix, wo.data)
+    data += bo.data
 
     def backward(g):
-        dmix = _split_heads(np.matmul(g, _swap_last(wo.data)), heads)
-        dp = np.matmul(dmix, _swap_last(v))
-        ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
-        dq = _merge_heads(np.matmul(ds, k))
-        dk = _merge_heads(np.matmul(_swap_last(ds), q))
-        dv = _merge_heads(np.matmul(_swap_last(p), dmix))
-        _linear_grads(mix, g, wo, bo)
-        _linear_grads(xq.data, dq, wq, bq)
-        _linear_grads(xkv.data, dk, wk, bk)
-        _linear_grads(xkv.data, dv, wv, bv)
+        g2 = g.reshape(mix.shape[0], -1)
+        dmix = _split_heads(np.matmul(g2, wo.data.T), groups, heads)
+        ds = np.matmul(dmix, _split_heads(v, groups, heads, transpose=True))
+        ds -= np.einsum("...i,...i->...", ds, p)[..., None]
+        ds *= p
+        dq = _merge_heads(np.matmul(ds, _split_heads(k, groups, heads)))
+        dq *= scale
+        dk = _merge_heads(np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q))
+        dv = _merge_heads(np.matmul(np.ascontiguousarray(p.swapaxes(-1, -2)), dmix))
+        _linear_grads(mix, g2, wo, bo)
+        _linear_grads(xq2, dq, wq, bq)
+        _linear_grads(xkv2, dk, wk, bk)
+        _linear_grads(xkv2, dv, wv, bv)
         # for self-attention xq is xkv and the two contributions accumulate
         if xq.requires_grad:
-            xq.accumulate_grad(np.matmul(dq, _swap_last(wq.data)))
+            xq.accumulate_grad(np.matmul(dq, wq.data.T).reshape(xq.shape))
         if xkv.requires_grad:
-            xkv.accumulate_grad(
-                np.matmul(dk, _swap_last(wk.data)) + np.matmul(dv, _swap_last(wv.data))
-            )
+            dx = np.matmul(dk, wk.data.T)
+            dx += np.matmul(dv, wv.data.T)
+            xkv.accumulate_grad(dx.reshape(xkv.shape))
 
-    return _result(data, (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return _result(data.reshape(groups, sq, -1), (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # ---------------------------------------------------------------------------

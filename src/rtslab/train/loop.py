@@ -36,9 +36,9 @@ class TrainResult:
     best_val_acc: float
 
 
-# Clips per tape-free forward. A desk forward costs 2.70 / 2.03 / 2.01 / 1.96
-# ms per sample at B = 1 / 4 / 8 / 32 on a 2-core Xeon VM, and adds 0.9 /
-# 2.7 / 13.5 MB of peak RSS at B = 4 / 8 / 32 over B = 1 (README, "Training
+# Clips per tape-free forward. A desk forward costs 2.10 / 1.34 / 1.56 / 1.60
+# ms per sample at B = 1 / 4 / 8 / 32 on a 2-core Xeon VM, and adds 0.0 /
+# 1.4 / 9.8 MB of peak RSS at B = 4 / 8 / 32 over B = 1 (README, "Training
 # and evaluation").
 INFER_BATCH = 4
 

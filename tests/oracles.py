@@ -100,6 +100,32 @@ def oracle_write_dataset(path, dataset) -> None:
             f.write(line + "\n")
 
 
+def oracle_decode_planes(raw) -> GameState:
+    """Per-cell decode of integer planes, visiting every cell row-major."""
+    _, h, w = raw.shape
+    units = {}
+    store = {P1: 0, P2: 0}
+    for r in range(h):
+        for c in range(w):
+            kind_val = int(raw[0, r, c])
+            if kind_val == 0:
+                continue
+            kind = UnitKind(kind_val)
+            owner = int(raw[2, r, c])
+            carried = 0
+            if kind in (UnitKind.RESOURCE, UnitKind.WORKER):
+                carried = int(raw[3, r, c])
+            units[(r, c)] = Unit(
+                kind=kind,
+                hp=int(raw[1, r, c]),
+                owner=0 if kind == UnitKind.RESOURCE else owner,
+                carried=carried,
+            )
+            if owner in (P1, P2):
+                store[owner] = int(raw[4, r, c])
+    return GameState(height=h, width=w, units=units, store=store, step=0)
+
+
 def random_small_state(rng: SplitMix64) -> GameState:
     s = empty_state(size=8)
     s.store[P1] = rng.randrange(26)
@@ -118,8 +144,8 @@ def random_small_state(rng: SplitMix64) -> GameState:
 def composed_attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     """Multi-head attention built from primitive tape ops, one node per step.
 
-    Same expressions in the same order as the fused ``T.attention``:
-    projections, head split, scaled scores, softmax, mix, output projection.
+    The textbook order of the fused ``T.attention``'s math: projections,
+    head split, scaled scores, row-max softmax, mix, output projection.
     """
     g, sq, e = xq.shape
     sk = xkv.shape[1]

@@ -30,6 +30,8 @@ from rtslab.sim.engine import PHASES, check_winner
 from rtslab.sim.rules import MAX_HP, P1, P2, STORE_CAP
 from rtslab.sim.state import GameState, Unit, empty_state
 
+from oracles import oracle_decode_planes
+
 
 def rngs(seed=0):
     return (SplitMix64(seed), SplitMix64(seed + 1))
@@ -333,6 +335,25 @@ class TestEncode:
         back = decode_planes(raw_planes(s))
         assert sorted(back.units.items()) == sorted(s.units.items())
         assert back.store == s.store
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_decode_matches_per_cell_reference(self, seed):
+        # about half the cells hold a valid unit, the rest noise outside the
+        # type plane; the unit dict must match the per-cell decode in order
+        rng = SplitMix64(500 + seed)
+        h, w = 4 + rng.randrange(9), 4 + rng.randrange(9)
+        raw = np.zeros((5, h, w), dtype=np.uint8)
+        for r in range(h):
+            for c in range(w):
+                kind = rng.randrange(8) if rng.randrange(2) else 0
+                hp = rng.randrange(MAX_HP[UnitKind(kind)] + 1) if kind else rng.randrange(11)
+                owner = rng.randrange(2) + 1 if kind not in (0, UnitKind.RESOURCE) else rng.randrange(3)
+                raw[:, r, c] = (kind, hp, owner, rng.randrange(26), rng.randrange(26))
+        back = decode_planes(raw)
+        ref = oracle_decode_planes(raw)
+        assert list(back.units.items()) == list(ref.units.items())
+        assert back.store == ref.store
+        assert (back.height, back.width, back.step) == (ref.height, ref.width, 0)
 
     def test_all_values_normalized(self):
         rec = run_match(make_strategy("RandomBiasedLite"), make_strategy("WorkerRushLite"), 4)

@@ -163,11 +163,17 @@ class TestLayerNorm:
             assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
 
 
-def attention_case(seed: int, groups: int, sq: int, sk: int, width: int, self_attn: bool):
-    """Inputs and the ten attention operands for one attention call."""
+def attention_case(
+    seed: int, groups: int, sq: int, sk: int, width: int, self_attn: bool, spread: float = 1.0
+):
+    """Inputs and the ten attention operands for one attention call; the
+    first token of each group's inputs is multiplied by `spread`."""
     rng = SplitMix64(seed)
     xq = rand(rng, (groups, sq, width))
     xkv = xq if self_attn else rand(rng, (groups, sk, width))
+    xq.data[:, 0] *= spread
+    if not self_attn:
+        xkv.data[:, 0] *= spread
     weights = []
     for _ in range(4):
         weights.append(rand(rng, (width, width)))
@@ -176,18 +182,25 @@ def attention_case(seed: int, groups: int, sq: int, sk: int, width: int, self_at
 
 
 ATTENTION_CASES = {
-    # name: (groups, Sq, Sk, width, heads, self-attention)
-    "self_five_heads": (2, 3, 3, 10, 5, True),
-    "self_one_head": (2, 3, 3, 4, 1, True),
-    "cross_single_query": (2, 1, 4, 6, 1, False),
+    # name: (groups, Sq, Sk, width, heads, self-attention, first-token spread)
+    "self_five_heads": (2, 3, 3, 10, 5, True, 1.0),
+    "self_one_head": (2, 3, 3, 4, 1, True, 1.0),
+    "cross_single_query": (2, 1, 4, 6, 1, False, 1.0),
+    # the desk preset's shapes: rows of 8 and 16 scores
+    "desk_spatial": (2, 16, 16, 20, 5, True, 1.0),
+    "desk_temporal": (2, 8, 8, 20, 5, True, 1.0),
+    "desk_feature": (3, 5, 5, 4, 1, True, 1.0),
+    # scores of one block span far more than 745: some rows underflow
+    # under the block max, so the call falls back to the row-max softmax
+    "underflow_guard": (2, 8, 8, 20, 5, True, 30.0),
 }
 
 
 class TestAttention:
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_fused_forward_matches_composed_reference(self, case):
-        groups, sq, sk, width, heads, self_attn = ATTENTION_CASES[case]
-        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn)
+        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
+        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn, spread)
         fused = T.attention(xq, xkv, *weights, heads=heads)
         composed = composed_attention(xq, xkv, *weights, heads=heads)
         assert fused.shape == (groups, sq, width)
@@ -195,8 +208,8 @@ class TestAttention:
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_gradient_check(self, case):
-        groups, sq, sk, width, heads, self_attn = ATTENTION_CASES[case]
-        xq, xkv, weights = attention_case(201, groups, sq, sk, width, self_attn)
+        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
+        xq, xkv, weights = attention_case(201, groups, sq, sk, width, self_attn, spread)
         rng = SplitMix64(202)
         mix = Tensor(
             np.array([rng.normal() for _ in range(groups * sq * width)]).reshape(groups, sq, width)
@@ -209,6 +222,20 @@ class TestAttention:
             params, h=1e-5, tol=1e-4,
         )
         assert res.passed, res.summary()
+
+    @pytest.mark.parametrize("case,falls_back", [("underflow_guard", True), ("desk_spatial", False)])
+    def test_row_max_softmax_only_on_underflow(self, case, falls_back, monkeypatch):
+        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
+        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn, spread)
+        calls = []
+        row_max = T._softmax
+        monkeypatch.setattr(T, "_softmax", lambda x: calls.append(x) or row_max(x))
+        T.attention(xq, xkv, *weights, heads=heads)
+        assert bool(calls) == falls_back
+        if falls_back:
+            scores = calls[0]
+            span = scores.max(axis=(-2, -1)) - scores.max(axis=-1).min(axis=-1)
+            assert span.max() > 745
 
     def test_one_tape_node(self):
         xq, xkv, weights = attention_case(203, 2, 3, 3, 10, True)
