@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rules import NEUTRAL, P1, P2, UnitKind
+from .rules import NEUTRAL, P1, P2, RESOURCE, WORKER, UnitKind
 from .state import GameState, Unit
 
 PLANE_TYPE = 0
@@ -35,17 +35,26 @@ PLANE_MAX = np.array([7, 10, 2, 25, 25]).reshape(CHANNELS, 1, 1)
 
 
 def raw_planes(state: GameState) -> np.ndarray:
-    """uint8 planes, the serialization form of a frame."""
-    planes = np.zeros((CHANNELS, state.height, state.width), dtype=np.uint8)
+    """uint8 planes, the serialization form of a frame.
+
+    Each unit writes its cell of the five planes straight into one zeroed
+    byte buffer; a value outside 0..255 raises ValueError. The result is a
+    copy that owns its bytes, so a kept frame holds no second object.
+    """
+    h, w = state.height, state.width
+    area = h * w
+    buf = bytearray(CHANNELS * area)
+    stores = (0, state.store[P1], state.store[P2])  # painted by owner; neutral 0
     for (r, c), u in state.units.items():
-        planes[PLANE_TYPE, r, c] = int(u.kind)
-        planes[PLANE_HEALTH, r, c] = u.hp
-        planes[PLANE_FACTION, r, c] = u.owner
-        if u.kind in (UnitKind.RESOURCE, UnitKind.WORKER):
-            planes[PLANE_NEUTRAL_RES, r, c] = u.carried
-        if u.owner in (P1, P2):
-            planes[PLANE_FACTION_RES, r, c] = state.store[u.owner]
-    return planes
+        i = r * w + c
+        kind = u.kind
+        buf[PLANE_TYPE * area + i] = kind
+        buf[PLANE_HEALTH * area + i] = u.hp
+        buf[PLANE_FACTION * area + i] = u.owner
+        if kind is RESOURCE or kind is WORKER:
+            buf[PLANE_NEUTRAL_RES * area + i] = u.carried
+        buf[PLANE_FACTION_RES * area + i] = stores[u.owner]
+    return np.ndarray((CHANNELS, h, w), np.uint8, buf).copy()
 
 
 def normalize_planes(raw: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from ..rng import SplitMix64, derive_seed
 from .encode import normalize_planes, raw_planes
 from .rules import (
     ATTACK_RANGE,
+    BARRACKS,
+    BASE,
     CARRY_CAPACITY,
     COST,
     DAMAGE,
@@ -29,8 +32,10 @@ from .rules import (
     MOBILE_KINDS,
     P1,
     P2,
+    RESOURCE,
     STORE_CAP,
     TRAINABLE_AT_BARRACKS,
+    WORKER,
     UnitKind,
 )
 from .state import GameState, Position, Unit, manhattan, standard_start
@@ -42,8 +47,7 @@ _PASS = {"attack": 0, "harvest": 1, "deposit": 2, "build": 3, "train": 3, "move"
 PHASES = tuple(_PASS)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     kind: str  # one of PHASES
     actor: Position
     target: Position | None = None
@@ -94,10 +98,10 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
     target = s.units.get(act.target)
     if act.kind == "harvest":
         if (
-            actor.kind != UnitKind.WORKER
+            actor.kind is not WORKER
             or actor.carried >= CARRY_CAPACITY
             or target is None
-            or target.kind != UnitKind.RESOURCE
+            or target.kind is not RESOURCE
             or target.carried <= 0
         ):
             return False
@@ -110,10 +114,10 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         return True
     if act.kind == "deposit":
         if (
-            actor.kind != UnitKind.WORKER
+            actor.kind is not WORKER
             or actor.carried <= 0
             or target is None
-            or target.kind != UnitKind.BASE
+            or target.kind is not BASE
             or target.owner != player
         ):
             return False
@@ -130,10 +134,10 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         s.units[act.target] = actor
         return True
     if act.kind == "build":
-        legal = actor.kind == UnitKind.WORKER and act.produce == UnitKind.BARRACKS
+        legal = actor.kind is WORKER and act.produce == BARRACKS
     else:
-        legal = (actor.kind == UnitKind.BASE and act.produce == UnitKind.WORKER) or (
-            actor.kind == UnitKind.BARRACKS and act.produce in TRAINABLE_AT_BARRACKS
+        legal = (actor.kind is BASE and act.produce == WORKER) or (
+            actor.kind is BARRACKS and act.produce in TRAINABLE_AT_BARRACKS
         )
     if not legal or s.store[player] < COST[act.produce]:
         return False
@@ -211,7 +215,13 @@ def _standing_winner(state: GameState) -> str:
 
 def check_winner(state: GameState) -> str | None:
     """Base destruction ends the match; mutual destruction falls back to counts."""
-    b1, b2 = state.bases_of(P1), state.bases_of(P2)
+    b1 = b2 = 0
+    for u in state.units.values():
+        if u.kind is BASE:
+            if u.owner == P1:
+                b1 += 1
+            else:
+                b2 += 1
     if b1 > 0 and b2 > 0:
         return None
     if b1 == 0 and b2 == 0:

@@ -26,6 +26,10 @@ class UnitKind(IntEnum):
     RANGED = 7
 
 
+# The members as module constants for per-unit loops: a global name is
+# cheaper than an enum class attribute, and members compare with `is`.
+BASE, BARRACKS, RESOURCE, WORKER, LIGHT, HEAVY, RANGED = UnitKind
+
 MAX_HP: dict[UnitKind, int] = {
     UnitKind.BASE: 10,
     UnitKind.BARRACKS: 4,

@@ -65,11 +65,6 @@ class GameState:
     def count_of(self, player: int) -> int:
         return sum(1 for u in self.units.values() if u.owner == player)
 
-    def bases_of(self, player: int) -> int:
-        return sum(
-            1 for u in self.units.values() if u.owner == player and u.kind == UnitKind.BASE
-        )
-
 
 # The smallest map on which standard_start's cells and their mirror images
 # are distinct and in bounds: player 1's worker at (3, 3) must sit above

@@ -23,7 +23,19 @@ from __future__ import annotations
 
 from ..rng import SplitMix64
 from .engine import Action
-from .rules import ATTACK_RANGE, COST, TRAINABLE_AT_BARRACKS, UnitKind
+from .rules import (
+    ATTACK_RANGE,
+    BARRACKS,
+    BASE,
+    COST,
+    HEAVY,
+    LIGHT,
+    RANGED,
+    RESOURCE,
+    TRAINABLE_AT_BARRACKS,
+    WORKER,
+    UnitKind,
+)
 from .state import GameState, Position, manhattan
 
 
@@ -45,20 +57,25 @@ class _UnitIndex:
         for pos in sorted(units):
             u = units[pos]
             cells[u.owner].append(pos)
-            if u.kind == UnitKind.BASE:
+            if u.kind is BASE:
                 bases[u.owner].append(pos)
-            elif u.kind == UnitKind.RESOURCE and u.carried > 0:
+            elif u.kind is RESOURCE and u.carried > 0:
                 nodes.append(pos)
         self.cells, self.nodes, self.bases = cells, nodes, bases
 
 
 def _nearest(pos: Position, cells: list[Position]) -> Position | None:
-    """The cell of `cells` first by (manhattan distance to pos, row, col)."""
+    """The cell of `cells` first by (manhattan distance to pos, row, col).
+
+    Ties on distance go to the smaller (row, col), whatever the order of
+    `cells`, so the answer is the same for any scan order; None if empty.
+    """
     r, c = pos
     best = None
     best_d = 1 << 30  # farther than any cell
     for q in cells:
-        d = abs(q[0] - r) + abs(q[1] - c)
+        qr, qc = q
+        d = (qr - r if qr >= r else r - qr) + (qc - c if qc >= c else c - qc)
         if d < best_d or (d == best_d and q < best):
             best, best_d = q, d
     return best
@@ -158,24 +175,25 @@ class WorkerRushLite(Strategy):
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
-        workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
+        workers = [p for p in mine if units[p].kind is WORKER]
         harvester: Position | None = None
         if workers and index.nodes:
             harvester = min(
                 workers, key=lambda p: (manhattan(p, _nearest(p, index.nodes)), p)
             )
+        can_train = state.store[player] >= COST[WORKER]
         for pos in mine:
             u = units[pos]
             act: Action | None = None
-            if u.kind == UnitKind.BASE:
-                if state.store[player] >= COST[UnitKind.WORKER]:
-                    act = _train_action(state, pos, UnitKind.WORKER)
-            elif u.kind == UnitKind.WORKER:
+            if u.kind is BASE:
+                if can_train:
+                    act = _train_action(state, pos, WORKER)
+            elif u.kind is WORKER:
                 if pos == harvester:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:
                     act = _attack_or_advance(
-                        state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                        state, pos, ATTACK_RANGE[WORKER], _nearest(pos, foes)
                     )
             if act is not None:
                 acts.append(act)
@@ -185,7 +203,7 @@ class WorkerRushLite(Strategy):
 class _BarracksRush(Strategy):
     """Two harvesters feed a barracks that streams one combat unit type."""
 
-    produce: UnitKind = UnitKind.LIGHT
+    produce: UnitKind = LIGHT
     worker_target = 2
 
     def plan(self, state, player, rng):
@@ -194,38 +212,35 @@ class _BarracksRush(Strategy):
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
-        workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
-        has_barracks = any(units[p].kind == UnitKind.BARRACKS for p in mine)
-        need_barracks = (
-            not has_barracks and state.store[player] >= COST[UnitKind.BARRACKS]
-        )
+        store = state.store[player]
+        workers = [p for p in mine if units[p].kind is WORKER]
+        has_barracks = any(units[p].kind is BARRACKS for p in mine)
+        need_barracks = not has_barracks and store >= COST[BARRACKS]
         builder = workers[-1] if (need_barracks and workers) else None
         for pos in mine:
             u = units[pos]
+            kind = u.kind
             act: Action | None = None
-            if u.kind == UnitKind.BASE:
-                if (
-                    len(workers) < self.worker_target
-                    and state.store[player] >= COST[UnitKind.WORKER]
-                ):
-                    act = _train_action(state, pos, UnitKind.WORKER)
-            elif u.kind == UnitKind.BARRACKS:
-                if state.store[player] >= COST[self.produce]:
+            if kind is BASE:
+                if len(workers) < self.worker_target and store >= COST[WORKER]:
+                    act = _train_action(state, pos, WORKER)
+            elif kind is BARRACKS:
+                if store >= COST[self.produce]:
                     act = _train_action(state, pos, self.produce)
-            elif u.kind == UnitKind.WORKER:
+            elif kind is WORKER:
                 if pos == builder:
                     free = _free_neighbors(state, pos)
                     if free:
-                        act = Action("build", pos, free[0], UnitKind.BARRACKS)
+                        act = Action("build", pos, free[0], BARRACKS)
                 if act is None:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
                 if act is None:  # mined out: join the fight
                     act = _attack_or_advance(
-                        state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                        state, pos, ATTACK_RANGE[WORKER], _nearest(pos, foes)
                     )
             else:
                 act = _attack_or_advance(
-                    state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                    state, pos, ATTACK_RANGE.get(kind, 0), _nearest(pos, foes)
                 )
             if act is not None:
                 acts.append(act)
@@ -236,21 +251,21 @@ class LightRushLite(_BarracksRush):
     """Fast, cheap melee pressure."""
 
     name = "LightRushLite"
-    produce = UnitKind.LIGHT
+    produce = LIGHT
 
 
 class HeavyRushLite(_BarracksRush):
     """Slow buildup into high-damage units; weak to early harassment."""
 
     name = "HeavyRushLite"
-    produce = UnitKind.HEAVY
+    produce = HEAVY
 
 
 class RangedRushLite(_BarracksRush):
     """Stand-off attackers that strike from range 3."""
 
     name = "RangedRushLite"
-    produce = UnitKind.RANGED
+    produce = RANGED
 
 
 class EconomyRushLite(Strategy):
@@ -266,20 +281,18 @@ class EconomyRushLite(Strategy):
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
-        n_workers = sum(1 for p in mine if units[p].kind == UnitKind.WORKER)
+        n_workers = sum(1 for p in mine if units[p].kind is WORKER)
+        can_train = n_workers < self.worker_target and state.store[player] >= COST[WORKER]
         for pos in mine:
             u = units[pos]
             act: Action | None = None
-            if u.kind == UnitKind.BASE:
-                if (
-                    n_workers < self.worker_target
-                    and state.store[player] >= COST[UnitKind.WORKER]
-                ):
-                    act = _train_action(state, pos, UnitKind.WORKER)
-            elif u.kind == UnitKind.WORKER:
+            if u.kind is BASE:
+                if can_train:
+                    act = _train_action(state, pos, WORKER)
+            elif u.kind is WORKER:
                 foe = _nearest(pos, foes)
                 if foe is not None and manhattan(pos, foe) <= self.defense_radius:
-                    act = _attack_or_advance(state, pos, ATTACK_RANGE.get(u.kind, 0), foe)
+                    act = _attack_or_advance(state, pos, ATTACK_RANGE[WORKER], foe)
                 else:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
             if act is not None:
@@ -288,7 +301,17 @@ class EconomyRushLite(Strategy):
 
 
 class RandomBiasedLite(Strategy):
-    """Random actions with a bias toward obviously useful ones."""
+    """Random actions with a bias toward obviously useful ones.
+
+    A base or barracks trains with probability 1/2 (one `uniform` draw),
+    picking uniformly (`choice`) among the kinds it can afford. Every other
+    unit weighs its options: attack the nearest foe 5 if it is in range,
+    the harvest/deposit cycle 3 for a worker that has one, a move to a free
+    neighbor 2 if there is one, idle 1; it draws the neighbor (`choice`)
+    before the option (`randrange` of the total weight). The attack and the
+    move become Actions only when chosen; the cycle is formed first, since
+    whether it is offered depends on its step.
+    """
 
     name = "RandomBiasedLite"
 
@@ -296,40 +319,42 @@ class RandomBiasedLite(Strategy):
         acts: list[Action] = []
         index = _UnitIndex(state)
         units = state.units
+        store = state.store[player]
         foes = index.cells[3 - player]
         for pos in index.cells[player]:
             u = units[pos]
-            if u.kind in (UnitKind.BASE, UnitKind.BARRACKS):
+            kind = u.kind
+            if kind is BASE or kind is BARRACKS:
                 if rng.uniform() < 0.5:
-                    trainable = (
-                        (UnitKind.WORKER,) if u.kind == UnitKind.BASE else TRAINABLE_AT_BARRACKS
-                    )
-                    choices = [k for k in trainable if state.store[player] >= COST[k]]
+                    trainable = (WORKER,) if kind is BASE else TRAINABLE_AT_BARRACKS
+                    choices = [k for k in trainable if store >= COST[k]]
                     if choices:
                         act = _train_action(state, pos, rng.choice(choices))
                         if act is not None:
                             acts.append(act)
                 continue
-            weighted: list[tuple[Action, int]] = []
             foe = _nearest(pos, foes)
-            if foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(u.kind, 0):
-                weighted.append((Action("attack", pos, foe), 5))
-            if u.kind == UnitKind.WORKER:
-                cycle = _harvest_cycle(state, index, player, pos, u.carried)
-                if cycle is not None:
-                    weighted.append((cycle, 3))
+            attack = foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(kind, 0)
+            cycle = (
+                _harvest_cycle(state, index, player, pos, u.carried) if kind is WORKER else None
+            )
             free = _free_neighbors(state, pos)
-            if free:
-                weighted.append((Action("move", pos, rng.choice(free)), 2))
-            weighted.append((None, 1))  # type: ignore[arg-type]
-            total = sum(w for _, w in weighted)
-            pick = rng.randrange(total)
-            for option, w in weighted:
-                if pick < w:
-                    if option is not None:
-                        acts.append(option)
-                    break
-                pick -= w
+            dest = rng.choice(free) if free else None
+            pick = rng.randrange(
+                (5 if attack else 0) + (3 if cycle is not None else 0) + (2 if free else 0) + 1
+            )
+            if attack:
+                if pick < 5:
+                    acts.append(Action("attack", pos, foe))
+                    continue
+                pick -= 5
+            if cycle is not None:
+                if pick < 3:
+                    acts.append(cycle)
+                    continue
+                pick -= 3
+            if dest is not None and pick < 2:
+                acts.append(Action("move", pos, dest))
         return acts
 
 

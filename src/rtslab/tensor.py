@@ -170,9 +170,16 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Undo numpy broadcasting: reduce `g` back to `shape`."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Undo numpy broadcasting: reduce `g` back to `shape`.
+
+    The extra leading axes go in one product `1^T g` over g's rows: a
+    column sum of rows as short as 4 costs several times the
+    matrix-vector product."""
+    lead = g.ndim - len(shape)
+    if lead > 0:
+        tail = g.shape[lead:]
+        rows = math.prod(g.shape[:lead])
+        g = np.matmul(np.ones(rows), g.reshape(rows, math.prod(tail))).reshape(tail)
     for ax, dim in enumerate(shape):
         if dim == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -374,14 +381,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _linear_grads(x: np.ndarray, d: np.ndarray, w: Tensor, b: Tensor) -> None:
-    """Accumulate dW = x^T d and db = 1^T d for rows out = x @ w + b.
-
-    Both are products: a column sum of rows as short as 4 costs several
-    times the matrix-vector product."""
+    """Accumulate dW = x^T d and db = 1^T d for rows out = x @ w + b."""
     if w.requires_grad:
         w.accumulate_grad(np.matmul(x.T, d))
     if b.requires_grad:
-        b.accumulate_grad(_sum_to_shape(np.matmul(np.ones(d.shape[0]), d), b.shape))
+        b.accumulate_grad(_sum_to_shape(d, b.shape))
 
 
 def _block_softmax(s: np.ndarray) -> np.ndarray | None:

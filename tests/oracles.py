@@ -8,6 +8,7 @@ as the library so exact float equality is meaningful.
 import json
 import math
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,17 @@ from rtslab.baselines import (
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
 from rtslab.sim.engine import Action
-from rtslab.sim.rules import COST, MAX_HP, P1, P2
-from rtslab.sim.state import GameState, Unit, empty_state
+from rtslab.sim.encode import CHANNELS
+from rtslab.sim.rules import ATTACK_RANGE, COST, MAX_HP, P1, P2, TRAINABLE_AT_BARRACKS
+from rtslab.sim.state import GameState, Unit, empty_state, manhattan
+from rtslab.sim.strategies import (
+    _attack_or_advance,
+    _free_neighbors,
+    _harvest_cycle,
+    _nearest,
+    _train_action,
+    _UnitIndex,
+)
 
 COMBAT = (UnitKind.WORKER, UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
 
@@ -213,3 +223,165 @@ def oracle_attack_or_advance(state: GameState, player: int, pos, reach: int):
     if target is None:
         return None
     return oracle_step_toward(state, pos, target)
+
+
+def oracle_raw_planes(state: GameState) -> np.ndarray:
+    """Per-unit encode: five scalar writes into uint8 planes for each unit."""
+    planes = np.zeros((CHANNELS, state.height, state.width), dtype=np.uint8)
+    for (r, c), u in state.units.items():
+        planes[0, r, c] = int(u.kind)
+        planes[1, r, c] = u.hp
+        planes[2, r, c] = u.owner
+        if u.kind in (UnitKind.RESOURCE, UnitKind.WORKER):
+            planes[3, r, c] = u.carried
+        if u.owner in (P1, P2):
+            planes[4, r, c] = state.store[u.owner]
+    return planes
+
+
+# Whole-plan references: each scripted strategy's plan() as it read before
+# the per-unit rewrite, on the library's target-search helpers (checked on
+# their own against the full-map scans above). RandomBiasedLite builds
+# every option as an Action in a weighted list, then draws one.
+
+
+def oracle_plan_worker_rush(state, player, rng):
+    acts = []
+    index = _UnitIndex(state)
+    units = state.units
+    mine = index.cells[player]
+    foes = index.cells[3 - player]
+    workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
+    harvester = None
+    if workers and index.nodes:
+        harvester = min(workers, key=lambda p: (manhattan(p, _nearest(p, index.nodes)), p))
+    for pos in mine:
+        u = units[pos]
+        act = None
+        if u.kind == UnitKind.BASE:
+            if state.store[player] >= COST[UnitKind.WORKER]:
+                act = _train_action(state, pos, UnitKind.WORKER)
+        elif u.kind == UnitKind.WORKER:
+            if pos == harvester:
+                act = _harvest_cycle(state, index, player, pos, u.carried)
+            if act is None:
+                act = _attack_or_advance(
+                    state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                )
+        if act is not None:
+            acts.append(act)
+    return acts
+
+
+def oracle_plan_barracks_rush(produce, state, player, rng, worker_target=2):
+    acts = []
+    index = _UnitIndex(state)
+    units = state.units
+    mine = index.cells[player]
+    foes = index.cells[3 - player]
+    workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
+    has_barracks = any(units[p].kind == UnitKind.BARRACKS for p in mine)
+    need_barracks = not has_barracks and state.store[player] >= COST[UnitKind.BARRACKS]
+    builder = workers[-1] if (need_barracks and workers) else None
+    for pos in mine:
+        u = units[pos]
+        act = None
+        if u.kind == UnitKind.BASE:
+            if len(workers) < worker_target and state.store[player] >= COST[UnitKind.WORKER]:
+                act = _train_action(state, pos, UnitKind.WORKER)
+        elif u.kind == UnitKind.BARRACKS:
+            if state.store[player] >= COST[produce]:
+                act = _train_action(state, pos, produce)
+        elif u.kind == UnitKind.WORKER:
+            if pos == builder:
+                free = _free_neighbors(state, pos)
+                if free:
+                    act = Action("build", pos, free[0], UnitKind.BARRACKS)
+            if act is None:
+                act = _harvest_cycle(state, index, player, pos, u.carried)
+            if act is None:
+                act = _attack_or_advance(
+                    state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+                )
+        else:
+            act = _attack_or_advance(
+                state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
+            )
+        if act is not None:
+            acts.append(act)
+    return acts
+
+
+def oracle_plan_economy_rush(state, player, rng, worker_target=5, defense_radius=3):
+    acts = []
+    index = _UnitIndex(state)
+    units = state.units
+    mine = index.cells[player]
+    foes = index.cells[3 - player]
+    n_workers = sum(1 for p in mine if units[p].kind == UnitKind.WORKER)
+    for pos in mine:
+        u = units[pos]
+        act = None
+        if u.kind == UnitKind.BASE:
+            if n_workers < worker_target and state.store[player] >= COST[UnitKind.WORKER]:
+                act = _train_action(state, pos, UnitKind.WORKER)
+        elif u.kind == UnitKind.WORKER:
+            foe = _nearest(pos, foes)
+            if foe is not None and manhattan(pos, foe) <= defense_radius:
+                act = _attack_or_advance(state, pos, ATTACK_RANGE.get(u.kind, 0), foe)
+            else:
+                act = _harvest_cycle(state, index, player, pos, u.carried)
+        if act is not None:
+            acts.append(act)
+    return acts
+
+
+def oracle_plan_random_biased(state, player, rng):
+    acts = []
+    index = _UnitIndex(state)
+    units = state.units
+    foes = index.cells[3 - player]
+    for pos in index.cells[player]:
+        u = units[pos]
+        if u.kind in (UnitKind.BASE, UnitKind.BARRACKS):
+            if rng.uniform() < 0.5:
+                trainable = (
+                    (UnitKind.WORKER,) if u.kind == UnitKind.BASE else TRAINABLE_AT_BARRACKS
+                )
+                choices = [k for k in trainable if state.store[player] >= COST[k]]
+                if choices:
+                    act = _train_action(state, pos, rng.choice(choices))
+                    if act is not None:
+                        acts.append(act)
+            continue
+        weighted = []
+        foe = _nearest(pos, foes)
+        if foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(u.kind, 0):
+            weighted.append((Action("attack", pos, foe), 5))
+        if u.kind == UnitKind.WORKER:
+            cycle = _harvest_cycle(state, index, player, pos, u.carried)
+            if cycle is not None:
+                weighted.append((cycle, 3))
+        free = _free_neighbors(state, pos)
+        if free:
+            weighted.append((Action("move", pos, rng.choice(free)), 2))
+        weighted.append((None, 1))
+        total = sum(w for _, w in weighted)
+        pick = rng.randrange(total)
+        for option, w in weighted:
+            if pick < w:
+                if option is not None:
+                    acts.append(option)
+                break
+            pick -= w
+    return acts
+
+
+ORACLE_PLANS = {
+    "WorkerRushLite": oracle_plan_worker_rush,
+    "LightRushLite": partial(oracle_plan_barracks_rush, UnitKind.LIGHT),
+    "HeavyRushLite": partial(oracle_plan_barracks_rush, UnitKind.HEAVY),
+    "RangedRushLite": partial(oracle_plan_barracks_rush, UnitKind.RANGED),
+    "EconomyRushLite": oracle_plan_economy_rush,
+    "RandomBiasedLite": oracle_plan_random_biased,
+}

@@ -27,10 +27,10 @@ from rtslab.sim.encode import (
     normalize_planes,
 )
 from rtslab.sim.engine import PHASES, check_winner
-from rtslab.sim.rules import MAX_HP, P1, P2, STORE_CAP
+from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, STORE_CAP
 from rtslab.sim.state import GameState, Unit, empty_state
 
-from oracles import oracle_decode_planes
+from oracles import oracle_decode_planes, oracle_raw_planes
 
 
 def rngs(seed=0):
@@ -286,9 +286,30 @@ class TestRunMatch:
 
 class TestEncode:
     def test_empty_map_all_zero(self):
-        planes = normalize_planes(raw_planes(empty_state()))
+        raw = raw_planes(empty_state())
+        assert raw.dtype == np.uint8 and raw.shape == (5, 16, 16)
+        assert np.array_equal(raw, oracle_raw_planes(empty_state()))
+        planes = normalize_planes(raw)
         assert planes.shape == (5, 16, 16)
         assert np.all(planes == 0.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_raw_planes_match_per_unit_reference(self, seed):
+        # non-square maps; every kind carries random cargo, which only
+        # resources and workers paint, and each side has a random store
+        rng = SplitMix64(700 + seed)
+        h, w = 4 + rng.randrange(9), 4 + rng.randrange(9)
+        s = GameState(h, w, {}, {P1: rng.randrange(26), P2: rng.randrange(26)})
+        kinds = list(UnitKind)
+        for _ in range(rng.randrange(h * w)):
+            kind = rng.choice(kinds)
+            owner = NEUTRAL if kind == UnitKind.RESOURCE else rng.randrange(2) + 1
+            s.units[(rng.randrange(h), rng.randrange(w))] = Unit(
+                kind, rng.randrange(MAX_HP[kind] + 1), owner, rng.randrange(26)
+            )
+        raw = raw_planes(s)
+        assert raw.dtype == np.uint8 and raw.shape == (5, h, w)
+        assert np.array_equal(raw, oracle_raw_planes(s))
 
     def test_single_worker_plane_values(self):
         s = empty_state()

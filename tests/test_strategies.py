@@ -1,5 +1,6 @@
 """Scripted strategies: the per-plan unit index against the full-map scan,
-and a pin of every decision through the hash of a generated dataset."""
+whole plans and their rng draws against the pre-rewrite plans, and a pin of
+every decision through the hash of a generated dataset."""
 
 import hashlib
 
@@ -8,16 +9,19 @@ import pytest
 from rtslab.cli import main
 from rtslab.rng import SplitMix64
 from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, UnitKind
-from rtslab.sim.state import Unit, empty_state
+from rtslab.sim.engine import Action, step
+from rtslab.sim.state import Unit, empty_state, standard_start
 from rtslab.sim.strategies import (
     _attack_or_advance,
     _free_neighbors,
     _nearest,
     _step_toward,
     _UnitIndex,
+    make_strategy,
 )
 
 from oracles import (
+    ORACLE_PLANS,
     oracle_attack_or_advance,
     oracle_free_neighbors,
     oracle_nearest,
@@ -95,6 +99,36 @@ def test_nearest_ignores_scan_order():
         assert _nearest((4, 4), cells[k:] + cells[:k]) == (3, 4)
         assert _nearest((4, 4), cells[k:][::-1] + cells[:k][::-1]) == (3, 4)
     assert _nearest((4, 4), []) is None
+
+
+def plan_states(name: str):
+    """Seeded random maps with stores in 0..25, so the train and build
+    branches run, then the states of a match of `name` against
+    RandomBiasedLite, where workers harvest and deposit."""
+    rng = SplitMix64(3000)
+    for _ in range(100):
+        s = random_state(rng)
+        s.store = {P1: rng.randrange(26), P2: rng.randrange(26)}
+        yield s
+    s, streams = standard_start(), (SplitMix64(1), SplitMix64(2))
+    for _ in range(150):
+        yield s
+        s = step(s, make_strategy(name), make_strategy("RandomBiasedLite"), streams)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
+def test_plan_matches_the_reference_plan(name):
+    """Same actions, in order, and the same rng state after the call."""
+    strategy, oracle = make_strategy(name), ORACLE_PLANS[name]
+    rng = SplitMix64(4000)
+    for s in plan_states(name):
+        for player in (P1, P2):
+            seed = rng.next_u64()
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            plan = strategy.plan(s, player, ours)
+            assert plan == oracle(s, player, theirs)
+            assert all(type(act) is Action for act in plan)
+            assert ours.state == theirs.state
 
 
 def sha(path) -> str:

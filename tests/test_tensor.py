@@ -305,6 +305,25 @@ class TestShapeOps:
             p = T.permute(x, (2, 0, 1))
             assert np.array_equal(np.sort(p.data.ravel()), np.sort(x.data.ravel()))
 
+    @pytest.mark.parametrize(
+        "gshape, shape",
+        [((1280, 4), (4,)), ((2, 16, 20), (20,)), ((3, 5), ()), ((0, 4), (4,)),
+         ((2, 3, 4), (1, 4)), ((3, 4), (3, 4))],
+    )
+    def test_sum_to_shape_matches_sums_axis_by_axis(self, gshape, shape):
+        # the product adds in another order than numpy's sums, hence 1e-12
+        rng = SplitMix64(9)
+        g = np.array([rng.normal() for _ in range(math.prod(gshape))]).reshape(gshape)
+        want = g
+        while want.ndim > len(shape):
+            want = want.sum(axis=0)
+        for ax, dim in enumerate(shape):
+            if dim == 1 and want.shape[ax] != 1:
+                want = want.sum(axis=ax, keepdims=True)
+        got = T._sum_to_shape(g, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_mean_of_ones(self):
         assert T.mean(Tensor(np.ones((3, 3)))).data == 1.0
 
