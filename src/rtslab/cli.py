@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,8 +126,10 @@ class RunConfig:
             raise ConfigError(f"fractions must lie in (0, 1]: {self.fractions}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"config key 'threshold' must be in (0, 1), got {self.threshold}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        # a process pool forks all its workers at the first submit
+        cores = os.cpu_count() or 1
+        if not 1 <= self.threads <= cores:
+            raise ConfigError(f"threads must be in 1..{cores} (CPU cores here), got {self.threads}")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.capture_every < 1:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import CorruptArtifact
 from ..rng import SplitMix64
-from .encode import CHANNELS, PLANE_FACTION, PLANE_MAX
+from .encode import CHANNELS, PLANE_MAX
 from .engine import MatchRecord
 
 FORMAT_VERSION = 1
@@ -359,14 +359,3 @@ def winner_label(record: MatchRecord) -> int | None:
         return None
     return 1 if record.winner == "p1" else 0
 
-
-def surviving_units_label(record: MatchRecord) -> int | None:
-    """Relabel by the final frame's unit count: 1 if p1 has more cells
-    occupied than p2, 0 if fewer, None on a tie. Makes a toy dataset whose
-    label is a function of the visible input."""
-    faction = record.frames[-1][1][PLANE_FACTION]
-    n1 = int((faction == 1).sum())
-    n2 = int((faction == 2).sum())
-    if n1 == n2:
-        return None
-    return 1 if n1 > n2 else 0

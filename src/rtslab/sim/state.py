@@ -101,9 +101,5 @@ def standard_start(size: int = 16) -> GameState:
     )
 
 
-def empty_state(size: int = 16, store: int = 0) -> GameState:
-    return GameState(height=size, width=size, units={}, store={P1: store, P2: store})
-
-
 def manhattan(a: Position, b: Position) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])

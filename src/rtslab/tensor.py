@@ -9,8 +9,10 @@ operation is plain numpy (inference mode, nothing recorded).
 Contracts:
 
 * A Tensor is immutable after creation except for gradient accumulation.
-  (``grad_check`` perturbs ``.data`` in place and restores it; that is the
-  one sanctioned exception, and it owns the parameters while it runs.)
+  (A central-difference gradient check, such as ``grad_check`` in
+  ``tests/oracles.py``, perturbs ``.data`` in place and restores it; that
+  is the one sanctioned exception, and it owns the parameters while it
+  runs.)
 * Calling ``backward`` twice on the same tape accumulates leaf gradients
   additively; intermediate node gradients are reset per call.
 * Every public operation leaves only finite values behind; an op that would
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -207,50 +208,6 @@ def add(a: Tensor, b) -> Tensor:
     return _result(data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(-g)
-
-    return _result(-a.data, (a,), backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_sum_to_shape(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_sum_to_shape(g * a.data, b.shape))
-
-    return _result(data, (a, b), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log requires strictly positive input; clamp first")
-    data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.data)
-
-    return _result(data, (a,), backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    data = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _result(data, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the last two axes.
 
@@ -284,23 +241,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax of a plain array; shared by softmax and attention."""
+    """Max-subtracted softmax of a plain array: attention's row-max fallback."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, max-subtracted before exponentiation."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ValueError(f"softmax axis {axis} out of range for shape {a.shape}")
-    data = _softmax(a.data, axis)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate_grad((g - dot) * data)
-
-    return _result(data, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -522,22 +465,6 @@ def index(a: Tensor, key) -> Tensor:
     return _result(np.ascontiguousarray(data), (a,), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else a.shape[axis]
-
-    def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate_grad(np.full(a.shape, float(g.reshape(())) / count))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(gg, a.shape) / count)
-
-    return _result(np.asarray(data), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 
@@ -551,82 +478,3 @@ def normal(rng, shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:
     n = math.prod(shape) if shape else 1
     vals = np.fromiter((rng.normal(0.0, std) for _ in range(n)), dtype=np.float64, count=n)
     return Tensor(vals.reshape(shape), requires_grad=requires_grad)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckResult:
-    """Outcome of a central-difference check over a parameter set."""
-
-    passed: bool
-    tol: float
-    h: float
-    checked: int
-    worst_rel_err: float
-    worst_param: str
-    worst_index: int
-    failures: list[tuple[str, int, float]] = field(default_factory=list)
-
-    def summary(self) -> str:
-        status = "OK" if self.passed else "FAIL"
-        return (
-            f"grad_check {status}: {self.checked} components, worst rel err "
-            f"{self.worst_rel_err:.3e} at {self.worst_param}[{self.worst_index}] "
-            f"(tol {self.tol:g})"
-        )
-
-
-def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult:
-    """Compare tape gradients of `f()` against central differences.
-
-    `f` must return a scalar Tensor computed from the current values of
-    `params`. Each component is perturbed in place by ±h (and restored);
-    relative error is |analytic - numeric| / max(1, |analytic|).
-    """
-    with Tape() as tape:
-        out = f()
-        if not isinstance(out, Tensor) or out.data.size != 1:
-            raise ValueError("grad_check requires f() to return a scalar Tensor")
-        tape.backward(out)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-
-    def eval_scalar() -> float:
-        return float(f().data.reshape(()))
-
-    worst = (0.0, "", -1)
-    failures: list[tuple[str, int, float]] = []
-    checked = 0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = eval_scalar()
-            flat[i] = orig - h
-            down = eval_scalar()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = grad_flat[i]
-            rel = abs(a - numeric) / max(1.0, abs(a))
-            checked += 1
-            if rel > worst[0]:
-                worst = (rel, name, i)
-            if rel > tol:
-                failures.append((name, i, rel))
-    return GradCheckResult(
-        passed=not failures,
-        tol=tol,
-        h=h,
-        checked=checked,
-        worst_rel_err=worst[0],
-        worst_param=worst[1],
-        worst_index=worst[2],
-        failures=failures,
-    )

@@ -1,13 +1,20 @@
-"""Independent re-implementations used as test oracles.
+"""Independent re-implementations used as test oracles, and the helpers
+only tests use.
 
-These deliberately re-derive each formula from scratch instead of calling
-the library code they check. Accumulation runs in the same row-major order
-as the library so exact float equality is meaningful.
+The oracles deliberately re-derive each formula from scratch instead of
+calling the library code they check. Accumulation runs in the same
+row-major order as the library so exact float equality is meaningful.
+
+The helpers are code no command runs: the elementwise product, mean and
+softmax tape ops and the central-difference gradient check that the
+tensor tests compose, the empty-board state and the toy label of
+criterion 03.
 """
 
 import json
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -25,10 +32,10 @@ from rtslab.baselines import (
 )
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
-from rtslab.sim.engine import Action
-from rtslab.sim.encode import CHANNELS
+from rtslab.sim.engine import Action, MatchRecord
+from rtslab.sim.encode import CHANNELS, PLANE_FACTION
 from rtslab.sim.rules import ATTACK_RANGE, COST, MAX_HP, P1, P2, TRAINABLE_AT_BARRACKS
-from rtslab.sim.state import GameState, Unit, empty_state, manhattan
+from rtslab.sim.state import GameState, Unit, manhattan
 from rtslab.sim.strategies import (
     _attack_or_advance,
     _free_neighbors,
@@ -37,8 +44,151 @@ from rtslab.sim.strategies import (
     _train_action,
     _UnitIndex,
 )
+from rtslab.tensor import Tape, Tensor, _coerce, _result, _softmax, _sum_to_shape
 
 COMBAT = (UnitKind.WORKER, UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests use
+
+
+def empty_state(size: int = 16, store: int = 0) -> GameState:
+    return GameState(height=size, width=size, units={}, store={P1: store, P2: store})
+
+
+def surviving_units_label(record: MatchRecord) -> int | None:
+    """Relabel by the final frame's unit count: 1 if p1 has more cells
+    occupied than p2, 0 if fewer, None on a tie. Makes a toy dataset whose
+    label is a function of the visible input."""
+    faction = record.frames[-1][1][PLANE_FACTION]
+    n1 = int((faction == 1).sum())
+    n2 = int((faction == 2).sum())
+    if n1 == n2:
+        return None
+    return 1 if n1 > n2 else 0
+
+
+def mul(a: Tensor, b) -> Tensor:
+    a, b = _coerce(a), _coerce(b)
+    data = a.data * b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(_sum_to_shape(g * b.data, a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_sum_to_shape(g * a.data, b.shape))
+
+    return _result(data, (a, b), backward)
+
+
+def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.size if axis is None else a.shape[axis]
+
+    def backward(g):
+        if not a.requires_grad:
+            return
+        if axis is None:
+            a.accumulate_grad(np.full(a.shape, float(g.reshape(())) / count))
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            a.accumulate_grad(np.broadcast_to(gg, a.shape) / count)
+
+    return _result(np.asarray(data), (a,), backward)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along `axis`, max-subtracted before exponentiation."""
+    if not -a.ndim <= axis < a.ndim:
+        raise ValueError(f"softmax axis {axis} out of range for shape {a.shape}")
+    data = _softmax(a.data, axis)
+
+    def backward(g):
+        if a.requires_grad:
+            dot = (g * data).sum(axis=axis, keepdims=True)
+            a.accumulate_grad((g - dot) * data)
+
+    return _result(data, (a,), backward)
+
+
+@dataclass
+class GradCheckResult:
+    """Outcome of a central-difference check over a parameter set."""
+
+    passed: bool
+    tol: float
+    h: float
+    checked: int
+    worst_rel_err: float
+    worst_param: str
+    worst_index: int
+    failures: list[tuple[str, int, float]] = field(default_factory=list)
+
+    def summary(self) -> str:
+        status = "OK" if self.passed else "FAIL"
+        return (
+            f"grad_check {status}: {self.checked} components, worst rel err "
+            f"{self.worst_rel_err:.3e} at {self.worst_param}[{self.worst_index}] "
+            f"(tol {self.tol:g})"
+        )
+
+
+def grad_check(f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-4) -> GradCheckResult:
+    """Compare tape gradients of `f()` against central differences.
+
+    `f` must return a scalar Tensor computed from the current values of
+    `params`. Each component is perturbed in place by ±h (and restored);
+    relative error is |analytic - numeric| / max(1, |analytic|).
+    """
+    with Tape() as tape:
+        out = f()
+        if not isinstance(out, Tensor) or out.data.size != 1:
+            raise ValueError("grad_check requires f() to return a scalar Tensor")
+        tape.backward(out)
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        for name, p in params.items()
+    }
+
+    def eval_scalar() -> float:
+        return float(f().data.reshape(()))
+
+    worst = (0.0, "", -1)
+    failures: list[tuple[str, int, float]] = []
+    checked = 0
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        grad_flat = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = eval_scalar()
+            flat[i] = orig - h
+            down = eval_scalar()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = grad_flat[i]
+            rel = abs(a - numeric) / max(1.0, abs(a))
+            checked += 1
+            if rel > worst[0]:
+                worst = (rel, name, i)
+            if rel > tol:
+                failures.append((name, i, rel))
+    return GradCheckResult(
+        passed=not failures,
+        tol=tol,
+        h=h,
+        checked=checked,
+        worst_rel_err=worst[0],
+        worst_param=worst[1],
+        worst_index=worst[2],
+        failures=failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracles
 
 
 def oracle_simple(state: GameState, player: int) -> float:
@@ -73,6 +223,34 @@ def oracle_lanchester(state: GameState, player: int) -> float:
             n += 1
     return total + army * n ** CONCENTRATION_EXPONENT
 
+
+_ATTENTION_PARAMS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
+
+# every parameter name, with any `layers.{l}.` prefix removed, and its group
+PARAM_GROUPS = {
+    "embed.weight": "embedding",
+    "embed.bias": "embedding",
+    "pos": "positional",
+    "cls": "cls_token",
+    **{f"sa.{w}": "spatial" for w in _ATTENTION_PARAMS},
+    **{f"ta.{w}": "temporal" for w in _ATTENTION_PARAMS},
+    **{f"fa.{w}": "feature" for w in _ATTENTION_PARAMS},
+    **{f"cls_attn.{w}": "cls_route" for w in _ATTENTION_PARAMS},
+    "cls_norm.gamma": "cls_route",
+    "cls_norm.beta": "cls_route",
+    "norm.gamma": "norms",
+    "norm.beta": "norms",
+    "head.w1": "head",
+    "head.b1": "head",
+    "head.w2": "head",
+    "head.b2": "head",
+}
+
+
+def oracle_group_of(name: str) -> str:
+    """The accounting group of a parameter, looked up in PARAM_GROUPS; a
+    name the table does not hold raises KeyError."""
+    return PARAM_GROUPS[re.sub(r"^layers\.\d+\.", "", name)]
 
 def oracle_read_dataset(path):
     """(header, matches) of a dataset file read with plain json.loads per
@@ -163,8 +341,8 @@ def composed_attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     q = T.add(T.matmul(xq, wq), bq).reshape(g, sq, heads, dh).permute(0, 2, 1, 3)
     k = T.add(T.matmul(xkv, wk), bk).reshape(g, sk, heads, dh).permute(0, 2, 1, 3)
     v = T.add(T.matmul(xkv, wv), bv).reshape(g, sk, heads, dh).permute(0, 2, 1, 3)
-    scores = T.mul(T.matmul(q, k.permute(0, 1, 3, 2)), 1.0 / math.sqrt(dh))
-    mix = T.matmul(T.softmax(scores, axis=-1), v).permute(0, 2, 1, 3).reshape(g, sq, e)
+    scores = mul(T.matmul(q, k.permute(0, 1, 3, 2)), 1.0 / math.sqrt(dh))
+    mix = T.matmul(softmax(scores, axis=-1), v).permute(0, 2, 1, 3).reshape(g, sq, e)
     return T.add(T.matmul(mix, wo), bo)
 
 

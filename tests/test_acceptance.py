@@ -14,9 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import oracle_lanchester, oracle_simple, random_small_state
+import oracles as T  # the tape ops and gradient check that only tests use
+from oracles import (
+    empty_state,
+    oracle_lanchester,
+    oracle_simple,
+    random_small_state,
+    surviving_units_label,
+)
+from parameter_counts import accounting_report
 
-from rtslab import tensor as T
 from rtslab.baselines import lanchester_eval, simple_eval
 from rtslab.cli import main
 from rtslab.model import (
@@ -27,16 +34,15 @@ from rtslab.model import (
     init_params,
     parameter_spec,
 )
-from rtslab.model.params import GROUP_ORDER, accounting_report
+from rtslab.model.params import GROUP_ORDER
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
     run_tournament,
     schedule_round_robin,
     split_dataset,
 )
-from rtslab.sim.dataset import surviving_units_label
 from rtslab.sim.rules import P1
-from rtslab.sim.state import Unit, empty_state
+from rtslab.sim.state import Unit
 from rtslab.sim.rules import MAX_HP, UnitKind
 from rtslab.tensor import Tensor
 from rtslab.train import (
@@ -240,8 +246,7 @@ class TestCriterion05ParameterAccounting:
         assert doc.exists(), "docs/parameter_counts.md missing"
         assert doc.read_text() == accounting_report(), (
             "docs/parameter_counts.md is stale; regenerate with "
-            "PYTHONPATH=src python3 -c 'from rtslab.model.params import accounting_report; "
-            "print(accounting_report(), end=\"\")' > docs/parameter_counts.md"
+            "PYTHONPATH=src python3 docs/parameter_counts.py > docs/parameter_counts.md"
         )
         deltas = []
         for preset in ("tstf-6", "tstf-8", "timesformer-12"):
@@ -249,7 +254,7 @@ class TestCriterion05ParameterAccounting:
             counts = count_params(cfg)
             # layer-local groups must match the allocated arrays exactly
             allocated: dict[str, int] = {g: 0 for g in GROUP_ORDER}
-            from rtslab.model.params import _group_of
+            from oracles import oracle_group_of as _group_of
 
             for name, shape, _ in parameter_spec(cfg):
                 allocated[_group_of(name)] += int(np.prod(shape)) if shape else 1

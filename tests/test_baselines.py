@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_lanchester, oracle_simple, random_small_state
+from oracles import empty_state, oracle_lanchester, oracle_simple, random_small_state
 
 from rtslab.baselines import (
     BASE_WEIGHT,
@@ -14,7 +14,7 @@ from rtslab.baselines import (
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind, standard_start
 from rtslab.sim.rules import MAX_HP, P1, P2
-from rtslab.sim.state import Unit, empty_state
+from rtslab.sim.state import Unit
 
 
 class TestSimpleEval:

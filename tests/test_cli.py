@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import struct
 import typing
@@ -153,6 +154,24 @@ class TestGenerate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"config key {key!r} must be" in err
         assert not (tmp_path / "x").exists()
+
+    def test_threads_above_core_count_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a pool forks all its workers at the first submit, so the bound
+        # must hold before any pool exists; a pool started here fails loudly
+        import rtslab.sim.tournament
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(rtslab.sim.tournament, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 1_000_000}))
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1000000" in err
+        assert f"1..{os.cpu_count() or 1}" in err
+        assert not (tmp_path / "x" / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize("cls", [RunConfig, ModelConfig])
     def test_every_config_field_has_a_kind(self, cls):

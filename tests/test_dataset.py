@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from oracles import oracle_read_dataset, oracle_write_dataset
+from oracles import oracle_read_dataset, oracle_write_dataset, surviving_units_label
 
 from rtslab import CorruptArtifact
 from rtslab.rng import SplitMix64
@@ -19,7 +19,7 @@ from rtslab.sim import (
     split_dataset,
     write_dataset,
 )
-from rtslab.sim.dataset import WINNERS, largest_remainder_sizes, surviving_units_label
+from rtslab.sim.dataset import WINNERS, largest_remainder_sizes
 from rtslab.sim.encode import PLANE_MAX
 from rtslab.sim.engine import MatchRecord
 

@@ -28,9 +28,9 @@ from rtslab.sim.encode import (
 )
 from rtslab.sim.engine import PHASES, check_winner
 from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, STORE_CAP
-from rtslab.sim.state import GameState, Unit, empty_state
+from rtslab.sim.state import GameState, Unit
 
-from oracles import oracle_decode_planes, oracle_raw_planes
+from oracles import empty_state, oracle_decode_planes, oracle_raw_planes
 
 
 def rngs(seed=0):

