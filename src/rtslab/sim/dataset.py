@@ -13,10 +13,10 @@ followed by one match record per line
      "frames":[[step,[5 x H x W ints]],...]}
 
 Frames hold raw (unnormalized) integer plane values, each within its
-plane's range (encode.PLANE_MAX), so they are uint8 in memory;
-normalization to [0,1] happens at load time. Keys are sorted and
-separators fixed, so a dataset is byte-identical across reruns of the
-same configuration.
+plane's range (encode.PLANE_MAX), so they are uint8 in memory. They stay
+raw: normalization to [0,1] happens once, on each batch a model forwards
+(train.loop). Keys are sorted and separators fixed, so a dataset is
+byte-identical across reruns of the same configuration.
 
 The writer's code is the one definition of a match line: `_match_pieces`
 renders it, formatting the frames text with numpy in the layout

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..rng import SplitMix64, derive_seed
-from .encode import normalize_planes, raw_planes
+from .encode import raw_planes
 from .rules import (
     ATTACK_RANGE,
     BARRACKS,
@@ -285,7 +285,9 @@ def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0
 
     For P prefix frames (`visible_prefix`), frame i comes from prefix index
     round_half_up(i*(P-1)/(T-1)); T=1 degenerates to the last prefix frame.
-    Returns normalized planes, shape (T, C, H, W).
+    Returns the selected raw frames, shape (T, C, H, W), in the frames'
+    own dtype (uint8 for a played or read record); a model normalizes
+    them only when it forwards a batch (`train.loop`).
     """
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -298,4 +300,4 @@ def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0
             int(math.floor(i * last / (frame_count - 1) + 0.5))
             for i in range(frame_count)
         ]
-    return np.stack([normalize_planes(prefix[i][1]) for i in picks])
+    return np.stack([prefix[i][1] for i in picks])

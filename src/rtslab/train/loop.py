@@ -12,12 +12,13 @@ from .. import tensor as T
 from ..model.network import WinPredictor
 from ..rng import SplitMix64, derive_seed
 from ..sim.dataset import winner_label
+from ..sim.encode import normalize_planes
 from ..sim.engine import sample_timeline
 from ..tensor import Tape, Tensor
 from .loss import bce_loss
 from .optim import AdamW, TrainConfig
 
-Example = tuple[np.ndarray, int]  # ((T, C, H, W) clip, label)
+Example = tuple[np.ndarray, int]  # ((T, C, H, W) uint8 clip, label)
 
 
 @dataclass(frozen=True)
@@ -43,18 +44,27 @@ class TrainResult:
 INFER_BATCH = 4
 
 
+def _require_raw(clip: np.ndarray) -> None:
+    # a float clip would be normalized a second time without any error
+    if clip.dtype != np.uint8:
+        raise ValueError(f"clips must hold raw uint8 planes, got dtype {clip.dtype}")
+
+
 def predict_probs(
     model: WinPredictor, clips: Iterable[np.ndarray], cache: dict[bytes, float] | None = None
 ) -> np.ndarray:
-    """Win probability of each clip, in input order, from tape-free forwards.
+    """Win probability of each raw uint8 clip, in input order, from
+    tape-free forwards.
 
-    Each clip is keyed by the sha256 of its bytes, and only clips whose key
-    is neither in `cache` nor already pending are forwarded, in batches of
-    INFER_BATCH. The input is streamed: at most INFER_BATCH clips are held
-    at a time, so `clips` may be a generator. `cache` maps digest to
-    probability and is filled in place; pass one dict to several calls on
-    the same model to forward each distinct clip once across them. A
-    batched probability can differ from a B=1 forward in the last bits.
+    Each clip is keyed by the sha256 of its uint8 bytes, and only clips
+    whose key is neither in `cache` nor already pending are forwarded, in
+    batches of INFER_BATCH; each batch is normalized once, as it is
+    forwarded. A clip of any other dtype raises ValueError. The input is
+    streamed: at most INFER_BATCH clips are held at a time, so `clips` may
+    be a generator. `cache` maps digest to probability and is filled in
+    place; pass one dict to several calls on the same model to forward each
+    distinct clip once across them. A batched probability can differ from a
+    B=1 forward in the last bits.
     """
     if cache is None:
         cache = {}
@@ -62,11 +72,12 @@ def predict_probs(
     pending: dict[bytes, np.ndarray] = {}
 
     def flush() -> None:
-        probs = model.forward(np.stack(list(pending.values()))).data
+        probs = model.forward(normalize_planes(np.stack(list(pending.values())))).data
         cache.update(zip(pending, probs.tolist()))
         pending.clear()
 
     for clip in clips:
+        _require_raw(clip)
         key = hashlib.sha256(clip).digest()
         keys.append(key)
         if key not in cache and key not in pending:
@@ -94,10 +105,14 @@ def train_model(
 ) -> TrainResult:
     """Seeded shuffled mini-batches; retains the best-validation parameters.
 
-    `progress`, when given, is called with each EpochLog row as it lands.
+    Every clip must be raw uint8 planes (checked before the first step);
+    each stacked batch is normalized once, as it is forwarded. `progress`,
+    when given, is called with each EpochLog row as it lands.
     """
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
+    for clip, _ in (*train_set, *val_set):
+        _require_raw(clip)
     opt = AdamW(model.params, config)
     history: list[EpochLog] = []
     best = (-1.0, -1, None)  # (val_acc, epoch, snapshot)
@@ -108,7 +123,7 @@ def train_model(
         hits = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[i] for i in order[start : start + config.batch_size]]
-            x = np.stack([ex[0] for ex in batch])
+            x = normalize_planes(np.stack([ex[0] for ex in batch]))
             y = np.array([ex[1] for ex in batch], dtype=np.float64)
             with Tape() as tape:
                 probs = model.forward(x)
@@ -140,7 +155,8 @@ def train_model(
 
 def dataset_to_examples(records, frame_count: int) -> list[Example]:
     """Materialize (clip, label) pairs at full progress, labelled by
-    `winner_label`; draws are dropped."""
+    `winner_label`; draws are dropped. Clips are the records' raw frames
+    (uint8 for a played or read record), as `train_model` takes them."""
     out: list[Example] = []
     for rec in records:
         label = winner_label(rec)

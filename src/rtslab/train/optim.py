@@ -34,6 +34,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        # the decay factor 1 - lr*wd must lie in (0, 1]: at -1 a
+        # zero-gradient step flips every parameter's sign
+        if not 0 <= self.lr * self.weight_decay < 1:
+            raise ValueError(
+                f"weight_decay must satisfy 0 <= lr*weight_decay < 1 (lr={self.lr:g}), "
+                f"got {self.weight_decay}"
+            )
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0:

@@ -218,6 +218,21 @@ class TestTrain:
         assert sha(a / "best.ckpt") == sha(b / "best.ckpt")
         assert sha(a / "train_log.csv") == sha(b / "train_log.csv")
 
+    @pytest.mark.parametrize("weight_decay", [-5, 20000])
+    def test_out_of_range_weight_decay_exits_3(self, pipeline, weight_decay, tmp_path, capsys):
+        # at the default lr, 20000 makes the decay factor 1 - lr*wd equal -1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight_decay": weight_decay}))
+        out = tmp_path / "m"
+        rc = main(["train", "--config", str(cfg), "--dataset",
+                   str(pipeline["data"] / "dataset.jsonl"), "--out", str(out), "--epochs", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "weight_decay" in err and "0 <= lr*weight_decay < 1" in err
+        assert str(weight_decay) in err
+        assert not (out / "best.ckpt").exists()
+
     def test_inputs_not_mutated(self, pipeline):
         data = pipeline["data"]
         before = sha(data / "dataset.jsonl")

@@ -30,3 +30,20 @@ def test_every_public_definition_is_used_in_src():
         and node.name not in used
     )
     assert not unused, f"public definitions no src module uses: {unused}"
+
+
+def test_planes_are_normalized_in_one_module():
+    # clips stay raw uint8 until the training loop forwards a batch; a
+    # second module naming normalize_planes would be a second normalization
+    # path. encode.py only defines it.
+    namers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "normalize_planes")
+                or (isinstance(node, ast.Attribute) and node.attr == "normalize_planes")
+                or (isinstance(node, ast.alias) and node.name == "normalize_planes")
+            )
+            if named:
+                namers.add(path.relative_to(SRC).as_posix())
+    assert namers == {"train/loop.py"}, f"modules naming normalize_planes: {sorted(namers)}"

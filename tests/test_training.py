@@ -8,15 +8,19 @@ import pytest
 
 from rtslab.cli import main
 from rtslab.model import ModelConfig, WinPredictor, get_preset
-from rtslab.rng import SplitMix64
+from rtslab.rng import SplitMix64, derive_seed
 from rtslab.sim import (
     Dataset,
     DatasetHeader,
     MatchRecord,
+    make_strategy,
     raw_planes,
+    read_dataset,
+    run_match,
     standard_start,
     write_dataset,
 )
+from rtslab.sim.encode import PLANE_MAX, normalize_planes
 from rtslab.tensor import Tape, Tensor
 from rtslab.train import (
     AdamW,
@@ -31,7 +35,7 @@ from rtslab.train import (
     progress_stratified_eval,
     train_model,
 )
-from rtslab.train.loop import INFER_BATCH
+from rtslab.train.loop import INFER_BATCH, dataset_to_examples
 from rtslab.train.metrics import metrics_from_confusion
 
 from oracles import grad_check
@@ -181,6 +185,14 @@ class TestAdamW:
         with pytest.raises(ValueError, match="betas"):
             TrainConfig(beta1=1.0)
 
+    def test_weight_decay_bound(self):
+        # the decay factor 1 - lr*wd must stay in (0, 1]
+        for lr, wd in ((1e-4, -1e-9), (0.5, 2.0), (1e-4, 2e4)):  # lr*wd < 0, == 1, == 2
+            with pytest.raises(ValueError, match=r"0 <= lr\*weight_decay < 1"):
+                TrainConfig(lr=lr, weight_decay=wd)
+        TrainConfig(weight_decay=0.0)
+        TrainConfig(lr=0.5, weight_decay=1.99)
+
 
 class TestMetrics:
     def test_perfect_predictions(self):
@@ -243,23 +255,41 @@ def tiny_model(seed=0, layers=1):
     return WinPredictor.create(cfg, seed=seed)
 
 
+def raw_clip(rng, shape):
+    """Raw uint8 planes, each value floor(u * (PLANE_MAX + 1)) of a uniform u."""
+    u = np.array([rng.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+    return np.floor(u * (PLANE_MAX + 1)).astype(np.uint8)
+
+
 def random_examples(n, cfg, seed=0, balanced=True):
     rng = SplitMix64(seed)
     out = []
     for i in range(n):
-        clip = np.array(
-            [rng.uniform() for _ in range(cfg.time_steps * 5 * 8 * 8)]
-        ).reshape(cfg.time_steps, 5, 8, 8)
+        clip = raw_clip(rng, (cfg.time_steps, 5, 8, 8))
         label = i % 2 if balanced else rng.randrange(2)
         out.append((clip, label))
     return out
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The input of every WinPredictor.forward call."""
+    seen = []
+    forward = WinPredictor.forward
+
+    def counting(model, x):
+        seen.append(x.copy())
+        return forward(model, x)
+
+    monkeypatch.setattr(WinPredictor, "forward", counting)
+    return seen
 
 
 class TestTrainLoop:
     def test_initial_loss_near_ln2(self):
         model = tiny_model(seed=5)
         examples = random_examples(8, model.config, seed=6)
-        x = np.stack([e[0] for e in examples])
+        x = normalize_planes(np.stack([e[0] for e in examples]))
         y = np.array([e[1] for e in examples], dtype=float)
         loss = float(bce_loss(model.forward(x), y).data)
         assert abs(loss - math.log(2.0)) < 0.15
@@ -298,6 +328,52 @@ class TestTrainLoop:
         assert result.best_val_acc == best_row.val_acc
         assert set(result.best_params) == set(model.params)
 
+    def test_float_clip_rejected_before_first_step(self, batches):
+        model = tiny_model(seed=13)
+        train = random_examples(8, model.config, seed=14)
+        val = random_examples(8, model.config, seed=15)
+        val[-1] = (val[-1][0].astype(np.float64), val[-1][1])
+        with pytest.raises(ValueError, match="got dtype float64"):
+            train_model(model, train, val, TrainConfig(epochs=1, batch_size=4, seed=2))
+        assert batches == []
+
+    def test_each_step_forwards_its_normalized_batch(self, batches):
+        model = tiny_model(seed=13)
+        train = random_examples(8, model.config, seed=14)
+        val = random_examples(4, model.config, seed=15)
+        train_model(model, train, val, TrainConfig(epochs=1, batch_size=4, seed=2))
+        order = list(range(len(train)))
+        SplitMix64(derive_seed(2, 0)).shuffle(order)
+        expected = [
+            normalize_planes(np.stack([train[i][0] for i in order[:4]])),
+            normalize_planes(np.stack([train[i][0] for i in order[4:]])),
+            normalize_planes(np.stack([x for x, _ in val])),  # the validation pass
+        ]
+        assert len(batches) == len(expected)
+        assert all(np.array_equal(b, e) for b, e in zip(batches, expected))
+
+
+class TestExamples:
+    def test_clips_are_the_records_own_uint8_frames(self, tmp_path):
+        records = [
+            run_match(make_strategy(a), make_strategy(b), seed, max_steps=60, capture_every=4)
+            for seed, (a, b) in enumerate([("WorkerRushLite", "PassiveLite"),
+                                           ("PassiveLite", "LightRushLite")])
+        ]
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(path, Dataset(header=DatasetHeader(), records=records))
+        read = read_dataset(path).records
+        frames = 4
+        examples = dataset_to_examples(read, frames)
+        assert len(examples) == 2
+        for (clip, label), rec in zip(examples, read):
+            assert label == (1 if rec.winner == "p1" else 0)
+            assert clip.dtype == np.uint8
+            assert clip.nbytes == frames * 5 * 16 * 16
+            last = len(rec.frames) - 1
+            picks = [math.floor(i * last / (frames - 1) + 0.5) for i in range(frames)]
+            assert np.array_equal(clip, np.stack([rec.frames[k][1] for k in picks]))
+
 
 def constant_series(values):
     return [
@@ -321,33 +397,30 @@ class TestPredictProbs:
         cfg = desk.config
         shape = (cfg.time_steps, cfg.channels, cfg.map_height, cfg.map_width)
         rng = SplitMix64(22)
-        return [
-            np.array([rng.uniform() for _ in range(math.prod(shape))]).reshape(shape)
-            for _ in range(6)
-        ]
-
-    @pytest.fixture
-    def batches(self, monkeypatch):
-        """The input of every WinPredictor.forward call."""
-        seen = []
-        forward = WinPredictor.forward
-
-        def counting(model, x):
-            seen.append(x.copy())
-            return forward(model, x)
-
-        monkeypatch.setattr(WinPredictor, "forward", counting)
-        return seen
+        return [raw_clip(rng, shape) for _ in range(6)]
 
     def test_each_distinct_clip_forwarded_once_in_bounded_batches(self, desk, distinct, batches):
         predict_probs(desk, (distinct[i] for i in self.ORDER))
         assert all(len(b) <= INFER_BATCH for b in batches)
         rows = [row.tobytes() for b in batches for row in b]
-        assert sorted(rows) == sorted(c.tobytes() for c in distinct)
+        assert sorted(rows) == sorted(normalize_planes(c).tobytes() for c in distinct)
+
+    def test_forward_sees_the_normalized_stack(self, desk, distinct, batches):
+        raw = distinct[:INFER_BATCH]
+        predict_probs(desk, raw)
+        assert len(batches) == 1
+        assert np.array_equal(batches[0], normalize_planes(np.stack(raw)))
+
+    def test_float_clip_rejected_before_any_forward(self, desk, distinct, batches):
+        # the float clip arrives while the first batch is still pending
+        clips = [*distinct[: INFER_BATCH - 1], normalize_planes(distinct[INFER_BATCH - 1])]
+        with pytest.raises(ValueError, match="got dtype float64"):
+            predict_probs(desk, clips)
+        assert batches == []
 
     def test_input_order_and_b1_agreement(self, desk, distinct):
         probs = predict_probs(desk, (distinct[i] for i in self.ORDER))
-        single = [float(desk.forward(c[None]).data[0]) for c in distinct]
+        single = [float(desk.forward(normalize_planes(c)[None]).data[0]) for c in distinct]
         assert len(set(single)) == len(single)  # so the order check below can fail
         expected = np.array([single[i] for i in self.ORDER])
         np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
@@ -415,7 +488,7 @@ class TestStratified:
             frames = []
             for k in range(4):
                 planes = np.array(
-                    [rng.randrange(8) for _ in range(5 * 8 * 8)]
+                    [rng.randrange(8) for _ in range(5 * 8 * 8)], dtype=np.uint8
                 ).reshape(5, 8, 8)
                 planes[1] = planes[1] % 11
                 frames.append(((k + 1) * 2, planes))
