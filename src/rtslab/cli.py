@@ -36,11 +36,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
+from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import CorruptArtifact
 from .baselines import lanchester_eval, simple_eval, winner_by_score
@@ -49,11 +53,13 @@ from .model.config import PRESETS, VARIANTS, fields_from_json
 from .sim import (
     Dataset,
     DatasetHeader,
+    MatchRecord,
     read_dataset,
     run_tournament,
     split_dataset,
     write_dataset,
 )
+from .sim.dataset import replaced_on_success
 from .sim.encode import decode_planes
 from .sim.engine import sample_timeline
 from .sim.state import MIN_MAP_SIZE
@@ -184,11 +190,30 @@ def _require(path: str | None, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise MissingArtifact(f"{what} not found: {path}")
+    if not p.is_file():  # before a directory's siblings, such as splits.json, are looked for
+        raise MissingArtifact(f"{what} is not a file: {path}")
     return p
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+class _Entry(NamedTuple):
+    """What `generate` keeps of a record once it is written: its index in
+    dataset.jsonl, and its winner, the one field `split_dataset` reads."""
+
+    index: int
+    winner: str
+
+
+def _frames_digest(rec: MatchRecord) -> bytes:
+    """sha256 over each frame's step and raw plane bytes."""
+    h = hashlib.sha256()
+    for step_no, planes in rec.frames:
+        h.update(step_no.to_bytes(8, "little"))
+        h.update(planes.tobytes())
+    return h.digest()
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -203,34 +228,51 @@ def cmd_generate(cfg: RunConfig) -> int:
         size=cfg.map_size,
         threads=cfg.threads,
     )
-    dataset = Dataset(
-        header=DatasetHeader(
-            map_height=cfg.map_size,
-            map_width=cfg.map_size,
-            capture_every=cfg.capture_every,
-            max_steps=cfg.max_steps,
-            seed=cfg.seed,
-            roster=roster,
-            rounds_per_pair=cfg.rounds_per_pair,
-        ),
-        records=records,
-    )
-    write_dataset(out / "dataset.jsonl", dataset)
+    entries: list[_Entry] = []
+    digests: set[bytes] = set()
+    outcomes: dict[tuple[str, str], set[str]] = defaultdict(set)
+    parts: list[list[_Entry]] = []
 
-    draws = [i for i, r in enumerate(records) if r.winner == "draw"]
-    train, test, val = split_dataset(records, seed=cfg.seed)
-    # map split membership back to file indices via identity
-    by_id = {id(r): i for i, r in enumerate(records)}
+    def tap():
+        # each record is written, then dropped: keep only what the split
+        # and the printed counts need
+        for i, rec in enumerate(records):
+            entries.append(_Entry(i, rec.winner))
+            digests.add(_frames_digest(rec))
+            outcomes[rec.strategy_a, rec.strategy_b].add(rec.winner)
+            yield rec
+        # split before write_dataset moves the file into place, so a run
+        # with no decided match leaves the earlier outputs as they were
+        parts.extend(split_dataset(entries, seed=cfg.seed))
+
+    header = DatasetHeader(
+        map_height=cfg.map_size,
+        map_width=cfg.map_size,
+        capture_every=cfg.capture_every,
+        max_steps=cfg.max_steps,
+        seed=cfg.seed,
+        roster=roster,
+        rounds_per_pair=cfg.rounds_per_pair,
+    )
+    with closing(records):  # ends the worker processes if the write fails
+        write_dataset(out / "dataset.jsonl", Dataset(header=header, records=tap()))
+
+    train, test, val = parts
+    draws = [e.index for e in entries if e.winner == "draw"]
     manifest = {
-        "train": [by_id[id(r)] for r in train],
-        "test": [by_id[id(r)] for r in test],
-        "validation": [by_id[id(r)] for r in val],
+        "train": [e.index for e in train],
+        "test": [e.index for e in test],
+        "validation": [e.index for e in val],
         "draws": draws,
     }
-    (out / "splits.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    with replaced_on_success(out / "splits.json") as f:
+        f.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    single = sum(len(seen) == 1 for seen in outcomes.values())
+    print(f"matches: {len(entries)} scheduled, {len(draws)} draws discarded")
+    print(
+        f"distinct: {len(digests)} of {len(entries)} matches by frame sha256;"
+        f" {single} of {len(outcomes)} ordered matchups have a single outcome"
     )
-    print(f"matches: {len(records)} scheduled, {len(draws)} draws discarded")
     print(
         f"splits: train {len(manifest['train'])} / test {len(manifest['test'])}"
         f" / validation {len(manifest['validation'])}"
@@ -247,11 +289,11 @@ def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
     sit in two splits (or twice in one), and no split may hold a draw.
     """
     ds_path = _require(cfg.dataset, "dataset")
-    dataset = read_dataset(ds_path)
-    records = dataset.records
     path = ds_path.parent / "splits.json"
     if not path.exists():
         raise MissingArtifact(f"split manifest not found: {path}")
+    dataset = read_dataset(ds_path)
+    records = dataset.records
     try:
         manifest = json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:
@@ -293,6 +335,14 @@ def _model_name(config: ModelConfig) -> str:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    train_config = TrainConfig(
+        lr=cfg.lr,
+        weight_decay=cfg.weight_decay,
+        batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
+        epochs=cfg.epochs,
+        seed=cfg.seed,
+        threshold=cfg.threshold,
+    )
     header, parts = _load_split(cfg)
     try:  # the preset's model, sized to the dataset's maps
         model_config = dataclasses.replace(
@@ -305,14 +355,6 @@ def cmd_train(cfg: RunConfig) -> int:
         ) from None
     if cfg.variant is not None:
         model_config = dataclasses.replace(model_config, variant=cfg.variant)
-    train_config = TrainConfig(
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        threshold=cfg.threshold,
-    )
     frames = model_config.time_steps
     train_set = dataset_to_examples(parts["train"], frames)
     val_set = dataset_to_examples(parts["validation"], frames)

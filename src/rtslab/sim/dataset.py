@@ -30,9 +30,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -63,8 +67,12 @@ class DatasetHeader:
 
 @dataclass
 class Dataset:
+    """A header and its records. `read_dataset` gives a list; `write_dataset`
+    walks `records` once, so it may be a generator that plays each match
+    as the writer asks for it."""
+
     header: DatasetHeader
-    records: list[MatchRecord]
+    records: Iterable[MatchRecord]
 
 
 def _dump_line(obj: dict) -> str:
@@ -137,33 +145,48 @@ def _match_pieces(rec: MatchRecord, steps: list[int], planes: np.ndarray, layout
     yield b"]," + _dump_line(rest)[1:].encode() + b"\n"
 
 
+@contextmanager
+def replaced_on_success(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that becomes `path` only if the block ends without an
+    exception. It is written under a temporary name in `path`'s directory
+    and moved onto `path` with `os.replace`; on an exception it is removed,
+    so `path` keeps what it held before and never holds half a file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(path: str | Path, dataset: Dataset) -> None:
     """Write the header, then one line per record, in the layout
     `read_dataset` parses: json.dumps with sorted keys and (",", ":")
-    separators.
+    separators. `dataset.records` is walked once, each record written
+    before the next is asked for.
 
     The header and each record first pass the reader's checks; a failure
-    is a ValueError naming the record, and no file is left behind. Each
-    match line is written in `_match_pieces`.
+    is a ValueError naming the record. The file appears at `path` only
+    once every record is written (`replaced_on_success`). Each match line
+    is written in `_match_pieces`.
     """
     header = dataset.header
     _check_header(header)
     shape = (header.channels, header.map_height, header.map_width)
     layout = _frame_layout(shape)
-    try:
-        with open(path, "wb") as f:
-            f.write(_dump_line({"kind": "header", **asdict(header)}).encode() + b"\n")
-            for i, rec in enumerate(dataset.records):
-                steps = [step for step, _ in rec.frames]
-                try:
-                    planes = _stack_frames([frame for _, frame in rec.frames], shape)
-                    _check_match(rec.winner, rec.duration, steps, planes)
-                except ValueError as exc:
-                    raise ValueError(f"record {i}: {exc}") from None
-                f.writelines(_match_pieces(rec, steps, planes, layout))
-    except ValueError:
-        Path(path).unlink(missing_ok=True)
-        raise
+    with replaced_on_success(path) as f:
+        f.write(_dump_line({"kind": "header", **asdict(header)}).encode() + b"\n")
+        for i, rec in enumerate(dataset.records):
+            steps = [step for step, _ in rec.frames]
+            try:
+                planes = _stack_frames([frame for _, frame in rec.frames], shape)
+                _check_match(rec.winner, rec.duration, steps, planes)
+            except ValueError as exc:
+                raise ValueError(f"record {i}: {exc}") from None
+            f.writelines(_match_pieces(rec, steps, planes, layout))
 
 
 def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:

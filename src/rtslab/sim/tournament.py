@@ -4,19 +4,21 @@ Every unordered strategy pair plays `rounds_per_pair` matches, the second
 half with sides swapped, so C(n,2) * rounds_per_pair matches total with
 exact side balance. Match seeds derive from (tournament seed, pair index,
 round index), making the whole run a pure function of one seed. Matches
-are independent, so execution may fan out over processes; results are
-always merged back in schedule order.
+are independent, so execution may fan out over processes; results always
+come back in schedule order, one at a time, so a caller can write each
+record before the next is played.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 from ..rng import derive_seed
 from .engine import MatchRecord, run_match
-from .strategies import make_strategy
+from .strategies import Strategy, make_strategy
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,18 @@ def schedule_round_robin(
     return out
 
 
-def _play(slot: ScheduledMatch, **settings) -> MatchRecord:
-    return run_match(
-        make_strategy(slot.first), make_strategy(slot.second), seed=slot.seed, **settings
-    )
+def _play(strategies: dict[str, Strategy], slot: ScheduledMatch, **settings) -> MatchRecord:
+    return run_match(strategies[slot.first], strategies[slot.second], seed=slot.seed, **settings)
+
+
+def _play_in_pool(
+    play: Callable[[ScheduledMatch], MatchRecord], sched: list[ScheduledMatch], threads: int
+) -> Generator[MatchRecord, None, None]:
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        yield from pool.map(play, sched, chunksize=4)
+    finally:  # a consumer that stops early leaves futures to cancel and workers to join
+        pool.shutdown(cancel_futures=True)
 
 
 def run_tournament(
@@ -62,12 +72,20 @@ def run_tournament(
     capture_every: int = 2,
     size: int = 16,
     threads: int = 1,
-) -> list[MatchRecord]:
-    """Play the full schedule; records come back in schedule order.
-    `max_steps`, `capture_every` and `size` go to every `run_match`."""
-    play = partial(_play, max_steps=max_steps, capture_every=capture_every, size=size)
+) -> Generator[MatchRecord, None, None]:
+    """A generator of the schedule's records, in schedule order, each
+    played when it is asked for (by `threads` worker processes if above 1).
+    `max_steps`, `capture_every` and `size` go to every `run_match`.
+
+    The schedule and the strategies are built before this returns, so a
+    bad `rounds_per_pair` or roster raises here. Closing the generator
+    early cancels the matches not yet started and ends the workers.
+    """
     sched = schedule_round_robin(names, rounds_per_pair, seed)
+    strategies = {name: make_strategy(name) for name in names}
+    play = partial(
+        _play, strategies, max_steps=max_steps, capture_every=capture_every, size=size
+    )
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(play, sched, chunksize=4))
-    return [play(slot) for slot in sched]
+        return _play_in_pool(play, sched, threads)
+    return (play(slot) for slot in sched)

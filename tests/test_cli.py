@@ -3,21 +3,26 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import re
 import shutil
 import struct
 import typing
 import warnings
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import rtslab.sim.tournament
 from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
 from rtslab.cli import RunConfig, build_parser, main
 from rtslab.model import ModelConfig
 from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
-from rtslab.sim import decode_planes, read_dataset
+from rtslab.sim import decode_planes, read_dataset, schedule_round_robin
 
 
 def sha(path: Path) -> str:
@@ -195,6 +200,117 @@ class TestGenerate:
         assert head["max_steps"] == 40
 
 
+TWO_CORES = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs 2 cores")
+SMALL = ["--rounds", "2", "--max-steps", "60", "--capture-every", "4"]
+
+
+def _files(folder: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+class TestGenerateStream:
+    def test_serial_run_holds_at_most_two_records(self, tmp_path, monkeypatch):
+        # the one being written and the one being played; a list holds all 10
+        real = rtslab.sim.tournament.run_match
+        alive, peak, played = [0], [0], [0]
+
+        def dropped():
+            alive[0] -= 1
+
+        def counted(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            alive[0] += 1
+            played[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            weakref.finalize(rec, dropped)
+            return rec
+
+        monkeypatch.setattr(rtslab.sim.tournament, "run_match", counted)
+        rc = main(["generate", "--out", str(tmp_path), "--seed", "3", "--threads", "1",
+                   "--roster", "WorkerRushLite,LightRushLite", "--rounds", "10",
+                   "--max-steps", "60", "--capture-every", "4"])
+        assert rc == 0
+        assert played[0] == 10 and peak[0] <= 2
+
+    @TWO_CORES
+    def test_two_threads_write_the_serial_bytes(self, tmp_path):
+        args = ["generate", "--seed", "4", "--roster",
+                "RandomBiasedLite,WorkerRushLite,LightRushLite", "--rounds", "4",
+                "--max-steps", "80", "--capture-every", "4"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(a), "--threads", "1"]) == 0
+        assert main(args + ["--out", str(b), "--threads", "2"]) == 0
+        assert _files(a) == _files(b)
+        assert not multiprocessing.active_children()
+
+    def test_odd_rounds_exit_3_before_a_dataset_is_written(self, tmp_path, capsys):
+        rc = main(["generate", "--out", str(tmp_path / "x"), "--rounds", "3"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rounds_per_pair" in err
+        assert not (tmp_path / "x" / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("threads", [1, pytest.param(2, marks=TWO_CORES)])
+    def test_failed_match_keeps_the_earlier_outputs(self, threads, tmp_path, monkeypatch):
+        roster = ["WorkerRushLite", "LightRushLite", "PassiveLite"]
+        args = ["generate", "--out", str(tmp_path), "--roster", ",".join(roster)] + SMALL
+        assert main(args + ["--seed", "1"]) == 0
+        before = _files(tmp_path)
+        third = schedule_round_robin(roster, 2, seed=2)[2].seed
+        real = rtslab.sim.tournament.run_match
+
+        def failing(*args, seed, **kwargs):
+            if seed == third:
+                raise RuntimeError("third match failed")
+            return real(*args, seed=seed, **kwargs)
+
+        # a forked worker inherits the patched module
+        monkeypatch.setattr(rtslab.sim.tournament, "run_match", failing)
+        with pytest.raises(RuntimeError, match="third match failed"):
+            main(args + ["--seed", "2", "--threads", str(threads)])
+        assert _files(tmp_path) == before
+        assert not multiprocessing.active_children()
+
+    def test_run_without_a_decided_match_keeps_the_earlier_outputs(self, tmp_path, capsys):
+        args = ["generate", "--out", str(tmp_path), "--seed", "1"] + SMALL
+        assert main(args + ["--roster", "WorkerRushLite,PassiveLite"]) == 0
+        before = _files(tmp_path)
+        capsys.readouterr()
+        assert main(args + ["--roster", "PassiveLite,PassiveLite"]) == 3  # every match a draw
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no decided matches" in err
+        assert _files(tmp_path) == before
+
+    def test_printed_counts_match_a_recount(self, tmp_path, capsys):
+        rc = main(["generate", "--out", str(tmp_path), "--seed", "6", "--roster",
+                   "RandomBiasedLite,WorkerRushLite,PassiveLite", "--rounds", "4",
+                   "--max-steps", "80", "--capture-every", "4"])
+        assert rc == 0
+        printed = re.search(
+            r"distinct: (\d+) of (\d+) matches by frame sha256; "
+            r"(\d+) of (\d+) ordered matchups have a single outcome",
+            capsys.readouterr().out,
+        )
+        records = read_dataset(tmp_path / "dataset.jsonl").records
+        distinct: list = []  # one representative per class of identical frame lists
+        for rec in records:
+            same = [
+                other for other in distinct
+                if len(other.frames) == len(rec.frames)
+                and all(sa == sb and np.array_equal(fa, fb)
+                        for (sa, fa), (sb, fb) in zip(other.frames, rec.frames))
+            ]
+            if not same:
+                distinct.append(rec)
+        outcomes: dict = {}
+        for rec in records:
+            outcomes.setdefault((rec.strategy_a, rec.strategy_b), set()).add(rec.winner)
+        single = sum(len(seen) == 1 for seen in outcomes.values())
+        expected = (len(distinct), len(records), single, len(outcomes))
+        assert tuple(int(g) for g in printed.groups()) == expected
+        assert len(distinct) < len(records) and single < len(outcomes)  # neither count trivial
+
+
 class TestTrain:
     def test_artifacts_written(self, pipeline):
         model = pipeline["model"]
@@ -231,6 +347,20 @@ class TestTrain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "weight_decay" in err and "0 <= lr*weight_decay < 1" in err
         assert str(weight_decay) in err
+        assert not (out / "best.ckpt").exists()
+
+    def test_bad_setting_exits_3_before_the_dataset_is_read(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(pipeline["data"] / "dataset.jsonl", data)  # no splits.json beside it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight_decay": 20000}))
+        out = tmp_path / "m"
+        rc = main(["train", "--config", str(cfg), "--dataset", str(data / "dataset.jsonl"),
+                   "--out", str(out), "--epochs", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weight_decay" in err
         assert not (out / "best.ckpt").exists()
 
     def test_inputs_not_mutated(self, pipeline):

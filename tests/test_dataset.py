@@ -1,6 +1,7 @@
 """Tournament protocol arithmetic, splits, and dataset persistence."""
 
 import json
+import multiprocessing
 import re
 from dataclasses import asdict, replace
 
@@ -105,29 +106,46 @@ class TestSplit:
 
 class TestTournamentRun:
     def test_small_tournament_runs_and_orders(self):
-        recs = run_tournament(
+        recs = list(run_tournament(
             ["WorkerRushLite", "PassiveLite"], 2, seed=3, max_steps=60, capture_every=4
-        )
+        ))
         assert len(recs) == 2
         assert recs[0].strategy_a == "WorkerRushLite" and recs[1].strategy_a == "PassiveLite"
 
     def test_parallel_matches_serial_output(self):
         settings = dict(max_steps=40, capture_every=4)
-        serial = run_tournament(["WorkerRushLite", "EconomyRushLite"], 2, seed=8, **settings)
-        parallel = run_tournament(
+        serial = list(run_tournament(["WorkerRushLite", "EconomyRushLite"], 2, seed=8, **settings))
+        parallel = list(run_tournament(
             ["WorkerRushLite", "EconomyRushLite"], 2, seed=8, **settings, threads=2
-        )
+        ))
         assert [r.winner for r in serial] == [r.winner for r in parallel]
         for a, b in zip(serial, parallel):
             for (sa, fa), (sb, fb) in zip(a.frames, b.frames):
                 assert sa == sb and fa.tobytes() == fb.tobytes()
 
+    def test_bad_schedule_or_roster_raises_at_the_call(self):
+        # the generator is returned only once the schedule and strategies exist
+        with pytest.raises(ValueError, match="rounds_per_pair"):
+            run_tournament(["WorkerRushLite", "PassiveLite"], 3, seed=1)
+        with pytest.raises(ValueError, match="unknown strategy 'Nope'"):
+            run_tournament(["WorkerRushLite", "Nope"], 2, seed=1)
+
+    def test_closing_early_ends_the_workers(self):
+        recs = run_tournament(
+            ["WorkerRushLite", "EconomyRushLite", "PassiveLite"], 8, seed=8,
+            max_steps=40, capture_every=4, threads=2,
+        )
+        first = next(recs)
+        recs.close()
+        assert not multiprocessing.active_children()
+        assert (first.strategy_a, first.strategy_b) == ("WorkerRushLite", "EconomyRushLite")
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        recs = run_tournament(
+        recs = list(run_tournament(
             ["WorkerRushLite", "PassiveLite"], 2, seed=6, max_steps=50, capture_every=5
-        )
+        ))
         ds = Dataset(
             header=DatasetHeader(
                 capture_every=5, max_steps=50, seed=6,
