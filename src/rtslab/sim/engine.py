@@ -7,13 +7,18 @@ of the acting unit's cell. Anything invalid at application time (dead
 actor, occupied target, insufficient store) is dropped, so a strategy can
 never corrupt the state; each dropped action logs one "dropping ..." line
 at debug level.
+
+Planning leaves the pre-step state as it is: the step is applied to a
+clone, so both plans of a step (and any later plan on the same state) can
+share one unit index (`GameState.unit_index`). A caller that plans on a
+state keeps to the same contract and does not mutate it afterwards.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,10 +62,11 @@ class Action(NamedTuple):
 def _merge_plans(state, plans: dict[int, list[Action]]) -> list[tuple[int, Action]]:
     """One action per unit, actor ownership enforced, in pass order and
     row-major within a pass."""
-    chosen: dict[Position, tuple[int, Action]] = {}
+    chosen: dict[Position, tuple[int, Position, int, Action]] = {}
     for player, actions in plans.items():
         for act in actions:
-            if act.kind not in _PASS:
+            phase = _PASS.get(act.kind)
+            if phase is None:
                 log.debug("dropping unknown action kind %r", act.kind)
                 continue
             unit = state.units.get(act.actor)
@@ -70,8 +76,9 @@ def _merge_plans(state, plans: dict[int, list[Action]]) -> list[tuple[int, Actio
             if act.actor in chosen:
                 log.debug("dropping second order for %s: %s", act.actor, act)
                 continue
-            chosen[act.actor] = (player, act)
-    return sorted(chosen.values(), key=lambda pa: (_PASS[pa[1].kind], pa[1].actor))
+            chosen[act.actor] = (phase, act.actor, player, act)
+    # (pass, actor) is unique per entry, so the sort never compares actions
+    return [(player, act) for _, _, player, act in sorted(chosen.values())]
 
 
 def _attack_damage(s: GameState, player: int, act: Action) -> int:
@@ -106,11 +113,12 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         ):
             return False
         take = min(HARVEST_AMOUNT, target.carried, CARRY_CAPACITY - actor.carried)
-        s.units[act.actor] = replace(actor, carried=actor.carried + take)
+        s.units[act.actor] = Unit(actor.kind, actor.hp, actor.owner, actor.carried + take)
         if target.carried - take <= 0:
             del s.units[act.target]
         else:
-            s.units[act.target] = replace(target, carried=target.carried - take)
+            s.units[act.target] = Unit(target.kind, target.hp, target.owner,
+                                       target.carried - take)
         return True
     if act.kind == "deposit":
         if (
@@ -122,7 +130,7 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         ):
             return False
         s.store[player] = min(STORE_CAP, s.store[player] + actor.carried)
-        s.units[act.actor] = replace(actor, carried=0)
+        s.units[act.actor] = Unit(actor.kind, actor.hp, actor.owner, 0)
         return True
     # build, train and move need an empty cell on the map
     if target is not None or not s.in_bounds(act.target):
@@ -179,7 +187,7 @@ def step(
         if hp <= 0:
             del s.units[pos]
         else:
-            s.units[pos] = replace(victim, hp=hp)
+            s.units[pos] = Unit(victim.kind, hp, victim.owner, victim.carried)
     for player, act in ordered:
         if act.kind != "attack":
             verdicts.append((player, act, _resolve(s, player, act)))

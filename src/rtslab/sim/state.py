@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STARTING_STORE, UnitKind
 
@@ -35,13 +35,21 @@ class Unit:
 
 @dataclass
 class GameState:
-    """Sparse map of occupied cells; at most one unit per cell by construction."""
+    """Sparse map of occupied cells; at most one unit per cell by construction.
+
+    `unit_index` is the scripted strategies' view of the units
+    (`strategies._UnitIndex`), built by the first plan() on this state and
+    shared by every later one. A state is therefore not mutated once it has
+    been planned on: the engine plans on the pre-step state and applies the
+    step to a clone, which starts without an index.
+    """
 
     height: int
     width: int
     units: dict[Position, Unit]
     store: dict[int, int]
     step: int = 0
+    unit_index: object = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "GameState":
         return GameState(

@@ -6,17 +6,24 @@ randomness comes from the per-player SplitMix64 stream handed to plan().
 Strategy objects carry no mutable state, so one instance can serve any
 number of concurrent matches.
 
-Target search runs on a unit index that each plan() builds in one pass
-over the map (`_UnitIndex`): the cells of each owner, the resource nodes
-that still hold stock, and the bases of each owner, all in row-major
-order. A query scans only the list that holds its possible answers. The
-key (manhattan distance, row, col) is a total order on cells, so the
-nearest cell does not depend on the order of the scan.
+Target search runs on a unit index (`_UnitIndex`) built in one pass over
+the map by the first plan() on a state and kept in `state.unit_index`, so
+both players' plans in a step share it: the cells of each owner, the
+resource nodes that still hold stock, and the bases of each owner, all in
+row-major order. A query scans only the list that holds its possible
+answers. The key (manhattan distance, row, col) is a total order on cells,
+so the nearest cell does not depend on the order of the scan. Sharing the
+index relies on the engine's contract that a state is not mutated once it
+has been planned on.
 
 A combat unit makes one scan for the nearest enemy: it attacks that enemy
 if it is within attack range and otherwise steps toward it. If the
 nearest enemy is out of range, so is every other, so this is the same
 decision as looking for the nearest enemy in range first.
+RandomBiasedLite never steps toward an enemy, so it looks only at the
+cells within reach, in (distance, row, col) order: the first enemy there
+is the nearest enemy whenever that one is in reach, and there is none
+otherwise.
 """
 
 from __future__ import annotations
@@ -40,11 +47,12 @@ from .state import GameState, Position, manhattan
 
 
 class _UnitIndex:
-    """One plan's view of the map, built in one row-major pass.
+    """A state's view of the map for planning, built in one row-major pass.
 
     `cells[owner]` lists the cells of owner 0 (resource nodes), 1 and 2;
     `nodes` the resource nodes with stock left; `bases[owner]` the bases.
-    Built per plan() call and never kept, so strategies stay stateless.
+    Built once per state by `_index_of` and kept on the state, not on the
+    strategy, so strategies stay stateless.
     """
 
     __slots__ = ("cells", "nodes", "bases")
@@ -62,6 +70,27 @@ class _UnitIndex:
             elif u.kind is RESOURCE and u.carried > 0:
                 nodes.append(pos)
         self.cells, self.nodes, self.bases = cells, nodes, bases
+
+
+def _index_of(state: GameState) -> _UnitIndex:
+    """The state's unit index, built by the first plan() on it."""
+    index = state.unit_index
+    if index is None:
+        index = state.unit_index = _UnitIndex(state)
+    return index
+
+
+def _beyond_adjacent(reach: int) -> tuple[tuple[int, int], ...]:
+    """Offsets at distance 2..reach, in (distance, row, col) order."""
+    return tuple(sorted(
+        ((dr, dc) for dr in range(-reach, reach + 1) for dc in range(-reach, reach + 1)
+         if 2 <= abs(dr) + abs(dc) <= reach),
+        key=lambda o: (abs(o[0]) + abs(o[1]), o),
+    ))
+
+
+# the cells a unit that attacks reaches beyond its four neighbors
+_BEYOND_ADJACENT = {kind: _beyond_adjacent(reach) for kind, reach in ATTACK_RANGE.items()}
 
 
 def _nearest(pos: Position, cells: list[Position]) -> Position | None:
@@ -171,7 +200,7 @@ class WorkerRushLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        index = _UnitIndex(state)
+        index = _index_of(state)
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
@@ -208,7 +237,7 @@ class _BarracksRush(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        index = _UnitIndex(state)
+        index = _index_of(state)
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
@@ -277,7 +306,7 @@ class EconomyRushLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        index = _UnitIndex(state)
+        index = _index_of(state)
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
@@ -317,10 +346,11 @@ class RandomBiasedLite(Strategy):
 
     def plan(self, state, player, rng):
         acts: list[Action] = []
-        index = _UnitIndex(state)
+        index = _index_of(state)
         units = state.units
         store = state.store[player]
-        foes = index.cells[3 - player]
+        enemy = 3 - player
+        height, width = state.height, state.width
         for pos in index.cells[player]:
             u = units[pos]
             kind = u.kind
@@ -333,12 +363,30 @@ class RandomBiasedLite(Strategy):
                         if act is not None:
                             acts.append(act)
                 continue
-            foe = _nearest(pos, foes)
-            attack = foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(kind, 0)
+            # Every unit here attacks at reach 1 or more. One scan of the four
+            # neighbors, in (distance, row, col) order, finds the free cells and
+            # the first adjacent enemy; the cells farther within reach are
+            # scanned only if no enemy is adjacent.
+            r, c = pos
+            free = []
+            foe = None
+            for q in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+                v = units.get(q)
+                if v is None:
+                    if 0 <= q[0] < height and 0 <= q[1] < width:
+                        free.append(q)
+                elif foe is None and v.owner == enemy:
+                    foe = q
+            if foe is None:
+                for dr, dc in _BEYOND_ADJACENT[kind]:
+                    v = units.get((r + dr, c + dc))
+                    if v is not None and v.owner == enemy:
+                        foe = (r + dr, c + dc)
+                        break
+            attack = foe is not None
             cycle = (
                 _harvest_cycle(state, index, player, pos, u.carried) if kind is WORKER else None
             )
-            free = _free_neighbors(state, pos)
             dest = rng.choice(free) if free else None
             pick = rng.randrange(
                 (5 if attack else 0) + (3 if cycle is not None else 0) + (2 if free else 0) + 1

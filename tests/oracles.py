@@ -5,6 +5,9 @@ The oracles deliberately re-derive each formula from scratch instead of
 calling the library code they check. Accumulation runs in the same
 row-major order as the library so exact float equality is meaningful.
 
+`OracleSplitMix64` is the generator drawn one value at a time with Python
+ints, the oracle of the block-computed `rtslab.rng.SplitMix64`.
+
 The helpers are code no command runs: the elementwise product, mean and
 softmax tape ops and the central-difference gradient check that the
 tensor tests compose, the empty-board state and the toy label of
@@ -47,6 +50,48 @@ from rtslab.sim.strategies import (
 from rtslab.tensor import Tape, Tensor, _coerce, _result, _softmax, _sum_to_shape
 
 COMBAT = (UnitKind.WORKER, UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class OracleSplitMix64:
+    """SplitMix64 one draw at a time, the state kept as a Python int."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+        self._spare_normal = None
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return (z ^ (z >> 31)) & _MASK64
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+            return mean + std * z
+        u1 = self.uniform()
+        if u1 <= 0.0:
+            u1 = 2.0 ** -53
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
+        return mean + std * r * math.cos(2.0 * math.pi * u2)
+
+
+def oracle_derive_seed(root: int, *parts: int) -> int:
+    h = root & _MASK64
+    for p in parts:
+        h = OracleSplitMix64((h ^ ((p + _GAMMA) & _MASK64)) & _MASK64).next_u64()
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from rtslab import CorruptArtifact
+from rtslab import CorruptArtifact, rng as rng_module
 from rtslab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from rtslab.rng import SplitMix64, derive_seed
 from rtslab.tensor import Tensor
+
+from oracles import OracleSplitMix64, oracle_derive_seed
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+EDGE_SEEDS = (0, 1, MASK64)
 
 
 class TestSplitMix64:
@@ -44,6 +50,99 @@ class TestSplitMix64:
         assert len(s) == 100
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(2, 2, 3)
+
+
+def block_starts(monkeypatch, draws: int) -> list[int]:
+    """The draw counts after which a stream computes its next block,
+    recorded by wrapping the block function over `draws` draws."""
+    starts = []
+    real = rng_module._outputs
+
+    def recording(origin, first, n):
+        starts.append(first - 1)
+        return real(origin, first, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rng_module, "_outputs", recording)
+        r = SplitMix64(0)
+        for _ in range(draws):
+            r.next_u64()
+    return starts
+
+
+class TestBlockStream:
+    """The block-computed stream against the one-draw-at-a-time oracle."""
+
+    def test_blocks_start_small_and_grow(self, monkeypatch):
+        starts = block_starts(monkeypatch, 5000)
+        assert starts[:3] == [0, 1, 3]
+        sizes = [b - a for a, b in zip(starts, starts[1:])]
+        assert sizes == sorted(sizes) and sizes[-1] > 100
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_outputs_and_state_match_the_oracle(self, seed):
+        ours, oracle = SplitMix64(seed), OracleSplitMix64(seed)
+        for k in range(1, 5001):
+            assert ours.next_u64() == oracle.next_u64()
+            assert ours.state == oracle.state == (seed + k * GAMMA) & MASK64
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_fresh_streams_around_every_block_edge(self, monkeypatch, seed):
+        counts = sorted({
+            n for start in block_starts(monkeypatch, 5000) if start > 0
+            for n in (start - 1, start, start + 1)
+        })
+        assert len(counts) >= 30
+        full = OracleSplitMix64(seed)
+        expected = [full.next_u64() for _ in range(counts[-1])]
+        for n in counts:
+            r = SplitMix64(seed)
+            assert [r.next_u64() for _ in range(n)] == expected[:n]
+            assert r.state == (seed + n * GAMMA) & MASK64
+
+    @pytest.mark.parametrize("drawn", [1, 2, 40, 1100])
+    def test_fork_from_state_continues_the_stream(self, drawn):
+        r = SplitMix64(99)
+        for _ in range(drawn):
+            r.next_u64()
+        fork = SplitMix64(r.state)
+        assert [fork.next_u64() for _ in range(3000)] == [r.next_u64() for _ in range(3000)]
+
+    def test_normal_spare_and_mixed_draws(self):
+        ours, oracle = SplitMix64(17), OracleSplitMix64(17)
+        for i in range(1501):  # odd, so a spare is pending at the end
+            assert ours.normal(1.0, 2.0) == oracle.normal(1.0, 2.0)
+            if i % 7 == 0:
+                assert ours.uniform() == oracle.uniform()
+        assert ours.normal() == oracle.normal()  # the pending spare
+        assert ours.next_u64() == oracle.next_u64()
+        assert ours.state == oracle.state
+
+    def test_short_streams_make_no_numpy_call(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used")
+
+        monkeypatch.setattr(rng_module, "np", NoNumpy())
+        ours, oracle = SplitMix64(5), OracleSplitMix64(5)
+        for _ in range(31):  # the blocks of 1, 2, 4, 8 and 16 draws
+            assert ours.next_u64() == oracle.next_u64()
+        assert derive_seed(3, 20, 1) == oracle_derive_seed(3, 20, 1)
+
+    def test_derive_seed_pinned(self):
+        pins = {
+            (0,): 0x0,
+            (0, 0): 0x6E789E6AA1B965F4,
+            (7, 1, 2): 0x024E3158AE35EAF0,
+            (3, 0, 0): 0x514EC2BA90F34D3C,
+            (3, 20, 1): 0x98385DC136BC0F12,
+            (MASK64, 5): 0x93FAE6B03BB63E47,
+            (5, 1): 0xBA56949915DCF9E9,
+            (5, 2): 0xEC779C3693F88501,
+            (123456789, -1, 2 ** 70): 0xCA1B43810DCA64B0,
+        }
+        for args, value in pins.items():
+            assert derive_seed(*args) == value == oracle_derive_seed(*args)
 
 
 class TestCheckpoint:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rtslab.rng import SplitMix64
+from rtslab.sim import strategies
 from rtslab.sim import (
     Action,
     MatchRecord,
@@ -282,6 +283,34 @@ class TestRunMatch:
             if check_winner(after):
                 break
             state = after
+
+
+class TestUnitIndexSharing:
+    """Both plans of a step share the pre-step state's unit index."""
+
+    def test_one_index_per_step(self, monkeypatch):
+        builds = []
+
+        class CountedIndex(strategies._UnitIndex):
+            def __init__(self, state):
+                builds.append(state.step)
+                super().__init__(state)
+
+        monkeypatch.setattr(strategies, "_UnitIndex", CountedIndex)
+        rec = run_match(
+            make_strategy("RandomBiasedLite"), make_strategy("EconomyRushLite"), 5,
+            max_steps=300,
+        )
+        assert builds == list(range(rec.duration))
+
+    def test_stepped_state_starts_without_an_index(self):
+        s = standard_start()
+        assert s.unit_index is None
+        after = step(s, make_strategy("RandomBiasedLite"), make_strategy("WorkerRushLite"),
+                     rngs())
+        assert s.unit_index is not None
+        assert after.unit_index is None and after.clone().unit_index is None
+        assert s.clone().unit_index is None and s.clone() == s
 
 
 class TestEncode:
