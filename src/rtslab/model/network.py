@@ -72,13 +72,14 @@ class WinPredictor:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _attend(self, xq: Tensor, xkv: Tensor, prefix: str, heads: int) -> Tensor:
-        """Fused attention of xq over xkv with the weights stored under `prefix`."""
+    def _attend(self, xq: Tensor, xkv: Tensor, prefix: str, heads: int, axis: int = -2) -> Tensor:
+        """Fused attention of xq over xkv along `axis` with the weights
+        stored under `prefix`."""
         weights = (
             self._p(f"{prefix}.{part}")
             for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
         )
-        return T.attention(xq, xkv, *weights, heads=heads)
+        return T.attention(xq, xkv, *weights, heads=heads, axis=axis)
 
     def spatial_attention(self, patches: Tensor, layer: int) -> Tensor:
         """Attention among the N patches of each frame; (B, T*N, D) preserved."""
@@ -89,18 +90,13 @@ class WinPredictor:
         return out.reshape(b, cfg.time_steps * cfg.patches_per_frame, cfg.embed_dim)
 
     def temporal_attention(self, patches: Tensor, layer: int) -> Tensor:
-        """Attention across the T frames of each patch position."""
+        """Attention across the T frames of each patch position: the kernel
+        runs along axis 1 of a (B, T, N, D) view, so nothing is permuted."""
         cfg = self.config
         b = patches.shape[0]
         x = patches.reshape(b, cfg.time_steps, cfg.patches_per_frame, cfg.embed_dim)
-        x = x.permute(0, 2, 1, 3).reshape(
-            b * cfg.patches_per_frame, cfg.time_steps, cfg.embed_dim
-        )
-        out = self._attend(x, x, f"layers.{layer}.ta", cfg.heads)
-        out = out.reshape(b, cfg.patches_per_frame, cfg.time_steps, cfg.embed_dim)
-        return out.permute(0, 2, 1, 3).reshape(
-            b, cfg.time_steps * cfg.patches_per_frame, cfg.embed_dim
-        )
+        out = self._attend(x, x, f"layers.{layer}.ta", cfg.heads, axis=1)
+        return out.reshape(patches.shape)
 
     def feature_attention(self, patches: Tensor, layer: int) -> Tensor:
         """Single-head attention among each token's C channel slices."""

@@ -10,9 +10,11 @@ Contracts:
 
 * A Tensor is immutable after creation except for gradient accumulation.
   (A central-difference gradient check, such as ``grad_check`` in
-  ``tests/oracles.py``, perturbs ``.data`` in place and restores it; that
-  is the one sanctioned exception, and it owns the parameters while it
-  runs.)
+  ``tests/oracles.py``, perturbs ``.data`` in place and restores it, and
+  an optimizer such as ``rtslab.train.AdamW`` makes each parameter's
+  ``.data`` and ``.grad`` views into its flat buffers and updates them in
+  place; those are the sanctioned exceptions, and each owns the
+  parameters while it runs.)
 * Calling ``backward`` twice on the same tape accumulates leaf gradients
   additively; intermediate node gradients are reset per call.
 * Every public operation leaves only finite values behind; an op that would
@@ -23,6 +25,7 @@ Contracts:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -170,6 +173,14 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, shared by every caller."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Undo numpy broadcasting: reduce `g` back to `shape`.
 
@@ -180,7 +191,7 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if lead > 0:
         tail = g.shape[lead:]
         rows = math.prod(g.shape[:lead])
-        g = np.matmul(np.ones(rows), g.reshape(rows, math.prod(tail))).reshape(tail)
+        g = np.matmul(_ones(rows), g.reshape(rows, math.prod(tail))).reshape(tail)
     for ax, dim in enumerate(shape):
         if dim == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -309,18 +320,33 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _result(data, (a, gamma, beta), backward)
 
 
-def _split_heads(rows: np.ndarray, groups: int, heads: int, transpose: bool = False) -> np.ndarray:
-    """(G*S, A) rows -> contiguous (G, heads, S, A/heads), or with
-    `transpose` (G, heads, A/heads, S). numpy's batched matmul on a
-    transposed view costs about twice the copy and the matmul together."""
-    x = rows.reshape(groups, -1, heads, rows.shape[-1] // heads)
-    return np.ascontiguousarray(x.transpose((0, 2, 3, 1) if transpose else (0, 2, 1, 3)))
+def _split_heads(rows: np.ndarray, lead: tuple[int, ...], axis: int, heads: int,
+                 transpose: bool = False) -> np.ndarray:
+    """Rows of one token each, in stored order -> contiguous (G, heads, S,
+    A/heads), or with `transpose` (G, heads, A/heads, S).
+
+    `lead` is the token grid the rows come from (the input's shape without
+    its feature axis); S = lead[axis] and G is the product of the other
+    lead axes, kept in their order. The split is one transposed copy.
+    numpy's batched matmul on a transposed view costs about twice the copy
+    and the matmul together."""
+    n = len(lead)
+    x = rows.reshape(*lead, heads, rows.shape[-1] // heads)
+    rest = tuple(i for i in range(n) if i != axis)
+    x = x.transpose(*rest, n, n + 1, axis) if transpose else x.transpose(*rest, n, axis, n + 1)
+    x = np.ascontiguousarray(x)
+    return x.reshape(-1, *x.shape[-3:])
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(G, heads, S, dh) -> (G*S, heads*dh) rows; inverse of _split_heads."""
-    g, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(g * s, h * dh)
+def _merge_heads(x: np.ndarray, lead: tuple[int, ...], axis: int) -> np.ndarray:
+    """(G, heads, S, dh) -> rows of heads*dh in the stored order of the
+    token grid `lead`, by one transposed copy; inverse of _split_heads."""
+    n = len(lead)
+    _, h, s, dh = x.shape
+    x = x.reshape(*(d for i, d in enumerate(lead) if i != axis), h, s, dh)
+    order = list(range(n - 1))
+    order.insert(axis, n)
+    return x.transpose(*order, n - 1, n + 1).reshape(-1, h * dh)
 
 
 def _linear_grads(x: np.ndarray, d: np.ndarray, w: Tensor, b: Tensor) -> None:
@@ -349,61 +375,78 @@ def _block_softmax(s: np.ndarray) -> np.ndarray | None:
     return s
 
 
-def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, axis: int = -2) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
 
-    Queries xq (G, Sq, E) attend over keys/values xkv (G, Sk, E) within each
-    group G; pass the same tensor twice for self-attention. Weights multiply
-    on the right (q = xq @ wq + bq, likewise k and v from xkv); the A
-    projected dims split into `heads` heads of A/heads each, scores scale by
-    1/sqrt(A/heads), and the merged heads go through out = mix @ wo + bo,
-    giving (G, Sq, O). Each projection is one 2-D product over all G*S
-    rows, and the scale is folded into q's weights. The softmax shifts each
-    (group, head) block of scores by the block's max (see _block_softmax);
-    only a row whose exponentials underflow there, one whose max lies about
-    708 or more below its block's, sends the call to the row-max _softmax.
-    The forward keeps the probabilities, the head-split q and the k and v
-    rows, so the backward is closed form with no recompute; its products
-    are 2-D over rows too.
+    Queries xq attend over keys/values xkv along the token axis `axis`;
+    the last axis holds each token's E features, and every other axis is a
+    group axis, on which xq and xkv must agree. So (G, Sq, E) over
+    (G, Sk, E) with the default axis attends within each group G, and
+    (B, T, N, E) with axis=1 attends across T for each (B, N) pair, with
+    no regrouping copy. Pass the same tensor twice for self-attention.
+    Weights multiply on the right (q = xq @ wq + bq, likewise k and v from
+    xkv); the A projected dims split into `heads` heads of A/heads each,
+    scores scale by 1/sqrt(A/heads), and the merged heads go through
+    out = mix @ wo + bo, giving xq's shape with O features. Each
+    projection is one 2-D product over all token rows in their stored
+    order, and the scale is folded into q's weights; each head split and
+    merge is one transposed copy to or from those rows. The softmax
+    shifts each (group, head) block of scores by the block's max (see
+    _block_softmax); only a row whose exponentials underflow there, one
+    whose max lies about 708 or more below its block's, sends the call to
+    the row-max _softmax. The forward keeps the probabilities, the
+    head-split q and the k and v rows, so the backward is closed form with
+    no recompute; its products are 2-D over rows too.
     """
     xq, xkv = _coerce(xq), _coerce(xkv)
     wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
-    if xq.ndim != 3 or xkv.ndim != 3 or xq.shape[0] != xkv.shape[0]:
+    nd = xq.ndim
+    if nd < 3 or xkv.ndim != nd:
         raise ValueError(
-            f"attention needs (G, S, E) inputs with equal G, got {xq.shape} and {xkv.shape}"
+            f"attention needs inputs of equal rank >= 3, got {xq.shape} and {xkv.shape}"
+        )
+    if not -nd <= axis < nd or axis % nd == nd - 1:
+        raise ValueError(
+            f"attention axis {axis} must name a token axis of {xq.shape}, not the feature axis"
+        )
+    axis %= nd
+    lead_q, lead_kv = xq.shape[:-1], xkv.shape[:-1]
+    if lead_q[:axis] + lead_q[axis + 1:] != lead_kv[:axis] + lead_kv[axis + 1:]:
+        raise ValueError(
+            f"attention inputs {xq.shape} and {xkv.shape} differ on a group axis "
+            f"(token axis {axis})"
         )
     width = wq.shape[-1]
     if heads < 1 or width % heads:
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
-    groups, sq = xq.shape[:2]
     scale = 1.0 / math.sqrt(width // heads)
-    xq2 = xq.data.reshape(groups * sq, -1)
+    xq2 = xq.data.reshape(-1, xq.shape[-1])
     xkv2 = xkv.data.reshape(-1, xkv.shape[-1])
     q = np.matmul(xq2, wq.data * scale)
     q += bq.data * scale
-    q = _split_heads(q, groups, heads)
+    q = _split_heads(q, lead_q, axis, heads)
     k = np.matmul(xkv2, wk.data)
     k += bk.data
-    kt = _split_heads(k, groups, heads, transpose=True)
+    kt = _split_heads(k, lead_kv, axis, heads, transpose=True)
     v = np.matmul(xkv2, wv.data)
     v += bv.data
     p = _block_softmax(np.matmul(q, kt))
     if p is None:
         p = _softmax(np.matmul(q, kt))
-    mix = _merge_heads(np.matmul(p, _split_heads(v, groups, heads)))
+    mix = _merge_heads(np.matmul(p, _split_heads(v, lead_kv, axis, heads)), lead_q, axis)
     data = np.matmul(mix, wo.data)
     data += bo.data
 
     def backward(g):
         g2 = g.reshape(mix.shape[0], -1)
-        dmix = _split_heads(np.matmul(g2, wo.data.T), groups, heads)
-        ds = np.matmul(dmix, _split_heads(v, groups, heads, transpose=True))
+        dmix = _split_heads(np.matmul(g2, wo.data.T), lead_q, axis, heads)
+        ds = np.matmul(dmix, _split_heads(v, lead_kv, axis, heads, transpose=True))
         ds -= np.einsum("...i,...i->...", ds, p)[..., None]
         ds *= p
-        dq = _merge_heads(np.matmul(ds, _split_heads(k, groups, heads)))
+        dq = _merge_heads(np.matmul(ds, _split_heads(k, lead_kv, axis, heads)), lead_q, axis)
         dq *= scale
-        dk = _merge_heads(np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q))
-        dv = _merge_heads(np.matmul(np.ascontiguousarray(p.swapaxes(-1, -2)), dmix))
+        dk = _merge_heads(np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q), lead_kv, axis)
+        dv = _merge_heads(np.matmul(np.ascontiguousarray(p.swapaxes(-1, -2)), dmix), lead_kv, axis)
         _linear_grads(mix, g2, wo, bo)
         _linear_grads(xq2, dq, wq, bq)
         _linear_grads(xkv2, dk, wk, bk)
@@ -416,7 +459,7 @@ def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
             dx += np.matmul(dv, wv.data.T)
             xkv.accumulate_grad(dx.reshape(xkv.shape))
 
-    return _result(data.reshape(groups, sq, -1), (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return _result(data.reshape(*lead_q, -1), (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ class TrainResult:
     best_val_acc: float
 
 
-# Clips per tape-free forward. A desk forward costs 2.10 / 1.34 / 1.56 / 1.60
-# ms per sample at B = 1 / 4 / 8 / 32 on a 2-core Xeon VM, and adds 0.0 /
-# 1.4 / 9.8 MB of peak RSS at B = 4 / 8 / 32 over B = 1 (README, "Training
-# and evaluation").
+# Clips per tape-free forward. A desk forward costs 1.39 / 0.96 / 1.03 / 1.31
+# ms per sample at B = 1 / 4 / 8 / 32 on a 2-core Xeon VM, allocator page
+# faults included, and adds 0.5 / 1.8 / 10.1 MB of peak RSS at B = 4 / 8 /
+# 32 over B = 1 (README, "Training and evaluation").
 INFER_BATCH = 4
 
 

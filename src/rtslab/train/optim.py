@@ -50,54 +50,81 @@ class TrainConfig:
 
 
 class AdamW:
-    """Owns the parameter dict during training; updates data in place.
+    """Owns the parameter dict during training; updates it in place.
 
-    The moments are two flat vectors over every parameter in dict order, so
-    a step is one vectorized pass over all of them rather than one per
-    parameter. Elementwise, the arithmetic is exactly the formula above.
+    Every parameter lives in one flat buffer, in dict order: construction
+    copies each value in and makes the parameter's `.data` a view into it.
+    Gradients likewise live in one flat buffer: a gradient already set is
+    copied in, and each `.grad` becomes a view into it, so a tape's
+    backward accumulates straight into the buffer and `zero_grad` is one
+    fill. The moments are two more flat vectors, so a step is one
+    vectorized pass over all parameters rather than one per parameter.
+    Elementwise, the arithmetic is exactly the formula above. A `.grad`
+    replaced after construction (another array, or None for 0) is copied
+    into the buffer at the next step, and `.grad` is its view again after
+    it. A dict holding one Tensor under two names is rejected, since
+    re-homing it would leave one name's buffer slot orphaned.
     """
 
     def __init__(self, params: dict[str, Tensor], config: TrainConfig):
+        if len({id(p) for p in params.values()}) != len(params):
+            raise ValueError("AdamW params hold one Tensor under two names")
         self.params = params
         self.config = config
         self.step_count = 0
         n = sum(p.data.size for p in params.values())
+        self._theta = np.empty(n)
+        self._grad = np.zeros(n)
         self._m = np.zeros(n)
         self._v = np.zeros(n)
+        self._grad_views: list[np.ndarray] = []
+        start = 0
+        for name, p in params.items():
+            end = start + p.data.size
+            theta = self._theta[start:end].reshape(p.data.shape)
+            theta[...] = p.data
+            p.data = theta
+            grad = self._grad[start:end].reshape(p.data.shape)
+            if p.grad is not None:
+                grad[...] = self._checked(name, p.grad)
+            p.grad = grad
+            self._grad_views.append(grad)
+            start = end
+
+    def _checked(self, name: str, g: np.ndarray) -> np.ndarray:
+        if g.shape != self.params[name].data.shape:
+            raise ValueError(
+                f"gradient shape {g.shape} != parameter shape "
+                f"{self.params[name].data.shape} for {name}"
+            )
+        return g
 
     def step(self) -> None:
         """Apply one update from the accumulated gradients (missing -> 0)."""
         c = self.config
+        for (name, p), view in zip(self.params.items(), self._grad_views):
+            if p.grad is not view:
+                if p.grad is None:
+                    view.fill(0.0)  # missing -> 0, so decay still applies
+                else:
+                    view[...] = self._checked(name, p.grad)
+                p.grad = view
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - c.beta1 ** t
         bc2 = 1.0 - c.beta2 ** t
-        grads, thetas = [], []
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros(p.data.size)  # missing -> 0, so decay still applies
-            elif g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}"
-                )
-            grads.append(g.reshape(-1))
-            thetas.append(p.data.reshape(-1))  # data is contiguous: a view
-        g = np.concatenate(grads)
-        m, v = self._m, self._v
+        g, m, v = self._grad, self._m, self._v
         m *= c.beta1
         m += (1.0 - c.beta1) * g
         v *= c.beta2
         v += (1.0 - c.beta2) * g * g
         update = c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-        theta = np.concatenate(thetas) * (1.0 - c.lr * c.weight_decay) - update
-        start = 0
-        for flat in thetas:
-            end = start + flat.size
-            flat[:] = theta[start:end]
-            start = end
+        self._theta *= 1.0 - c.lr * c.weight_decay
+        self._theta -= update
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
+        """Zero every gradient: one fill of the buffer, after which each
+        `.grad` is its view again (a replaced one is dropped)."""
+        self._grad.fill(0.0)
+        for p, view in zip(self.params.values(), self._grad_views):
+            p.grad = view

@@ -196,6 +196,20 @@ ATTENTION_CASES = {
 }
 
 
+def token_axis_case(seed: int, tq: int, tk: int):
+    """(B, T, N, D) queries and keys/values for attention along T (axis=1),
+    and the ten attention operands; tq == tk means self-attention."""
+    rng = SplitMix64(seed)
+    xq = rand(rng, (2, tq, 3, 10))
+    xkv = xq if tq == tk else rand(rng, (2, tk, 3, 10))
+    weights = [rand(rng, shape) for _ in range(4) for shape in ((10, 10), (10,))]
+    return xq, xkv, weights
+
+
+# name: (Tq, Tk); the heads are always 5 of width 2
+TOKEN_AXIS_CASES = {"self": (4, 4), "cross": (2, 5)}
+
+
 class TestAttention:
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_fused_forward_matches_composed_reference(self, case):
@@ -247,6 +261,50 @@ class TestAttention:
         xq, xkv, weights = attention_case(204, 1, 2, 2, 10, True)
         with pytest.raises(ValueError, match="heads"):
             T.attention(xq, xkv, *weights, heads=3)
+
+    @pytest.mark.parametrize("case", sorted(TOKEN_AXIS_CASES))
+    def test_token_axis_matches_permuted_reference(self, case):
+        xq, xkv, weights = token_axis_case(205, *TOKEN_AXIS_CASES[case])
+        fused = T.attention(xq, xkv, *weights, heads=5, axis=1)
+
+        def grouped(x):  # (B, T, N, D) -> (B*N, T, D)
+            b, t, n, d = x.shape
+            return x.permute(0, 2, 1, 3).reshape(b * n, t, d)
+
+        b, tq, n, d = xq.shape
+        ref = composed_attention(grouped(xq), grouped(xkv), *weights, heads=5)
+        ref = ref.reshape(b, n, tq, d).permute(0, 2, 1, 3)
+        assert fused.shape == xq.shape
+        assert np.allclose(fused.data, ref.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(TOKEN_AXIS_CASES))
+    def test_token_axis_gradient_check(self, case):
+        tq, tk = TOKEN_AXIS_CASES[case]
+        xq, xkv, weights = token_axis_case(206, tq, tk)
+        rng = SplitMix64(207)
+        mix = Tensor(np.array([rng.normal() for _ in range(xq.size)]).reshape(xq.shape))
+        params = {"x": xq} if tq == tk else {"xq": xq, "xkv": xkv}
+        params.update(zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"), weights))
+        res = grad_check(
+            lambda: mean(mul(T.attention(xq, xkv, *weights, heads=5, axis=1), mix)),
+            params, h=1e-5, tol=1e-4,
+        )
+        assert res.passed, res.summary()
+
+    def test_token_axis_one_tape_node(self):
+        xq, xkv, weights = token_axis_case(208, 4, 4)
+        with Tape() as tape:
+            T.attention(xq, xkv, *weights, heads=5, axis=1)
+        assert len(tape) == 1
+
+    def test_token_axis_rejects_group_mismatch_and_feature_axis(self):
+        xq, _, weights = token_axis_case(209, 4, 4)
+        other_n = rand(SplitMix64(210), (2, 4, 2, 10))
+        with pytest.raises(ValueError, match="group axis"):
+            T.attention(xq, other_n, *weights, heads=5, axis=1)
+        for axis in (3, -1):
+            with pytest.raises(ValueError, match="feature axis"):
+                T.attention(xq, xq, *weights, heads=5, axis=axis)
 
 
 class TestActivations:

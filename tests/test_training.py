@@ -179,6 +179,79 @@ class TestAdamW:
         with pytest.raises(ValueError, match="shape"):
             opt.step()
 
+    def test_parameters_and_gradients_share_one_buffer_each(self):
+        rng = SplitMix64(22)
+        shapes = {"w": (3, 4), "b": (4,), "s": ()}
+        params = {
+            k: Tensor(np.array([rng.normal() for _ in range(math.prod(s))]).reshape(s),
+                      requires_grad=True)
+            for k, s in shapes.items()
+        }
+        values = {k: p.data.copy() for k, p in params.items()}
+        params["b"].grad = np.arange(4.0)
+        AdamW(params, TrainConfig())
+        first = params["w"]
+        for k, p in params.items():
+            assert np.shares_memory(p.data, first.data.base), k
+            assert np.shares_memory(p.grad, first.grad.base), k
+            assert np.array_equal(p.data, values[k]), k
+        assert np.array_equal(params["b"].grad, np.arange(4.0))
+        assert not np.shares_memory(first.data.base, first.grad.base)
+
+    def _pair(self):
+        """Two equal two-parameter dicts, each owned by its own AdamW."""
+        out = []
+        for _ in range(2):
+            params = {
+                "a": Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True),
+                "b": Tensor(np.array([[1.5], [-0.25]]), requires_grad=True),
+            }
+            out.append((params, AdamW(params, TrainConfig(lr=1e-2))))
+        return out
+
+    def test_gradient_assigned_after_construction_is_used(self):
+        (p1, opt1), (p2, opt2) = self._pair()
+        g = {"a": np.array([0.3, -0.1, 0.7]), "b": np.array([[-2.0], [0.5]])}
+        for k, p in p1.items():
+            p.grad += g[k]  # into the optimizer's own view
+            p2[k].grad = g[k].copy()  # a foreign array
+        opt1.step()
+        opt2.step()
+        for k in p1:
+            assert np.array_equal(p1[k].data, p2[k].data), k
+        assert not np.array_equal(p1["a"].data, np.array([0.5, -1.0, 2.0]) * (1 - 1e-2 * 0.01))
+
+    def test_none_gradient_counts_as_zero(self):
+        (p1, opt1), (p2, opt2) = self._pair()
+        for p in (*p1.values(), *p2.values()):
+            p.grad = np.full(p.data.shape, 0.4)
+        opt1.step()
+        opt2.step()
+        # the second step's gradient must not reuse the first's buffer values
+        p1["a"].grad = None
+        p2["a"].grad = np.zeros(3)
+        for p in (p1["b"], p2["b"]):
+            p.grad = np.full(p.data.shape, -0.2)
+        opt1.step()
+        opt2.step()
+        for k in p1:
+            assert np.array_equal(p1[k].data, p2[k].data), k
+        assert np.array_equal(p1["a"].grad, np.zeros(3))
+
+    def test_zero_grad_drops_a_replaced_gradient(self):
+        (p1, opt1), (p2, opt2) = self._pair()
+        p1["a"].grad = np.ones(3)
+        opt1.zero_grad()
+        opt1.step()
+        opt2.step()
+        for k in p1:
+            assert np.array_equal(p1[k].data, p2[k].data), k
+
+    def test_one_tensor_under_two_names_rejected(self):
+        theta = Tensor(np.zeros(3), requires_grad=True)
+        with pytest.raises(ValueError, match="two names"):
+            AdamW({"t": theta, "alias": theta}, TrainConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=0.0)
@@ -327,6 +400,25 @@ class TestTrainLoop:
         best_row = max(result.log, key=lambda r: r.val_acc)
         assert result.best_val_acc == best_row.val_acc
         assert set(result.best_params) == set(model.params)
+
+    def test_best_snapshot_does_not_move_on_later_steps(self):
+        model = tiny_model(seed=13)
+        train = random_examples(8, model.config, seed=14)
+        val = random_examples(8, model.config, seed=15)
+        at_epoch_end = []
+        result = train_model(
+            model, train, val, TrainConfig(epochs=3, batch_size=4, seed=2, lr=1e-2),
+            progress=lambda row: at_epoch_end.append(
+                {k: p.data.copy() for k, p in model.params.items()}
+            ),
+        )
+        assert result.best_epoch < 2  # later steps ran after the snapshot
+        best = at_epoch_end[result.best_epoch]
+        for k, p in model.params.items():
+            assert np.array_equal(result.best_params[k], best[k]), k
+        assert any(
+            not np.array_equal(result.best_params[k], p.data) for k, p in model.params.items()
+        )
 
     def test_float_clip_rejected_before_first_step(self, batches):
         model = tiny_model(seed=13)
