@@ -19,6 +19,8 @@ in one line on stderr. Exit codes:
        (no frames, frame shape, a plane value outside its range, a
        duration below 1, frame steps out of order or past the duration,
        winner value; named by file and line),
+       a frame that decodes to no legal unit (named by file and line when
+       compare or timeline scores it classically),
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
        does not parse or holds a bad key or value, a checkpoint that is
@@ -28,8 +30,9 @@ in one line on stderr. Exit codes:
        is not one the subcommand takes, a missing subcommand, a --config
        file that is not UTF-8 JSON or holds an unknown key or a value of
        the wrong type, a value out of range, eval given other than one
-       model directory, and a dataset whose map size the preset's patch
-       does not divide
+       model directory, compare or timeline given two model directories
+       with one evaluator name, and a dataset whose map size the preset's
+       patch does not divide
 """
 
 from __future__ import annotations
@@ -281,9 +284,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
-    """The dataset header, and the records of each split in the
-    splits.json beside the dataset.
+def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list], dict]:
+    """The dataset header, the records of each split in the splits.json
+    beside the dataset, and that manifest.
 
     Every split must be a list of in-range record indices, no record may
     sit in two splits (or twice in one), and no split may hold a draw.
@@ -317,15 +320,35 @@ def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list]]:
                 raise CorruptArtifact(f"{path}: {name} index {i} is a drawn match")
             seen.add(i)
         parts[name] = [records[i] for i in indices]
-    return dataset.header, parts
+    return dataset.header, parts, manifest
 
 
-def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list]:
-    """The dataset header and the test records; an empty test split is a ConfigError."""
-    header, parts = _load_split(cfg)
+def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list[MatchRecord], list[int]]:
+    """The dataset header, the test records and their lines in the dataset
+    file; an empty test split is a ConfigError."""
+    header, parts, manifest = _load_split(cfg)
     if not parts["test"]:
         raise ConfigError("empty dataset: test split has no usable records")
-    return header, parts["test"]
+    return header, parts["test"], [i + 2 for i in manifest["test"]]
+
+
+def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
+    """The error of a record at `line` of `dataset` whose frame `decode_planes` rejects."""
+    return CorruptArtifact(f"{dataset}:{line}: a frame decodes to no legal unit: {exc}")
+
+
+def _classical(evaluator, dataset: str, lines: list[int]):
+    """`classical_predictor(evaluator)` of the records at `lines` of
+    `dataset`; a frame that decodes to no legal unit is `_undecodable`."""
+    verdicts = classical_predictor(evaluator)
+
+    def verdict(line: int, record: MatchRecord, rho: float) -> int | None:
+        try:
+            return verdicts([record], rho)[0]
+        except ValueError as exc:  # raised by decode_planes
+            raise _undecodable(dataset, line, exc) from None
+
+    return lambda records, rho: [verdict(line, r, rho) for line, r in zip(lines, records)]
 
 
 def _model_name(config: ModelConfig) -> str:
@@ -343,7 +366,7 @@ def cmd_train(cfg: RunConfig) -> int:
         seed=cfg.seed,
         threshold=cfg.threshold,
     )
-    header, parts = _load_split(cfg)
+    header, parts, _ = _load_split(cfg)
     try:  # the preset's model, sized to the dataset's maps
         model_config = dataclasses.replace(
             get_preset(cfg.preset), map_height=header.map_height, map_width=header.map_width
@@ -404,34 +427,43 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_model(model_dir: str, header: DatasetHeader, dataset: str) -> tuple[str, WinPredictor]:
-    """(evaluator name, model) from `config.json` and `best.ckpt`; the
-    directory's `train.json` is a record of the run and is not read back.
-    A model whose map size differs from the header of `dataset` is a
-    CorruptArtifact naming both."""
-    d = Path(model_dir)
-    for needed in ("config.json", "best.ckpt"):
-        if not (d / needed).exists():
-            raise MissingArtifact(f"model artifact not found: {d / needed}")
-    config = ModelConfig.load(d / "config.json")
-    try:
-        model = WinPredictor.load(d / "best.ckpt", config)
-    except ConfigError as exc:
-        raise CorruptArtifact(f"{d / 'best.ckpt'} does not fit {d / 'config.json'}: {exc}") from None
-    if (header.map_height, header.map_width) != (config.map_height, config.map_width):
-        raise CorruptArtifact(
-            f"{dataset} holds {header.map_height}x{header.map_width} maps but "
-            f"{d / 'config.json'} expects {config.map_height}x{config.map_width}"
-        )
-    return _model_name(config), model
+def _load_models(cfg: RunConfig, header: DatasetHeader) -> list[tuple[str, WinPredictor]]:
+    """(evaluator name, model) of each --models directory, from its
+    `config.json` and `best.ckpt`; its `train.json` is a record of the run
+    and is not read back. A model whose map size differs from the dataset
+    header is a CorruptArtifact naming both. Output rows and files are
+    keyed by evaluator name, so two directories of one name are a
+    ConfigError naming both."""
+    models, dirs = [], {}
+    for d in map(Path, cfg.models):
+        for needed in ("config.json", "best.ckpt"):
+            if not (d / needed).exists():
+                raise MissingArtifact(f"model artifact not found: {d / needed}")
+        config = ModelConfig.load(d / "config.json")
+        name = _model_name(config)
+        if name in dirs:
+            raise ConfigError(f"{dirs[name]} and {d} both hold evaluator {name!r}; "
+                              "give each evaluator one model directory")
+        dirs[name] = d
+        try:
+            model = WinPredictor.load(d / "best.ckpt", config)
+        except ConfigError as exc:
+            raise CorruptArtifact(f"{d / 'best.ckpt'} does not fit {d / 'config.json'}: {exc}") from None
+        if (header.map_height, header.map_width) != (config.map_height, config.map_width):
+            raise CorruptArtifact(
+                f"{cfg.dataset} holds {header.map_height}x{header.map_width} maps but "
+                f"{d / 'config.json'} expects {config.map_height}x{config.map_width}"
+            )
+        models.append((name, model))
+    return models
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     if len(cfg.models) != 1:
         raise ConfigError(f"eval takes exactly one model directory in --models, got {len(cfg.models)}")
     out = _out_dir(cfg)
-    header, records = _test_split(cfg)
-    name, model = _load_model(cfg.models[0], header, cfg.dataset)
+    header, records, _ = _test_split(cfg)
+    [(name, model)] = _load_models(cfg, header)
     predict = neural_predictor(model, model.config.time_steps, cfg.threshold)
     rows = progress_stratified_eval(predict, records, fractions=(1.0,))
     _, metrics = rows[0]
@@ -475,18 +507,16 @@ def _paper_reference_rows() -> list[list]:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    header, records = _test_split(cfg)
-
-    evaluators: list[tuple[str, object]] = []
-    for model_dir in cfg.models:
-        name, model = _load_model(model_dir, header, cfg.dataset)
-        evaluators.append((name, neural_predictor(model, model.config.time_steps, cfg.threshold)))
-    evaluators.append(("simple", classical_predictor(simple_eval)))
-    evaluators.append(("lanchester", classical_predictor(lanchester_eval)))
-
+    header, records, lines = _test_split(cfg)
+    evaluators = [(name, neural_predictor(model, model.config.time_steps, cfg.threshold))
+                  for name, model in _load_models(cfg, header)]
+    evaluators += [("simple", _classical(simple_eval, cfg.dataset, lines)),
+                   ("lanchester", _classical(lanchester_eval, cfg.dataset, lines))]
+    # every evaluator is scored before a table is written
+    tables = [(name, progress_stratified_eval(predict, records, cfg.fractions))
+              for name, predict in evaluators]
     stability_rows: list[list] = []
-    for name, predict in evaluators:
-        rows = progress_stratified_eval(predict, records, cfg.fractions)
+    for name, rows in tables:
         _write_csv(out / f"stratified_{name}.csv", _STRAT_HEADER, _stratified_rows(name, rows))
         stds = op_stability(rows)
         stability_rows.append([name, "ours", stds["early"], stds["late"]])
@@ -520,7 +550,7 @@ def cmd_timeline(cfg: RunConfig) -> int:
         dataclasses.replace(record, frames=record.frames[: i + 1], duration=step)
         for i, (step, _) in enumerate(record.frames)
     ]
-    models = [_load_model(d, dataset.header, cfg.dataset) for d in cfg.models]
+    models = _load_models(cfg, dataset.header)
     rows: list[list] = []
     for name, model in models:
         clips = (sample_timeline(cut, model.config.time_steps, 1.0) for cut in cuts)
@@ -528,7 +558,10 @@ def cmd_timeline(cfg: RunConfig) -> int:
             pred = "p1" if prob >= cfg.threshold else "p2"
             # neural scores are (P1, P2) = (y, 1-y), one probability split
             rows.append([name, cut.duration, prob, 1.0 - prob, pred])
-    states = [decode_planes(planes) for _, planes in record.frames]
+    try:
+        states = [decode_planes(planes) for _, planes in record.frames]
+    except ValueError as exc:
+        raise _undecodable(cfg.dataset, cfg.match_id + 2, exc) from None
     for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
         for (step, _), state in zip(record.frames, states):
             s1, s2 = evaluator(state, 1), evaluator(state, 2)

@@ -19,15 +19,15 @@ raw: normalization to [0,1] happens once, on each batch a model forwards
 byte-identical across reruns of the same configuration.
 
 The writer's code is the one definition of a match line: `_match_pieces`
-renders it, formatting the frames text with numpy in the layout
-`_frame_skeleton` spells out. The reader parses a match line only in that
-layout, and accepts it only if the record it read renders back to the
-same bytes. Both run the same checks on a record, so the writer never
-writes a line the reader rejects.
+renders it, formatting the frames text with numpy (`_frames_text`). The
+reader parses a match line only in that layout, and accepts it only if
+the record it read renders back to the same bytes. Both run the same
+checks on a record, so the writer never writes a line the reader rejects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -79,17 +79,14 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _frame_skeleton(shape: tuple[int, int, int]) -> bytes:
-    """One `[step,planes]` frame in the writer's layout, every number written as 0."""
-    c, h, w = shape
-    row = b"[" + b",".join([b"0"] * w) + b"]"
-    plane = b"[" + b",".join([row] * h) + b"]"
-    return b"[0,[" + b",".join([plane] * c) + b"]]"
-
-
 # Cell v: the digits of v right-aligned in three bytes, padded with spaces,
 # then a zero byte that a value's separator code is or-ed into.
 _DIGIT_CELLS = np.frombuffer(b"".join([b"%3d\0" % v for v in range(256)]), dtype=np.uint32)
+# Cell k: separator code k in that byte. The separator after a value is
+# code 1 "," within a row, 2 "],[" after a row, 3 "]],[[" after a plane,
+# and 0 after the frame's last value.
+_CODE_CELLS = np.frombuffer(b"".join([b"\0\0\0%c" % k for k in range(4)]), dtype=np.uint32)
+_COMMA = bytes.maketrans(b"\1", b",")
 
 
 # Frames formatted per write, so a long match holds a few hundred KB of
@@ -99,36 +96,29 @@ _DIGIT_CELLS = np.frombuffer(b"".join([b"%3d\0" % v for v in range(256)]), dtype
 _FRAMES_PER_WRITE = 32
 
 
-def _frame_layout(shape: tuple[int, int, int]):
-    """How `_frames_text` writes frames of `shape` in `_frame_skeleton`'s
-    layout: the separator code after each value as (C, H, W) cells to or
-    into digit cells (code 0 ends a frame), a translation of the one-byte
-    codes, the (code, separator) pairs of the longer ones, and a
-    `%`-template of one frame taking its step and its values text."""
-    head, after_step, *between, tail = _frame_skeleton(shape).split(b"0")
-    separators = list(dict.fromkeys(between))
-    codes = [separators.index(sep) + 1 for sep in between] + [0]
-    cells = np.frombuffer(b"".join([b"\0\0\0%c" % code for code in codes]), dtype=np.uint32)
-    table, longer = bytearray(range(256)), []
-    for code, sep in enumerate(separators, start=1):
-        if len(sep) == 1:
-            table[code] = sep[0]
-        else:
-            longer.append((bytes([code]), sep))
-    return cells.reshape(shape), bytes(table), longer, head + b"%d" + after_step + b"%s" + tail
+@functools.lru_cache(maxsize=4)
+def _separator_cells(shape: tuple[int, int, int]) -> np.ndarray:
+    """The (C, H, W) code cells of the separators after the values of a
+    frame of `shape`, cached per shape and read-only."""
+    codes = np.ones(shape, dtype=np.intp)
+    codes[:, :, -1] = 2
+    codes[:, -1, -1] = 3
+    codes[-1, -1, -1] = 0
+    cells = _CODE_CELLS[codes]
+    cells.flags.writeable = False
+    return cells
 
 
-def _frames_text(steps: list[int], planes: np.ndarray, layout) -> bytes:
+def _frames_text(steps: list[int], planes: np.ndarray) -> bytes:
     """The `[step,planes],...` text of checked (F, C, H, W) planes, as
     json.dumps with (",", ":") separators writes it."""
-    codes, table, longer, frame = layout
-    text = (np.take(_DIGIT_CELLS, planes) | codes).tobytes().translate(table, b" ")
-    for code, sep in longer:
-        text = text.replace(code, sep)
-    return b",".join([frame % pair for pair in zip(steps, text.split(b"\0"))])
+    cells = np.take(_DIGIT_CELLS, planes) | _separator_cells(planes.shape[1:])
+    text = cells.tobytes().translate(_COMMA, b" ")
+    text = text.replace(b"\2", b"],[").replace(b"\3", b"]],[[")
+    return b",".join([b"[%d,[[[%s]]]]" % pair for pair in zip(steps, text.split(b"\0"))])
 
 
-def _match_pieces(rec: MatchRecord, steps: list[int], planes: np.ndarray, layout):
+def _match_pieces(rec: MatchRecord, steps: list[int], planes: np.ndarray):
     """The bytes of a checked record's line, in pieces: joined, they are
     what json.dumps of the whole record with sorted keys and (",", ":")
     separators writes, plus a newline. Frames go _FRAMES_PER_WRITE at a
@@ -139,7 +129,7 @@ def _match_pieces(rec: MatchRecord, steps: list[int], planes: np.ndarray, layout
         if at:
             yield b","
         chunk = slice(at, at + _FRAMES_PER_WRITE)
-        yield _frames_text(steps[chunk], planes[chunk], layout)
+        yield _frames_text(steps[chunk], planes[chunk])
     rest = {"kind": "match", "seed": rec.seed, "strategy_a": rec.strategy_a,
             "strategy_b": rec.strategy_b, "winner": rec.winner}
     yield b"]," + _dump_line(rest)[1:].encode() + b"\n"
@@ -176,7 +166,6 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
     header = dataset.header
     _check_header(header)
     shape = (header.channels, header.map_height, header.map_width)
-    layout = _frame_layout(shape)
     with replaced_on_success(path) as f:
         f.write(_dump_line({"kind": "header", **asdict(header)}).encode() + b"\n")
         for i, rec in enumerate(dataset.records):
@@ -186,7 +175,7 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
                 _check_match(rec.winner, rec.duration, steps, planes)
             except ValueError as exc:
                 raise ValueError(f"record {i}: {exc}") from None
-            f.writelines(_match_pieces(rec, steps, planes, layout))
+            f.writelines(_match_pieces(rec, steps, planes))
 
 
 def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.ndarray:
@@ -245,8 +234,9 @@ def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
     _check_planes(planes)
 
 
-def _read_match(line: bytes, layout) -> MatchRecord:
-    """The record of a match line, which must be in the writer's layout.
+def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
+    """The record of a match line with frames of `shape`, which must be in
+    the writer's layout.
 
     The line is split around its frames text: the rest goes through
     json.loads, and numpy parses the frames text as int64 values that must
@@ -266,16 +256,15 @@ def _read_match(line: bytes, layout) -> MatchRecord:
         raise ValueError(_NOT_LAYOUT)
     if fields.get("kind") != "match":
         raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
-    c, h, w = layout[0].shape
     frames = line[a + 10 : b + 1]
     try:
         values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
-        values = values.reshape(-1, 1 + c * h * w)
+        values = values.reshape(-1, 1 + math.prod(shape))
     except ValueError:  # not ints between commas, or not whole frames
         raise ValueError(_NOT_LAYOUT) from None
     if not len(values):
         raise ValueError("record has no frames")
-    steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, c, h, w)
+    steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, *shape)
     try:
         _check_match(fields["winner"], fields["duration"], steps, planes)
     except ValueError:
@@ -288,7 +277,7 @@ def _read_match(line: bytes, layout) -> MatchRecord:
     planes = planes.astype(np.uint8)
     record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
                          fields["winner"], fields["duration"], list(zip(steps, planes)))
-    if b"".join(_match_pieces(record, steps, planes, layout)) != line:
+    if b"".join(_match_pieces(record, steps, planes)) != line:
         raise ValueError(_NOT_LAYOUT)
     return record
 
@@ -322,10 +311,9 @@ def read_dataset(path: str | Path) -> Dataset:
             raise CorruptArtifact(f"{path}: empty dataset file")
         try:
             header = _read_header(first)
-            layout = _frame_layout((header.channels, header.map_height, header.map_width))
+            shape = (header.channels, header.map_height, header.map_width)
             for lineno, line in enumerate(f, start=2):
-                if line.strip():
-                    records.append(_read_match(line, layout))
+                records.append(_read_match(line, shape))
         except UnicodeDecodeError as exc:
             raise CorruptArtifact(f"{path}:{lineno}: not UTF-8 text (byte {exc.start})") from None
         except json.JSONDecodeError as exc:

@@ -20,14 +20,14 @@ Contracts:
 * Every public operation leaves only finite values behind; an op that would
   produce NaN/Inf raises NonFiniteError immediately instead of letting it
   propagate.
-* A tape is confined to one thread; distinct tapes may run concurrently.
+* Tapes nest on one stack, and every tape is opened and closed on one
+  thread: operations record onto the innermost open tape.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -36,18 +36,7 @@ _GELU_CUBIC = 0.044715
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
-_tape_stack = threading.local()
-
-
-def _stack() -> list:
-    if not hasattr(_tape_stack, "tapes"):
-        _tape_stack.tapes = []
-    return _tape_stack.tapes
-
-
-def _active_tape():
-    tapes = _stack()
-    return tapes[-1] if tapes else None
+_tapes: list[Tape] = []  # the open tapes, innermost last
 
 
 class NonFiniteError(ValueError):
@@ -65,15 +54,12 @@ class Tape:
         self._nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _stack().pop()
+        popped = _tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
-
-    def _record(self, node: "Tensor") -> None:
-        self._nodes.append(node)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -164,12 +150,11 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap an op result; record it if a tape is active and grads are needed."""
-    tape = _active_tape()
-    needs = tape is not None and any(p.requires_grad for p in parents)
+    needs = bool(_tapes) and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out._backward = backward_fn
-        tape._record(out)
+        _tapes[-1]._nodes.append(out)
     return out
 
 

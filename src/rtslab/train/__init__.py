@@ -16,7 +16,6 @@ from .stratified import (
     classical_predictor,
     neural_predictor,
     op_stability,
-    prefix_state,
     progress_stratified_eval,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "metrics_from_confusion",
     "neural_predictor",
     "op_stability",
-    "prefix_state",
     "predict_probs",
     "progress_stratified_eval",
     "train_model",

@@ -44,19 +44,14 @@ def neural_predictor(model: WinPredictor, frame_count: int, threshold: float = 0
     return predict
 
 
-def prefix_state(record: MatchRecord, rho: float):
-    """Decoded game state at the end of the visible prefix."""
-    return decode_planes(visible_prefix(record, rho)[-1][1])
-
-
 def classical_predictor(evaluator):
-    """predict(records, rho) -> list of 0/1/None (None = tie, scored as wrong)."""
+    """predict(records, rho) -> list of 0/1/None (None = tie, scored as
+    wrong), from the state decoded at the end of each visible prefix."""
 
     def verdict(record: MatchRecord, rho: float) -> int | None:
-        winner = predict_winner_classical(prefix_state(record, rho), evaluator)
-        if winner == "tie":
-            return None
-        return 1 if winner == "p1" else 0
+        state = decode_planes(visible_prefix(record, rho)[-1][1])
+        winner = predict_winner_classical(state, evaluator)
+        return None if winner == "tie" else int(winner == "p1")
 
     return lambda records, rho: [verdict(r, rho) for r in records]
 

@@ -22,7 +22,8 @@ from rtslab.cli import RunConfig, build_parser, main
 from rtslab.model import ModelConfig
 from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
-from rtslab.sim import decode_planes, read_dataset, schedule_round_robin
+from rtslab.sim import UnitKind, decode_planes, read_dataset, schedule_round_robin
+from rtslab.sim.encode import PLANE_HEALTH, PLANE_TYPE
 
 
 def sha(path: Path) -> str:
@@ -158,6 +159,20 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"config key {key!r} must be" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("entry,words", [
+        ({"preset": "huge"}, "unknown preset 'huge'"),
+        ({"fractions": [0.5, 1.5]}, "fractions must lie in (0, 1]"),
+        ({"fractions": [0.0]}, "fractions must lie in (0, 1]"),
+    ], ids=["unknown-preset", "fraction-above-1", "fraction-0"])
+    def test_value_out_of_range_exits_3(self, entry, words, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and words in err
         assert not (tmp_path / "x").exists()
 
     def test_threads_above_core_count_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -362,6 +377,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "weight_decay" in err
         assert not (out / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("case,words", [
+        ("no-dataset", "dataset path is required"),
+        ("empty-validation", "train or validation split has no usable records"),
+    ])
+    def test_unusable_dataset_exits_3(self, pipeline, tmp_path, capsys, case, words):
+        argv = ["train", "--out", str(tmp_path / "m"), "--epochs", "1"]
+        if case == "empty-validation":
+            shutil.copy(pipeline["data"] / "dataset.jsonl", tmp_path)
+            manifest = json.loads((pipeline["data"] / "splits.json").read_text())
+            (tmp_path / "splits.json").write_text(json.dumps({**manifest, "validation": []}))
+            argv += ["--dataset", str(tmp_path / "dataset.jsonl")]
+        rc = main(argv)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and words in err
+        assert not (tmp_path / "m" / "best.ckpt").exists()
+
+    def test_variant_flag_overrides_the_preset(self, pipeline, tmp_path):
+        out = tmp_path / "m"
+        assert main(["train", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--out", str(out), "--epochs", "1", "--variant", "space_time_only"]) == 0
+        assert json.loads((pipeline["model"] / "config.json").read_text())["variant"] == "tstf"
+        assert json.loads((out / "config.json").read_text())["variant"] == "space_time_only"
 
     def test_inputs_not_mutated(self, pipeline):
         data = pipeline["data"]
@@ -645,6 +684,12 @@ def _three_channel_header(lines):
     return "dataset.jsonl:1: header channels 3 is not 5"
 
 
+def _blank_line(lines):
+    # skipping it would shift every later record off line index + 2
+    lines.insert(1, "")
+    return "dataset.jsonl:2: not valid JSON"
+
+
 def _deep_nesting(lines):
     lines[1] = "[" * 100_000
     return "dataset.jsonl:2: maximum recursion depth"
@@ -675,9 +720,9 @@ class TestCorruptDataset:
     @pytest.mark.parametrize(
         "corrupt",
         [_drop_winner, _truncate_last, _append_non_utf8, _three_planes, _repeated_step,
-         _no_frames, _unknown_winner, _three_channel_header, _deep_nesting],
+         _no_frames, _unknown_winner, _three_channel_header, _deep_nesting, _blank_line],
         ids=["missing-winner", "truncated-line", "non-utf8", "three-planes", "repeated-step",
-             "no-frames", "unknown-winner", "three-channel-header", "deep-nesting"],
+             "no-frames", "unknown-winner", "three-channel-header", "deep-nesting", "blank-line"],
     )
     def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -719,6 +764,70 @@ class TestCorruptDataset:
             "--match-id", "0", "--out", str(tmp_path / "t"),
         ])
         assert_one_line_exit_2(rc, capsys, where)
+
+
+class TestMissingArtifact:
+    """A missing or empty input, or an output directory that cannot be
+    made: exit 2 on one line naming the path."""
+
+    @pytest.mark.parametrize("case,words", [
+        ("no-config", "config file not found"),
+        ("out-under-a-file", "output directory not writable"),
+        ("no-splits", "split manifest not found"),
+        ("empty-dataset", "empty dataset file"),
+    ])
+    def test_exits_2_naming_the_path(self, pipeline, tmp_path, capsys, case, words):
+        data = tmp_path / "dataset.jsonl"
+        if case == "no-config":
+            path = tmp_path / "none.json"
+            argv = ["generate", "--config", str(path), "--out", str(tmp_path / "g")]
+        elif case == "out-under-a-file":
+            # a path below a regular file, since permission bits do not stop root
+            (tmp_path / "file").write_text("")
+            path = tmp_path / "file" / "out"
+            argv = ["generate", "--out", str(path)]
+        else:
+            if case == "no-splits":
+                shutil.copy(pipeline["data"] / "dataset.jsonl", data)
+                path = tmp_path / "splits.json"
+            else:
+                data.write_bytes(b"")
+                shutil.copy(pipeline["data"] / "splits.json", tmp_path)
+                path = data
+            argv = ["compare", "--dataset", str(data), "--out", str(tmp_path / "c")]
+        rc = main(argv)
+        assert_one_line_exit_2(rc, capsys, words, str(path))
+
+
+def _overheal_a_worker(lines, index):
+    """Give a worker hp 5 (its maximum is 1) in the last frame of record
+    `index`: every plane stays in its range, but the frame decodes to no
+    legal unit."""
+    record = json.loads(lines[1 + index])
+    planes = record["frames"][-1][1]
+    r, c = next((r, c) for r, row in enumerate(planes[PLANE_TYPE])
+                for c, kind in enumerate(row) if kind == UnitKind.WORKER)
+    planes[PLANE_HEALTH][r][c] = 5
+    lines[1 + index] = _canonical_dump(record)
+
+
+class TestUndecodableFrame:
+    @pytest.mark.parametrize("command", ["compare", "timeline"])
+    def test_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, command):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        manifest = json.loads((pipeline["data"] / "splits.json").read_text())
+        index = manifest["test"][0]
+        _overheal_a_worker(lines, index)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        (tmp_path / "splits.json").write_text(json.dumps(manifest))
+        assert len(read_dataset(data).records) == len(lines) - 1  # the reader accepts it
+        out = tmp_path / "out"
+        rc = main([command, "--dataset", str(data), "--models", str(pipeline["model"]),
+                   "--out", str(out)]
+                  + (["--match-id", str(index)] if command == "timeline" else []))
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:{index + 2}:", "WORKER hp 5")
+        assert not any(out.iterdir())
 
 
 class TestDirectoryAsInput:
@@ -938,6 +1047,21 @@ class TestTimeline:
             "--out", str(tmp_path / "t2"),
         ])
         assert rc == 3
+
+
+class TestDuplicateEvaluatorName:
+    @pytest.mark.parametrize("command", ["compare", "timeline"])
+    def test_exits_3_naming_both_directories(self, pipeline, tmp_path, capsys, command):
+        twin = tmp_path / "twin"
+        shutil.copytree(pipeline["model"], twin)
+        out = tmp_path / "out"
+        rc = main([command, "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                   "--models", f"{pipeline['model']},{twin}", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'tstf-2'" in err
+        assert str(pipeline["model"]) in err and str(twin) in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestBadFlags:

@@ -308,7 +308,7 @@ def _seeded_record(rng: SplitMix64, shape, frames: int, dtype) -> MatchRecord:
     planes = np.random.default_rng(rng.next_u64()).integers(
         0, PLANE_MAX + 1, size=(frames, *shape)).astype(dtype)
     planes[:, :, 0, 0] = 0
-    planes[:, :, 0, 1] = PLANE_MAX[:, 0, 0]
+    planes.reshape(frames, shape[0], -1)[:, :, 1] = PLANE_MAX[:, 0, 0]  # cell (0, 1) on wide maps
     steps = _steps(rng, frames)
     return MatchRecord(
         NAMES[rng.randrange(len(NAMES))], NAMES[rng.randrange(len(NAMES))], rng.next_u64(),
@@ -323,8 +323,9 @@ class TestWriteParity:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64], ids=["uint8", "int64"])
     @pytest.mark.parametrize("frames", [1, 300])
-    @pytest.mark.parametrize("shape", [(5, 8, 8), (5, 16, 16), (5, 8, 12)],
-                             ids=["8x8", "16x16", "8x12"])
+    # on 1x6 every row ends a plane, on 6x1 every value ends a row
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (5, 16, 16), (5, 8, 12), (5, 1, 6), (5, 6, 1)],
+                             ids=["8x8", "16x16", "8x12", "1x6", "6x1"])
     def test_bytes_equal_json_dumps(self, tmp_path, shape, frames, dtype):
         rng = SplitMix64(1000 * frames + shape[1] * shape[2])
         records = [_seeded_record(rng, shape, frames, dtype) for _ in range(3)]

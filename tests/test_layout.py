@@ -47,3 +47,20 @@ def test_planes_are_normalized_in_one_module():
             if named:
                 namers.add(path.relative_to(SRC).as_posix())
     assert namers == {"train/loop.py"}, f"modules naming normalize_planes: {sorted(namers)}"
+
+
+def test_no_module_imports_threading():
+    # open tapes sit on one module-level list in rtslab.tensor, so a tape
+    # opened on a second thread would record onto the first thread's tape
+    importers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "_thread") for name in names):
+                importers.add(path.relative_to(SRC).as_posix())
+    assert not importers, f"modules importing threading: {sorted(importers)}"

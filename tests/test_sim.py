@@ -120,6 +120,26 @@ class TestStep:
         after = step(s, Duel(), Duel(), rngs())
         assert (4, 4) not in after.units and (4, 5) not in after.units
 
+    def test_mutual_base_destruction_goes_to_the_larger_side(self):
+        s = empty_state()
+        s.units[(2, 2)] = Unit(UnitKind.BASE, 1, P1)
+        s.units[(2, 3)] = Unit(UnitKind.WORKER, 1, P2)
+        s.units[(9, 9)] = Unit(UnitKind.BASE, 1, P2)
+        s.units[(9, 10)] = Unit(UnitKind.WORKER, 1, P1)
+        s.units[(12, 12)] = Unit(UnitKind.WORKER, 1, P1)
+
+        class RazeBase:
+            name = "RazeBase"
+
+            def plan(self, state, player, rng):
+                actor, base = ((9, 10), (9, 9)) if player == P1 else ((2, 3), (2, 2))
+                return [Action("attack", actor, base)]
+
+        assert check_winner(s) is None
+        after = step(s, RazeBase(), RazeBase(), rngs())
+        assert all(u.kind != UnitKind.BASE for u in after.units.values())
+        assert check_winner(after) == "p1"  # two units left against one
+
     @pytest.mark.parametrize(
         "orders, phase",
         [

@@ -553,20 +553,25 @@ class TestPredictProbs:
         record = MatchRecord("A", "B", 0, "p1", 40, frames)
         data = tmp_path / "dataset.jsonl"
         write_dataset(data, Dataset(header=DatasetHeader(), records=[record]))
-        model_dir = tmp_path / "desk"
-        model_dir.mkdir()
-        desk.config.save(model_dir / "config.json")
-        desk.save(model_dir / "best.ckpt")
+        # two models of distinct evaluator names, tstf-2 and tstf-4
+        dirs = []
+        for model in (desk, WinPredictor.create(get_preset("desk-4"), seed=22)):
+            model_dir = tmp_path / f"layers{model.config.layers}"
+            model_dir.mkdir()
+            model.config.save(model_dir / "config.json")
+            model.save(model_dir / "best.ckpt")
+            dirs.append(str(model_dir))
         rc = main([
-            "timeline", "--dataset", str(data), "--models", f"{model_dir},{model_dir}",
+            "timeline", "--dataset", str(data), "--models", ",".join(dirs),
             "--out", str(tmp_path / "t"),
         ])
         assert rc == 0
         assert [len(b) for b in batches] == [1, 1]
         lines = (tmp_path / "t" / "timeline_match0.csv").read_text().splitlines()
-        neural = [ln for ln in lines[2:] if ln.startswith("tstf-2,")]
-        assert len(neural) == 2 * len(frames)
-        assert len({ln.split(",", 2)[2] for ln in neural}) == 1
+        for name in ("tstf-2", "tstf-4"):
+            neural = [ln for ln in lines[2:] if ln.startswith(f"{name},")]
+            assert len(neural) == len(frames)
+            assert len({ln.split(",", 2)[2] for ln in neural}) == 1
 
 
 class TestStratified:
