@@ -11,7 +11,9 @@ Subcommands:
 Settings merge from a JSON config file (--config) and flag overrides;
 unknown config keys are rejected by name. Every command is idempotent:
 identical config + seed produces byte-identical output files. Errors end
-in one line on stderr. Exit codes:
+in one line on stderr. A command checks its settings and inputs before it
+makes the output directory, so a rejected run creates none; only compare
+meets a frame it cannot decode later, while scoring. Exit codes:
 
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
@@ -19,8 +21,8 @@ in one line on stderr. Exit codes:
        (no frames, frame shape, a plane value outside its range, a
        duration below 1, frame steps out of order or past the duration,
        winner value; named by file and line),
-       a frame that decodes to no legal unit (named by file and line when
-       compare or timeline scores it classically),
+       a frame that is not the encoding of a legal state (named by file
+       and line when compare or timeline scores it classically),
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
        does not parse or holds a bad key or value, a checkpoint that is
@@ -29,7 +31,8 @@ in one line on stderr. Exit codes:
     3  configuration violation: a flag that does not parse, is unknown or
        is not one the subcommand takes, a missing subcommand, a --config
        file that is not UTF-8 JSON or holds an unknown key or a value of
-       the wrong type, a value out of range, eval given other than one
+       the wrong type, a value out of range, a progress fraction given
+       twice, eval given other than one
        model directory, compare or timeline given two model directories
        with one evaluator name, and a dataset whose map size the preset's
        patch does not divide
@@ -77,6 +80,7 @@ from .train import (
     progress_stratified_eval,
     train_model,
 )
+from .train.loop import THRESHOLD
 from .train.published import (
     REFERENCE_ACCURACY,
     REFERENCE_OP_STD,
@@ -119,7 +123,6 @@ class RunConfig:
     batch_size: int | None = None
     lr: float = TrainConfig.lr
     weight_decay: float = 0.01
-    threshold: float = 0.5
 
     def validate(self) -> None:
         if self.preset not in PRESETS:
@@ -133,8 +136,8 @@ class RunConfig:
             raise ConfigError("config key 'fractions' must be a non-empty list, got []")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ConfigError(f"fractions must lie in (0, 1]: {self.fractions}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"config key 'threshold' must be in (0, 1), got {self.threshold}")
+        if len(set(self.fractions)) != len(self.fractions):
+            raise ConfigError(f"fractions must not repeat a value: {self.fractions}")
         # a process pool forks all its workers at the first submit
         cores = os.cpu_count() or 1
         if not 1 <= self.threads <= cores:
@@ -220,7 +223,6 @@ def _frames_digest(rec: MatchRecord) -> bytes:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     roster = list(cfg.roster)
     records = run_tournament(
         roster,
@@ -231,6 +233,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         size=cfg.map_size,
         threads=cfg.threads,
     )
+    out = _out_dir(cfg)  # the schedule is checked; no match is played yet
     entries: list[_Entry] = []
     digests: set[bytes] = set()
     outcomes: dict[tuple[str, str], set[str]] = defaultdict(set)
@@ -334,12 +337,12 @@ def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list[MatchRecord], list[
 
 def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
     """The error of a record at `line` of `dataset` whose frame `decode_planes` rejects."""
-    return CorruptArtifact(f"{dataset}:{line}: a frame decodes to no legal unit: {exc}")
+    return CorruptArtifact(f"{dataset}:{line}: a frame is not the encoding of a legal state: {exc}")
 
 
 def _classical(evaluator, dataset: str, lines: list[int]):
     """`classical_predictor(evaluator)` of the records at `lines` of
-    `dataset`; a frame that decodes to no legal unit is `_undecodable`."""
+    `dataset`; a frame that `decode_planes` rejects is `_undecodable`."""
     verdicts = classical_predictor(evaluator)
 
     def verdict(line: int, record: MatchRecord, rho: float) -> int | None:
@@ -357,14 +360,12 @@ def _model_name(config: ModelConfig) -> str:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     train_config = TrainConfig(
         lr=cfg.lr,
         weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
         epochs=cfg.epochs,
         seed=cfg.seed,
-        threshold=cfg.threshold,
     )
     header, parts, _ = _load_split(cfg)
     try:  # the preset's model, sized to the dataset's maps
@@ -384,9 +385,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if not train_set or not val_set:
         raise ConfigError("empty dataset: train or validation split has no usable records")
 
+    out = _out_dir(cfg)
     model = WinPredictor.create(model_config, seed=cfg.seed)
-    counts = count_params(model_config)
-    print(f"model {_model_name(model_config)}: {counts.total_active:,} active parameters")
+    print(f"model {_model_name(model_config)}: {count_params(model_config):,} active parameters")
     result = train_model(
         model,
         train_set,
@@ -410,7 +411,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 "relabel": "none",  # labels are always the recorded winner
                 "best_epoch": result.best_epoch,
                 "best_val_acc": result.best_val_acc,
-                "train_config": dataclasses.asdict(train_config),
+                "train_config": {**dataclasses.asdict(train_config), "threshold": THRESHOLD},
             },
             sort_keys=True,
             indent=2,
@@ -461,10 +462,10 @@ def _load_models(cfg: RunConfig, header: DatasetHeader) -> list[tuple[str, WinPr
 def cmd_eval(cfg: RunConfig) -> int:
     if len(cfg.models) != 1:
         raise ConfigError(f"eval takes exactly one model directory in --models, got {len(cfg.models)}")
-    out = _out_dir(cfg)
     header, records, _ = _test_split(cfg)
     [(name, model)] = _load_models(cfg, header)
-    predict = neural_predictor(model, model.config.time_steps, cfg.threshold)
+    out = _out_dir(cfg)
+    predict = neural_predictor(model)
     rows = progress_stratified_eval(predict, records, fractions=(1.0,))
     _, metrics = rows[0]
     tp, fp, fn, tn = metrics.confusion
@@ -506,10 +507,10 @@ def _paper_reference_rows() -> list[list]:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     header, records, lines = _test_split(cfg)
-    evaluators = [(name, neural_predictor(model, model.config.time_steps, cfg.threshold))
-                  for name, model in _load_models(cfg, header)]
+    models = _load_models(cfg, header)
+    out = _out_dir(cfg)
+    evaluators = [(name, neural_predictor(model)) for name, model in models]
     evaluators += [("simple", _classical(simple_eval, cfg.dataset, lines)),
                    ("lanchester", _classical(lanchester_eval, cfg.dataset, lines))]
     # every evaluator is scored before a table is written
@@ -535,7 +536,6 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_timeline(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
     ds_path = _require(cfg.dataset, "dataset")
     dataset = read_dataset(ds_path)
     if not 0 <= cfg.match_id < len(dataset.records):
@@ -543,6 +543,10 @@ def cmd_timeline(cfg: RunConfig) -> int:
             f"match_id {cfg.match_id} out of range (dataset has {len(dataset.records)} records)"
         )
     record = dataset.records[cfg.match_id]
+    try:
+        states = [decode_planes(planes) for _, planes in record.frames]
+    except ValueError as exc:
+        raise _undecodable(cfg.dataset, cfg.match_id + 2, exc) from None
 
     # the row at frame i sees frames[: i + 1] only: the record cut there,
     # where full progress ends at that frame's step
@@ -551,17 +555,14 @@ def cmd_timeline(cfg: RunConfig) -> int:
         for i, (step, _) in enumerate(record.frames)
     ]
     models = _load_models(cfg, dataset.header)
+    out = _out_dir(cfg)
     rows: list[list] = []
     for name, model in models:
         clips = (sample_timeline(cut, model.config.time_steps, 1.0) for cut in cuts)
         for cut, prob in zip(cuts, predict_probs(model, clips).tolist()):
-            pred = "p1" if prob >= cfg.threshold else "p2"
+            pred = "p1" if prob >= THRESHOLD else "p2"
             # neural scores are (P1, P2) = (y, 1-y), one probability split
             rows.append([name, cut.duration, prob, 1.0 - prob, pred])
-    try:
-        states = [decode_planes(planes) for _, planes in record.frames]
-    except ValueError as exc:
-        raise _undecodable(cfg.dataset, cfg.match_id + 2, exc) from None
     for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
         for (step, _), state in zip(record.frames, states):
             s1, s2 = evaluator(state, 1), evaluator(state, 2)
@@ -617,7 +618,6 @@ FLAGS: dict[str, dict] = {
     "--lr": {"type": float, "help": f"learning rate (default: {TrainConfig.lr:g})"},
     "--models": {"type": name_list,
                  "help": "comma-separated trained model directories (eval takes exactly one)"},
-    "--threshold": {"type": float, "help": "decision threshold (default: 0.5)"},
     "--fractions": {"type": float_list, "help": "comma-separated progress fractions "
                                                 "(default: 0.04,0.2,0.4,0.6,0.8,1.0)"},
     "--match-id": {"type": int, "help": "record index within the dataset (default: 0)"},
@@ -631,11 +631,11 @@ COMMANDS = {
               ("--seed", "--dataset", "--preset", "--variant", "--epochs", "--batch-size",
                "--lr")),
     "eval": (cmd_eval, "score a trained model on the test split",
-             ("--dataset", "--models", "--threshold")),
+             ("--dataset", "--models")),
     "compare": (cmd_compare, "stratified tables for all evaluators",
-                ("--dataset", "--models", "--fractions", "--threshold")),
+                ("--dataset", "--models", "--fractions")),
     "timeline": (cmd_timeline, "per-step evaluator scores for one match",
-                 ("--dataset", "--models", "--match-id", "--threshold")),
+                 ("--dataset", "--models", "--match-id")),
 }
 
 

@@ -3,7 +3,6 @@
 from .config import PRESETS, ConfigError, ModelConfig, get_preset
 from .network import WinPredictor, extract_patches
 from .params import (
-    ParamCount,
     count_params,
     init_params,
     load_params,
@@ -14,7 +13,6 @@ __all__ = [
     "ConfigError",
     "ModelConfig",
     "PRESETS",
-    "ParamCount",
     "WinPredictor",
     "count_params",
     "extract_patches",

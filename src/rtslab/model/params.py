@@ -1,4 +1,4 @@
-"""Parameter construction, counting, and checkpoint round-trips.
+"""Parameter construction, the active parameter count, and checkpoint loading.
 
 Naming scheme (all keys in one flat dict):
 
@@ -15,12 +15,11 @@ Naming scheme (all keys in one flat dict):
 Weight matrices multiply row-vector activations on the right (out = x @ W + b).
 Init: weights ~ Normal(0, 1/sqrt(fan_in)); biases 0; pos and cls ~
 Normal(0, 0.02); norm gains 1, shifts 0. Parameters are created in a fixed
-order from one SplitMix64 stream, so a seed pins every value.
+order from one SplitMix64 stream, so a seed pins every value. The
+per-group census of these arrays is docs/parameter_counts.py.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,77 +92,15 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def _group_of(name: str) -> str:
-    if name.startswith("embed."):
-        return "embedding"
-    if name == "pos":
-        return "positional"
-    if name == "cls":
-        return "cls_token"
-    if name.startswith("head."):
-        return "head"
-    # layers.{l}.<scope>...
-    scope = name.split(".")[2]
-    if scope == "sa":
-        return "spatial"
-    if scope == "ta":
-        return "temporal"
-    if scope == "fa":
-        return "feature"
-    if scope in ("cls_attn", "cls_norm"):
-        return "cls_route"
-    return "norms"
-
-
-GROUP_ORDER = (
-    "embedding",
-    "positional",
-    "cls_token",
-    "spatial",
-    "temporal",
-    "feature",
-    "cls_route",
-    "norms",
-    "head",
-)
-
-# groups a space/time-only model never touches
-_INACTIVE_BY_VARIANT = {"tstf": (), "space_time_only": ("feature",)}
-
-
-@dataclass(frozen=True)
-class ParamCount:
-    """Shape-algebra census of a configuration's parameters."""
-
-    groups: dict[str, int]
-    per_layer: dict[str, int]
-    total_allocated: int
-    total_active: int
-
-
-def count_params(config: ModelConfig) -> ParamCount:
-    """Exact parameter counts with a per-group breakdown.
-
-    `total_active` excludes groups the variant never uses (the feature
-    scope for space/time-only models); `total_allocated` counts every
-    array the parameter dict holds.
-    """
-    groups: dict[str, int] = {g: 0 for g in GROUP_ORDER}
-    per_layer: dict[str, int] = {g: 0 for g in GROUP_ORDER}
-    for name, shape, _ in parameter_spec(config):
-        n = int(np.prod(shape)) if shape else 1
-        g = _group_of(name)
-        groups[g] += n
-        if name.startswith("layers.0."):
-            per_layer[g] += n
-    inactive = _INACTIVE_BY_VARIANT[config.variant]
-    total_allocated = sum(groups.values())
-    total_active = sum(n for g, n in groups.items() if g not in inactive)
-    return ParamCount(
-        groups=groups,
-        per_layer=per_layer,
-        total_allocated=total_allocated,
-        total_active=total_active,
+def count_params(config: ModelConfig) -> int:
+    """Exact count of the parameters the variant uses: every array of
+    `parameter_spec`, less the feature scope (`layers.{l}.fa.*`) for
+    space/time-only models, which allocate it but never read it."""
+    skip_feature = config.variant == "space_time_only"
+    return sum(
+        int(np.prod(shape))
+        for name, shape, _ in parameter_spec(config)
+        if not (skip_feature and ".fa." in name)
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rules import NEUTRAL, P1, P2, RESOURCE, WORKER, UnitKind
+from .rules import P1, P2, RESOURCE, WORKER, UnitKind
 from .state import GameState, Unit
 
 PLANE_TYPE = 0
@@ -62,12 +62,11 @@ def normalize_planes(raw: np.ndarray) -> np.ndarray:
 
 
 def decode_planes(raw: np.ndarray) -> GameState:
-    """Rebuild a GameState from integer planes (uint8 from `raw_planes`
-    and `read_dataset`).
-
-    Exact inverse for kind/hp/owner/carried of every occupied cell. Player
-    stores are recovered from any owned cell (0 if a player has no units);
-    the step counter is not part of the encoding and comes back as 0.
+    """The exact inverse of `raw_planes`, on integer planes (uint8 from
+    `raw_planes` and `read_dataset`); the step is not encoded and comes
+    back as 0. Planes no legal state encodes to (an illegal unit, cargo on
+    a unit that carries none, two stores for one player, a nonzero plane on
+    an empty cell) raise ValueError naming the first such cell, row-major.
     """
     _, h, w = raw.shape
     units: dict[tuple[int, int], Unit] = {}
@@ -77,13 +76,15 @@ def decode_planes(raw: np.ndarray) -> GameState:
     for r, c, (kind_val, hp, owner, carried, owner_store) in zip(
         rows.tolist(), cols.tolist(), cells
     ):
-        kind = UnitKind(kind_val)
-        units[(r, c)] = Unit(
-            kind=kind,
-            hp=hp,
-            owner=owner if kind != UnitKind.RESOURCE else NEUTRAL,
-            carried=carried if kind in (UnitKind.RESOURCE, UnitKind.WORKER) else 0,
-        )
+        try:
+            units[(r, c)] = Unit(kind=UnitKind(kind_val), hp=hp, owner=owner, carried=carried)
+        except ValueError as exc:
+            raise ValueError(f"cell ({r}, {c}): {exc}") from None
         if owner in (P1, P2):
             store[owner] = owner_store
-    return GameState(height=h, width=w, units=units, store=store, step=0)
+    state = GameState(height=h, width=w, units=units, store=store, step=0)
+    again = raw_planes(state)
+    if not np.array_equal(again, raw):
+        r, c = np.argwhere((again != raw).any(axis=0))[0].tolist()
+        raise ValueError(f"cell ({r}, {c}): no legal state encodes to planes {raw[:, r, c].tolist()}")
+    return state

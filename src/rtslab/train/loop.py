@@ -43,6 +43,8 @@ class TrainResult:
 # 32 over B = 1 (README, "Training and evaluation").
 INFER_BATCH = 4
 
+THRESHOLD = 0.5  # a win probability at or above it predicts player 1
+
 
 def _require_raw(clip: np.ndarray) -> None:
     # a float clip would be normalized a second time without any error
@@ -89,9 +91,9 @@ def predict_probs(
     return np.array([cache[k] for k in keys])
 
 
-def evaluate_accuracy(model: WinPredictor, dataset: list[Example], threshold: float = 0.5) -> float:
+def evaluate_accuracy(model: WinPredictor, dataset: list[Example]) -> float:
     probs = predict_probs(model, (x for x, _ in dataset))
-    preds = (probs >= threshold).astype(int)
+    preds = (probs >= THRESHOLD).astype(int)
     labels = np.array([y for _, y in dataset])
     return float((preds == labels).mean())
 
@@ -132,12 +134,12 @@ def train_model(
             opt.step()
             opt.zero_grad()
             loss_sum += float(loss.data.reshape(())) * len(batch)
-            hits += int(((probs.data >= config.threshold).astype(int) == y).sum())
+            hits += int(((probs.data >= THRESHOLD).astype(int) == y).sum())
         row = EpochLog(
             epoch=epoch,
             train_loss=loss_sum / len(train_set),
             train_acc=hits / len(train_set),
-            val_acc=evaluate_accuracy(model, val_set, config.threshold),
+            val_acc=evaluate_accuracy(model, val_set),
         )
         history.append(row)
         if progress is not None:

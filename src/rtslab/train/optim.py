@@ -29,7 +29,6 @@ class TrainConfig:
     batch_size: int = 2
     epochs: int = 10
     seed: int = 0
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.lr <= 0:

@@ -3,7 +3,8 @@
 These numbers come from the original full-scale study (3,150 matches,
 500-frame inputs, GPU training). They are NOT reproduced by this
 desk-scale lab and appear in outputs only as rows flagged `paper`, for
-context next to locally computed values.
+context next to locally computed values. The published parameter totals
+sit with the census they are compared to, in docs/parameter_counts.py.
 """
 
 # accuracy by game-progress fraction, per model preset
@@ -24,11 +25,4 @@ REFERENCE_OP_STD: dict[str, tuple[float, float]] = {
     "timesformer-12": (1.842, 0.186),
     "simple": (0.324, 0.283),
     "lanchester": (0.298, 0.271),
-}
-
-# full-scale parameter counts as published (counting basis unknown)
-REFERENCE_PARAM_COUNTS: dict[str, int] = {
-    "timesformer-12": 5_542_146,
-    "tstf-6": 3_565_314,
-    "tstf-8": 4_750_082,
 }

@@ -18,7 +18,7 @@ from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
 from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
-from .loop import predict_probs
+from .loop import THRESHOLD, predict_probs
 from .metrics import MetricsReport, compute_metrics
 
 log = logging.getLogger(__name__)
@@ -27,19 +27,20 @@ DEFAULT_FRACTIONS = (0.04, 0.2, 0.4, 0.6, 0.8, 1.0)
 PHASE_SPLIT = 0.4
 
 
-def neural_predictor(model: WinPredictor, frame_count: int, threshold: float = 0.5):
+def neural_predictor(model: WinPredictor):
     """predict(records, rho) -> list of 0/1, one per record.
 
-    Each record's clip is resampled from its visible prefix with
-    `sample_timeline` and scored by `predict_probs`. One digest->probability
-    cache serves every call, so a clip that recurs across records or
-    fractions is forwarded once.
+    Each record's clip of `model.config.time_steps` frames is resampled
+    from its visible prefix with `sample_timeline` and scored by
+    `predict_probs` against THRESHOLD. One digest->probability cache
+    serves every call, so a clip that recurs across records or fractions
+    is forwarded once.
     """
     cache: dict[bytes, float] = {}
 
     def predict(records: list[MatchRecord], rho: float) -> list[int]:
-        clips = (sample_timeline(r, frame_count, rho) for r in records)
-        return [1 if p >= threshold else 0 for p in predict_probs(model, clips, cache)]
+        clips = (sample_timeline(r, model.config.time_steps, rho) for r in records)
+        return [1 if p >= THRESHOLD else 0 for p in predict_probs(model, clips, cache)]
 
     return predict
 

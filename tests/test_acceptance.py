@@ -22,7 +22,7 @@ from oracles import (
     random_small_state,
     surviving_units_label,
 )
-from parameter_counts import accounting_report
+from parameter_counts import GROUPS, REFERENCE_PARAM_COUNTS, accounting_report, census
 
 from rtslab.baselines import lanchester_eval, simple_eval
 from rtslab.cli import main
@@ -34,7 +34,6 @@ from rtslab.model import (
     init_params,
     parameter_spec,
 )
-from rtslab.model.params import GROUP_ORDER
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
     run_tournament,
@@ -58,7 +57,7 @@ from rtslab.train import (
     train_model,
 )
 from rtslab.train.metrics import metrics_from_confusion
-from rtslab.train.published import REFERENCE_ACCURACY, REFERENCE_OP_STD, REFERENCE_PARAM_COUNTS
+from rtslab.train.published import REFERENCE_ACCURACY, REFERENCE_OP_STD
 
 DESK_GRADCHECK = ModelConfig(
     layers=2, embed_dim=20, heads=5, channels=5, time_steps=4,
@@ -222,7 +221,7 @@ class TestCriterion04ProgressTrend:
     def test_accuracy_at_full_progress_at_least_early(self, toy_lab):
         model, _ = toy_lab["models"]["tstf"]
         records = toy_lab["test_records"]
-        predict = neural_predictor(model, toy_lab["frames"])
+        predict = neural_predictor(model)
         rows = progress_stratified_eval(predict, records, fractions=(0.04, 1.0))
         acc_early, acc_full = rows[0][1].accuracy, rows[1][1].accuracy
         assert acc_full >= acc_early, f"acc(1.0)={acc_full:.3f} < acc(0.04)={acc_early:.3f}"
@@ -251,21 +250,22 @@ class TestCriterion05ParameterAccounting:
         deltas = []
         for preset in ("tstf-6", "tstf-8", "timesformer-12"):
             cfg = get_preset(preset)
-            counts = count_params(cfg)
+            groups, _ = census(cfg)
+            active = count_params(cfg)
             # layer-local groups must match the allocated arrays exactly
-            allocated: dict[str, int] = {g: 0 for g in GROUP_ORDER}
+            allocated: dict[str, int] = {g: 0 for g in GROUPS}
             from oracles import oracle_group_of as _group_of
 
             for name, shape, _ in parameter_spec(cfg):
                 allocated[_group_of(name)] += int(np.prod(shape)) if shape else 1
             for group in ("spatial", "temporal", "feature", "cls_route", "norms"):
-                assert counts.groups[group] == allocated[group], group
+                assert groups[group] == allocated[group], group
             published = REFERENCE_PARAM_COUNTS[preset]
-            delta_pct = 100.0 * (counts.total_active - published) / published
-            deltas.append(f"{preset}: ours {counts.total_active:,} vs "
+            delta_pct = 100.0 * (active - published) / published
+            deltas.append(f"{preset}: ours {active:,} vs "
                           f"published {published:,} ({delta_pct:+.1f}%)")
         desk = init_params(get_preset("desk"), 0)
-        assert sum(p.size for p in desk.values()) == count_params(get_preset("desk")).total_allocated
+        assert sum(p.size for p in desk.values()) == sum(census(get_preset("desk"))[0].values())
         ok(5, "breakdown documented; layer-local counts exact; deltas: " + "; ".join(deltas))
 
 
@@ -427,7 +427,7 @@ class TestEndToEndPipeline:
         model_dir = dirs["tstf"]
 
         # pick a match the converged model classifies correctly at rho=1
-        preds = neural_predictor(model, toy_lab["frames"])(test_records, 1.0)
+        preds = neural_predictor(model)(test_records, 1.0)
         match_id = next(
             i for i, (rec, pred) in enumerate(zip(test_records, preds))
             if pred == (1 if rec.winner == "p1" else 0)

@@ -23,7 +23,7 @@ from rtslab.model import ModelConfig
 from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind, decode_planes, read_dataset, schedule_round_robin
-from rtslab.sim.encode import PLANE_HEALTH, PLANE_TYPE
+from rtslab.sim.encode import PLANE_FACTION_RES, PLANE_HEALTH, PLANE_TYPE
 
 
 def sha(path: Path) -> str:
@@ -144,12 +144,9 @@ class TestGenerate:
             ({"models": [1]}, "models"),
             ({"lr": "fast"}, "lr"),
             ({"fractions": []}, "fractions"),
-            ({"threshold": 5}, "threshold"),
-            ({"threshold": -1}, "threshold"),
         ],
         ids=["map_size-str", "threads-null", "seed-str", "max_steps-bool", "fractions-number",
-             "fractions-str-item", "roster-str", "models-int-item", "lr-str", "fractions-empty",
-             "threshold-above-1", "threshold-negative"],
+             "fractions-str-item", "roster-str", "models-int-item", "lr-str", "fractions-empty"],
     )
     def test_config_value_of_wrong_type_exits_3(self, entry, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -165,7 +162,8 @@ class TestGenerate:
         ({"preset": "huge"}, "unknown preset 'huge'"),
         ({"fractions": [0.5, 1.5]}, "fractions must lie in (0, 1]"),
         ({"fractions": [0.0]}, "fractions must lie in (0, 1]"),
-    ], ids=["unknown-preset", "fraction-above-1", "fraction-0"])
+        ({"fractions": [0.2, 0.2]}, "fractions must not repeat a value: (0.2, 0.2)"),
+    ], ids=["unknown-preset", "fraction-above-1", "fraction-0", "fraction-repeated"])
     def test_value_out_of_range_exits_3(self, entry, words, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
@@ -809,15 +807,32 @@ def _overheal_a_worker(lines, index):
                 for c, kind in enumerate(row) if kind == UnitKind.WORKER)
     planes[PLANE_HEALTH][r][c] = 5
     lines[1 + index] = _canonical_dump(record)
+    return "WORKER hp 5"
+
+
+def _store_on_an_empty_cell(lines, index):
+    """Paint a store of 3 on the first empty cell of the last frame of
+    record `index`: every plane stays in its range, but no state encodes
+    to the frame."""
+    record = json.loads(lines[1 + index])
+    planes = record["frames"][-1][1]
+    r, c = next((r, c) for r, row in enumerate(planes[PLANE_TYPE])
+                for c, kind in enumerate(row) if kind == 0)
+    planes[PLANE_FACTION_RES][r][c] = 3
+    lines[1 + index] = _canonical_dump(record)
+    return f"cell ({r}, {c})"
 
 
 class TestUndecodableFrame:
-    @pytest.mark.parametrize("command", ["compare", "timeline"])
-    def test_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,corrupt", [
+        ("compare", _overheal_a_worker), ("timeline", _overheal_a_worker),
+        ("compare", _store_on_an_empty_cell), ("timeline", _store_on_an_empty_cell),
+    ], ids=["compare", "timeline", "compare-store-on-empty-cell", "timeline-store-on-empty-cell"])
+    def test_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, command, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
         manifest = json.loads((pipeline["data"] / "splits.json").read_text())
         index = manifest["test"][0]
-        _overheal_a_worker(lines, index)
+        words = corrupt(lines, index)
         data = tmp_path / "dataset.jsonl"
         data.write_text("\n".join(lines) + "\n")
         (tmp_path / "splits.json").write_text(json.dumps(manifest))
@@ -826,8 +841,10 @@ class TestUndecodableFrame:
         rc = main([command, "--dataset", str(data), "--models", str(pipeline["model"]),
                    "--out", str(out)]
                   + (["--match-id", str(index)] if command == "timeline" else []))
-        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:{index + 2}:", "WORKER hp 5")
-        assert not any(out.iterdir())
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:{index + 2}:", words)
+        # timeline decodes its match before it makes the output directory;
+        # compare finds the frame while scoring, after
+        assert not out.exists() if command == "timeline" else not any(out.iterdir())
 
 
 class TestDirectoryAsInput:
@@ -1049,6 +1066,32 @@ class TestTimeline:
         assert rc == 3
 
 
+class TestRejectedRun:
+    """A setting or input that fails its check exits 3 before the output
+    directory is made."""
+
+    @pytest.mark.parametrize("argv,words", [
+        (["generate", "--rounds", "3"], "rounds_per_pair must be even and positive"),
+        (["generate", "--rounds", "0"], "rounds_per_pair must be even and positive"),
+        (["generate", "--roster", "PassiveLite"], "need at least 2 strategies"),
+        (["train", "--epochs", "0"], "batch_size and epochs must be >= 1"),
+        (["train", "--batch-size", "0"], "batch_size and epochs must be >= 1"),
+        (["train", "--lr", "0"], "lr must be positive"),
+        (["timeline", "--match-id", "-1"], "match_id -1 out of range"),
+    ], ids=["odd-rounds", "zero-rounds", "one-strategy", "zero-epochs", "zero-batch",
+            "zero-lr", "negative-match-id"])
+    def test_exits_3_and_makes_no_output_directory(self, pipeline, tmp_path, capsys, argv,
+                                                   words):
+        if argv[0] != "generate":
+            argv = argv + ["--dataset", str(pipeline["data"] / "dataset.jsonl")]
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and words in err, err
+        assert not out.exists()
+
+
 class TestDuplicateEvaluatorName:
     @pytest.mark.parametrize("command", ["compare", "timeline"])
     def test_exits_3_naming_both_directories(self, pipeline, tmp_path, capsys, command):
@@ -1095,7 +1138,7 @@ class TestHelp:
         [
             ("generate", ["--config", "--out", "--seed", "--threads", "--roster", "--rounds"]),
             ("train", ["--dataset", "--preset", "--epochs", "--lr", "--variant"]),
-            ("eval", ["--dataset", "--models", "--threshold"]),
+            ("eval", ["--dataset", "--models"]),
             ("compare", ["--fractions", "--models"]),
             ("timeline", ["--match-id", "--models"]),
         ],

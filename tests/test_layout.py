@@ -1,7 +1,10 @@
 """Source layout: `src/rtslab` holds only code that the package itself uses."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from rtslab import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rtslab"
 
@@ -64,3 +67,19 @@ def test_no_module_imports_threading():
             if any(name.split(".")[0] in ("threading", "_thread") for name in names):
                 importers.add(path.relative_to(SRC).as_posix())
     assert not importers, f"modules importing threading: {sorted(importers)}"
+
+
+def test_every_flag_and_run_setting_is_wired():
+    # a flag no command takes, or a RunConfig field cli.py never reads, is
+    # a setting half deleted or never connected
+    taken = set(cli.COMMON_FLAGS).union(*(flags for _, _, flags in cli.COMMANDS.values()))
+    assert set(cli.FLAGS) <= taken, f"flags no command takes: {sorted(set(cli.FLAGS) - taken)}"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+    }
+    unread = sorted(f.name for f in dataclasses.fields(cli.RunConfig) if f.name not in read)
+    assert not unread, f"RunConfig fields cli.py never reads as cfg.<field>: {unread}"

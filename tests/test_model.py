@@ -20,6 +20,7 @@ from rtslab.rng import SplitMix64
 from rtslab.tensor import Tape, Tensor
 
 from oracles import grad_check, mean, mul, softmax
+from parameter_counts import census
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -348,31 +349,28 @@ class TestParamAccounting:
     @pytest.mark.parametrize("preset", ["desk", "tstf-6", "tstf-8", "timesformer-12"])
     def test_breakdown_matches_allocated_arrays(self, preset):
         cfg = get_preset(preset)
-        counts = count_params(cfg)
+        groups, _ = census(cfg)
         actual: dict[str, int] = {}
         for name, shape, _ in parameter_spec(cfg):
             from oracles import oracle_group_of as _group_of
 
             actual[_group_of(name)] = actual.get(_group_of(name), 0) + int(np.prod(shape) if shape else 1)
         for group, n in actual.items():
-            assert counts.groups[group] == n, group
-        assert counts.total_allocated == sum(actual.values())
+            assert groups[group] == n, group
+        assert sum(groups.values()) == sum(actual.values())
 
     def test_zero_alloc_sizes_agree(self):
         cfg = get_preset("desk")
         params = init_params(cfg, 0)
-        assert sum(p.size for p in params.values()) == count_params(cfg).total_allocated
+        assert sum(p.size for p in params.values()) == sum(census(cfg)[0].values())
 
     def test_monotone_capacity(self):
-        assert (
-            count_params(get_preset("tstf-8")).total_active
-            > count_params(get_preset("tstf-6")).total_active
-        )
+        assert count_params(get_preset("tstf-8")) > count_params(get_preset("tstf-6"))
 
     def test_variant_excludes_feature_scope(self):
         cfg = get_preset("timesformer-12")
-        counts = count_params(cfg)
-        assert counts.total_active == counts.total_allocated - counts.groups["feature"]
+        groups, _ = census(cfg)
+        assert count_params(cfg) == sum(groups.values()) - groups["feature"]
 
     def test_param_count_pure_function_of_config(self):
         cfg = get_preset("desk")

@@ -1,6 +1,7 @@
 """Simulator behavior: engine rules, encoding, strategies, determinism."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -408,22 +409,42 @@ class TestEncode:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_decode_matches_per_cell_reference(self, seed):
-        # about half the cells hold a valid unit, the rest noise outside the
-        # type plane; the unit dict must match the per-cell decode in order
+        # about half the cells hold a random legal unit (resources neutral,
+        # cargo only on resources and workers, one store per player on each
+        # of its cells), the rest are zero in every plane; the unit dict
+        # must match the per-cell decode in order
         rng = SplitMix64(500 + seed)
         h, w = 4 + rng.randrange(9), 4 + rng.randrange(9)
+        stores = (0, rng.randrange(26), rng.randrange(26))
         raw = np.zeros((5, h, w), dtype=np.uint8)
         for r in range(h):
             for c in range(w):
-                kind = rng.randrange(8) if rng.randrange(2) else 0
-                hp = rng.randrange(MAX_HP[UnitKind(kind)] + 1) if kind else rng.randrange(11)
-                owner = rng.randrange(2) + 1 if kind not in (0, UnitKind.RESOURCE) else rng.randrange(3)
-                raw[:, r, c] = (kind, hp, owner, rng.randrange(26), rng.randrange(26))
+                if not rng.randrange(2):
+                    continue
+                kind = UnitKind(rng.randrange(7) + 1)
+                owner = NEUTRAL if kind == UnitKind.RESOURCE else rng.randrange(2) + 1
+                carried = rng.randrange(26) if kind in (UnitKind.RESOURCE, UnitKind.WORKER) else 0
+                hp = rng.randrange(MAX_HP[kind] + 1)
+                raw[:, r, c] = (kind, hp, owner, carried, stores[owner])
         back = decode_planes(raw)
         ref = oracle_decode_planes(raw)
         assert list(back.units.items()) == list(ref.units.items())
         assert back.store == ref.store
         assert (back.height, back.width, back.step) == (ref.height, ref.width, 0)
+
+    # each edit of the opening's planes is a frame no state encodes to;
+    # the error names the first cell, row-major, that differs
+    @pytest.mark.parametrize("plane,cell,value,named", [
+        (PLANE_FACTION, (0, 0), P1, (0, 0)),  # an owned resource node
+        (PLANE_NEUTRAL_RES, (2, 2), 7, (2, 2)),  # cargo on a base
+        (PLANE_FACTION_RES, (3, 3), 9, (2, 2)),  # P1's worker paints 9, its base 5
+        (PLANE_FACTION_RES, (5, 5), 3, (5, 5)),  # a store on an empty cell
+    ], ids=["owned-resource", "cargo-on-base", "two-stores", "store-on-empty-cell"])
+    def test_decode_rejects_planes_no_state_encodes_to(self, plane, cell, value, named):
+        raw = raw_planes(standard_start())
+        raw[(plane, *cell)] = value
+        with pytest.raises(ValueError, match=re.escape(f"cell {named}:")):
+            decode_planes(raw)
 
     def test_all_values_normalized(self):
         rec = run_match(make_strategy("RandomBiasedLite"), make_strategy("WorkerRushLite"), 4)

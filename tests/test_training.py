@@ -590,7 +590,7 @@ class TestStratified:
                 planes[1] = planes[1] % 11
                 frames.append(((k + 1) * 2, planes))
             records.append(MatchRecord("A", "B", i, "p1" if i % 2 else "p2", 8, frames))
-        predict = neural_predictor(model, frame_count=2)
+        predict = neural_predictor(model)  # the model's time_steps: 2
         rows = progress_stratified_eval(predict, records, fractions=(0.5, 1.0))
         assert len(rows) == 2
         labels = np.array([1 if r.winner == "p1" else 0 for r in records])
