@@ -12,8 +12,7 @@ Settings merge from a JSON config file (--config) and flag overrides;
 unknown config keys are rejected by name. Every command is idempotent:
 identical config + seed produces byte-identical output files. Errors end
 in one line on stderr. A command checks its settings and inputs before it
-makes the output directory, so a rejected run creates none; only compare
-meets a frame it cannot decode later, while scoring. Exit codes:
+makes the output directory, so a rejected run creates none. Exit codes:
 
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
@@ -67,8 +66,8 @@ from .sim import (
 )
 from .sim.dataset import replaced_on_success
 from .sim.encode import decode_planes
-from .sim.engine import sample_timeline
-from .sim.state import MIN_MAP_SIZE
+from .sim.engine import sample_timeline, visible_prefix
+from .sim.state import MIN_MAP_SIZE, GameState
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
     TrainConfig,
@@ -340,18 +339,23 @@ def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
     return CorruptArtifact(f"{dataset}:{line}: a frame is not the encoding of a legal state: {exc}")
 
 
-def _classical(evaluator, dataset: str, lines: list[int]):
-    """`classical_predictor(evaluator)` of the records at `lines` of
-    `dataset`; a frame that `decode_planes` rejects is `_undecodable`."""
-    verdicts = classical_predictor(evaluator)
-
-    def verdict(line: int, record: MatchRecord, rho: float) -> int | None:
-        try:
-            return verdicts([record], rho)[0]
-        except ValueError as exc:  # raised by decode_planes
-            raise _undecodable(dataset, line, exc) from None
-
-    return lambda records, rho: [verdict(line, r, rho) for line, r in zip(lines, records)]
+def _last_visible_states(cfg: RunConfig, records: list[MatchRecord],
+                         lines: list[int]) -> dict[tuple[int, float], GameState]:
+    """The state at the end of each record's visible prefix at each of
+    `cfg.fractions`, keyed by (record index, fraction). Each distinct frame
+    is decoded once; one that `decode_planes` rejects is `_undecodable`,
+    named by its record's line in `lines`."""
+    states, decoded = {}, {}
+    for rho in cfg.fractions:
+        for i, (line, record) in enumerate(zip(lines, records)):
+            step, planes = visible_prefix(record, rho)[-1]
+            if (i, step) not in decoded:
+                try:
+                    decoded[i, step] = decode_planes(planes)
+                except ValueError as exc:
+                    raise _undecodable(cfg.dataset, line, exc) from None
+            states[i, rho] = decoded[i, step]
+    return states
 
 
 def _model_name(config: ModelConfig) -> str:
@@ -509,10 +513,11 @@ def _paper_reference_rows() -> list[list]:
 def cmd_compare(cfg: RunConfig) -> int:
     header, records, lines = _test_split(cfg)
     models = _load_models(cfg, header)
+    states = _last_visible_states(cfg, records, lines)
     out = _out_dir(cfg)
     evaluators = [(name, neural_predictor(model)) for name, model in models]
-    evaluators += [("simple", _classical(simple_eval, cfg.dataset, lines)),
-                   ("lanchester", _classical(lanchester_eval, cfg.dataset, lines))]
+    evaluators += [("simple", classical_predictor(simple_eval, states)),
+                   ("lanchester", classical_predictor(lanchester_eval, states))]
     # every evaluator is scored before a table is written
     tables = [(name, progress_stratified_eval(predict, records, cfg.fractions))
               for name, predict in evaluators]

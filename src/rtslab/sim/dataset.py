@@ -20,8 +20,12 @@ byte-identical across reruns of the same configuration.
 
 The writer's code is the one definition of a match line: `_match_pieces`
 renders it, formatting the frames text with numpy (`_frames_text`). The
-reader parses a match line only in that layout, and accepts it only if
-the record it read renders back to the same bytes. Both run the same
+reader renders nothing: it accepts a match line only once the line's own
+bytes show it is in that layout (the fields around the frames as
+json.dumps writes them, the frames text the writer's separators of whole
+frames with one int, as json.dumps writes it, in each value slot), so an
+accepted line is byte for byte what the writer writes for the record
+read. It reports a layout fault before any value fault. Both run the same
 checks on a record, so the writer never writes a line the reader rejects.
 """
 
@@ -48,7 +52,8 @@ from .engine import MatchRecord
 FORMAT_VERSION = 1
 WINNERS = ("p1", "p2", "draw")
 _INT64_MAX = 2**63 - 1
-_JOINED = re.compile(rb"\d[\[\]]+\d")  # digits that deleting the brackets would join
+_INT = re.compile(rb"-?[1-9][0-9]{0,18}|0")  # json.dumps of an int of at most 19 digits
+_VALUE_BYTES = b"0123456789-"
 _NOT_LAYOUT = "match line is not in the writer's layout"
 
 
@@ -190,17 +195,21 @@ def _stack_frames(frames: list[np.ndarray], shape: tuple[int, int, int]) -> np.n
 
 
 def _check_planes(planes: np.ndarray) -> None:
-    """Every value is an int in its plane's range 0..PLANE_MAX."""
+    """Every value of the (F, C, H, W) planes is an int in its plane's
+    range 0..PLANE_MAX; each plane's min and max show it without an array
+    of the planes' size."""
     if planes.dtype.kind in "iu":
+        low, high = planes.min(axis=(0, 2, 3)), planes.max(axis=(0, 2, 3))
+        if (low >= 0).all() and (high <= PLANE_MAX[:, 0, 0]).all():
+            return
         bad = (planes < 0) | (planes > PLANE_MAX)
     else:  # float or bool planes, say: every cell is bad
         bad = np.ones(planes.shape, dtype=bool)
-    if bad.any():
-        f, p, r, c = np.argwhere(bad)[0]
-        raise ValueError(
-            f"frame {f} plane {p} holds {planes[f, p, r, c]} at ({r}, {c}), "
-            f"not an int in 0..{PLANE_MAX[p, 0, 0]}"
-        )
+    f, p, r, c = np.argwhere(bad)[0]
+    raise ValueError(
+        f"frame {f} plane {p} holds {planes[f, p, r, c]} at ({r}, {c}), "
+        f"not an int in 0..{PLANE_MAX[p, 0, 0]}"
+    )
 
 
 def _check_header(header: DatasetHeader) -> None:
@@ -234,16 +243,100 @@ def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
     _check_planes(planes)
 
 
+@functools.lru_cache(maxsize=4)
+def _frame_separators(shape: tuple[int, int, int]) -> bytes:
+    """What is left of one frame of `shape` in the writer's layout once its
+    digits are deleted: `[,[`, the brackets and commas of its planes, `]]`."""
+    channels, height, width = shape
+    row = b"[" + b"," * (width - 1) + b"]"
+    plane = b"[" + b",".join([row] * height) + b"]"
+    return b"[,[" + b",".join([plane] * channels) + b"]]"
+
+
+def _frame_count(frames: bytes, shape: tuple[int, int, int]) -> int:
+    """The number of frames in the text `[[step,planes],...]`, which with its
+    value bytes (digits and "-") deleted must be the separators of whole
+    frames of `shape`."""
+    separators = _frame_separators(shape)
+    skeleton = frames.translate(None, _VALUE_BYTES)
+    count = (len(skeleton) - 1) // (len(separators) + 1)
+    if skeleton != b"[" + b",".join([separators] * count) + b"]":
+        raise ValueError(_NOT_LAYOUT)
+    return count
+
+
+def _read_int(frames: bytes, last: int) -> int:
+    """The int64 of the value run whose last byte is at `last`, written as
+    json.dumps writes an int; anything else is not in the writer's layout."""
+    start = max(frames.rfind(b",", 0, last), frames.rfind(b"[", 0, last)) + 1
+    text = frames[start : last + 1]
+    if _INT.fullmatch(text) and -_INT64_MAX - 1 <= int(text) <= _INT64_MAX:
+        return int(text)
+    raise ValueError(_NOT_LAYOUT)
+
+
+def _run_ends(text: np.ndarray, slots: int) -> np.ndarray:
+    """The index, less 2, of the last byte of each run of value bytes
+    (digits and "-") in the frames text. Each run must sit in a value slot,
+    never just before a "[" or just after a "]", and there must be one run
+    per slot."""
+    value = (text - ord("0") < 10) | (text == ord("-"))
+    if (value[:-1] & (text[1:] == ord("["))).any() or ((text[:-1] == ord("]")) & value[1:]).any():
+        raise ValueError(_NOT_LAYOUT)
+    ends = np.flatnonzero(value[2:-1] > value[3:])
+    if len(ends) != slots:
+        raise ValueError(_NOT_LAYOUT)
+    return ends
+
+
+def _read_frames(frames: bytes, shape: tuple[int, int, int]) -> tuple[list[int], np.ndarray]:
+    """The steps and (F, C, H, W) planes of the text `[[step,planes],...]`
+    of a match line, which must be the writer's text of some int64 values.
+
+    The text must hold the separators of whole frames (`_frame_count`) and
+    one run of value bytes in each value slot (`_run_ends`). numpy reads
+    each plane run of one digit, or two without a leading zero (every plane
+    value the writer writes), from its last two bytes as uint8. Steps and
+    every other run are read exactly by `_read_int`. Planes come back as
+    uint8, or as int64 when a plane run was read exactly: such a run is
+    signed or at least 100, outside every plane's range.
+    """
+    count = _frame_count(frames, shape)
+    text = np.frombuffer(frames, dtype=np.uint8)
+    runs = 1 + math.prod(shape)  # per frame: its step, then its plane values
+    # the array kept is made before the scratch arrays, so that freeing
+    # them leaves no hole below it in the heap to hold RSS after the read
+    planes = np.empty((count, runs - 1), dtype=np.uint8)
+    ends = _run_ends(text, count * runs)
+    steps = [_read_int(frames, end + 2) for end in ends[::runs].tolist()]
+    # the last three bytes of each plane run as digit values ("-" is 253)
+    ones, tens, hundreds = (
+        a[ends].reshape(count, runs)[:, 1:] - ord("0") for a in (text[2:], text[1:], text))
+    del ends  # 8 bytes a value, the largest array here: gone before the flags below
+    two = tens < 10
+    # three or more bytes, a "-" or a leading zero
+    exact = ((hundreds < 10) | (hundreds == 253)) & two | (tens == 0) | (tens == 253) | (ones > 9)
+    np.add(ones, 10 * (tens * two), out=planes)
+    if exact.any():
+        planes = planes.astype(np.int64)
+        ends = _run_ends(text, count * runs).reshape(count, runs)
+        for f, i in zip(*np.nonzero(exact)):
+            planes[f, i] = _read_int(frames, ends[f, i + 1] + 2)
+    return steps, planes.reshape(count, *shape)
+
+
 def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
     """The record of a match line with frames of `shape`, which must be in
     the writer's layout.
 
-    The line is split around its frames text: the rest goes through
-    json.loads, and numpy parses the frames text as int64 values that must
-    fill whole frames. The record passes the writer's checks, then must
-    render back to the line's bytes in `_match_pieces`. So json.loads of
-    an accepted line gives the values read, and writing the record gives
-    the line back. Frames are views into one uint8 (F, C, H, W) array.
+    The line is split around its frames text. The rest goes through
+    json.loads and must be what json.dumps of the fields it holds, with
+    sorted keys and (",", ":") separators, writes; `_read_frames` reads the
+    frames text. A line that is not in the writer's layout is rejected as
+    such before any value is checked; then the record must pass the
+    writer's checks. So an accepted line is, byte for byte, the line
+    `write_dataset` writes for the record read. Frames are views into one
+    uint8 (F, C, H, W) array.
     """
     line.decode("utf-8")  # names the first byte that is not UTF-8
     a = line.find(b',"frames":[')
@@ -251,35 +344,22 @@ def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
     if b < 0:
         json.loads(line.decode("utf-8"))  # names the fault of a line that is not JSON
         raise ValueError(_NOT_LAYOUT)
-    fields = json.loads((line[:a] + line[b + 1 :]).decode("utf-8"))
+    rest = line[:a] + line[b + 1 :]
+    fields = json.loads(rest.decode("utf-8"))
     if not isinstance(fields, dict):
         raise ValueError(_NOT_LAYOUT)
     if fields.get("kind") != "match":
         raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
-    frames = line[a + 10 : b + 1]
-    try:
-        values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
-        values = values.reshape(-1, 1 + math.prod(shape))
-    except ValueError:  # not ints between commas, or not whole frames
-        raise ValueError(_NOT_LAYOUT) from None
-    if not len(values):
-        raise ValueError("record has no frames")
-    steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, *shape)
-    try:
-        _check_match(fields["winner"], fields["duration"], steps, planes)
-    except ValueError:
-        # the check would name a number the file does not hold: np.fromstring
-        # reads any number past int64 as _INT64_MAX, and a bracket between
-        # digits joins them
-        if (values == _INT64_MAX).any() or _JOINED.search(frames):
-            raise ValueError(_NOT_LAYOUT) from None
-        raise
-    planes = planes.astype(np.uint8)
-    record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
-                         fields["winner"], fields["duration"], list(zip(steps, planes)))
-    if b"".join(_match_pieces(record, steps, planes)) != line:
+    steps, planes = _read_frames(line[a + 10 : b + 1], shape)
+    # a key no record has, or fields json.dumps would write otherwise; a
+    # missing key is a KeyError below
+    if len(fields) > 6 or _dump_line(fields).encode() + b"\n" != rest:
         raise ValueError(_NOT_LAYOUT)
-    return record
+    if not steps:
+        raise ValueError("record has no frames")
+    _check_match(fields["winner"], fields["duration"], steps, planes)
+    return MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
+                       fields["winner"], fields["duration"], list(zip(steps, planes)))
 
 
 def _read_header(line: bytes) -> DatasetHeader:
@@ -299,9 +379,10 @@ def read_dataset(path: str | Path) -> Dataset:
 
     The header must give CHANNELS channels and int map sizes. Each match
     line must hold at least one frame of the header's shape and pass
-    `_check_match`. It is read only in the writer's layout, and accepted
-    only if its record rewrites to the same bytes (`_read_match`); any
-    other line is "not in the writer's layout".
+    `_check_match`. It is read only in the writer's layout, which
+    `_read_match` checks from the line's own bytes, so an accepted line is
+    the bytes the writer writes for its record; any other line is "not in
+    the writer's layout", reported before any value check.
     """
     records = []
     lineno = 1

@@ -18,6 +18,7 @@ from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.encode import decode_planes
 from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
+from ..sim.state import GameState
 from .loop import THRESHOLD, predict_probs
 from .metrics import MetricsReport, compute_metrics
 
@@ -45,16 +46,22 @@ def neural_predictor(model: WinPredictor):
     return predict
 
 
-def classical_predictor(evaluator):
+def classical_predictor(evaluator, states: dict[tuple[int, float], GameState] | None = None):
     """predict(records, rho) -> list of 0/1/None (None = tie, scored as
-    wrong), from the state decoded at the end of each visible prefix."""
+    wrong), from the state at the end of each visible prefix: for the i-th
+    record, `states[i, rho]` when `states` is given (`compare` decodes
+    every such frame once, up front, for both classical rules), else the
+    state decoded from that frame."""
 
-    def verdict(record: MatchRecord, rho: float) -> int | None:
-        state = decode_planes(visible_prefix(record, rho)[-1][1])
+    def verdict(i: int, record: MatchRecord, rho: float) -> int | None:
+        if states is None:
+            state = decode_planes(visible_prefix(record, rho)[-1][1])
+        else:
+            state = states[i, rho]
         winner = predict_winner_classical(state, evaluator)
         return None if winner == "tie" else int(winner == "p1")
 
-    return lambda records, rho: [verdict(r, rho) for r in records]
+    return lambda records, rho: [verdict(i, r, rho) for i, r in enumerate(records)]
 
 
 def progress_stratified_eval(

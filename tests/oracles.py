@@ -35,6 +35,7 @@ from rtslab.baselines import (
 )
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind
+from rtslab.sim.dataset import _INT64_MAX, _NOT_LAYOUT, _check_match, _match_pieces
 from rtslab.sim.engine import Action, MatchRecord
 from rtslab.sim.encode import CHANNELS, PLANE_FACTION
 from rtslab.sim.rules import ATTACK_RANGE, COST, MAX_HP, P1, P2, TRAINABLE_AT_BARRACKS
@@ -307,6 +308,57 @@ def oracle_read_dataset(path):
         match["frames"] = [(step, np.asarray(planes)) for step, planes in match["frames"]]
         matches.append(match)
     return json.loads(lines[0]), matches
+
+
+_JOINED = re.compile(rb"\d[\[\]]+\d")  # digits that deleting the brackets would join
+
+
+def oracle_read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
+    """The record of a match line with frames of `shape`, which must be in
+    the writer's layout.
+
+    The line is split around its frames text: the rest goes through
+    json.loads, and numpy parses the frames text as int64 values that must
+    fill whole frames. The record passes the writer's checks, then must
+    render back to the line's bytes in `_match_pieces`. So json.loads of
+    an accepted line gives the values read, and writing the record gives
+    the line back. Frames are views into one uint8 (F, C, H, W) array.
+    """
+    line.decode("utf-8")  # names the first byte that is not UTF-8
+    a = line.find(b',"frames":[')
+    b = line.find(b'],"kind":', a) if a >= 0 else -1
+    if b < 0:
+        json.loads(line.decode("utf-8"))  # names the fault of a line that is not JSON
+        raise ValueError(_NOT_LAYOUT)
+    fields = json.loads((line[:a] + line[b + 1 :]).decode("utf-8"))
+    if not isinstance(fields, dict):
+        raise ValueError(_NOT_LAYOUT)
+    if fields.get("kind") != "match":
+        raise ValueError(f"unexpected record kind {fields.get('kind')!r}")
+    frames = line[a + 10 : b + 1]
+    try:
+        values = np.fromstring(frames.translate(None, b"[]"), dtype=np.int64, sep=",")
+        values = values.reshape(-1, 1 + math.prod(shape))
+    except ValueError:  # not ints between commas, or not whole frames
+        raise ValueError(_NOT_LAYOUT) from None
+    if not len(values):
+        raise ValueError("record has no frames")
+    steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, *shape)
+    try:
+        _check_match(fields["winner"], fields["duration"], steps, planes)
+    except ValueError:
+        # the check would name a number the file does not hold: np.fromstring
+        # reads any number past int64 as _INT64_MAX, and a bracket between
+        # digits joins them
+        if (values == _INT64_MAX).any() or _JOINED.search(frames):
+            raise ValueError(_NOT_LAYOUT) from None
+        raise
+    planes = planes.astype(np.uint8)
+    record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
+                         fields["winner"], fields["duration"], list(zip(steps, planes)))
+    if b"".join(_match_pieces(record, steps, planes)) != line:
+        raise ValueError(_NOT_LAYOUT)
+    return record
 
 
 def oracle_write_dataset(path, dataset) -> None:

@@ -842,9 +842,8 @@ class TestUndecodableFrame:
                    "--out", str(out)]
                   + (["--match-id", str(index)] if command == "timeline" else []))
         assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:{index + 2}:", words)
-        # timeline decodes its match before it makes the output directory;
-        # compare finds the frame while scoring, after
-        assert not out.exists() if command == "timeline" else not any(out.iterdir())
+        # both decode the frames they score before they make the output directory
+        assert not out.exists()
 
 
 class TestDirectoryAsInput:

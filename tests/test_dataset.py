@@ -7,9 +7,15 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from oracles import oracle_read_dataset, oracle_write_dataset, surviving_units_label
+from oracles import (
+    oracle_read_dataset,
+    oracle_read_match,
+    oracle_write_dataset,
+    surviving_units_label,
+)
 
 from rtslab import CorruptArtifact
+from rtslab.cli import main
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
     Dataset,
@@ -20,7 +26,8 @@ from rtslab.sim import (
     split_dataset,
     write_dataset,
 )
-from rtslab.sim.dataset import WINNERS, largest_remainder_sizes
+from rtslab.sim import dataset as dataset_module
+from rtslab.sim.dataset import WINNERS, _read_match, largest_remainder_sizes
 from rtslab.sim.encode import PLANE_MAX
 from rtslab.sim.engine import MatchRecord
 
@@ -255,6 +262,33 @@ def _empty_slot(line):
     return line[:at] + b"," + line[at:]
 
 
+def _first_value(text):
+    """A line edit that writes `text` in place of frame 0's first plane value."""
+    def line_edit(line):
+        at = line.index(b"[[[") + 3
+        return line[:at] + text + line[line.index(b",", at):]
+    return line_edit
+
+
+def _move_first_value(line, to):
+    """Frame 0's first plane value moved to just before `to`, the first
+    bracket pair after it: each slot but the first still holds one value."""
+    at = line.index(b"[[[") + 3
+    end = line.index(b",", at)
+    after = line.index(to, end) + 1
+    return line[:at] + line[end:after] + line[at:end] + line[after:]
+
+
+def _set_first_cell(value):
+    return _edit_record(lambda r: r["frames"][0][1][0][0].__setitem__(0, value))
+
+
+def _leading_zero_and_300(line):
+    # plane 0 holds 300 at (0, 1), and its value at (0, 0) gains a leading zero
+    line = _edit_record(lambda r: r["frames"][0][1][0][0].__setitem__(1, 300))(line)
+    return line.replace(b"[[[", b"[[[0", 1)
+
+
 class TestReadParity:
     """read_dataset round-trips through its own writer: it either raises
     CorruptArtifact or returns records that write back to the same bytes,
@@ -281,8 +315,24 @@ class TestReadParity:
         (_edit_record(lambda r: r["frames"][0][1][3][0].__setitem__(0, 10**18)),
          "frame 0 plane 3 holds 1000000000000000000 at (0, 0)"),
         (_edit_record(_big_first_step), LAYOUT),
+        (lambda line: line.replace(b"[[[", b"[7[[", 1), LAYOUT),
+        (_first_value(b"-0"), LAYOUT),
+        (_first_value(b"+5"), LAYOUT),
+        (_set_first_cell(2**63), LAYOUT),
+        (_edit_record(lambda r: r["frames"][0][1][0][0].pop()), LAYOUT),
+        (_edit_record(lambda r: r["frames"][0][1][0][0].append(1)), LAYOUT),
+        (_set_first_cell(300), "frame 0 plane 0 holds 300 at (0, 0)"),
+        (_edit_record(lambda r: r.__setitem__("frames", [])), "record has no frames"),
+        (_leading_zero_and_300, LAYOUT),
+        (_first_value(b""), LAYOUT),
+        (lambda line: _move_first_value(line, b"],"), LAYOUT),
+        (lambda line: _move_first_value(line, b",["), LAYOUT),
+        (_edit_record(lambda r: r.__setitem__("other", 1)), LAYOUT),
     ], ids=["leading-zero", "digit-after-bracket", "empty-slot", "whitespace",
-            "19-digit-value", "2**63-step"])
+            "19-digit-value", "2**63-step", "digit-inside-brackets", "minus-zero",
+            "plus-sign", "2**63-value", "value-missing", "value-extra", "300-in-plane-0",
+            "no-frames", "leading-zero-and-300", "empty-first-slot", "value-after-bracket",
+            "value-before-bracket", "extra-key"])
     def test_fixed_edits(self, tmp_path, edit, words):
         header, line = _canonical_lines(tmp_path)
         path = tmp_path / "d.jsonl"
@@ -339,6 +389,87 @@ class TestWriteParity:
         back = tmp_path / "back.jsonl"
         write_dataset(back, read_dataset(ours))
         assert back.read_bytes() == ours.read_bytes()
+
+
+def _assert_same_records(got, want):
+    """Equal fields, steps and plane values, with uint8 planes on both sides."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.strategy_a, a.strategy_b, a.seed, a.winner, a.duration) == (
+            b.strategy_a, b.strategy_b, b.seed, b.winner, b.duration)
+        assert [step for step, _ in a.frames] == [step for step, _ in b.frames]
+        for (_, pa), (_, pb) in zip(a.frames, b.frames):
+            assert pa.dtype == pb.dtype == np.uint8 and np.array_equal(pa, pb)
+
+
+def _drawn_record(rng: SplitMix64, shape, frames: int) -> MatchRecord:
+    """uint8 planes drawn over each plane's full range, steps of 1 to 5
+    digits, strategy names that json.dumps escapes."""
+    planes = np.random.default_rng(rng.next_u64()).integers(
+        0, PLANE_MAX + 1, size=(frames, *shape)).astype(np.uint8)
+    steps = _steps(rng, frames)
+    return MatchRecord(
+        NAMES[rng.randrange(len(NAMES))], NAMES[rng.randrange(len(NAMES))], rng.next_u64(),
+        WINNERS[rng.randrange(3)], max(1, steps[-1] + rng.randrange(3)),
+        list(zip(steps, planes)),
+    )
+
+
+DIFF_BYTES = b'0123456789,[]-+ .e"'
+# what read_dataset turns into CorruptArtifact
+REJECTED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+
+def _read_or_none(read, line, shape):
+    try:
+        return read(line, shape)
+    except REJECTED:
+        return None
+
+
+class TestReadOracle:
+    """The reader accepts exactly the lines the render-back reader
+    (`oracle_read_match`) accepts, and reads the same records from them."""
+
+    @pytest.mark.parametrize("shape", [(5, 1, 1), (5, 2, 3), (5, 16, 16)],
+                             ids=["1x1", "2x3", "16x16"])
+    def test_seeded_mutations_agree_with_render_back(self, tmp_path, shape):
+        rng = SplitMix64(77 + shape[1] * shape[2])
+        records = [_drawn_record(rng, shape, 1 + rng.randrange(4)) for _ in range(6)]
+        assert {len(str(step)) for r in records for step, _ in r.frames} == {1, 2, 3, 4, 5}
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, Dataset(DatasetHeader(map_height=shape[1], map_width=shape[2]),
+                                    records))
+        lines = path.read_bytes().splitlines(keepends=True)[1:]
+        tally = {"accepted": 0, "rejected": 0}
+        for _ in range(1000):
+            line = lines[rng.randrange(len(lines))]
+            at = rng.randrange(len(line) - 1)  # the newline stays
+            byte = DIFF_BYTES[rng.randrange(len(DIFF_BYTES)):][:1]
+            op = rng.randrange(3)
+            mutated = line[:at] + (byte if op < 2 else b"") + line[at + (op > 0):]
+            got = _read_or_none(_read_match, mutated, shape)
+            want = _read_or_none(oracle_read_match, mutated, shape)
+            assert (got is None) == (want is None), mutated
+            if got is not None:
+                _assert_same_records([got], [want])
+            tally["accepted" if got is not None else "rejected"] += 1
+        assert min(tally.values()) > 0, tally  # every outcome occurs
+
+    def test_reading_renders_nothing(self, tmp_path, monkeypatch):
+        assert main(["generate", "--out", str(tmp_path), "--seed", "5", "--rounds", "2",
+                     "--roster", "WorkerRushLite,LightRushLite,PassiveLite"]) == 0
+        path = tmp_path / "dataset.jsonl"
+        want = read_dataset(path)
+
+        def render(*args):
+            raise AssertionError("the reader rendered a line")
+
+        monkeypatch.setattr(dataset_module, "_frames_text", render)
+        monkeypatch.setattr(dataset_module, "_match_pieces", render)
+        got = read_dataset(path)
+        assert got.header == want.header
+        _assert_same_records(got.records, want.records)
 
 
 def _frames(*steps, dtype=np.int64, shape=(5, 4, 4)):
