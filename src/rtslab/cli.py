@@ -5,7 +5,9 @@ Subcommands:
     generate   play a round-robin tournament, write dataset + split manifest
     train      fit a win predictor on a generated dataset
     eval       score a trained model on the test split (full progress)
-    compare    progress-stratified tables for neural + classical evaluators
+    compare    the predictions of neural + classical evaluators at each
+               progress fraction (predictions.csv), and the stratified
+               tables and stability summary computed from them
     timeline   per-step scores of every evaluator over one chosen match
 
 Settings merge from a JSON config file (--config) and flag overrides;
@@ -70,13 +72,13 @@ from .sim.engine import sample_timeline, visible_prefix
 from .sim.state import MIN_MAP_SIZE, GameState
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
+    Prediction,
     TrainConfig,
-    classical_predictor,
     dataset_to_examples,
-    neural_predictor,
     op_stability,
     predict_probs,
     progress_stratified_eval,
+    stratified_metrics,
     train_model,
 )
 from .train.loop import THRESHOLD
@@ -325,13 +327,13 @@ def _load_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[str, list], dict]:
     return dataset.header, parts, manifest
 
 
-def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, list[MatchRecord], list[int]]:
-    """The dataset header, the test records and their lines in the dataset
-    file; an empty test split is a ConfigError."""
+def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[int, MatchRecord]]:
+    """The dataset header and the test records by dataset index, in split
+    order; an empty test split is a ConfigError."""
     header, parts, manifest = _load_split(cfg)
     if not parts["test"]:
         raise ConfigError("empty dataset: test split has no usable records")
-    return header, parts["test"], [i + 2 for i in manifest["test"]]
+    return header, dict(zip(manifest["test"], parts["test"]))
 
 
 def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
@@ -339,21 +341,21 @@ def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
     return CorruptArtifact(f"{dataset}:{line}: a frame is not the encoding of a legal state: {exc}")
 
 
-def _last_visible_states(cfg: RunConfig, records: list[MatchRecord],
-                         lines: list[int]) -> dict[tuple[int, float], GameState]:
+def _last_visible_states(cfg: RunConfig, records: dict[int, MatchRecord]
+                         ) -> dict[tuple[int, float], GameState]:
     """The state at the end of each record's visible prefix at each of
-    `cfg.fractions`, keyed by (record index, fraction). Each distinct frame
+    `cfg.fractions`, keyed by (dataset index, fraction). Each distinct frame
     is decoded once; one that `decode_planes` rejects is `_undecodable`,
-    named by its record's line in `lines`."""
+    named by its record's line."""
     states, decoded = {}, {}
     for rho in cfg.fractions:
-        for i, (line, record) in enumerate(zip(lines, records)):
+        for i, record in records.items():
             step, planes = visible_prefix(record, rho)[-1]
             if (i, step) not in decoded:
                 try:
                     decoded[i, step] = decode_planes(planes)
                 except ValueError as exc:
-                    raise _undecodable(cfg.dataset, line, exc) from None
+                    raise _undecodable(cfg.dataset, i + 2, exc) from None
             states[i, rho] = decoded[i, step]
     return states
 
@@ -466,12 +468,11 @@ def _load_models(cfg: RunConfig, header: DatasetHeader) -> list[tuple[str, WinPr
 def cmd_eval(cfg: RunConfig) -> int:
     if len(cfg.models) != 1:
         raise ConfigError(f"eval takes exactly one model directory in --models, got {len(cfg.models)}")
-    header, records, _ = _test_split(cfg)
+    header, records = _test_split(cfg)
     [(name, model)] = _load_models(cfg, header)
     out = _out_dir(cfg)
-    predict = neural_predictor(model)
-    rows = progress_stratified_eval(predict, records, fractions=(1.0,))
-    _, metrics = rows[0]
+    table = progress_stratified_eval([(name, model)], records, (1.0,), None)
+    [(_, metrics)] = stratified_metrics(table)[name]
     tp, fp, fn, tn = metrics.confusion
     _write_csv(
         out / "metrics_report.csv",
@@ -493,13 +494,6 @@ _STRAT_HEADER = [
 ]
 
 
-def _stratified_rows(name: str, rows) -> list[list]:
-    return [
-        [name, "ours", rho, m.accuracy, m.precision, m.recall, m.f1, m.op]
-        for rho, m in rows
-    ]
-
-
 def _paper_reference_rows() -> list[list]:
     out = []
     for model, by_frac in sorted(REFERENCE_ACCURACY.items()):
@@ -511,19 +505,20 @@ def _paper_reference_rows() -> list[list]:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    header, records, lines = _test_split(cfg)
+    header, records = _test_split(cfg)
     models = _load_models(cfg, header)
-    states = _last_visible_states(cfg, records, lines)
+    states = _last_visible_states(cfg, records)
     out = _out_dir(cfg)
-    evaluators = [(name, neural_predictor(model)) for name, model in models]
-    evaluators += [("simple", classical_predictor(simple_eval, states)),
-                   ("lanchester", classical_predictor(lanchester_eval, states))]
-    # every evaluator is scored before a table is written
-    tables = [(name, progress_stratified_eval(predict, records, cfg.fractions))
-              for name, predict in evaluators]
+    # every evaluator is scored before a file is written
+    table = progress_stratified_eval(models, records, cfg.fractions, states)
+    _write_csv(out / "predictions.csv", list(Prediction._fields),
+               [row._replace(prediction="tie") if row.prediction is None else row
+                for row in table])
     stability_rows: list[list] = []
-    for name, rows in tables:
-        _write_csv(out / f"stratified_{name}.csv", _STRAT_HEADER, _stratified_rows(name, rows))
+    for name, rows in stratified_metrics(table).items():
+        _write_csv(out / f"stratified_{name}.csv", _STRAT_HEADER,
+                   [[name, "ours", rho, m.accuracy, m.precision, m.recall, m.f1, m.op]
+                    for rho, m in rows])
         stds = op_stability(rows)
         stability_rows.append([name, "ours", stds["early"], stds["late"]])
         summary = " ".join(f"{rho:g}:{m.accuracy:.3f}" for rho, m in rows)
@@ -536,7 +531,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         ["model", "source", "op_std_early", "op_std_late"],
         stability_rows,
     )
-    print(f"wrote stratified tables and {out / 'op_stability.csv'}")
+    print(f"wrote {out / 'predictions.csv'}, stratified tables and {out / 'op_stability.csv'}")
     return 0
 
 

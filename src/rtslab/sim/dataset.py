@@ -340,7 +340,7 @@ def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
     """
     line.decode("utf-8")  # names the first byte that is not UTF-8
     a = line.find(b',"frames":[')
-    b = line.find(b'],"kind":', a) if a >= 0 else -1
+    b = line.rfind(b'],"kind":', a) if a >= 0 else -1  # from the short tail of fields
     if b < 0:
         json.loads(line.decode("utf-8"))  # names the fault of a line that is not JSON
         raise ValueError(_NOT_LAYOUT)

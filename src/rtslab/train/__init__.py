@@ -13,10 +13,10 @@ from .metrics import MetricsReport, compute_metrics, metrics_from_confusion
 from .optim import AdamW, TrainConfig
 from .stratified import (
     DEFAULT_FRACTIONS,
-    classical_predictor,
-    neural_predictor,
+    Prediction,
     op_stability,
     progress_stratified_eval,
+    stratified_metrics,
 )
 
 __all__ = [
@@ -24,17 +24,17 @@ __all__ = [
     "DEFAULT_FRACTIONS",
     "EpochLog",
     "MetricsReport",
+    "Prediction",
     "TrainConfig",
     "TrainResult",
     "bce_loss",
-    "classical_predictor",
     "compute_metrics",
     "dataset_to_examples",
     "evaluate_accuracy",
     "metrics_from_confusion",
-    "neural_predictor",
     "op_stability",
     "predict_probs",
     "progress_stratified_eval",
+    "stratified_metrics",
     "train_model",
 ]

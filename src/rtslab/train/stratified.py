@@ -1,23 +1,25 @@
-"""Progress-stratified evaluation and stability of the combined index.
+"""Progress-stratified evaluation: one predictions table and its summaries.
 
 For each progress fraction rho, every test match is re-evaluated as if
 only the first ceil(rho * duration) steps had been observed: the neural
 models resample their frame window from that prefix, the classical
-evaluators score the last visible state. Predictions are scored against
-the final winner label; a classical tie counts as an incorrect prediction.
+evaluators score the last visible state. `progress_stratified_eval` keeps
+each prediction as one row of a table; every summary (`stratified_metrics`,
+`op_stability`) is computed from that table, scoring each prediction
+against the record's final winner label. A classical tie scores as wrong.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
-from ..baselines import predict_winner_classical
+from ..baselines import lanchester_eval, predict_winner_classical, simple_eval
 from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
-from ..sim.encode import decode_planes
-from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
+from ..sim.engine import MatchRecord, sample_timeline
 from ..sim.state import GameState
 from .loop import THRESHOLD, predict_probs
 from .metrics import MetricsReport, compute_metrics
@@ -28,62 +30,63 @@ DEFAULT_FRACTIONS = (0.04, 0.2, 0.4, 0.6, 0.8, 1.0)
 PHASE_SPLIT = 0.4
 
 
-def neural_predictor(model: WinPredictor):
-    """predict(records, rho) -> list of 0/1, one per record.
+class Prediction(NamedTuple):
+    """`evaluator`'s verdict on the test record at dataset index `record`
+    seen up to progress `fraction`: one row of the predictions table."""
 
-    Each record's clip of `model.config.time_steps` frames is resampled
-    from its visible prefix with `sample_timeline` and scored by
-    `predict_probs` against THRESHOLD. One digest->probability cache
-    serves every call, so a clip that recurs across records or fractions
-    is forwarded once.
-    """
-    cache: dict[bytes, float] = {}
-
-    def predict(records: list[MatchRecord], rho: float) -> list[int]:
-        clips = (sample_timeline(r, model.config.time_steps, rho) for r in records)
-        return [1 if p >= THRESHOLD else 0 for p in predict_probs(model, clips, cache)]
-
-    return predict
-
-
-def classical_predictor(evaluator, states: dict[tuple[int, float], GameState] | None = None):
-    """predict(records, rho) -> list of 0/1/None (None = tie, scored as
-    wrong), from the state at the end of each visible prefix: for the i-th
-    record, `states[i, rho]` when `states` is given (`compare` decodes
-    every such frame once, up front, for both classical rules), else the
-    state decoded from that frame."""
-
-    def verdict(i: int, record: MatchRecord, rho: float) -> int | None:
-        if states is None:
-            state = decode_planes(visible_prefix(record, rho)[-1][1])
-        else:
-            state = states[i, rho]
-        winner = predict_winner_classical(state, evaluator)
-        return None if winner == "tie" else int(winner == "p1")
-
-    return lambda records, rho: [verdict(i, r, rho) for i, r in enumerate(records)]
+    evaluator: str
+    fraction: float
+    record: int
+    label: int  # 1: player 1 won, 0: player 2 won
+    prediction: int | None  # 1 or 0; None for a classical tie
+    prob: float | None  # the neural win probability; None for a classical row
 
 
 def progress_stratified_eval(
-    predict,
-    records: list[MatchRecord],
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-) -> list[tuple[float, MetricsReport]]:
-    """One MetricsReport per fraction, scored against the recorded winners.
-    `predict(records, rho)` returns one 0/1/None per record (None scores as
-    wrong)."""
-    labels = [winner_label(r) for r in records]
-    rows = []
-    for rho in fractions:
-        preds = predict(records, rho)
-        if len(preds) != len(records):
-            raise ValueError(
-                f"predict returned {len(preds)} predictions for {len(records)} records"
-            )
-        # a tie can never score as correct
-        preds = [1 - truth if p is None else p for p, truth in zip(preds, labels)]
-        rows.append((rho, compute_metrics(preds, labels)))
-    return rows
+    models: list[tuple[str, WinPredictor]],
+    records: dict[int, MatchRecord],
+    fractions: tuple[float, ...],
+    states: dict[tuple[int, float], GameState] | None,
+) -> list[Prediction]:
+    """The predictions table of `records` (test records by dataset index) at
+    each of `fractions`, in evaluator x fraction x record order: each
+    (name, model) of `models`, then, unless `states` is None, the classical
+    rules "simple" and "lanchester".
+
+    A model resamples each clip from the visible prefix (`sample_timeline`)
+    and predicts 1 when `predict_probs` gives at least THRESHOLD; one cache
+    serves all its fractions, so a recurring clip is forwarded once. A
+    classical rule scores `states[index, rho]`, the last visible state.
+    """
+    labels = {i: winner_label(r) for i, r in records.items()}
+    table = []
+    for name, model in models:
+        cache: dict[bytes, float] = {}
+        for rho in fractions:
+            clips = (sample_timeline(r, model.config.time_steps, rho) for r in records.values())
+            probs = predict_probs(model, clips, cache).tolist()
+            table += [Prediction(name, rho, i, labels[i], int(p >= THRESHOLD), p)
+                      for i, p in zip(records, probs)]
+    if states is not None:
+        for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
+            for rho in fractions:
+                for i in records:
+                    winner = predict_winner_classical(states[i, rho], evaluator)
+                    prediction = None if winner == "tie" else int(winner == "p1")
+                    table.append(Prediction(name, rho, i, labels[i], prediction, None))
+    return table
+
+
+def stratified_metrics(table: list[Prediction]) -> dict[str, list[tuple[float, MetricsReport]]]:
+    """Each evaluator's MetricsReport at each of its fractions, in table
+    order. A tie scores as wrong: it counts as the opposite of its label."""
+    scored: dict[str, dict[float, tuple[list[int], list[int]]]] = {}
+    for row in table:
+        preds, labels = scored.setdefault(row.evaluator, {}).setdefault(row.fraction, ([], []))
+        preds.append(1 - row.label if row.prediction is None else row.prediction)
+        labels.append(row.label)
+    return {name: [(rho, compute_metrics(*pair)) for rho, pair in by_fraction.items()]
+            for name, by_fraction in scored.items()}
 
 
 def op_stability(

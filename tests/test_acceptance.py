@@ -36,10 +36,12 @@ from rtslab.model import (
 )
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
+    decode_planes,
     run_tournament,
     schedule_round_robin,
     split_dataset,
 )
+from rtslab.sim.engine import visible_prefix
 from rtslab.sim.rules import P1
 from rtslab.sim.state import Unit
 from rtslab.sim.rules import MAX_HP, UnitKind
@@ -48,12 +50,11 @@ from rtslab.train import (
     AdamW,
     TrainConfig,
     bce_loss,
-    classical_predictor,
     compute_metrics,
     dataset_to_examples,
     evaluate_accuracy,
-    neural_predictor,
     progress_stratified_eval,
+    stratified_metrics,
     train_model,
 )
 from rtslab.train.metrics import metrics_from_confusion
@@ -220,15 +221,15 @@ class TestCriterion03ToyLearnability:
 class TestCriterion04ProgressTrend:
     def test_accuracy_at_full_progress_at_least_early(self, toy_lab):
         model, _ = toy_lab["models"]["tstf"]
-        records = toy_lab["test_records"]
-        predict = neural_predictor(model)
-        rows = progress_stratified_eval(predict, records, fractions=(0.04, 1.0))
-        acc_early, acc_full = rows[0][1].accuracy, rows[1][1].accuracy
+        records = dict(enumerate(toy_lab["test_records"]))
+        fractions = (0.04, 1.0)
+        states = {(i, rho): decode_planes(visible_prefix(r, rho)[-1][1])
+                  for i, r in records.items() for rho in fractions}
+        table = progress_stratified_eval([("tstf-2", model)], records, fractions, states)
+        metrics = {name: dict(rows) for name, rows in stratified_metrics(table).items()}
+        acc_early, acc_full = (metrics["tstf-2"][rho].accuracy for rho in fractions)
         assert acc_full >= acc_early, f"acc(1.0)={acc_full:.3f} < acc(0.04)={acc_early:.3f}"
-        classical = {}
-        for name, ev in (("simple", simple_eval), ("lanchester", lanchester_eval)):
-            crows = progress_stratified_eval(classical_predictor(ev), records, fractions=(1.0,))
-            classical[name] = crows[0][1].accuracy
+        classical = {name: metrics[name][1.0].accuracy for name in ("simple", "lanchester")}
         # published full-scale rows are context only, never targets
         ref = ", ".join(
             f"{m}@4%={v[0.04]}" for m, v in sorted(REFERENCE_ACCURACY.items())
@@ -427,11 +428,9 @@ class TestEndToEndPipeline:
         model_dir = dirs["tstf"]
 
         # pick a match the converged model classifies correctly at rho=1
-        preds = neural_predictor(model)(test_records, 1.0)
-        match_id = next(
-            i for i, (rec, pred) in enumerate(zip(test_records, preds))
-            if pred == (1 if rec.winner == "p1" else 0)
-        )
+        table = progress_stratified_eval(
+            [("tstf-2", model)], dict(enumerate(test_records)), (1.0,), None)
+        match_id = next(row.record for row in table if row.prediction == row.label)
         out = tmp_path / "timeline"
         rc = main([
             "timeline", "--dataset", str(data_dir / "dataset.jsonl"),

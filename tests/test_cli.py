@@ -22,8 +22,19 @@ from rtslab.cli import RunConfig, build_parser, main
 from rtslab.model import ModelConfig
 from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
-from rtslab.sim import UnitKind, decode_planes, read_dataset, schedule_round_robin
+from rtslab.sim import (
+    Dataset,
+    MatchRecord,
+    UnitKind,
+    decode_planes,
+    raw_planes,
+    read_dataset,
+    schedule_round_robin,
+    standard_start,
+    write_dataset,
+)
 from rtslab.sim.encode import PLANE_FACTION_RES, PLANE_HEALTH, PLANE_TYPE
+from rtslab.train.metrics import metrics_from_confusion
 
 
 def sha(path: Path) -> str:
@@ -992,7 +1003,81 @@ class TestCompare:
         assert "timesformer-12,paper,0.04,0.418" in ref
         stability = (out / "op_stability.csv").read_text().splitlines()
         assert "tstf-8,paper,0.947,0.114" in stability
-        assert any(ln.endswith(",ours,None,None") or ",ours," in ln for ln in stability[1:])
+        # one fraction leaves both phases with too few points: empty cells
+        assert stability[1:4] == ["tstf-2,ours,,", "simple,ours,,", "lanchester,ours,,"]
+
+
+class TestPredictionsTable:
+    """compare's predictions.csv holds one row per evaluator, fraction and
+    test record, and every summary compare writes is computed from it."""
+
+    FRACTIONS = (0.04, 0.2, 0.4, 0.6, 0.8, 1.0)
+    EVALUATORS = ("tstf-2", "simple", "lanchester")
+
+    @pytest.fixture(scope="class")
+    def run(self, pipeline, tmp_path_factory):
+        # the pipeline's test split plus one match that never leaves the
+        # mirrored start, so both classical rules tie at every fraction
+        root = tmp_path_factory.mktemp("table")
+        dataset = read_dataset(pipeline["data"] / "dataset.jsonl")
+        manifest = json.loads((pipeline["data"] / "splits.json").read_text())
+        start = raw_planes(standard_start(16))
+        records = dataset.records + [
+            MatchRecord("PassiveLite", "PassiveLite", 0, "p1", 8, [(0, start), (8, start)])]
+        write_dataset(root / "dataset.jsonl", Dataset(dataset.header, records))
+        manifest["test"].append(len(records) - 1)
+        (root / "splits.json").write_text(json.dumps(manifest))
+        argv = ["compare", "--dataset", str(root / "dataset.jsonl"),
+                "--models", str(pipeline["model"])]
+        for out in ("a", "b"):
+            assert main(argv + ["--out", str(root / out)]) == 0
+        labels = {i: int(records[i].winner == "p1") for i in manifest["test"]}
+        return {"out": root / "a", "rerun": root / "b", "labels": labels, "tie": len(records) - 1}
+
+    @staticmethod
+    def rows(out: Path) -> list[list[str]]:
+        lines = (out / "predictions.csv").read_text().splitlines()
+        assert lines[0] == "evaluator,fraction,record,label,prediction,prob"
+        return [ln.split(",") for ln in lines[1:]]
+
+    def test_one_row_per_evaluator_fraction_and_record_in_order(self, run):
+        rows = self.rows(run["out"])
+        labels = run["labels"]
+        assert len(rows) == len(self.EVALUATORS) * len(self.FRACTIONS) * len(labels)
+        assert [(e, float(f), int(r), int(y)) for e, f, r, y, _, _ in rows] == [
+            (e, rho, i, labels[i]) for e in self.EVALUATORS for rho in self.FRACTIONS
+            for i in labels]
+
+    def test_classical_rows_have_no_prob_and_ties_read_tie(self, run):
+        for name, _, record, _, prediction, prob in self.rows(run["out"]):
+            if name == "tstf-2":
+                assert repr(float(prob)) == prob
+                assert prediction == str(int(float(prob) >= 0.5))
+            else:
+                assert prob == ""
+                assert (prediction == "tie") == (int(record) == run["tie"])
+                assert prediction in ("0", "1", "tie")
+
+    def test_summaries_recomputed_from_the_table_alone(self, run):
+        scored: dict = {}  # evaluator -> fraction -> [tp, fp, fn, tn]
+        for name, fraction, _, label, prediction, _ in self.rows(run["out"]):
+            truth = int(label)
+            guess = 1 - truth if prediction == "tie" else int(prediction)  # a tie is wrong
+            cell = {(1, 1): 0, (1, 0): 1, (0, 1): 2, (0, 0): 3}[guess, truth]
+            scored.setdefault(name, {}).setdefault(float(fraction), [0, 0, 0, 0])[cell] += 1
+        stability = (run["out"] / "op_stability.csv").read_text().splitlines()
+        for name, by_fraction in scored.items():
+            reports = {rho: metrics_from_confusion(*c) for rho, c in by_fraction.items()}
+            want = ["model,source,fraction,accuracy,precision,recall,f1,op"] + [
+                f"{name},ours,{rho},{m.accuracy},{m.precision},{m.recall},{m.f1},{m.op}"
+                for rho, m in reports.items()]
+            assert (run["out"] / f"stratified_{name}.csv").read_text() == "\n".join(want) + "\n"
+            early = [m.op for rho, m in reports.items() if rho <= 0.4]
+            late = [m.op for rho, m in reports.items() if rho > 0.4]
+            assert f"{name},ours,{float(np.std(early))},{float(np.std(late))}" in stability
+
+    def test_rerun_writes_the_same_bytes(self, run):
+        assert sha(run["out"] / "predictions.csv") == sha(run["rerun"] / "predictions.csv")
 
 
 class TestTimeline:

@@ -328,11 +328,12 @@ class TestReadParity:
         (lambda line: _move_first_value(line, b"],"), LAYOUT),
         (lambda line: _move_first_value(line, b",["), LAYOUT),
         (_edit_record(lambda r: r.__setitem__("other", 1)), LAYOUT),
+        (lambda line: line[:-1] + b',"zz":[0],"kind":"match"}', LAYOUT),
     ], ids=["leading-zero", "digit-after-bracket", "empty-slot", "whitespace",
             "19-digit-value", "2**63-step", "digit-inside-brackets", "minus-zero",
             "plus-sign", "2**63-value", "value-missing", "value-extra", "300-in-plane-0",
             "no-frames", "leading-zero-and-300", "empty-first-slot", "value-after-bracket",
-            "value-before-bracket", "extra-key"])
+            "value-before-bracket", "extra-key", "second-kind-after-frames"])
     def test_fixed_edits(self, tmp_path, edit, words):
         header, line = _canonical_lines(tmp_path)
         path = tmp_path / "d.jsonl"

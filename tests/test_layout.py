@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 from rtslab import cli
+from rtslab.model import WinPredictor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rtslab"
 
@@ -83,3 +85,27 @@ def test_every_flag_and_run_setting_is_wired():
     }
     unread = sorted(f.name for f in dataclasses.fields(cli.RunConfig) if f.name not in read)
     assert not unread, f"RunConfig fields cli.py never reads as cfg.<field>: {unread}"
+
+
+def test_tracer_installs_on_every_name_and_restores_it(monkeypatch):
+    # perfbench's tracer wraps rtslab functions and methods by name, so a
+    # rename in src would stop `perfbench/run.py --trace 1` at install time
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    from tracer import Tracer
+
+    def label(owner):
+        return f"{owner.__module__}.{owner.__qualname__}" if isinstance(owner, type) else owner.__name__
+
+    def snapshot():
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "rtslab"]
+        classes = [c for m in modules for c in vars(m).values()
+                   if isinstance(c, type) and c.__module__.startswith("rtslab")]
+        return {(label(o), key): value for o in modules + classes for key, value in vars(o).items()}
+
+    before = snapshot()
+    forward = WinPredictor.forward
+    with Tracer().installed():
+        assert WinPredictor.forward is not forward
+    after = snapshot()
+    changed = sorted(key for key, value in before.items() if after.get(key) is not value)
+    assert not changed, f"names the tracer did not restore: {changed}"

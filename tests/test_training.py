@@ -17,6 +17,7 @@ from rtslab.sim import (
     raw_planes,
     read_dataset,
     run_match,
+    sample_timeline,
     standard_start,
     write_dataset,
 )
@@ -25,17 +26,18 @@ from rtslab.tensor import Tape, Tensor
 from rtslab.train import (
     AdamW,
     MetricsReport,
+    Prediction,
     TrainConfig,
     bce_loss,
     compute_metrics,
     evaluate_accuracy,
-    neural_predictor,
     op_stability,
     predict_probs,
     progress_stratified_eval,
+    stratified_metrics,
     train_model,
 )
-from rtslab.train.loop import INFER_BATCH, dataset_to_examples
+from rtslab.train.loop import INFER_BATCH, THRESHOLD, dataset_to_examples
 from rtslab.train.metrics import metrics_from_confusion
 
 from oracles import grad_check
@@ -590,31 +592,26 @@ class TestStratified:
                 planes[1] = planes[1] % 11
                 frames.append(((k + 1) * 2, planes))
             records.append(MatchRecord("A", "B", i, "p1" if i % 2 else "p2", 8, frames))
-        predict = neural_predictor(model)  # the model's time_steps: 2
-        rows = progress_stratified_eval(predict, records, fractions=(0.5, 1.0))
-        assert len(rows) == 2
+        # dataset indices need not start at 0 or be sorted
+        by_index = {3 * i + 1 if i % 2 else 40 - i: r for i, r in enumerate(records)}
+        table = progress_stratified_eval([("m", model)], by_index, (0.5, 1.0), None)
+        assert [(row.fraction, row.record) for row in table] == [
+            (rho, i) for rho in (0.5, 1.0) for i in by_index]
+        [_, (_, full)] = stratified_metrics(table)["m"]
         labels = np.array([1 if r.winner == "p1" else 0 for r in records])
-        direct = np.array(predict(records, 1.0))
-        assert rows[1][1].accuracy == pytest.approx(float((direct == labels).mean()))
-
-    @staticmethod
-    def two_records() -> list[MatchRecord]:
-        """Two finished matches, one won by each side (labels 1 and 0)."""
-        frames = [(4, np.zeros((5, 8, 8), dtype=np.uint8))]
-        return [MatchRecord("A", "B", i, w, 4, frames) for i, w in enumerate(("p1", "p2"))]
+        # the model's time_steps: 2
+        probs = predict_probs(model, [sample_timeline(r, 2, 1.0) for r in records])
+        direct = (probs >= THRESHOLD).astype(int)
+        assert full.accuracy == pytest.approx(float((direct == labels).mean()))
+        assert [row.prob for row in table[10:]] == pytest.approx(probs.tolist(), abs=1e-12)
 
     def test_tie_predictions_score_as_wrong(self):
-        rows = progress_stratified_eval(
-            lambda recs, rho: [None] * len(recs), self.two_records(), fractions=(1.0,)
-        )
-        assert rows[0][1].accuracy == 0.0
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_prediction_count_must_match_records(self, count):
-        with pytest.raises(ValueError, match="2 records"):
-            progress_stratified_eval(
-                lambda recs, rho: [1] * count, self.two_records(), fractions=(1.0,)
-            )
+        # a tie on label 1 counts as a false negative, on label 0 as a false positive
+        table = [Prediction("simple", 1.0, 7, 1, None, None),
+                 Prediction("simple", 1.0, 9, 0, None, None)]
+        [(rho, report)] = stratified_metrics(table)["simple"]
+        assert rho == 1.0 and report.accuracy == 0.0
+        assert report.confusion == (0, 1, 1, 0)  # (tp, fp, fn, tn)
 
     def test_op_stability_constant_series(self):
         rows = constant_series([(0.1, 5), (0.3, 5), (0.6, 5), (0.9, 5)])
