@@ -8,13 +8,18 @@ number of concurrent matches.
 
 Target search runs on a unit index (`_UnitIndex`) built in one pass over
 the map by the first plan() on a state and kept in `state.unit_index`, so
-both players' plans in a step share it: the cells of each owner, the
-resource nodes that still hold stock, and the bases of each owner, all in
-row-major order. A query scans only the list that holds its possible
-answers. The key (manhattan distance, row, col) is a total order on cells,
-so the nearest cell does not depend on the order of the scan. Sharing the
-index relies on the engine's contract that a state is not mutated once it
-has been planned on.
+both players' plans in a step share it. It lists the cells of each owner
+in row-major order, and answers "nearest resource node with stock left"
+and "nearest own base" from one memo per target set (`_NearestMemo`): a
+dict from cell to target, filled on first ask by the same scan as an
+enemy query. A small cache keyed by the tuple of target cells shares each
+memo across every state with that target set; nodes run dry and bases
+fall only rarely, so nearly every step reuses the last step's memos. An
+enemy query scans only the enemy's cells. The key (manhattan distance,
+row, col) is a total order on cells, so the nearest cell depends on the
+target set alone, not on the order of the scan. Sharing the index relies
+on the engine's contract that a state is not mutated once it has been
+planned on.
 
 A combat unit makes one scan for the nearest enemy: it attacks that enemy
 if it is within attack range and otherwise steps toward it. If the
@@ -23,10 +28,14 @@ decision as looking for the nearest enemy in range first.
 RandomBiasedLite never steps toward an enemy, so it looks only at the
 cells within reach, in (distance, row, col) order: the first enemy there
 is the nearest enemy whenever that one is in reach, and there is none
-otherwise.
+otherwise. It looks at each neighbor of a unit once, and those looks also
+give its move option and its harvest cycle's step.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import lru_cache
 
 from ..rng import SplitMix64
 from .engine import Action
@@ -50,12 +59,13 @@ class _UnitIndex:
     """A state's view of the map for planning, built in one row-major pass.
 
     `cells[owner]` lists the cells of owner 0 (resource nodes), 1 and 2;
-    `nodes` the resource nodes with stock left; `bases[owner]` the bases.
-    Built once per state by `_index_of` and kept on the state, not on the
-    strategy, so strategies stay stateless.
+    `nearest_node` maps a cell to the nearest resource node with stock
+    left, `nearest_base[owner]` to the nearest base of that owner (see
+    `_NearestMemo`). Built once per state by `_index_of` and kept on the
+    state, not on the strategy, so strategies stay stateless.
     """
 
-    __slots__ = ("cells", "nodes", "bases")
+    __slots__ = ("cells", "nearest_node", "nearest_base")
 
     def __init__(self, state: GameState):
         cells: tuple[list[Position], ...] = ([], [], [])
@@ -69,7 +79,9 @@ class _UnitIndex:
                 bases[u.owner].append(pos)
             elif u.kind is RESOURCE and u.carried > 0:
                 nodes.append(pos)
-        self.cells, self.nodes, self.bases = cells, nodes, bases
+        self.cells = cells
+        self.nearest_node = _memo_of(tuple(nodes))
+        self.nearest_base = tuple(_memo_of(tuple(b)) for b in bases)
 
 
 def _index_of(state: GameState) -> _UnitIndex:
@@ -93,7 +105,7 @@ def _beyond_adjacent(reach: int) -> tuple[tuple[int, int], ...]:
 _BEYOND_ADJACENT = {kind: _beyond_adjacent(reach) for kind, reach in ATTACK_RANGE.items()}
 
 
-def _nearest(pos: Position, cells: list[Position]) -> Position | None:
+def _nearest(pos: Position, cells: Sequence[Position]) -> Position | None:
     """The cell of `cells` first by (manhattan distance to pos, row, col).
 
     Ties on distance go to the smaller (row, col), whatever the order of
@@ -110,20 +122,47 @@ def _nearest(pos: Position, cells: list[Position]) -> Position | None:
     return best
 
 
+class _NearestMemo(dict):
+    """The nearest cell of `cells` to each cell asked for, by the rule of
+    `_nearest`: a dict from cell to target (None if `cells` is empty),
+    filled on first ask."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple[Position, ...]):
+        super().__init__()
+        self.cells = cells
+
+    def __missing__(self, pos: Position) -> Position | None:
+        target = self[pos] = _nearest(pos, self.cells)
+        return target
+
+
+@lru_cache(maxsize=64)
+def _memo_of(cells: tuple[Position, ...]) -> _NearestMemo:
+    """The one memo of a target set, shared by every state that holds it."""
+    return _NearestMemo(cells)
+
+
+@lru_cache(maxsize=8)
+def _neighbors(height: int, width: int) -> dict[Position, tuple[Position, ...]]:
+    """Each cell's in-map neighbors on a height x width map, in the
+    canonical order up, left, right, down, which is (distance, row, col)
+    order."""
+    return {
+        (r, c): tuple(
+            q for q in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
+            if 0 <= q[0] < height and 0 <= q[1] < width
+        )
+        for r in range(height)
+        for c in range(width)
+    }
+
+
 def _free_neighbors(state: GameState, pos: Position) -> list[Position]:
-    """Empty in-bounds neighbors in the canonical order up, left, right, down."""
-    r, c = pos
+    """Empty in-map neighbors in the canonical order up, left, right, down."""
     units = state.units
-    out = []
-    if r > 0 and (r - 1, c) not in units:
-        out.append((r - 1, c))
-    if c > 0 and (r, c - 1) not in units:
-        out.append((r, c - 1))
-    if c + 1 < state.width and (r, c + 1) not in units:
-        out.append((r, c + 1))
-    if r + 1 < state.height and (r + 1, c) not in units:
-        out.append((r + 1, c))
-    return out
+    return [q for q in _neighbors(state.height, state.width)[pos] if q not in units]
 
 
 def _step_toward(state: GameState, src: Position, dst: Position) -> Action | None:
@@ -159,7 +198,7 @@ def _attack_or_advance(state: GameState, pos: Position, reach: int,
 def _harvest_cycle(state: GameState, index: _UnitIndex, player: int, pos: Position,
                    carried: int) -> Action | None:
     """Carry cargo to the nearest own base, or fetch it from the nearest live node."""
-    target = _nearest(pos, index.bases[player] if carried > 0 else index.nodes)
+    target = (index.nearest_base[player] if carried > 0 else index.nearest_node)[pos]
     if target is None:
         return None
     if manhattan(pos, target) == 1:
@@ -206,10 +245,9 @@ class WorkerRushLite(Strategy):
         foes = index.cells[3 - player]
         workers = [p for p in mine if units[p].kind is WORKER]
         harvester: Position | None = None
-        if workers and index.nodes:
-            harvester = min(
-                workers, key=lambda p: (manhattan(p, _nearest(p, index.nodes)), p)
-            )
+        nearest_node = index.nearest_node
+        if workers and nearest_node.cells:
+            harvester = min(workers, key=lambda p: (manhattan(p, nearest_node[p]), p))
         can_train = state.store[player] >= COST[WORKER]
         for pos in mine:
             u = units[pos]
@@ -337,9 +375,10 @@ class RandomBiasedLite(Strategy):
     unit weighs its options: attack the nearest foe 5 if it is in range,
     the harvest/deposit cycle 3 for a worker that has one, a move to a free
     neighbor 2 if there is one, idle 1; it draws the neighbor (`choice`)
-    before the option (`randrange` of the total weight). The attack and the
-    move become Actions only when chosen; the cycle is formed first, since
-    whether it is offered depends on its step.
+    before the option (`randrange` of the total weight), both as
+    `next_u64() % n`, which is what `choice` and `randrange` draw. The
+    cycle is decided first as a (kind, target) pair, since whether it is
+    offered depends on its step; only the option drawn becomes an Action.
     """
 
     name = "RandomBiasedLite"
@@ -348,9 +387,12 @@ class RandomBiasedLite(Strategy):
         acts: list[Action] = []
         index = _index_of(state)
         units = state.units
+        get = units.get
         store = state.store[player]
         enemy = 3 - player
-        height, width = state.height, state.width
+        neighbors = _neighbors(state.height, state.width)
+        nearest_node, nearest_base = index.nearest_node, index.nearest_base[player]
+        draw = rng.next_u64
         for pos in index.cells[player]:
             u = units[pos]
             kind = u.kind
@@ -363,42 +405,53 @@ class RandomBiasedLite(Strategy):
                         if act is not None:
                             acts.append(act)
                 continue
-            # Every unit here attacks at reach 1 or more. One scan of the four
-            # neighbors, in (distance, row, col) order, finds the free cells and
-            # the first adjacent enemy; the cells farther within reach are
-            # scanned only if no enemy is adjacent.
+            # One look at each in-map neighbor, in (distance, row, col) order,
+            # finds the free cells and the first adjacent enemy; the free cells
+            # serve both the move option and the cycle's step. Every unit here
+            # attacks at reach 1 or more; the cells farther within reach are
+            # looked at only if no enemy is adjacent.
             r, c = pos
             free = []
             foe = None
-            for q in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-                v = units.get(q)
+            for q in neighbors[pos]:
+                v = get(q)
                 if v is None:
-                    if 0 <= q[0] < height and 0 <= q[1] < width:
-                        free.append(q)
+                    free.append(q)
                 elif foe is None and v.owner == enemy:
                     foe = q
             if foe is None:
                 for dr, dc in _BEYOND_ADJACENT[kind]:
-                    v = units.get((r + dr, c + dc))
+                    v = get((r + dr, c + dc))
                     if v is not None and v.owner == enemy:
                         foe = (r + dr, c + dc)
                         break
-            attack = foe is not None
-            cycle = (
-                _harvest_cycle(state, index, player, pos, u.carried) if kind is WORKER else None
+            cycle = None  # the cycle's (kind, target)
+            if kind is WORKER:
+                carried = u.carried
+                target = (nearest_base if carried > 0 else nearest_node)[pos]
+                if target is not None:
+                    tr, tc = target
+                    d = abs(tr - r) + abs(tc - c)
+                    if d == 1:
+                        cycle = ("deposit" if carried > 0 else "harvest", target)
+                    else:  # `_step_toward`: the first free neighbor that is closer
+                        for q in free:
+                            if abs(tr - q[0]) + abs(tc - q[1]) < d:
+                                cycle = ("move", q)
+                                break
+            dest = free[draw() % len(free)] if free else None
+            pick = draw() % (
+                (5 if foe is not None else 0) + (3 if cycle is not None else 0)
+                + (2 if free else 0) + 1
             )
-            dest = rng.choice(free) if free else None
-            pick = rng.randrange(
-                (5 if attack else 0) + (3 if cycle is not None else 0) + (2 if free else 0) + 1
-            )
-            if attack:
+            if foe is not None:
                 if pick < 5:
                     acts.append(Action("attack", pos, foe))
                     continue
                 pick -= 5
             if cycle is not None:
                 if pick < 3:
-                    acts.append(cycle)
+                    acts.append(Action(cycle[0], pos, cycle[1]))
                     continue
                 pick -= 3
             if dest is not None and pick < 2:

@@ -12,7 +12,6 @@ record before the next is played.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,6 +55,9 @@ def _play(strategies: dict[str, Strategy], slot: ScheduledMatch, **settings) -> 
 def _play_in_pool(
     play: Callable[[ScheduledMatch], MatchRecord], sched: list[ScheduledMatch], threads: int
 ) -> Generator[MatchRecord, None, None]:
+    # imported here, so a command that plays in-process never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
         yield from pool.map(play, sched, chunksize=4)

@@ -43,7 +43,6 @@ from rtslab.sim.state import GameState, Unit, manhattan
 from rtslab.sim.strategies import (
     _attack_or_advance,
     _free_neighbors,
-    _harvest_cycle,
     _nearest,
     _train_action,
     _UnitIndex,
@@ -500,6 +499,32 @@ def oracle_attack_or_advance(state: GameState, player: int, pos, reach: int):
     return oracle_step_toward(state, pos, target)
 
 
+def oracle_nearest_node(state: GameState, pos):
+    return oracle_nearest(
+        state, pos, lambda q, u: u.kind == UnitKind.RESOURCE and u.carried > 0
+    )
+
+
+def oracle_nearest_base(state: GameState, player: int, pos):
+    return oracle_nearest(
+        state, pos, lambda q, u: u.owner == player and u.kind == UnitKind.BASE
+    )
+
+
+def oracle_harvest_cycle(state: GameState, player: int, pos, carried: int):
+    """Deposit at or step toward the nearest own base while carrying, else
+    harvest at or step toward the nearest live node; both found by full scans."""
+    if carried > 0:
+        target = oracle_nearest_base(state, player, pos)
+    else:
+        target = oracle_nearest_node(state, pos)
+    if target is None:
+        return None
+    if _dist(pos, target) == 1:
+        return Action("deposit" if carried > 0 else "harvest", pos, target)
+    return oracle_step_toward(state, pos, target)
+
+
 def oracle_raw_planes(state: GameState) -> np.ndarray:
     """Per-unit encode: five scalar writes into uint8 planes for each unit."""
     planes = np.zeros((CHANNELS, state.height, state.width), dtype=np.uint8)
@@ -515,9 +540,11 @@ def oracle_raw_planes(state: GameState) -> np.ndarray:
 
 
 # Whole-plan references: each scripted strategy's plan() as it read before
-# the per-unit rewrite, on the library's target-search helpers (checked on
-# their own against the full-map scans above). RandomBiasedLite builds
-# every option as an Action in a weighted list, then draws one.
+# the per-unit rewrite, on the library's enemy-target helpers (checked on
+# their own against the full-map scans above); harvest targets come from
+# the full-map scans themselves, not from the library's memos.
+# RandomBiasedLite builds every option as an Action in a weighted list,
+# then draws one.
 
 
 def oracle_plan_worker_rush(state, player, rng):
@@ -528,8 +555,12 @@ def oracle_plan_worker_rush(state, player, rng):
     foes = index.cells[3 - player]
     workers = [p for p in mine if units[p].kind == UnitKind.WORKER]
     harvester = None
-    if workers and index.nodes:
-        harvester = min(workers, key=lambda p: (manhattan(p, _nearest(p, index.nodes)), p))
+    if workers and any(
+        u.kind == UnitKind.RESOURCE and u.carried > 0 for u in state.units.values()
+    ):
+        harvester = min(
+            workers, key=lambda p: (manhattan(p, oracle_nearest_node(state, p)), p)
+        )
     for pos in mine:
         u = units[pos]
         act = None
@@ -538,7 +569,7 @@ def oracle_plan_worker_rush(state, player, rng):
                 act = _train_action(state, pos, UnitKind.WORKER)
         elif u.kind == UnitKind.WORKER:
             if pos == harvester:
-                act = _harvest_cycle(state, index, player, pos, u.carried)
+                act = oracle_harvest_cycle(state, player, pos, u.carried)
             if act is None:
                 act = _attack_or_advance(
                     state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
@@ -573,7 +604,7 @@ def oracle_plan_barracks_rush(produce, state, player, rng, worker_target=2):
                 if free:
                     act = Action("build", pos, free[0], UnitKind.BARRACKS)
             if act is None:
-                act = _harvest_cycle(state, index, player, pos, u.carried)
+                act = oracle_harvest_cycle(state, player, pos, u.carried)
             if act is None:
                 act = _attack_or_advance(
                     state, pos, ATTACK_RANGE.get(u.kind, 0), _nearest(pos, foes)
@@ -605,7 +636,7 @@ def oracle_plan_economy_rush(state, player, rng, worker_target=5, defense_radius
             if foe is not None and manhattan(pos, foe) <= defense_radius:
                 act = _attack_or_advance(state, pos, ATTACK_RANGE.get(u.kind, 0), foe)
             else:
-                act = _harvest_cycle(state, index, player, pos, u.carried)
+                act = oracle_harvest_cycle(state, player, pos, u.carried)
         if act is not None:
             acts.append(act)
     return acts
@@ -634,7 +665,7 @@ def oracle_plan_random_biased(state, player, rng):
         if foe is not None and manhattan(pos, foe) <= ATTACK_RANGE.get(u.kind, 0):
             weighted.append((Action("attack", pos, foe), 5))
         if u.kind == UnitKind.WORKER:
-            cycle = _harvest_cycle(state, index, player, pos, u.carried)
+            cycle = oracle_harvest_cycle(state, player, pos, u.carried)
             if cycle is not None:
                 weighted.append((cycle, 3))
         free = _free_neighbors(state, pos)

@@ -187,12 +187,12 @@ class TestGenerate:
     def test_threads_above_core_count_exits_3(self, tmp_path, capsys, monkeypatch):
         # a pool forks all its workers at the first submit, so the bound
         # must hold before any pool exists; a pool started here fails loudly
-        import rtslab.sim.tournament
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(rtslab.sim.tournament, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"threads": 1_000_000}))
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])

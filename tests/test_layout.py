@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +71,17 @@ def test_no_module_imports_threading():
             if any(name.split(".")[0] in ("threading", "_thread") for name in names):
                 importers.add(path.relative_to(SRC).as_posix())
     assert not importers, f"modules importing threading: {sorted(importers)}"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `--threads` above 1 needs a process pool, so every other start of
+    # the CLI should not pay for importing multiprocessing
+    probe = "import sys, rtslab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_every_flag_and_run_setting_is_wired():

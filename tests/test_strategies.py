@@ -2,6 +2,7 @@
 whole plans and their rng draws against the pre-rewrite plans, and a pin of
 every decision through the hash of a generated dataset."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -26,6 +27,8 @@ from oracles import (
     oracle_attack_or_advance,
     oracle_free_neighbors,
     oracle_nearest,
+    oracle_nearest_base,
+    oracle_nearest_node,
     oracle_step_toward,
 )
 
@@ -58,6 +61,12 @@ def test_indexed_queries_match_the_full_scan(seed):
     rng = SplitMix64(1000 + seed)
     for _ in range(75):
         s = random_state(rng)
+        # the same bases and nodes among fewer other units: `warm` shares the
+        # memos of `s`, which the queries on `s` fill first
+        t = s.clone()
+        for pos, u in s.units.items():
+            if u.kind not in (UnitKind.BASE, UnitKind.RESOURCE) and rng.randrange(2):
+                del t.units[pos]
         index = _UnitIndex(s)
         for player in (P1, P2):
             assert index.cells[player] == sorted(
@@ -76,21 +85,25 @@ def test_indexed_queries_match_the_full_scan(seed):
                     assert _attack_or_advance(s, pos, reach, foe) == (
                         oracle_attack_or_advance(s, player, pos, reach)
                     )
-                base = _nearest(pos, index.bases[player])
-                assert base == oracle_nearest(
-                    s, pos, lambda q, u: u.owner == player and u.kind == UnitKind.BASE
-                )
+                base = index.nearest_base[player][pos]
+                assert base == oracle_nearest_base(s, player, pos)
                 if base is not None:
                     assert _step_toward(s, pos, base) == oracle_step_toward(s, pos, base)
-            node = _nearest(pos, index.nodes)
-            assert node == oracle_nearest(
-                s, pos, lambda q, u: u.kind == UnitKind.RESOURCE and u.carried > 0
-            )
+            node = index.nearest_node[pos]
+            assert node == oracle_nearest_node(s, pos)
             if node is not None:
                 assert _step_toward(s, pos, node) == oracle_step_toward(s, pos, node)
+        warm = _UnitIndex(t)
+        assert warm.nearest_node is index.nearest_node
+        assert all(a is b for a, b in zip(warm.nearest_base, index.nearest_base))
         for r in range(SIZE):
             for c in range(SIZE):
                 assert _free_neighbors(s, (r, c)) == oracle_free_neighbors(s, (r, c))
+                assert warm.nearest_node[(r, c)] == oracle_nearest_node(t, (r, c))
+                for player in (P1, P2):
+                    assert warm.nearest_base[player][(r, c)] == (
+                        oracle_nearest_base(t, player, (r, c))
+                    )
 
 
 def test_nearest_ignores_scan_order():
@@ -102,19 +115,42 @@ def test_nearest_ignores_scan_order():
     assert _nearest((4, 4), []) is None
 
 
+def match_states(name: str, start):
+    """150 states of a match from `start`: `name` against RandomBiasedLite,
+    where workers harvest and deposit."""
+    s, streams = start, (SplitMix64(1), SplitMix64(2))
+    for _ in range(150):
+        yield s
+        s = step(s, make_strategy(name), make_strategy("RandomBiasedLite"), streams)
+
+
+def dry_start():
+    """The standard start with 2 stock left in each node, so nodes run dry
+    and plans switch target sets mid-match."""
+    s = standard_start()
+    for pos, u in s.units.items():
+        if u.kind == UnitKind.RESOURCE:
+            s.units[pos] = dataclasses.replace(u, carried=2)
+    return s
+
+
 def plan_states(name: str):
     """Seeded random maps with stores in 0..25, so the train and build
-    branches run, then the states of a match of `name` against
-    RandomBiasedLite, where workers harvest and deposit."""
+    branches run, then the states of a match from the standard start and
+    one from `dry_start`."""
     rng = SplitMix64(3000)
     for _ in range(100):
         s = random_state(rng)
         s.store = {P1: rng.randrange(26), P2: rng.randrange(26)}
         yield s
-    s, streams = standard_start(), (SplitMix64(1), SplitMix64(2))
-    for _ in range(150):
-        yield s
-        s = step(s, make_strategy(name), make_strategy("RandomBiasedLite"), streams)
+    yield from match_states(name, standard_start())
+    yield from match_states(name, dry_start())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
+def test_plan_states_switch_node_sets(name):
+    node_sets = {_UnitIndex(s).nearest_node.cells for s in match_states(name, dry_start())}
+    assert len(node_sets) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
