@@ -6,7 +6,15 @@ trains (one pass), moves. Within a pass, actions apply in row-major order
 of the acting unit's cell. Anything invalid at application time (dead
 actor, occupied target, insufficient store) is dropped, so a strategy can
 never corrupt the state; each dropped action logs one "dropping ..." line
-at debug level.
+at debug level where it is judged.
+
+`run_match` stops stepping at a fixed point: a step that moved neither
+player's rng stream and left the units and stores as they were. The
+strategies plan from (state, player, rng) alone, so every later step
+would repeat it; the match runs out the clock without playing them. The
+"dropping ..." lines thus come from played steps only. A skipped step
+would repeat the fixed-point step's drops, and in today's roster that
+step plans nothing.
 
 Planning leaves the pre-step state as it is: the step is applied to a
 clone, so both plans of a step (and any later plan on the same state) can
@@ -63,20 +71,23 @@ def _merge_plans(state, plans: dict[int, list[Action]]) -> list[tuple[int, Actio
     """One action per unit, actor ownership enforced, in pass order and
     row-major within a pass."""
     chosen: dict[Position, tuple[int, Position, int, Action]] = {}
+    phase_of = _PASS.get
+    unit_at = state.units.get
     for player, actions in plans.items():
         for act in actions:
-            phase = _PASS.get(act.kind)
+            phase = phase_of(act.kind)
             if phase is None:
                 log.debug("dropping unknown action kind %r", act.kind)
                 continue
-            unit = state.units.get(act.actor)
+            actor = act.actor
+            unit = unit_at(actor)
             if unit is None or unit.owner != player:
-                log.debug("dropping action by %s on foreign/empty cell %s", player, act.actor)
+                log.debug("dropping action by %s on foreign/empty cell %s", player, actor)
                 continue
-            if act.actor in chosen:
-                log.debug("dropping second order for %s: %s", act.actor, act)
+            if actor in chosen:
+                log.debug("dropping second order for %s: %s", actor, act)
                 continue
-            chosen[act.actor] = (phase, act.actor, player, act)
+            chosen[actor] = (phase, actor, player, act)
     # (pass, actor) is unique per entry, so the sort never compares actions
     return [(player, act) for _, _, player, act in sorted(chosen.values())]
 
@@ -99,11 +110,23 @@ def _attack_damage(s: GameState, player: int, act: Action) -> int:
 def _resolve(s: GameState, player: int, act: Action) -> bool:
     """Apply a harvest, deposit, build, train or move to `s` if it is legal;
     whether it applied."""
-    actor = s.units.get(act.actor)
-    if actor is None or act.target is None or manhattan(act.actor, act.target) != 1:
+    units = s.units
+    src, dst = act.actor, act.target
+    actor = units.get(src)
+    if actor is None or dst is None:
         return False
-    target = s.units.get(act.target)
-    if act.kind == "harvest":
+    dr, dc = dst[0] - src[0], dst[1] - src[1]
+    if (dr if dr >= 0 else -dr) + (dc if dc >= 0 else -dc) != 1:
+        return False
+    target = units.get(dst)
+    kind = act.kind
+    if kind == "move":  # the most common kind: tried first
+        if target is not None or actor.kind not in MOBILE_KINDS or not s.in_bounds(dst):
+            return False
+        del units[src]
+        units[dst] = actor
+        return True
+    if kind == "harvest":
         if (
             actor.kind is not WORKER
             or actor.carried >= CARRY_CAPACITY
@@ -113,14 +136,13 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         ):
             return False
         take = min(HARVEST_AMOUNT, target.carried, CARRY_CAPACITY - actor.carried)
-        s.units[act.actor] = Unit(actor.kind, actor.hp, actor.owner, actor.carried + take)
+        units[src] = Unit(actor.kind, actor.hp, actor.owner, actor.carried + take)
         if target.carried - take <= 0:
-            del s.units[act.target]
+            del units[dst]
         else:
-            s.units[act.target] = Unit(target.kind, target.hp, target.owner,
-                                       target.carried - take)
+            units[dst] = Unit(target.kind, target.hp, target.owner, target.carried - take)
         return True
-    if act.kind == "deposit":
+    if kind == "deposit":
         if (
             actor.kind is not WORKER
             or actor.carried <= 0
@@ -130,18 +152,12 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
         ):
             return False
         s.store[player] = min(STORE_CAP, s.store[player] + actor.carried)
-        s.units[act.actor] = Unit(actor.kind, actor.hp, actor.owner, 0)
+        units[src] = Unit(actor.kind, actor.hp, actor.owner, 0)
         return True
-    # build, train and move need an empty cell on the map
-    if target is not None or not s.in_bounds(act.target):
+    # build and train need an empty cell on the map
+    if target is not None or not s.in_bounds(dst):
         return False
-    if act.kind == "move":
-        if actor.kind not in MOBILE_KINDS:
-            return False
-        del s.units[act.actor]
-        s.units[act.target] = actor
-        return True
-    if act.kind == "build":
+    if kind == "build":
         legal = actor.kind is WORKER and act.produce == BARRACKS
     else:
         legal = (actor.kind is BASE and act.produce == WORKER) or (
@@ -150,7 +166,7 @@ def _resolve(s: GameState, player: int, act: Action) -> bool:
     if not legal or s.store[player] < COST[act.produce]:
         return False
     s.store[player] -= COST[act.produce]
-    s.units[act.target] = Unit(kind=act.produce, hp=MAX_HP[act.produce], owner=player)
+    units[dst] = Unit(kind=act.produce, hp=MAX_HP[act.produce], owner=player)
     return True
 
 
@@ -164,14 +180,13 @@ def step(
     """Advance one tick. Pure given (state, strategies, rng states).
 
     Each applied action is appended to `events` as (player, action), in the
-    order it resolved."""
+    order it resolved; each dropped one logs its line as it is judged."""
     plans = {
         P1: strat1.plan(state, P1, rngs[0]),
         P2: strat2.plan(state, P2, rngs[1]),
     }
     ordered = _merge_plans(state, plans)
     s = state.clone()
-    verdicts: list[tuple[int, Action, bool]] = []
     # Attacks hit simultaneously: judge all against the pre-attack state,
     # then apply the summed damage.
     damage: dict[Position, int] = {}
@@ -180,7 +195,10 @@ def step(
             dmg = _attack_damage(s, player, act)
             if dmg > 0:
                 damage[act.target] = damage.get(act.target, 0) + dmg
-            verdicts.append((player, act, dmg > 0))
+                if events is not None:
+                    events.append((player, act))
+            else:
+                log.debug("dropping invalid %s %s", act.kind, act)
     for pos, dmg in sorted(damage.items()):
         victim = s.units[pos]
         hp = victim.hp - dmg
@@ -190,12 +208,11 @@ def step(
             s.units[pos] = Unit(victim.kind, hp, victim.owner, victim.carried)
     for player, act in ordered:
         if act.kind != "attack":
-            verdicts.append((player, act, _resolve(s, player, act)))
-    for player, act, applied in verdicts:
-        if not applied:
-            log.debug("dropping invalid %s %s", act.kind, act)
-        elif events is not None:
-            events.append((player, act))
+            if _resolve(s, player, act):
+                if events is not None:
+                    events.append((player, act))
+            else:
+                log.debug("dropping invalid %s %s", act.kind, act)
     s.step += 1
     return s
 
@@ -251,18 +268,41 @@ def run_match(
 
     Frames are captured after every `capture_every`-th step, plus the
     terminal state if it would otherwise be missed.
+
+    A step that leaves both rng streams where they were and the units and
+    stores as they were is a fixed point: the strategies plan from (state,
+    player, rng) alone, so every later step repeats it. The match then
+    ends at `max_steps`, scored by the standing units, without playing the
+    rest: the remaining captured frames share one read-only planes array,
+    and the skipped steps call neither strategy nor log a "dropping ..."
+    line. The record is the one every step played would give.
     """
     state = standard_start(size)
-    rngs = (SplitMix64(derive_seed(seed, P1)), SplitMix64(derive_seed(seed, P2)))
+    rng1, rng2 = rngs = (SplitMix64(derive_seed(seed, P1)), SplitMix64(derive_seed(seed, P2)))
     frames: list[tuple[int, np.ndarray]] = []
     winner: str | None = None
     while state.step < max_steps:
-        state = step(state, strat_a, strat_b, rngs)
+        drawn = (rng1.state, rng2.state)
+        before, state = state, step(state, strat_a, strat_b, rngs)
         if state.step % capture_every == 0:
             frames.append((state.step, raw_planes(state)))
         winner = check_winner(state)
         if winner is not None:
             break
+        # rng positions first: a strategy that draws every step never
+        # pays for the dict comparisons
+        if (
+            (rng1.state, rng2.state) == drawn
+            and state.units == before.units
+            and state.store == before.store
+        ):
+            planes = raw_planes(state)
+            planes.flags.writeable = False  # shared: a write would alter every tail frame
+            frames.extend(
+                (k, planes) for k in range(state.step + 1, max_steps + 1)
+                if k % capture_every == 0
+            )
+            state.step = max_steps
     if winner is None:
         winner = _standing_winner(state)
     if not frames or frames[-1][0] != state.step:

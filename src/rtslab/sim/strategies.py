@@ -21,6 +21,12 @@ target set alone, not on the order of the scan. Sharing the index relies
 on the engine's contract that a state is not mutated once it has been
 planned on.
 
+EconomyRushLite looks for a threat to a worker only among the enemy cells
+in the rows within its defense radius of the worker's row: one slice of
+the row-major cell list, found by bisection. Any foe within the radius
+lies in that slice, so the slice's nearest foe is within the radius
+exactly when the nearest foe of all is, and is then that foe.
+
 A combat unit makes one scan for the nearest enemy: it attacks that enemy
 if it is within attack range and otherwise steps toward it. If the
 nearest enemy is out of range, so is every other, so this is the same
@@ -34,6 +40,7 @@ give its move option and its harvest cycle's step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -348,6 +355,7 @@ class EconomyRushLite(Strategy):
         units = state.units
         mine = index.cells[player]
         foes = index.cells[3 - player]
+        radius = self.defense_radius
         n_workers = sum(1 for p in mine if units[p].kind is WORKER)
         can_train = n_workers < self.worker_target and state.store[player] >= COST[WORKER]
         for pos in mine:
@@ -357,8 +365,10 @@ class EconomyRushLite(Strategy):
                 if can_train:
                     act = _train_action(state, pos, WORKER)
             elif u.kind is WORKER:
-                foe = _nearest(pos, foes)
-                if foe is not None and manhattan(pos, foe) <= self.defense_radius:
+                lo = bisect_left(foes, (pos[0] - radius, -1))
+                hi = bisect_left(foes, (pos[0] + radius + 1, -1), lo)
+                foe = _nearest(pos, foes[lo:hi])
+                if foe is not None and manhattan(pos, foe) <= radius:
                     act = _attack_or_advance(state, pos, ATTACK_RANGE[WORKER], foe)
                 else:
                     act = _harvest_cycle(state, index, player, pos, u.carried)
@@ -430,31 +440,26 @@ class RandomBiasedLite(Strategy):
                 carried = u.carried
                 target = (nearest_base if carried > 0 else nearest_node)[pos]
                 if target is not None:
-                    tr, tc = target
-                    d = abs(tr - r) + abs(tc - c)
-                    if d == 1:
+                    dr, dc = target[0] - r, target[1] - c
+                    if (dr if dr >= 0 else -dr) + (dc if dc >= 0 else -dc) == 1:
                         cycle = ("deposit" if carried > 0 else "harvest", target)
-                    else:  # `_step_toward`: the first free neighbor that is closer
+                    else:  # `_step_toward`: the first free neighbor that is closer,
+                        # which is one whose offset points toward the target
                         for q in free:
-                            if abs(tr - q[0]) + abs(tc - q[1]) < d:
+                            if (q[0] - r) * dr + (q[1] - c) * dc > 0:
                                 cycle = ("move", q)
                                 break
             dest = free[draw() % len(free)] if free else None
-            pick = draw() % (
-                (5 if foe is not None else 0) + (3 if cycle is not None else 0)
-                + (2 if free else 0) + 1
-            )
-            if foe is not None:
-                if pick < 5:
-                    acts.append(Action("attack", pos, foe))
-                    continue
-                pick -= 5
-            if cycle is not None:
-                if pick < 3:
-                    acts.append(Action(cycle[0], pos, cycle[1]))
-                    continue
-                pick -= 3
-            if dest is not None and pick < 2:
+            # cumulative option weights: attack 5, cycle 3, move 2, then idle 1
+            upto_attack = 5 if foe is not None else 0
+            upto_cycle = upto_attack + 3 if cycle is not None else upto_attack
+            upto_move = upto_cycle + 2 if free else upto_cycle
+            pick = draw() % (upto_move + 1)
+            if pick < upto_attack:
+                acts.append(Action("attack", pos, foe))
+            elif pick < upto_cycle:
+                acts.append(Action(cycle[0], pos, cycle[1]))
+            elif pick < upto_move:
                 acts.append(Action("move", pos, dest))
         return acts
 

@@ -33,13 +33,13 @@ from rtslab.baselines import (
     RESOURCE_WEIGHT,
     UNIT_WEIGHT,
 )
-from rtslab.rng import SplitMix64
+from rtslab.rng import SplitMix64, derive_seed
 from rtslab.sim import UnitKind
 from rtslab.sim.dataset import _INT64_MAX, _NOT_LAYOUT, _check_match, _match_pieces
-from rtslab.sim.engine import Action, MatchRecord
+from rtslab.sim.engine import Action, MatchRecord, check_winner, step
 from rtslab.sim.encode import CHANNELS, PLANE_FACTION
 from rtslab.sim.rules import ATTACK_RANGE, COST, MAX_HP, P1, P2, TRAINABLE_AT_BARRACKS
-from rtslab.sim.state import GameState, Unit, manhattan
+from rtslab.sim.state import GameState, Unit, manhattan, standard_start
 from rtslab.sim.strategies import (
     _attack_or_advance,
     _free_neighbors,
@@ -537,6 +537,26 @@ def oracle_raw_planes(state: GameState) -> np.ndarray:
         if u.owner in (P1, P2):
             planes[4, r, c] = state.store[u.owner]
     return planes
+
+
+def oracle_run_match(strat_a, strat_b, seed: int, max_steps: int,
+                     capture_every: int) -> MatchRecord:
+    """`run_match` with every step played: a frame after every
+    `capture_every`-th step and after the last one, a fallen base ending
+    the match, and a timeout going to the side with more units."""
+    state = standard_start()
+    rngs = (SplitMix64(derive_seed(seed, P1)), SplitMix64(derive_seed(seed, P2)))
+    frames = []
+    winner = None
+    while state.step < max_steps and winner is None:
+        state = step(state, strat_a, strat_b, rngs)
+        winner = check_winner(state)
+        if state.step % capture_every == 0 or state.step == max_steps or winner is not None:
+            frames.append((state.step, oracle_raw_planes(state)))
+    if winner is None:
+        n1, n2 = (sum(u.owner == p for u in state.units.values()) for p in (P1, P2))
+        winner = "p1" if n1 > n2 else "p2" if n2 > n1 else "draw"
+    return MatchRecord(strat_a.name, strat_b.name, seed, winner, state.step, frames)
 
 
 # Whole-plan references: each scripted strategy's plan() as it read before

@@ -1,5 +1,6 @@
 """Simulator behavior: engine rules, encoding, strategies, determinism."""
 
+import itertools
 import logging
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from rtslab.rng import SplitMix64
-from rtslab.sim import strategies
+from rtslab.sim import engine, strategies
 from rtslab.sim import (
     Action,
     MatchRecord,
@@ -31,8 +32,9 @@ from rtslab.sim.encode import (
 from rtslab.sim.engine import PHASES, check_winner
 from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, STORE_CAP
 from rtslab.sim.state import GameState, Unit
+from rtslab.sim.strategies import DEFAULT_ROSTER
 
-from oracles import empty_state, oracle_decode_planes, oracle_raw_planes
+from oracles import empty_state, oracle_decode_planes, oracle_raw_planes, oracle_run_match
 
 
 def rngs(seed=0):
@@ -304,6 +306,92 @@ class TestRunMatch:
             if check_winner(after):
                 break
             state = after
+
+
+def counted_steps(monkeypatch) -> list[int]:
+    """Patch the engine's `step` to record the step count of each state
+    `run_match` plays from."""
+    played = []
+    real = engine.step
+
+    def counted(state, *args, **kwargs):
+        played.append(state.step)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", counted)
+    return played
+
+
+class Idle:
+    """Plans nothing and draws nothing: the first step is a fixed point."""
+
+    name = "Idle"
+
+    def plan(self, state, player, rng):
+        return []
+
+
+class Dice:
+    """Plans nothing but draws one number a step: the state never changes,
+    the rng stream does, so no step is a fixed point."""
+
+    name = "Dice"
+
+    def plan(self, state, player, rng):
+        rng.next_u64()
+        return []
+
+
+def assert_same_record(ours: MatchRecord, ref: MatchRecord):
+    assert (ours.winner, ours.duration) == (ref.winner, ref.duration)
+    assert [k for k, _ in ours.frames] == [k for k, _ in ref.frames]
+    for (_, a), (_, b) in zip(ours.frames, ref.frames):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFixedPoint:
+    """`run_match` stops stepping a match whose state and rng streams a
+    step left unchanged; the record is the one every step would give."""
+
+    # 7 does not divide 120, so the last frame is the terminal-state rule's
+    @pytest.mark.parametrize("capture_every", [2, 7])
+    def test_every_pair_matches_the_every_step_loop(self, capture_every, monkeypatch):
+        played = counted_steps(monkeypatch)
+        for i, (a, b) in enumerate(itertools.product(DEFAULT_ROSTER, repeat=2)):
+            played.clear()
+            ours = run_match(make_strategy(a), make_strategy(b), 40 + i,
+                             max_steps=120, capture_every=capture_every)
+            assert_same_record(ours, oracle_run_match(
+                make_strategy(a), make_strategy(b), 40 + i, 120, capture_every))
+            if {a, b} == {"PassiveLite", "EconomyRushLite"}:
+                # EconomyRushLite's workers block each other within a few steps
+                assert ours.duration == 120 and len(played) < 20, (a, b)
+            elif "RandomBiasedLite" in (a, b):  # it draws every step
+                assert played == list(range(ours.duration)), (a, b)
+
+    @pytest.mark.parametrize("capture_every", [2, 7])
+    def test_idle_side_fast_forwards_after_one_step(self, capture_every, monkeypatch):
+        played = counted_steps(monkeypatch)
+        passive = make_strategy("PassiveLite")
+        ours = run_match(Idle(), passive, 3, max_steps=120, capture_every=capture_every)
+        assert played == [0]
+        assert_same_record(ours, oracle_run_match(Idle(), passive, 3, 120, capture_every))
+        assert ours.winner == "draw"
+
+    def test_drawing_side_plays_every_step(self, monkeypatch):
+        played = counted_steps(monkeypatch)
+        passive = make_strategy("PassiveLite")
+        ours = run_match(Dice(), passive, 3, max_steps=120, capture_every=7)
+        assert played == list(range(120))
+        assert_same_record(ours, oracle_run_match(Dice(), passive, 3, 120, 7))
+
+    def test_tail_frames_share_one_read_only_array(self):
+        rec = run_match(Idle(), make_strategy("PassiveLite"), 3, max_steps=120)
+        tail = [planes for k, planes in rec.frames if k > 1]
+        assert len(tail) == 60 and all(planes is tail[0] for planes in tail)
+        assert not tail[0].flags.writeable
+        with pytest.raises(ValueError):
+            tail[0][0, 0, 0] = 1
 
 
 class TestUnitIndexSharing:

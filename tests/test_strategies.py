@@ -153,6 +153,21 @@ def test_plan_states_switch_node_sets(name):
     assert len(node_sets) >= 2
 
 
+def test_economy_plan_states_straddle_the_threat_rows():
+    """EconomyRushLite looks for a threat only in the rows within its
+    defense radius of a worker; its plan states hold workers whose nearest
+    foe sits at distance 3 on either edge row of that slice, and at
+    distance 4 on either row just outside it."""
+    seen = set()
+    for s in plan_states("EconomyRushLite"):
+        for pos, u in s.units.items():
+            if u.kind == UnitKind.WORKER:
+                foe = oracle_nearest(s, pos, lambda q, v: v.owner == 3 - u.owner)
+                if foe is not None:
+                    seen.add((dist(pos, foe), foe[0] - pos[0]))
+    assert {(3, -3), (3, 3), (4, -4), (4, 4)} <= seen
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_PLANS))
 def test_plan_matches_the_reference_plan(name):
     """Same actions, in order, and the same rng state after the call."""
