@@ -80,8 +80,3 @@ def winner_by_score(score_p1: float, score_p2: float) -> str:
     if diff < 0:
         return "p2"
     return "tie"
-
-
-def predict_winner_classical(state: GameState, evaluator) -> str:
-    """The sign rule of `winner_by_score` applied to both players' scores."""
-    return winner_by_score(evaluator(state, 1), evaluator(state, 2))

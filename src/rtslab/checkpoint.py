@@ -34,14 +34,12 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
     for name in sorted(params):
         arr = params[name]
         data = np.asarray(arr.data if isinstance(arr, Tensor) else arr, dtype="<f8")
-        if not data.flags.c_contiguous:
-            data = np.ascontiguousarray(data)
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<I", data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}Q", *data.shape))
-        chunks.append(data.tobytes())
+        chunks.append(data.tobytes())  # row-major whatever the array's layout
     Path(path).write_bytes(b"".join(chunks))
 
 

@@ -123,7 +123,6 @@ class RunConfig:
     epochs: int = 30
     batch_size: int | None = None
     lr: float = TrainConfig.lr
-    weight_decay: float = 0.01
 
     def validate(self) -> None:
         if self.preset not in PRESETS:
@@ -368,7 +367,6 @@ def _model_name(config: ModelConfig) -> str:
 def cmd_train(cfg: RunConfig) -> int:
     train_config = TrainConfig(
         lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size if cfg.batch_size is not None else PRESET_BATCH_SIZE[cfg.preset],
         epochs=cfg.epochs,
         seed=cfg.seed,

@@ -16,10 +16,10 @@ docs alone (SplitMix64; Steele, Lea & Flood, OOPSLA 2014):
 The state after n draws from seed s is therefore (s + n * 0x9E3779B97F4A7C15)
 mod 2^64, so output n depends on n alone. A stream computes its outputs
 ahead in blocks with numpy's wrapping uint64 arithmetic, which gives the
-formula's values one for one; only when they are computed changes. Blocks
-double from one value up to `_MAX_BLOCK`, and those below `_NUMPY_BLOCK`
-are computed with Python ints, so a stream that draws a handful of values
-(`derive_seed` makes no stream at all) makes no numpy call.
+formula's values one for one; only when they are computed changes. The
+first block holds 32 values and each next one twice as many, up to
+`_MAX_BLOCK`, so blocks start after 0, 32, 96, 224, ... draws. Seeding
+with `derive_seed` makes no stream and no numpy call.
 
 Doubles in [0, 1) take the top 53 bits of the output; normal deviates use
 Box-Muller on two such doubles (one spare cached per pair).
@@ -36,12 +36,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_NUMPY_BLOCK = 32  # smallest block computed with numpy; smaller ones use Python ints
+_FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 
 
 def _mix(z: int) -> int:
-    """The output for state z."""
+    """The output for state z (Python ints: cheaper than numpy for one value)."""
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
@@ -50,8 +50,6 @@ def _mix(z: int) -> int:
 def _outputs(origin: int, first: int, n: int) -> list[int]:
     """Outputs first .. first + n - 1 (counted from 1) of the stream seeded
     with `origin`, as Python ints."""
-    if n < _NUMPY_BLOCK:
-        return [_mix((origin + k * _GAMMA) & _MASK64) for k in range(first, first + n)]
     z = np.arange(first, first + n, dtype=np.uint64)
     z *= np.uint64(_GAMMA)  # uint64 arrays wrap mod 2^64
     z += np.uint64(origin)
@@ -77,9 +75,14 @@ class SplitMix64:
 
     @property
     def state(self) -> int:
-        """The state after the draws made so far; SplitMix64(state) continues
-        this stream."""
+        """The splitmix state after the u64 draws made so far: SplitMix64(state)
+        continues the u64 stream, but without a pending `normal` spare."""
         return (self._origin + (self._drawn + self._next) * _GAMMA) & _MASK64
+
+    @property
+    def position(self) -> tuple[int, float | None]:
+        """`state` and the pending `normal` spare: all that the next draws depend on."""
+        return self.state, self._spare_normal
 
     def next_u64(self) -> int:
         i = self._next
@@ -96,7 +99,7 @@ class SplitMix64:
         n = len(self._block)
         self._drawn += n
         self._block = _outputs(
-            self._origin, self._drawn + 1, min(2 * n, _MAX_BLOCK) if n else 1
+            self._origin, self._drawn + 1, min(2 * n, _MAX_BLOCK) if n else _FIRST_BLOCK
         )
 
     def uniform(self) -> float:

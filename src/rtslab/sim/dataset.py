@@ -55,6 +55,7 @@ _INT64_MAX = 2**63 - 1
 _INT = re.compile(rb"-?[1-9][0-9]{0,18}|0")  # json.dumps of an int of at most 19 digits
 _VALUE_BYTES = b"0123456789-"
 _NOT_LAYOUT = "match line is not in the writer's layout"
+SPLIT_RATIOS = (10.0, 5.0, 2.5)  # train : test : validation
 
 
 @dataclass
@@ -245,12 +246,8 @@ def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=4)
 def _frame_separators(shape: tuple[int, int, int]) -> bytes:
-    """What is left of one frame of `shape` in the writer's layout once its
-    digits are deleted: `[,[`, the brackets and commas of its planes, `]]`."""
-    channels, height, width = shape
-    row = b"[" + b"," * (width - 1) + b"]"
-    plane = b"[" + b",".join([row] * height) + b"]"
-    return b"[,[" + b",".join([plane] * channels) + b"]]"
+    """The writer's text of one zero frame of `shape`, less its value bytes."""
+    return _frames_text([0], np.zeros((1, *shape), np.uint8)).translate(None, _VALUE_BYTES)
 
 
 def _frame_count(frames: bytes, shape: tuple[int, int, int]) -> int:
@@ -423,21 +420,19 @@ def largest_remainder_sizes(total: int, ratios: tuple[float, ...]) -> list[int]:
 
 
 def split_dataset(
-    records: list[MatchRecord],
-    ratios: tuple[float, float, float] = (10.0, 5.0, 2.5),
-    seed: int = 0,
+    records: list[MatchRecord], seed: int = 0
 ) -> tuple[list[MatchRecord], list[MatchRecord], list[MatchRecord]]:
     """Disjoint, exhaustive (train, test, validation) partition.
 
     Draws are excluded before splitting (the label is binary); the shuffle
-    is deterministic in `seed`; sizes follow largest-remainder rounding.
+    is deterministic in `seed`; sizes follow SPLIT_RATIOS, largest-remainder rounded.
     """
     eligible = [r for r in records if r.winner != "draw"]
     if not eligible:
         raise ValueError("no decided matches to split")
     order = list(range(len(eligible)))
     SplitMix64(seed).shuffle(order)
-    n_train, n_test, n_val = largest_remainder_sizes(len(eligible), ratios)
+    n_train, n_test, n_val = largest_remainder_sizes(len(eligible), SPLIT_RATIOS)
     train = [eligible[i] for i in order[:n_train]]
     test = [eligible[i] for i in order[n_train : n_train + n_test]]
     val = [eligible[i] for i in order[n_train + n_test :]]

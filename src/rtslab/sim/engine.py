@@ -269,9 +269,11 @@ def run_match(
     Frames are captured after every `capture_every`-th step, plus the
     terminal state if it would otherwise be missed.
 
-    A step that leaves both rng streams where they were and the units and
-    stores as they were is a fixed point: the strategies plan from (state,
-    player, rng) alone, so every later step repeats it. The match then
+    A step that leaves both rng streams at the position where they were
+    (`SplitMix64.position`: the u64 state and any pending `normal` spare)
+    and the units and stores as they were is a fixed point: the strategies
+    plan from (state, player, rng) alone, so every later step repeats it.
+    Taking a pending spare moves a stream's position. The match then
     ends at `max_steps`, scored by the standing units, without playing the
     rest: the remaining captured frames share one read-only planes array,
     and the skipped steps call neither strategy nor log a "dropping ..."
@@ -282,7 +284,7 @@ def run_match(
     frames: list[tuple[int, np.ndarray]] = []
     winner: str | None = None
     while state.step < max_steps:
-        drawn = (rng1.state, rng2.state)
+        drawn = (rng1.position, rng2.position)
         before, state = state, step(state, strat_a, strat_b, rngs)
         if state.step % capture_every == 0:
             frames.append((state.step, raw_planes(state)))
@@ -292,7 +294,7 @@ def run_match(
         # rng positions first: a strategy that draws every step never
         # pays for the dict comparisons
         if (
-            (rng1.state, rng2.state) == drawn
+            (rng1.position, rng2.position) == drawn
             and state.units == before.units
             and state.store == before.store
         ):

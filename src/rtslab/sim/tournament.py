@@ -4,13 +4,14 @@ Every unordered strategy pair plays `rounds_per_pair` matches, the second
 half with sides swapped, so C(n,2) * rounds_per_pair matches total with
 exact side balance. Match seeds derive from (tournament seed, pair index,
 round index), making the whole run a pure function of one seed. Matches
-are independent, so execution may fan out over processes; results always
-come back in schedule order, one at a time, so a caller can write each
-record before the next is played.
+are independent, so execution may fan out over processes, a bounded
+number of matches ahead of the caller; results always come back in
+schedule order, one at a time, so a caller can write each record as it lands.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import partial
@@ -18,6 +19,9 @@ from functools import partial
 from ..rng import derive_seed
 from .engine import MatchRecord, run_match
 from .strategies import Strategy, make_strategy
+
+CHUNK = 4  # matches per pool task; one task per match ran slower at --threads 2
+IN_FLIGHT_PER_WORKER = 8  # tasks submitted ahead of the consumer, per worker process
 
 
 @dataclass(frozen=True)
@@ -52,15 +56,28 @@ def _play(strategies: dict[str, Strategy], slot: ScheduledMatch, **settings) -> 
     return run_match(strategies[slot.first], strategies[slot.second], seed=slot.seed, **settings)
 
 
+def _play_chunk(play: Callable, slots: list[ScheduledMatch]) -> list[MatchRecord]:
+    return [play(slot) for slot in slots]
+
+
 def _play_in_pool(
     play: Callable[[ScheduledMatch], MatchRecord], sched: list[ScheduledMatch], threads: int
 ) -> Generator[MatchRecord, None, None]:
-    # imported here, so a command that plays in-process never loads multiprocessing
+    # at most IN_FLIGHT_PER_WORKER * threads tasks of CHUNK matches are not yet
+    # yielded, so records the consumer has not taken cannot pile up here.
+    # Imported here, so a command that plays in-process never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=threads)
+    window = IN_FLIGHT_PER_WORKER * threads
+    pending: deque = deque()
     try:
-        yield from pool.map(play, sched, chunksize=4)
+        for at in range(0, len(sched), CHUNK):
+            pending.append(pool.submit(_play_chunk, play, sched[at : at + CHUNK]))
+            if len(pending) == window:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
     finally:  # a consumer that stops early leaves futures to cancel and workers to join
         pool.shutdown(cancel_futures=True)
 

@@ -54,15 +54,16 @@ class AdamW:
     Every parameter lives in one flat buffer, in dict order: construction
     copies each value in and makes the parameter's `.data` a view into it.
     Gradients likewise live in one flat buffer: a gradient already set is
-    copied in, and each `.grad` becomes a view into it, so a tape's
-    backward accumulates straight into the buffer and `zero_grad` is one
-    fill. The moments are two more flat vectors, so a step is one
-    vectorized pass over all parameters rather than one per parameter.
-    Elementwise, the arithmetic is exactly the formula above. A `.grad`
-    replaced after construction (another array, or None for 0) is copied
-    into the buffer at the next step, and `.grad` is its view again after
-    it. A dict holding one Tensor under two names is rejected, since
-    re-homing it would leave one name's buffer slot orphaned.
+    shape-checked and copied in, and each `.grad` becomes a view into it,
+    so a tape's backward accumulates straight into the buffer and
+    `zero_grad` is one fill. The moments are two more flat vectors, so a
+    step is one vectorized pass over all parameters rather than one per
+    parameter. Elementwise, the arithmetic is exactly the formula above.
+    A gradient reaches the optimizer only through those views: write into
+    `.grad` (`p.grad[...] = g`), never replace it; `step` raises
+    ValueError naming a parameter whose `.grad` is another array or None.
+    A dict holding one Tensor under two names is rejected, since one
+    `.grad` cannot be the view of two buffer slots.
     """
 
     def __init__(self, params: dict[str, Tensor], config: TrainConfig):
@@ -85,29 +86,22 @@ class AdamW:
             p.data = theta
             grad = self._grad[start:end].reshape(p.data.shape)
             if p.grad is not None:
-                grad[...] = self._checked(name, p.grad)
+                if p.grad.shape != grad.shape:
+                    raise ValueError(f"gradient shape {p.grad.shape} != parameter shape "
+                                     f"{grad.shape} for {name}")
+                grad[...] = p.grad
             p.grad = grad
             self._grad_views.append(grad)
             start = end
 
-    def _checked(self, name: str, g: np.ndarray) -> np.ndarray:
-        if g.shape != self.params[name].data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} != parameter shape "
-                f"{self.params[name].data.shape} for {name}"
-            )
-        return g
-
     def step(self) -> None:
-        """Apply one update from the accumulated gradients (missing -> 0)."""
-        c = self.config
+        """Apply one update from the gradients accumulated in the views."""
         for (name, p), view in zip(self.params.items(), self._grad_views):
             if p.grad is not view:
-                if p.grad is None:
-                    view.fill(0.0)  # missing -> 0, so decay still applies
-                else:
-                    view[...] = self._checked(name, p.grad)
-                p.grad = view
+                raise ValueError(
+                    f"{name}: .grad was replaced; write gradients into the optimizer's view"
+                )
+        c = self.config
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - c.beta1 ** t
@@ -122,8 +116,5 @@ class AdamW:
         self._theta -= update
 
     def zero_grad(self) -> None:
-        """Zero every gradient: one fill of the buffer, after which each
-        `.grad` is its view again (a replaced one is dropped)."""
+        """Zero every gradient: one fill of the buffer."""
         self._grad.fill(0.0)
-        for p, view in zip(self.params.values(), self._grad_views):
-            p.grad = view

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..baselines import lanchester_eval, predict_winner_classical, simple_eval
+from ..baselines import lanchester_eval, simple_eval, winner_by_score
 from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
 from ..sim.engine import MatchRecord, sample_timeline
@@ -68,10 +68,12 @@ def progress_stratified_eval(
             table += [Prediction(name, rho, i, labels[i], int(p >= THRESHOLD), p)
                       for i, p in zip(records, probs)]
     if states is not None:
+        # looked up per call, so a wrapper installed on either score sees every call
         for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
             for rho in fractions:
                 for i in records:
-                    winner = predict_winner_classical(states[i, rho], evaluator)
+                    state = states[i, rho]
+                    winner = winner_by_score(evaluator(state, 1), evaluator(state, 2))
                     prediction = None if winner == "tie" else int(winner == "p1")
                     table.append(Prediction(name, rho, i, labels[i], prediction, None))
     return table
@@ -89,15 +91,13 @@ def stratified_metrics(table: list[Prediction]) -> dict[str, list[tuple[float, M
             for name, by_fraction in scored.items()}
 
 
-def op_stability(
-    rows: list[tuple[float, MetricsReport]], split: float = PHASE_SPLIT
-) -> dict[str, float | None]:
-    """Population std of the combined index, early (rho <= split) vs late.
+def op_stability(rows: list[tuple[float, MetricsReport]]) -> dict[str, float | None]:
+    """Population std of the combined index, early (rho <= PHASE_SPLIT) vs late.
 
     Phases with fewer than two points are omitted (None) with a warning.
     """
-    early = [m.op for rho, m in rows if rho <= split]
-    late = [m.op for rho, m in rows if rho > split]
+    early = [m.op for rho, m in rows if rho <= PHASE_SPLIT]
+    late = [m.op for rho, m in rows if rho > PHASE_SPLIT]
     out: dict[str, float | None] = {}
     for phase, values in (("early", early), ("late", late)):
         if len(values) < 2:

@@ -5,12 +5,7 @@ import pytest
 
 from oracles import empty_state, oracle_lanchester, oracle_simple, random_small_state
 
-from rtslab.baselines import (
-    BASE_WEIGHT,
-    lanchester_eval,
-    predict_winner_classical,
-    simple_eval,
-)
+from rtslab.baselines import BASE_WEIGHT, lanchester_eval, simple_eval, winner_by_score
 from rtslab.rng import SplitMix64
 from rtslab.sim import UnitKind, standard_start
 from rtslab.sim.rules import MAX_HP, P1, P2
@@ -65,18 +60,22 @@ class TestLanchesterEval:
         assert lanchester_eval(s, P1) == pytest.approx(expect, abs=1e-12)
 
 
+def verdict(state, evaluator) -> str:
+    return winner_by_score(evaluator(state, P1), evaluator(state, P2))
+
+
 class TestPredictWinner:
     def test_symmetric_state_is_tie(self):
         s = standard_start()
-        assert predict_winner_classical(s, simple_eval) == "tie"
-        assert predict_winner_classical(s, lanchester_eval) == "tie"
+        assert verdict(s, simple_eval) == "tie"
+        assert verdict(s, lanchester_eval) == "tie"
 
     def test_strict_dominance(self):
         s = standard_start()
         s.store[P1] += 3
         s.units[(5, 5)] = Unit(UnitKind.LIGHT, 4, P1)
-        assert predict_winner_classical(s, simple_eval) == "p1"
-        assert predict_winner_classical(s, lanchester_eval) == "p1"
+        assert verdict(s, simple_eval) == "p1"
+        assert verdict(s, lanchester_eval) == "p1"
 
     def test_matches_independent_oracle_on_random_states(self):
         rng = SplitMix64(99)
@@ -108,5 +107,5 @@ class TestProperties:
         snapshot = (dict(s.units), dict(s.store), s.step)
         simple_eval(s, P1)
         lanchester_eval(s, P2)
-        predict_winner_classical(s, simple_eval)
+        verdict(s, simple_eval)
         assert (s.units, s.store, s.step) == snapshot

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rtslab.sim.tournament
-from rtslab.baselines import lanchester_eval, predict_winner_classical, simple_eval
+from rtslab.baselines import lanchester_eval, simple_eval, winner_by_score
 from rtslab.cli import RunConfig, build_parser, main
 from rtslab.model import ModelConfig
 from rtslab.model.config import field_kind
@@ -29,6 +29,7 @@ from rtslab.sim import (
     decode_planes,
     raw_planes,
     read_dataset,
+    run_tournament,
     schedule_round_robin,
     standard_start,
     write_dataset,
@@ -256,6 +257,44 @@ class TestGenerateStream:
         assert rc == 0
         assert played[0] == 10 and peak[0] <= 2
 
+    def test_pool_submits_a_bounded_window_ahead(self, monkeypatch):
+        import concurrent.futures
+
+        tournament = rtslab.sim.tournament
+        played, shutdowns = [], []
+        real = tournament.run_match
+
+        def counted(*args, seed, **kwargs):
+            played.append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        class InlinePool:
+            """Plays each task as it is submitted, in this process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(tournament, "run_match", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        roster = ["WorkerRushLite", "LightRushLite", "PassiveLite"]
+        sched = schedule_round_robin(roster, 40, seed=3)
+        ahead = tournament.IN_FLIGHT_PER_WORKER * 2 * tournament.CHUNK
+        records = run_tournament(roster, 40, 3, max_steps=40, capture_every=4, threads=2)
+        for k in range(1, 41):
+            assert next(records).seed == sched[k - 1].seed
+            assert len(played) <= k + ahead
+        records.close()  # stopping early shuts the pool down, cancelling the rest
+        assert shutdowns == [True]
+        assert played == [slot.seed for slot in sched[:len(played)]] and len(played) < 120
+
     @TWO_CORES
     def test_two_threads_write_the_serial_bytes(self, tmp_path):
         args = ["generate", "--seed", "4", "--roster",
@@ -358,11 +397,12 @@ class TestTrain:
         assert sha(a / "best.ckpt") == sha(b / "best.ckpt")
         assert sha(a / "train_log.csv") == sha(b / "train_log.csv")
 
-    @pytest.mark.parametrize("weight_decay", [-5, 20000])
-    def test_out_of_range_weight_decay_exits_3(self, pipeline, weight_decay, tmp_path, capsys):
-        # at the default lr, 20000 makes the decay factor 1 - lr*wd equal -1
+    @pytest.mark.parametrize("lr", [100, 200])
+    def test_lr_times_weight_decay_out_of_range_exits_3(self, pipeline, lr, tmp_path, capsys):
+        # at the fixed weight decay 0.01, lr 100 makes the decay factor
+        # 1 - lr*wd equal 0 and lr 200 makes it -1
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"weight_decay": weight_decay}))
+        cfg.write_text(json.dumps({"lr": lr}))
         out = tmp_path / "m"
         rc = main(["train", "--config", str(cfg), "--dataset",
                    str(pipeline["data"] / "dataset.jsonl"), "--out", str(out), "--epochs", "1"])
@@ -370,7 +410,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "weight_decay" in err and "0 <= lr*weight_decay < 1" in err
-        assert str(weight_decay) in err
+        assert f"lr={lr}" in err
         assert not (out / "best.ckpt").exists()
 
     def test_bad_setting_exits_3_before_the_dataset_is_read(self, pipeline, tmp_path, capsys):
@@ -378,13 +418,13 @@ class TestTrain:
         data.mkdir()
         shutil.copy(pipeline["data"] / "dataset.jsonl", data)  # no splits.json beside it
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"weight_decay": 20000}))
+        cfg.write_text(json.dumps({"lr": 200}))
         out = tmp_path / "m"
         rc = main(["train", "--config", str(cfg), "--dataset", str(data / "dataset.jsonl"),
                    "--out", str(out), "--epochs", "1"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "weight_decay" in err
+        assert err.count("\n") == 1 and "0 <= lr*weight_decay < 1" in err
         assert not (out / "best.ckpt").exists()
 
     @pytest.mark.parametrize("case,words", [
@@ -1139,7 +1179,7 @@ class TestTimeline:
                 state = decode_planes(frames[int(step)])
                 evaluator = evaluators[name]
                 assert (s1, s2) == (str(evaluator(state, 1)), str(evaluator(state, 2)))
-                assert verdict == predict_winner_classical(state, evaluator)
+                assert verdict == winner_by_score(evaluator(state, 1), evaluator(state, 2))
 
     def test_match_id_out_of_range_exits_3(self, pipeline, tmp_path):
         rc = main([

@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import rtslab.train.stratified
 from rtslab import cli
 from rtslab.model import WinPredictor
+from rtslab.sim import decode_planes, run_tournament
+from rtslab.sim.engine import visible_prefix
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rtslab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rtslab"
 
 
 def test_every_public_definition_is_used_in_src():
@@ -103,7 +107,7 @@ def test_every_flag_and_run_setting_is_wired():
 def test_tracer_installs_on_every_name_and_restores_it(monkeypatch):
     # perfbench's tracer wraps rtslab functions and methods by name, so a
     # rename in src would stop `perfbench/run.py --trace 1` at install time
-    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracer import Tracer
 
     def label(owner):
@@ -122,3 +126,42 @@ def test_tracer_installs_on_every_name_and_restores_it(monkeypatch):
     after = snapshot()
     changed = sorted(key for key, value in before.items() if after.get(key) is not value)
     assert not changed, f"names the tracer did not restore: {changed}"
+
+
+def test_tracer_counts_every_classical_score(monkeypatch):
+    # progress_stratified_eval looks both scores up at call time, so the
+    # tracer's wrappers see each call: two rules, two players a state
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+
+    names = ["WorkerRushLite", "LightRushLite"]
+    records = dict(enumerate(run_tournament(names, 2, 3, max_steps=40, capture_every=4)))
+    fractions = (0.2, 0.6, 1.0)
+    states = {(i, rho): decode_planes(visible_prefix(r, rho)[-1][1])
+              for i, r in records.items() for rho in fractions}
+    tracer = Tracer()
+    with tracer.installed():
+        rtslab.train.stratified.progress_stratified_eval([], records, fractions, states)
+    assert tracer.calls["baselines.eval"] == 4 * len(records) * len(fractions)
+
+
+def test_imports_stay_within_the_declared_dependencies():
+    # numpy is the one runtime dependency: src may import only the standard
+    # library, numpy and itself; tests and docs may add pytest and the
+    # helper modules kept beside them (installed but undeclared packages
+    # such as hypothesis must not creep in)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rtslab"}
+    helpers = {"pytest", "oracles", "parameter_counts", "tracer"}
+    strays = []
+    for folder, names in (("src", allowed), ("tests", allowed | helpers),
+                          ("docs", allowed | helpers)):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    tops = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    tops = [node.module.split(".")[0]]
+                else:
+                    continue
+                strays += [f"{path.relative_to(ROOT)}: {top}" for top in tops if top not in names]
+    assert not strays, f"imports outside the declared dependencies: {strays}"

@@ -342,6 +342,20 @@ class Dice:
         return []
 
 
+class Gauss:
+    """Moves its workers up when a normal deviate exceeds 1.5. Every other
+    step takes the spare of the last Box-Muller pair and draws no u64, so
+    only the pending spare tells that step from a fixed point."""
+
+    name = "Gauss"
+
+    def plan(self, state, player, rng):
+        if rng.normal() <= 1.5:
+            return []
+        return [Action("move", pos, (pos[0] - 1, pos[1]))
+                for pos, u in state.units_of(player) if u.kind == UnitKind.WORKER]
+
+
 def assert_same_record(ours: MatchRecord, ref: MatchRecord):
     assert (ours.winner, ours.duration) == (ref.winner, ref.duration)
     assert [k for k, _ in ours.frames] == [k for k, _ in ref.frames]
@@ -384,6 +398,14 @@ class TestFixedPoint:
         ours = run_match(Dice(), passive, 3, max_steps=120, capture_every=7)
         assert played == list(range(120))
         assert_same_record(ours, oracle_run_match(Dice(), passive, 3, 120, 7))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_taking_a_pending_spare_is_not_a_fixed_point(self, seed, monkeypatch):
+        played = counted_steps(monkeypatch)
+        passive = make_strategy("PassiveLite")
+        ours = run_match(Gauss(), passive, seed, max_steps=200, capture_every=2)
+        assert played == list(range(ours.duration))
+        assert_same_record(ours, oracle_run_match(Gauss(), passive, seed, 200, 2))
 
     def test_tail_frames_share_one_read_only_array(self):
         rec = run_match(Idle(), make_strategy("PassiveLite"), 3, max_steps=120)

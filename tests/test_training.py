@@ -125,7 +125,7 @@ class TestAdamW:
             theta = Tensor(np.array([rng.normal() for _ in range(5)]), requires_grad=True)
             opt = AdamW({"t": theta}, TrainConfig(lr=1e-3))
             for i in range(50):
-                theta.grad = np.sin(np.arange(5) + i) * 0.1
+                theta.grad[...] = np.sin(np.arange(5) + i) * 0.1
                 opt.step()
             return theta.data.copy()
 
@@ -136,7 +136,7 @@ class TestAdamW:
         opt = AdamW({"t": theta}, TrainConfig(lr=5e-3, weight_decay=0.0))
         prev = float((theta.data ** 2).sum())
         for _ in range(100):
-            theta.grad = 2.0 * theta.data
+            theta.grad[...] = 2.0 * theta.data
             opt.step()
             now = float((theta.data ** 2).sum())
             assert now < prev
@@ -161,7 +161,7 @@ class TestAdamW:
                 for k, s in shapes.items() if k != "frozen"
             }
             for k, p in params.items():
-                p.grad = grads.get(k)
+                p.grad[...] = grads.get(k, 0.0)  # the frozen parameter's stays 0
             opt.step()
             bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
             for k in shapes:
@@ -176,10 +176,9 @@ class TestAdamW:
 
     def test_shape_mismatch_rejected(self):
         theta = Tensor(np.zeros(3), requires_grad=True)
-        opt = AdamW({"t": theta}, TrainConfig())
         theta.grad = np.zeros(4)
         with pytest.raises(ValueError, match="shape"):
-            opt.step()
+            AdamW({"t": theta}, TrainConfig())
 
     def test_parameters_and_gradients_share_one_buffer_each(self):
         rng = SplitMix64(22)
@@ -200,54 +199,17 @@ class TestAdamW:
         assert np.array_equal(params["b"].grad, np.arange(4.0))
         assert not np.shares_memory(first.data.base, first.grad.base)
 
-    def _pair(self):
-        """Two equal two-parameter dicts, each owned by its own AdamW."""
-        out = []
-        for _ in range(2):
-            params = {
-                "a": Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True),
-                "b": Tensor(np.array([[1.5], [-0.25]]), requires_grad=True),
-            }
-            out.append((params, AdamW(params, TrainConfig(lr=1e-2))))
-        return out
-
-    def test_gradient_assigned_after_construction_is_used(self):
-        (p1, opt1), (p2, opt2) = self._pair()
-        g = {"a": np.array([0.3, -0.1, 0.7]), "b": np.array([[-2.0], [0.5]])}
-        for k, p in p1.items():
-            p.grad += g[k]  # into the optimizer's own view
-            p2[k].grad = g[k].copy()  # a foreign array
-        opt1.step()
-        opt2.step()
-        for k in p1:
-            assert np.array_equal(p1[k].data, p2[k].data), k
-        assert not np.array_equal(p1["a"].data, np.array([0.5, -1.0, 2.0]) * (1 - 1e-2 * 0.01))
-
-    def test_none_gradient_counts_as_zero(self):
-        (p1, opt1), (p2, opt2) = self._pair()
-        for p in (*p1.values(), *p2.values()):
-            p.grad = np.full(p.data.shape, 0.4)
-        opt1.step()
-        opt2.step()
-        # the second step's gradient must not reuse the first's buffer values
-        p1["a"].grad = None
-        p2["a"].grad = np.zeros(3)
-        for p in (p1["b"], p2["b"]):
-            p.grad = np.full(p.data.shape, -0.2)
-        opt1.step()
-        opt2.step()
-        for k in p1:
-            assert np.array_equal(p1[k].data, p2[k].data), k
-        assert np.array_equal(p1["a"].grad, np.zeros(3))
-
-    def test_zero_grad_drops_a_replaced_gradient(self):
-        (p1, opt1), (p2, opt2) = self._pair()
-        p1["a"].grad = np.ones(3)
-        opt1.zero_grad()
-        opt1.step()
-        opt2.step()
-        for k in p1:
-            assert np.array_equal(p1[k].data, p2[k].data), k
+    @pytest.mark.parametrize("replacement", [None, np.zeros(3)], ids=["none", "another-array"])
+    def test_replaced_gradient_raises_at_step(self, replacement):
+        params = {
+            "a": Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True),
+            "b": Tensor(np.array([[1.5], [-0.25]]), requires_grad=True),
+        }
+        opt = AdamW(params, TrainConfig(lr=1e-2))
+        params["a"].grad = replacement
+        with pytest.raises(ValueError, match="^a: .grad was replaced"):
+            opt.step()
+        assert np.array_equal(params["a"].data, [0.5, -1.0, 2.0])  # no update made
 
     def test_one_tensor_under_two_names_rejected(self):
         theta = Tensor(np.zeros(3), requires_grad=True)
