@@ -9,8 +9,8 @@ three times over different groupings of the same tokens:
     feature   (B*T*N) x C x d' channel slices of one token attend (1 head)
 
 A summary token rides along outside those reshapes; each block updates it
-by single-head cross-attention over the block's patch outputs (residual +
-norm), and the prediction head reads it after the last block:
+by single-head attention over the block's patch outputs, a ``readout``
+node (residual + norm), and the prediction head reads it after the last block:
 
     p(win) = sigmoid(w2 . gelu(w1 . summary + b1) + b2)
 
@@ -72,21 +72,22 @@ class WinPredictor:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _attend(self, xq: Tensor, xkv: Tensor, prefix: str, heads: int, axis: int = -2) -> Tensor:
-        """Fused attention of xq over xkv along `axis` with the weights
-        stored under `prefix`."""
-        weights = (
-            self._p(f"{prefix}.{part}")
-            for part in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-        )
-        return T.attention(xq, xkv, *weights, heads=heads, axis=axis)
+    def _weights(self, prefix: str) -> list[Tensor]:
+        """The eight attention operands stored under `prefix`."""
+        parts = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        return [self._p(f"{prefix}.{part}") for part in parts]
+
+    def _attend(self, x: Tensor, prefix: str, heads: int, axis: int = -2) -> Tensor:
+        """Fused self-attention of x along `axis` with the weights stored
+        under `prefix`."""
+        return T.attention(x, *self._weights(prefix), heads=heads, axis=axis)
 
     def spatial_attention(self, patches: Tensor, layer: int) -> Tensor:
         """Attention among the N patches of each frame; (B, T*N, D) preserved."""
         cfg = self.config
         b = patches.shape[0]
         x = patches.reshape(b * cfg.time_steps, cfg.patches_per_frame, cfg.embed_dim)
-        out = self._attend(x, x, f"layers.{layer}.sa", cfg.heads)
+        out = self._attend(x, f"layers.{layer}.sa", cfg.heads)
         return out.reshape(b, cfg.time_steps * cfg.patches_per_frame, cfg.embed_dim)
 
     def temporal_attention(self, patches: Tensor, layer: int) -> Tensor:
@@ -95,7 +96,7 @@ class WinPredictor:
         cfg = self.config
         b = patches.shape[0]
         x = patches.reshape(b, cfg.time_steps, cfg.patches_per_frame, cfg.embed_dim)
-        out = self._attend(x, x, f"layers.{layer}.ta", cfg.heads, axis=1)
+        out = self._attend(x, f"layers.{layer}.ta", cfg.heads, axis=1)
         return out.reshape(patches.shape)
 
     def feature_attention(self, patches: Tensor, layer: int) -> Tensor:
@@ -103,7 +104,7 @@ class WinPredictor:
         cfg = self.config
         b, m, _ = patches.shape
         x = patches.reshape(b * m, cfg.channels, cfg.channel_dim)
-        out = self._attend(x, x, f"layers.{layer}.fa", heads=1)
+        out = self._attend(x, f"layers.{layer}.fa", heads=1)
         return out.reshape(b, m, cfg.embed_dim)
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
@@ -111,8 +112,8 @@ class WinPredictor:
         return T.layer_norm(x, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
 
     def _summary_update(self, summary: Tensor, patches: Tensor, layer: int) -> Tensor:
-        """Cross-attention: summary token queries all patch outputs."""
-        attended = self._attend(summary, patches, f"layers.{layer}.cls_attn", heads=1)
+        """The summary token reads all patch outputs (one-head attention)."""
+        attended = T.readout(summary, patches, *self._weights(f"layers.{layer}.cls_attn"))
         return self._norm(T.add(summary, attended), f"layers.{layer}.cls_norm")
 
     def encoder_block(

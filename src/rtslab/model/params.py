@@ -6,7 +6,7 @@ Naming scheme (all keys in one flat dict):
     pos (T*N+1, D)                cls (D,)
     layers.{l}.{sa|ta}.{wq,wk,wv,wo} (D, D) and .{bq,bk,bv,bo} (D,)
     layers.{l}.fa.{wq,wk,wv,wo} (d', d') and biases (d',)
-    layers.{l}.cls_attn.*  single-head cross-attention, (D, D) / (D,)
+    layers.{l}.cls_attn.*  single-head summary read-out, (D, D) / (D,)
     layers.{l}.cls_norm.{gamma,beta} (D,)
     layers.{l}.norm.{gamma,beta} (D,)   the LayerNorm closing each block
                                         (allocated but unread on the last)

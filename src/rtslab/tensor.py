@@ -16,7 +16,9 @@ Contracts:
   place; those are the sanctioned exceptions, and each owns the
   parameters while it runs.)
 * Calling ``backward`` twice on the same tape accumulates leaf gradients
-  additively; intermediate node gradients are reset per call.
+  additively. An intermediate node's gradient is released as soon as its
+  backward has consumed it, so after the pass every recorded node's
+  ``.grad`` is None and only the leaves hold theirs.
 * Every public operation leaves only finite values behind; an op that would
   produce NaN/Inf raises NonFiniteError immediately instead of letting it
   propagate.
@@ -68,7 +70,11 @@ class Tape:
         """Populate gradients of everything `loss` depends on.
 
         Leaf gradients accumulate across calls; repeat calls without
-        re-recording therefore add the same gradient again.
+        re-recording therefore add the same gradient again. Each recorded
+        node's gradient is released once its backward has consumed it, so
+        an op may hand that array, or one it has just made, to an input
+        (see Tensor.accumulate_grad) and the pass holds only the gradients
+        still to be consumed.
         """
         if not isinstance(loss, Tensor):
             raise TypeError(f"backward expects a Tensor, got {type(loss).__name__}")
@@ -81,9 +87,11 @@ class Tape:
         if loss._backward is not None:
             loss.grad = np.ones_like(loss.data)
         for node in reversed(self._nodes):
-            if node.grad is None or node._backward is None:
+            g = node.grad
+            if g is None:
                 continue
-            node._backward(node.grad)
+            node.grad = None
+            node._backward(g)
 
 
 class Tensor:
@@ -114,14 +122,23 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into ``.grad``.
+
+        The first gradient is copied, since later accumulation writes into
+        it, unless the caller passes `fresh`: `g` is an array it has just
+        made, or the released gradient of the node being consumed, and it
+        keeps no other reference to it. A fresh `g` of this tensor's shape
+        is adopted as ``.grad`` without a copy.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif fresh and g.shape == self.data.shape:
+            self.grad = g
+        else:
             if g.shape != self.data.shape:
                 g = np.broadcast_to(g, self.data.shape)
-            # a copy, never an alias: later accumulation writes into it
             self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -196,8 +213,9 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
+        # g is this node's released gradient: a may adopt it, so b copies
         if a.requires_grad:
-            a.accumulate_grad(_sum_to_shape(g, a.shape))
+            a.accumulate_grad(_sum_to_shape(g, a.shape), fresh=True)
         if b.requires_grad:
             b.accumulate_grad(_sum_to_shape(g, b.shape))
 
@@ -296,7 +314,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dx = dxhat - (np.einsum("...i->...", dxhat) / n)[..., None]
             dx -= xhat * proj[..., None]
             dx *= inv
-            a.accumulate_grad(dx)
+            a.accumulate_grad(dx, fresh=True)
         if gamma.requires_grad:
             gamma.accumulate_grad(_sum_to_shape(g * xhat, gamma.shape))
         if beta.requires_grad:
@@ -312,9 +330,12 @@ def _split_heads(rows: np.ndarray, lead: tuple[int, ...], axis: int, heads: int,
 
     `lead` is the token grid the rows come from (the input's shape without
     its feature axis); S = lead[axis] and G is the product of the other
-    lead axes, kept in their order. The split is one transposed copy.
-    numpy's batched matmul on a transposed view costs about twice the copy
-    and the matmul together."""
+    lead axes, kept in their order. The split is one transposed copy:
+    numpy's batched matmul on a transposed view as its second operand
+    costs more than the copy and the product together (31.0 against 5.5 +
+    13.6 us at (16,5,16,4)@(16,5,4,16)), while a transposed first operand
+    costs no more than a contiguous one (8.2 against 13.4 us at
+    (16,5,16,16)@(16,5,16,4))."""
     n = len(lead)
     x = rows.reshape(*lead, heads, rows.shape[-1] // heads)
     rest = tuple(i for i in range(n) if i != axis)
@@ -323,9 +344,13 @@ def _split_heads(rows: np.ndarray, lead: tuple[int, ...], axis: int, heads: int,
     return x.reshape(-1, *x.shape[-3:])
 
 
-def _merge_heads(x: np.ndarray, lead: tuple[int, ...], axis: int) -> np.ndarray:
-    """(G, heads, S, dh) -> rows of heads*dh in the stored order of the
-    token grid `lead`, by one transposed copy; inverse of _split_heads."""
+def _merge_heads(x: np.ndarray, lead: tuple[int, ...], axis: int,
+                 transpose: bool = False) -> np.ndarray:
+    """(G, heads, S, dh), or with `transpose` (G, heads, dh, S) -> rows of
+    heads*dh in the stored order of the token grid `lead`, by one
+    transposed copy; inverse of _split_heads with the same flag."""
+    if transpose:
+        x = x.swapaxes(-1, -2)
     n = len(lead)
     _, h, s, dh = x.shape
     x = x.reshape(*(d for i, d in enumerate(lead) if i != axis), h, s, dh)
@@ -360,91 +385,155 @@ def _block_softmax(s: np.ndarray) -> np.ndarray | None:
     return s
 
 
-def attention(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, axis: int = -2) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape node.
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, axis: int = -2) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one tape node.
 
-    Queries xq attend over keys/values xkv along the token axis `axis`;
-    the last axis holds each token's E features, and every other axis is a
-    group axis, on which xq and xkv must agree. So (G, Sq, E) over
-    (G, Sk, E) with the default axis attends within each group G, and
-    (B, T, N, E) with axis=1 attends across T for each (B, N) pair, with
-    no regrouping copy. Pass the same tensor twice for self-attention.
-    Weights multiply on the right (q = xq @ wq + bq, likewise k and v from
-    xkv); the A projected dims split into `heads` heads of A/heads each,
-    scores scale by 1/sqrt(A/heads), and the merged heads go through
-    out = mix @ wo + bo, giving xq's shape with O features. Each
-    projection is one 2-D product over all token rows in their stored
-    order, and the scale is folded into q's weights; each head split and
-    merge is one transposed copy to or from those rows. The softmax
-    shifts each (group, head) block of scores by the block's max (see
-    _block_softmax); only a row whose exponentials underflow there, one
-    whose max lies about 708 or more below its block's, sends the call to
-    the row-max _softmax. The forward keeps the probabilities, the
-    head-split q and the k and v rows, so the backward is closed form with
-    no recompute; its products are 2-D over rows too.
+    The tokens of x attend to each other along the token axis `axis`; the
+    last axis holds each token's E features, and every other axis is a
+    group axis. So (G, S, E) with the default axis attends within each
+    group G, and (B, T, N, E) with axis=1 attends across T for each (B, N)
+    pair, with no regrouping copy. Weights multiply on the right (q = x @
+    wq + bq, likewise k and v); the A projected dims split into `heads`
+    heads of A/heads each, scores scale by 1/sqrt(A/heads), and the merged
+    heads go through out = mix @ wo + bo, giving x's shape with O
+    features. Each projection is one 2-D product over all token rows in
+    their stored order, and the scale is folded into q's weights; each
+    head split and merge is one transposed copy to or from those rows. The
+    softmax shifts each (group, head) block of scores by the block's max
+    (see _block_softmax); only a row whose exponentials underflow there,
+    one whose max lies about 708 or more below its block's, sends the call
+    to the row-max _softmax. The forward keeps the probabilities P and the
+    head-split q, kt (keys, transposed) and vs (values), so the backward is
+    closed form with no recompute and no re-split. It works in those
+    layouts: dS^T = V dMix^T, then dK = dS^T Q, dQ^T = K^T dS^T and
+    dV^T = dMix^T P, each merged from its own layout.
     """
-    xq, xkv = _coerce(xq), _coerce(xkv)
+    x = _coerce(x)
     wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
-    nd = xq.ndim
-    if nd < 3 or xkv.ndim != nd:
-        raise ValueError(
-            f"attention needs inputs of equal rank >= 3, got {xq.shape} and {xkv.shape}"
-        )
+    nd = x.ndim
+    if nd < 3:
+        raise ValueError(f"attention needs an input of rank >= 3, got {x.shape}")
     if not -nd <= axis < nd or axis % nd == nd - 1:
         raise ValueError(
-            f"attention axis {axis} must name a token axis of {xq.shape}, not the feature axis"
+            f"attention axis {axis} must name a token axis of {x.shape}, not the feature axis"
         )
     axis %= nd
-    lead_q, lead_kv = xq.shape[:-1], xkv.shape[:-1]
-    if lead_q[:axis] + lead_q[axis + 1:] != lead_kv[:axis] + lead_kv[axis + 1:]:
-        raise ValueError(
-            f"attention inputs {xq.shape} and {xkv.shape} differ on a group axis "
-            f"(token axis {axis})"
-        )
+    lead = x.shape[:-1]
     width = wq.shape[-1]
     if heads < 1 or width % heads:
         raise ValueError(f"attention width {width} not divisible by heads {heads}")
     scale = 1.0 / math.sqrt(width // heads)
-    xq2 = xq.data.reshape(-1, xq.shape[-1])
-    xkv2 = xkv.data.reshape(-1, xkv.shape[-1])
-    q = np.matmul(xq2, wq.data * scale)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    q = np.matmul(x2, wq.data * scale)
     q += bq.data * scale
-    q = _split_heads(q, lead_q, axis, heads)
-    k = np.matmul(xkv2, wk.data)
+    q = _split_heads(q, lead, axis, heads)
+    k = np.matmul(x2, wk.data)
     k += bk.data
-    kt = _split_heads(k, lead_kv, axis, heads, transpose=True)
-    v = np.matmul(xkv2, wv.data)
+    kt = _split_heads(k, lead, axis, heads, transpose=True)
+    v = np.matmul(x2, wv.data)
     v += bv.data
+    vs = _split_heads(v, lead, axis, heads)
     p = _block_softmax(np.matmul(q, kt))
     if p is None:
         p = _softmax(np.matmul(q, kt))
-    mix = _merge_heads(np.matmul(p, _split_heads(v, lead_kv, axis, heads)), lead_q, axis)
+    mix = _merge_heads(np.matmul(p, vs), lead, axis)
     data = np.matmul(mix, wo.data)
     data += bo.data
 
     def backward(g):
         g2 = g.reshape(mix.shape[0], -1)
-        dmix = _split_heads(np.matmul(g2, wo.data.T), lead_q, axis, heads)
-        ds = np.matmul(dmix, _split_heads(v, lead_kv, axis, heads, transpose=True))
-        ds -= np.einsum("...i,...i->...", ds, p)[..., None]
-        ds *= p
-        dq = _merge_heads(np.matmul(ds, _split_heads(k, lead_kv, axis, heads)), lead_q, axis)
+        dmixt = _split_heads(np.matmul(g2, wo.data.T), lead, axis, heads, transpose=True)
+        dst = np.matmul(vs, dmixt)  # dS^T: (G, h, Sk, Sq)
+        dst -= np.einsum("...ij,...ji->...i", p, dst)[..., None, :]
+        dst *= p.swapaxes(-1, -2)
+        dq = _merge_heads(np.matmul(kt, dst), lead, axis, transpose=True)
         dq *= scale
-        dk = _merge_heads(np.matmul(np.ascontiguousarray(ds.swapaxes(-1, -2)), q), lead_kv, axis)
-        dv = _merge_heads(np.matmul(np.ascontiguousarray(p.swapaxes(-1, -2)), dmix), lead_kv, axis)
+        dk = _merge_heads(np.matmul(dst, q), lead, axis)
+        dv = _merge_heads(np.matmul(dmixt, p), lead, axis, transpose=True)
         _linear_grads(mix, g2, wo, bo)
-        _linear_grads(xq2, dq, wq, bq)
-        _linear_grads(xkv2, dk, wk, bk)
-        _linear_grads(xkv2, dv, wv, bv)
-        # for self-attention xq is xkv and the two contributions accumulate
-        if xq.requires_grad:
-            xq.accumulate_grad(np.matmul(dq, wq.data.T).reshape(xq.shape))
-        if xkv.requires_grad:
+        _linear_grads(x2, dq, wq, bq)
+        _linear_grads(x2, dk, wk, bk)
+        _linear_grads(x2, dv, wv, bv)
+        if x.requires_grad:
             dx = np.matmul(dk, wk.data.T)
             dx += np.matmul(dv, wv.data.T)
-            xkv.accumulate_grad(dx.reshape(xkv.shape))
+            dx += np.matmul(dq, wq.data.T)
+            x.accumulate_grad(dx.reshape(x.shape), fresh=True)
 
-    return _result(data.reshape(*lead_q, -1), (xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return _result(data.reshape(*lead, -1), (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+
+
+def readout(s, x, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
+    """One-head attention of one query token per clip over the clip's
+    tokens, as one tape node: s (B, 1, E) reads x (B, M, E).
+
+    The forward is attention's arithmetic on these shapes (the same
+    products on operands of the same shapes, in the same order), so its
+    result is bit for bit that of the attention kernel with s as the
+    queries and x as the keys and values. With c = 1/sqrt(A), q = s Wq c +
+    bq c, k_j = x_j Wk + bk and v_j = x_j Wv + bv, the backward forms no
+    per-token key or value: dp_j = x_j (Wv dmix^T) + bv dmix, whose
+    constant cancels in ds = p (dp - sum p dp); then with du = sum ds_j x_j
+    and c_x = sum p_j x_j, dWk = du^T q, dbk = (sum ds_j) q, dWv = c_x^T
+    dmix, dbv = (sum p_j) dmix, dq = du Wk + (sum ds_j) bk, and dx_j =
+    ds_j (q Wk^T) + p_j (dmix Wv^T). The node keeps q, p and mix.
+    """
+    s, x = _coerce(s), _coerce(x)
+    wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
+    if s.ndim != 3 or x.ndim != 3 or s.shape[1] != 1 or s.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"readout needs a query (B, 1, E) and tokens (B, M, E), got {s.shape} and {x.shape}"
+        )
+    b, m, _ = x.shape
+    scale = 1.0 / math.sqrt(wq.shape[-1])
+    s2 = s.data.reshape(b, -1)
+    x2 = x.data.reshape(b * m, -1)
+    q = np.matmul(s2, wq.data * scale)
+    q += bq.data * scale
+    k = np.matmul(x2, wk.data)
+    k += bk.data
+    kt = np.ascontiguousarray(k.reshape(b, 1, m, -1).swapaxes(-1, -2))
+    v = np.matmul(x2, wv.data)
+    v += bv.data
+    # one query row: its block max is its row max, so the sum is at least 1
+    p = _block_softmax(np.matmul(q.reshape(b, 1, 1, -1), kt))
+    mix = np.matmul(p, v.reshape(b, 1, m, -1)).reshape(b, -1)
+    p = p.reshape(b, m)
+    data = np.matmul(mix, wo.data)
+    data += bo.data
+
+    def backward(g):
+        g2 = g.reshape(b, -1)
+        dmix = np.matmul(g2, wo.data.T)
+        x3 = x.data.reshape(b, m, -1)
+        u = np.matmul(dmix, wv.data.T)  # (B, E): Wv dmix^T, per clip
+        dp = np.matmul(x3, u[:, :, None])[:, :, 0]
+        ds = dp - np.einsum("bj,bj->b", p, dp)[:, None]
+        ds *= p
+        ds_sum = np.einsum("bj->b", ds)
+        du = np.matmul(ds[:, None, :], x3)[:, 0]
+        _linear_grads(mix, g2, wo, bo)
+        if wk.requires_grad:
+            wk.accumulate_grad(np.matmul(du.T, q))
+        if bk.requires_grad:
+            bk.accumulate_grad(np.matmul(ds_sum, q))
+        if wv.requires_grad:
+            cx = np.matmul(p[:, None, :], x3)[:, 0]
+            wv.accumulate_grad(np.matmul(cx.T, dmix))
+        if bv.requires_grad:
+            bv.accumulate_grad(np.matmul(np.einsum("bj->b", p), dmix))
+        dq = np.matmul(du, wk.data)
+        dq += ds_sum[:, None] * bk.data
+        dq *= scale
+        _linear_grads(s2, dq, wq, bq)
+        if s.requires_grad:
+            s.accumulate_grad(np.matmul(dq, wq.data.T).reshape(s.shape), fresh=True)
+        if x.requires_grad:
+            dx = ds[:, :, None] * np.matmul(q, wk.data.T)[:, None, :]
+            dx += p[:, :, None] * u[:, None, :]
+            x.accumulate_grad(dx, fresh=True)
+
+    return _result(data.reshape(b, 1, -1), (s, x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +549,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
+            a.accumulate_grad(g.reshape(a.shape), fresh=True)
 
     return _result(data, (a,), backward)
 

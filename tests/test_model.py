@@ -344,6 +344,39 @@ class TestTapeBudget:
             tape.backward(loss)
         assert len(tape) == nodes
 
+    # Bytes one desk B=2 forward's tape keeps alive: the distinct base
+    # arrays reachable from each recorded node's output and from the cells
+    # of its backward closure (a tensor there counts by its data), less
+    # the model's parameters. The attention nodes keep P and the
+    # head-split q, keys (transposed) and values; the readout node keeps
+    # q, P and mix.
+    @pytest.mark.parametrize(
+        "variant,nbytes",
+        [("tstf", 2_465_960), ("space_time_only", 1_872_040)],
+        ids=["tstf", "space_time_only"],
+    )
+    def test_desk_forward_tape_bytes(self, variant, nbytes):
+        from rtslab.train import bce_loss
+
+        def base(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        cfg = dataclasses.replace(get_preset("desk"), variant=variant)
+        model = WinPredictor.create(cfg, seed=19)
+        params = {id(base(p.data)) for p in model.params.values()}
+        with Tape() as tape:
+            bce_loss(model.forward(random_input(cfg, 2, seed=38)), np.array([0.0, 1.0]))
+        kept = {}
+        for node in tape._nodes:
+            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+            for a in [node.data, *cells]:
+                a = a.data if isinstance(a, Tensor) else a
+                if isinstance(a, np.ndarray) and id(base(a)) not in params:
+                    kept[id(base(a))] = base(a)
+        assert sum(a.nbytes for a in kept.values()) == nbytes
+
 
 class TestParamAccounting:
     @pytest.mark.parametrize("preset", ["desk", "tstf-6", "tstf-8", "timesformer-12"])

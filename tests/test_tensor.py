@@ -163,88 +163,80 @@ class TestLayerNorm:
             assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-4)
 
 
-def attention_case(
-    seed: int, groups: int, sq: int, sk: int, width: int, self_attn: bool, spread: float = 1.0
-):
-    """Inputs and the ten attention operands for one attention call; the
-    first token of each group's inputs is multiplied by `spread`."""
+def attention_case(seed: int, groups: int, tokens: int, width: int, spread: float = 1.0):
+    """Input and the eight weights of one self-attention call; the first
+    token of each group is multiplied by `spread`."""
     rng = SplitMix64(seed)
-    xq = rand(rng, (groups, sq, width))
-    xkv = xq if self_attn else rand(rng, (groups, sk, width))
-    xq.data[:, 0] *= spread
-    if not self_attn:
-        xkv.data[:, 0] *= spread
-    weights = []
-    for _ in range(4):
-        weights.append(rand(rng, (width, width)))
-        weights.append(rand(rng, (width,)))
-    return xq, xkv, weights
+    x = rand(rng, (groups, tokens, width))
+    x.data[:, 0] *= spread
+    weights = [rand(rng, shape) for _ in range(4) for shape in ((width, width), (width,))]
+    return x, weights
 
 
 ATTENTION_CASES = {
-    # name: (groups, Sq, Sk, width, heads, self-attention, first-token spread)
-    "self_five_heads": (2, 3, 3, 10, 5, True, 1.0),
-    "self_one_head": (2, 3, 3, 4, 1, True, 1.0),
-    "cross_single_query": (2, 1, 4, 6, 1, False, 1.0),
+    # name: (groups, tokens, width, heads, first-token spread)
+    "self_five_heads": (2, 3, 10, 5, 1.0),
+    "self_one_head": (2, 3, 4, 1, 1.0),
     # the desk preset's shapes: rows of 8 and 16 scores
-    "desk_spatial": (2, 16, 16, 20, 5, True, 1.0),
-    "desk_temporal": (2, 8, 8, 20, 5, True, 1.0),
-    "desk_feature": (3, 5, 5, 4, 1, True, 1.0),
+    "desk_spatial": (2, 16, 20, 5, 1.0),
+    "desk_temporal": (2, 8, 20, 5, 1.0),
+    "desk_feature": (3, 5, 4, 1, 1.0),
     # scores of one block span far more than 745: some rows underflow
     # under the block max, so the call falls back to the row-max softmax
-    "underflow_guard": (2, 8, 8, 20, 5, True, 30.0),
+    "underflow_guard": (2, 8, 20, 5, 30.0),
 }
 
+WEIGHT_NAMES = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
-def token_axis_case(seed: int, tq: int, tk: int):
-    """(B, T, N, D) queries and keys/values for attention along T (axis=1),
-    and the ten attention operands; tq == tk means self-attention."""
+
+def token_axis_case(seed: int, frames: int = 4):
+    """(B, T, N, D) input for attention along T (axis=1) and the eight
+    weights."""
     rng = SplitMix64(seed)
-    xq = rand(rng, (2, tq, 3, 10))
-    xkv = xq if tq == tk else rand(rng, (2, tk, 3, 10))
+    x = rand(rng, (2, frames, 3, 10))
     weights = [rand(rng, shape) for _ in range(4) for shape in ((10, 10), (10,))]
-    return xq, xkv, weights
+    return x, weights
 
 
-# name: (Tq, Tk); the heads are always 5 of width 2
-TOKEN_AXIS_CASES = {"self": (4, 4), "cross": (2, 5)}
+# name: frames T; the heads are always 5 of width 2. One frame attends
+# only to itself.
+TOKEN_AXIS_CASES = {"self": 4, "single_frame": 1}
+
+
+def random_mix(seed: int, shape) -> Tensor:
+    rng = SplitMix64(seed)
+    return Tensor(np.array([rng.normal() for _ in range(math.prod(shape))]).reshape(shape))
 
 
 class TestAttention:
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_fused_forward_matches_composed_reference(self, case):
-        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
-        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn, spread)
-        fused = T.attention(xq, xkv, *weights, heads=heads)
-        composed = composed_attention(xq, xkv, *weights, heads=heads)
-        assert fused.shape == (groups, sq, width)
+        groups, tokens, width, heads, spread = ATTENTION_CASES[case]
+        x, weights = attention_case(200, groups, tokens, width, spread)
+        fused = T.attention(x, *weights, heads=heads)
+        composed = composed_attention(x, x, *weights, heads=heads)
+        assert fused.shape == (groups, tokens, width)
         assert np.allclose(fused.data, composed.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
     def test_gradient_check(self, case):
-        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
-        xq, xkv, weights = attention_case(201, groups, sq, sk, width, self_attn, spread)
-        rng = SplitMix64(202)
-        mix = Tensor(
-            np.array([rng.normal() for _ in range(groups * sq * width)]).reshape(groups, sq, width)
-        )
-        params = {"xq": xq, "xkv": xkv} if not self_attn else {"x": xq}
-        names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-        params.update(zip(names, weights))
+        groups, tokens, width, heads, spread = ATTENTION_CASES[case]
+        x, weights = attention_case(201, groups, tokens, width, spread)
+        mix = random_mix(202, x.shape)
         res = grad_check(
-            lambda: mean(mul(T.attention(xq, xkv, *weights, heads=heads), mix)),
-            params, h=1e-5, tol=1e-4,
+            lambda: mean(mul(T.attention(x, *weights, heads=heads), mix)),
+            {"x": x, **dict(zip(WEIGHT_NAMES, weights))}, h=1e-5, tol=1e-4,
         )
         assert res.passed, res.summary()
 
     @pytest.mark.parametrize("case,falls_back", [("underflow_guard", True), ("desk_spatial", False)])
     def test_row_max_softmax_only_on_underflow(self, case, falls_back, monkeypatch):
-        groups, sq, sk, width, heads, self_attn, spread = ATTENTION_CASES[case]
-        xq, xkv, weights = attention_case(200, groups, sq, sk, width, self_attn, spread)
+        groups, tokens, width, heads, spread = ATTENTION_CASES[case]
+        x, weights = attention_case(200, groups, tokens, width, spread)
         calls = []
         row_max = T._softmax
         monkeypatch.setattr(T, "_softmax", lambda x: calls.append(x) or row_max(x))
-        T.attention(xq, xkv, *weights, heads=heads)
+        T.attention(x, *weights, heads=heads)
         assert bool(calls) == falls_back
         if falls_back:
             scores = calls[0]
@@ -252,59 +244,112 @@ class TestAttention:
             assert span.max() > 745
 
     def test_one_tape_node(self):
-        xq, xkv, weights = attention_case(203, 2, 3, 3, 10, True)
+        x, weights = attention_case(203, 2, 3, 10)
         with Tape() as tape:
-            T.attention(xq, xkv, *weights, heads=5)
+            T.attention(x, *weights, heads=5)
         assert len(tape) == 1
 
     def test_heads_must_divide_width(self):
-        xq, xkv, weights = attention_case(204, 1, 2, 2, 10, True)
+        x, weights = attention_case(204, 1, 2, 10)
         with pytest.raises(ValueError, match="heads"):
-            T.attention(xq, xkv, *weights, heads=3)
+            T.attention(x, *weights, heads=3)
+
+    @pytest.mark.parametrize("shape,axis", [((6, 4, 10), -2), ((2, 4, 3, 10), 1)])
+    def test_merge_heads_inverts_split_heads(self, shape, axis):
+        lead, axis = shape[:-1], axis % len(shape)
+        rows = np.arange(math.prod(shape), dtype=np.float64).reshape(-1, shape[-1])
+        split = T._split_heads(rows, lead, axis, 5)
+        split_t = T._split_heads(rows, lead, axis, 5, transpose=True)
+        assert split.shape == (math.prod(lead) // lead[axis], 5, lead[axis], 2)
+        assert np.array_equal(split_t, split.swapaxes(-1, -2))
+        assert np.array_equal(T._merge_heads(split, lead, axis), rows)
+        assert np.array_equal(T._merge_heads(split_t, lead, axis, transpose=True), rows)
 
     @pytest.mark.parametrize("case", sorted(TOKEN_AXIS_CASES))
     def test_token_axis_matches_permuted_reference(self, case):
-        xq, xkv, weights = token_axis_case(205, *TOKEN_AXIS_CASES[case])
-        fused = T.attention(xq, xkv, *weights, heads=5, axis=1)
+        x, weights = token_axis_case(205, TOKEN_AXIS_CASES[case])
+        fused = T.attention(x, *weights, heads=5, axis=1)
 
-        def grouped(x):  # (B, T, N, D) -> (B*N, T, D)
-            b, t, n, d = x.shape
-            return x.permute(0, 2, 1, 3).reshape(b * n, t, d)
-
-        b, tq, n, d = xq.shape
-        ref = composed_attention(grouped(xq), grouped(xkv), *weights, heads=5)
-        ref = ref.reshape(b, n, tq, d).permute(0, 2, 1, 3)
-        assert fused.shape == xq.shape
+        b, t, n, d = x.shape
+        grouped = x.permute(0, 2, 1, 3).reshape(b * n, t, d)  # (B, T, N, D) -> (B*N, T, D)
+        ref = composed_attention(grouped, grouped, *weights, heads=5)
+        ref = ref.reshape(b, n, t, d).permute(0, 2, 1, 3)
+        assert fused.shape == x.shape
         assert np.allclose(fused.data, ref.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(TOKEN_AXIS_CASES))
     def test_token_axis_gradient_check(self, case):
-        tq, tk = TOKEN_AXIS_CASES[case]
-        xq, xkv, weights = token_axis_case(206, tq, tk)
-        rng = SplitMix64(207)
-        mix = Tensor(np.array([rng.normal() for _ in range(xq.size)]).reshape(xq.shape))
-        params = {"x": xq} if tq == tk else {"xq": xq, "xkv": xkv}
-        params.update(zip(("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"), weights))
+        x, weights = token_axis_case(206, TOKEN_AXIS_CASES[case])
+        mix = random_mix(207, x.shape)
         res = grad_check(
-            lambda: mean(mul(T.attention(xq, xkv, *weights, heads=5, axis=1), mix)),
-            params, h=1e-5, tol=1e-4,
+            lambda: mean(mul(T.attention(x, *weights, heads=5, axis=1), mix)),
+            {"x": x, **dict(zip(WEIGHT_NAMES, weights))}, h=1e-5, tol=1e-4,
         )
         assert res.passed, res.summary()
 
     def test_token_axis_one_tape_node(self):
-        xq, xkv, weights = token_axis_case(208, 4, 4)
+        x, weights = token_axis_case(208)
         with Tape() as tape:
-            T.attention(xq, xkv, *weights, heads=5, axis=1)
+            T.attention(x, *weights, heads=5, axis=1)
         assert len(tape) == 1
 
     def test_token_axis_rejects_group_mismatch_and_feature_axis(self):
-        xq, _, weights = token_axis_case(209, 4, 4)
-        other_n = rand(SplitMix64(210), (2, 4, 2, 10))
-        with pytest.raises(ValueError, match="group axis"):
-            T.attention(xq, other_n, *weights, heads=5, axis=1)
+        x, weights = token_axis_case(209)
         for axis in (3, -1):
             with pytest.raises(ValueError, match="feature axis"):
-                T.attention(xq, xq, *weights, heads=5, axis=axis)
+                T.attention(x, *weights, heads=5, axis=axis)
+
+
+READOUT_CASES = {
+    # name: (clips, tokens, width)
+    "cross_single_query": (2, 4, 6),
+    "desk_summary": (2, 128, 20),
+}
+
+
+def readout_case(seed: int, clips: int, tokens: int, width: int):
+    """Query token (B, 1, E), tokens (B, M, E) and the eight weights."""
+    rng = SplitMix64(seed)
+    s = rand(rng, (clips, 1, width))
+    x = rand(rng, (clips, tokens, width))
+    weights = [rand(rng, shape) for _ in range(4) for shape in ((width, width), (width,))]
+    return s, x, weights
+
+
+class TestReadout:
+    @pytest.mark.parametrize("case", sorted(READOUT_CASES))
+    def test_matches_composed_reference(self, case):
+        clips, tokens, width = READOUT_CASES[case]
+        s, x, weights = readout_case(211, clips, tokens, width)
+        out = T.readout(s, x, *weights)
+        composed = composed_attention(s, x, *weights, heads=1)
+        assert out.shape == (clips, 1, width)
+        assert np.allclose(out.data, composed.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(READOUT_CASES))
+    def test_gradient_check(self, case):
+        clips, tokens, width = READOUT_CASES[case]
+        s, x, weights = readout_case(212, clips, tokens, width)
+        mix = random_mix(213, s.shape)
+        res = grad_check(
+            lambda: mean(mul(T.readout(s, x, *weights), mix)),
+            {"s": s, "x": x, **dict(zip(WEIGHT_NAMES, weights))}, h=1e-5, tol=1e-4,
+        )
+        assert res.passed, res.summary()
+
+    def test_one_tape_node_and_every_operand_gets_a_gradient(self):
+        s, x, weights = readout_case(214, 2, 4, 6)
+        with Tape() as tape:
+            loss = mean(mul(T.readout(s, x, *weights), random_mix(215, s.shape)))
+        tape.backward(loss)
+        assert len(tape) == 3  # readout, mul, mean
+        assert all(t.grad is not None for t in (s, x, *weights))
+
+    def test_rejects_anything_but_one_query_per_clip(self):
+        s, x, weights = readout_case(216, 2, 4, 6)
+        for query, tokens in ((x, x), (s, x[:1]), (s.reshape(2, 6), x)):
+            with pytest.raises(ValueError, match="readout"):
+                T.readout(query, tokens, *weights)
 
 
 class TestActivations:
@@ -473,6 +518,50 @@ class TestTape:
         # inf + -inf sums to NaN; still rejected, not mistaken for finite
         with pytest.raises(ValueError, match="finite"):
             Tensor([float("inf"), float("-inf")])
+
+    def test_backward_releases_every_node_gradient(self):
+        s, x, weights = readout_case(217, 2, 4, 6)
+        with Tape() as tape:
+            h = T.add(x, T.attention(x, *weights, heads=2))
+            h = T.layer_norm(h.reshape(8, 6), weights[1], weights[3]).reshape(2, 4, 6)
+            loss = mean(mul(T.readout(s, h, *weights), random_mix(218, s.shape)))
+        tape.backward(loss)
+        assert len(tape) == 8
+        assert all(node.grad is None for node in tape._nodes)
+        assert all(t.grad is not None for t in (s, x, *weights))
+
+    def test_handed_over_gradients_never_alias(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            loss = mean(mul(T.add(a, b), Tensor([2.0, 6.0])))
+        tape.backward(loss)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, [1.0, 3.0]) and np.array_equal(b.grad, [1.0, 3.0])
+        a.grad += 1.0
+        assert np.array_equal(b.grad, [1.0, 3.0])
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = mean(mul(T.add(x, x), Tensor([2.0, 6.0])))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, [2.0, 6.0])
+
+    def test_leaf_gradients_own_distinct_buffers(self):
+        # every hand-over path at once: reshape, add, attention, layer_norm
+        # and readout; a leaf's gradient never shares memory with another's
+        s, x, weights = readout_case(219, 2, 4, 6)
+        gamma, beta = rand(SplitMix64(220), (6,)), rand(SplitMix64(221), (6,))
+        with Tape() as tape:
+            flat = x.reshape(1, 8, 6)
+            h = T.add(flat, T.attention(flat, *weights, heads=3)).reshape(2, 4, 6)
+            h = T.layer_norm(h, gamma, beta)
+            loss = mean(mul(T.add(s, T.readout(s, h, *weights)), random_mix(222, s.shape)))
+        tape.backward(loss)
+        leaves = (s, x, gamma, beta, *weights)
+        for i, t in enumerate(leaves):
+            for u in leaves[i + 1:]:
+                assert not np.shares_memory(t.grad, u.grad)
 
     def test_first_gradient_is_a_copy(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
