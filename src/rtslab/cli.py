@@ -18,7 +18,9 @@ makes the output directory, so a rejected run creates none. Exit codes:
 
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
-       line that does not parse, lacks a key or disagrees with the header
+       header that lacks a key (named with the file and line 1), a
+       dataset.jsonl line that does not parse, lacks a key or disagrees
+       with the header
        (no frames, frame shape, a plane value outside its range, a
        duration below 1, frame steps out of order or past the duration,
        winner value; named by file and line),
@@ -33,7 +35,7 @@ makes the output directory, so a rejected run creates none. Exit codes:
        is not one the subcommand takes, a missing subcommand, a --config
        file that is not UTF-8 JSON or holds an unknown key or a value of
        the wrong type, a value out of range, a progress fraction given
-       twice, eval given other than one
+       twice, a roster that names a strategy twice, eval given other than one
        model directory, compare or timeline given two model directories
        with one evaluator name, and a dataset whose map size the preset's
        patch does not divide
@@ -125,13 +127,14 @@ class RunConfig:
     lr: float = TrainConfig.lr
 
     def validate(self) -> None:
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+        get_preset(self.preset)
         for name in self.roster:
             if name not in REGISTRY:
                 raise ConfigError(
                     f"unknown strategy {name!r}; registered: {sorted(REGISTRY)}"
                 )
+        if len(set(self.roster)) != len(self.roster):
+            raise ConfigError(f"roster must not repeat a strategy: {','.join(self.roster)}")
         if not self.fractions:
             raise ConfigError("config key 'fractions' must be a non-empty list, got []")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):

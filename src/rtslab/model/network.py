@@ -150,7 +150,7 @@ class WinPredictor:
         tokens = T.add(T.matmul(raw, e_t), self._p("embed.bias"))
         tokens = T.add(tokens, self._p("pos")[1:, :])
         summary = T.add(self._p("cls"), self._p("pos")[0, :]).reshape(1, 1, cfg.embed_dim)
-        summary = T.add(T.zeros((b, 1, cfg.embed_dim)), summary)
+        summary = T.add(Tensor(np.zeros((b, 1, cfg.embed_dim))), summary)
         return summary, tokens
 
     def forward(self, x: np.ndarray) -> Tensor:

@@ -82,9 +82,9 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     for name, shape, kind in parameter_spec(config):
         if kind == "weight":
             std = 1.0 / np.sqrt(_fan_in(name, shape))
-            params[name] = normal(rng, shape, std=std, requires_grad=True)
+            params[name] = normal(rng, shape, std)
         elif kind == "embedding":
-            params[name] = normal(rng, shape, std=0.02, requires_grad=True)
+            params[name] = normal(rng, shape, 0.02)
         elif kind == "one":
             params[name] = Tensor(np.ones(shape), requires_grad=True)
         else:

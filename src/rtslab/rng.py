@@ -106,19 +106,19 @@ class SplitMix64:
         """Double in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian deviate via Box-Muller; pairs share one radius draw."""
+    def normal(self, std: float = 1.0) -> float:
+        """Zero-mean Gaussian deviate via Box-Muller; pairs share one radius draw."""
         if self._spare_normal is not None:
             z = self._spare_normal
             self._spare_normal = None
-            return mean + std * z
+            return std * z
         u1 = self.uniform()
         if u1 <= 0.0:
             u1 = 2.0 ** -53
         u2 = self.uniform()
         r = math.sqrt(-2.0 * math.log(u1))
         self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return mean + std * r * math.cos(2.0 * math.pi * u2)
+        return std * r * math.cos(2.0 * math.pi * u2)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n). Plain modulo; the <2^-50 bias is irrelevant here."""

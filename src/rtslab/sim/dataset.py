@@ -38,7 +38,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO
 
@@ -363,8 +363,11 @@ def _read_header(line: bytes) -> DatasetHeader:
     head = json.loads(line.decode("utf-8"))
     if head.get("kind") != "header":
         raise ValueError("first line is not a header record")
-    if head.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {head.get('format_version')}")
+    for f in fields(DatasetHeader):  # the defaults are for writers, not for a file
+        if f.name not in head:
+            raise KeyError(f.name)
+    if head["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {head['format_version']}")
     header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
     _check_header(header)
     return header

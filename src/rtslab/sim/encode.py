@@ -1,6 +1,6 @@
 """Feature-plane encoding of game states.
 
-A state maps to 5 planes of H x W values:
+A state maps to 5 planes of H x W values, each limit read from `rules.py`:
 
     plane 0  unit type        raw 0..7   normalized /7
     plane 1  health           raw 0..10  normalized /10
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rules import P1, P2, RESOURCE, WORKER, UnitKind
-from .state import GameState, Unit
+from .rules import MAX_HP, P1, P2, RESOURCE, STORE_CAP, WORKER, UnitKind
+from .state import MAX_CARRIED, GameState, Unit
 
 PLANE_TYPE = 0
 PLANE_HEALTH = 1
@@ -31,7 +31,7 @@ PLANE_FACTION_RES = 4
 CHANNELS = 5
 
 # each plane's raw values lie in 0..PLANE_MAX; normalization divides by it
-PLANE_MAX = np.array([7, 10, 2, 25, 25]).reshape(CHANNELS, 1, 1)
+PLANE_MAX = np.array([max(UnitKind), max(MAX_HP.values()), P2, MAX_CARRIED, STORE_CAP])[:, None, None]
 
 
 def raw_planes(state: GameState) -> np.ndarray:

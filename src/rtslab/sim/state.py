@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STARTING_STORE, UnitKind
+from .rules import CARRY_CAPACITY, MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STARTING_STORE, UnitKind
 
 Position = tuple[int, int]  # (row, col)
+MAX_CARRIED = max(RESOURCE_STOCK, CARRY_CAPACITY)  # a node's stock or a worker's cargo
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class Unit:
             raise ValueError("resource nodes must be neutral")
         if self.kind != UnitKind.RESOURCE and self.owner not in (P1, P2):
             raise ValueError(f"{self.kind.name} must belong to a player")
-        if not 0 <= self.carried <= 25:
-            raise ValueError(f"carried {self.carried} outside 0..25")
+        if not 0 <= self.carried <= MAX_CARRIED:
+            raise ValueError(f"carried {self.carried} outside 0..{MAX_CARRIED}")
 
 
 @dataclass

@@ -4,7 +4,8 @@ Values live in contiguous row-major numpy arrays. Gradients are tracked by
 an explicit :class:`Tape`: operations executed inside a ``with Tape() as t:``
 block record themselves, and ``t.backward(loss)`` replays the records in
 reverse order, accumulating into ``.grad`` buffers. Outside a tape every
-operation is plain numpy (inference mode, nothing recorded).
+operation is plain numpy (inference mode, nothing recorded). Operations
+take Tensors, not arrays or numbers: wrap a constant in ``Tensor`` first.
 
 Contracts:
 
@@ -37,6 +38,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+_LN_EPS = 1e-5  # added to LayerNorm's variance
 
 _tapes: list[Tape] = []  # the open tapes, innermost last
 
@@ -129,7 +131,10 @@ class Tensor:
         it, unless the caller passes `fresh`: `g` is an array it has just
         made, or the released gradient of the node being consumed, and it
         keeps no other reference to it. A fresh `g` of this tensor's shape
-        is adopted as ``.grad`` without a copy.
+        is adopted as ``.grad`` without a copy. Only ops whose `g` is known
+        fresh pass the flag: adopting every fresh gradient was measured
+        slower on the desk train step, even in its untouched forward
+        (most likely through numpy's reuse of freed arrays).
         """
         if self.grad is not None:
             self.grad += g
@@ -200,16 +205,11 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
@@ -228,7 +228,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Leading axes broadcast; gradients are summed back to each operand's
     shape. dA = dC @ B^T and dB = A^T @ dC, transposing the last two axes.
     """
-    a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
             f"matmul needs >=2-d operands, got shapes {a.shape} and {b.shape}"
@@ -289,20 +288,19 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift.
 
-    One tape node. With xhat = (x - mu) * inv and inv = (var + eps)^-1/2,
+    One tape node. With xhat = (x - mu) * inv and inv = (var + 1e-5)^-1/2,
     the backward is closed form: dx = inv * (dxhat - mean(dxhat) -
     xhat * mean(dxhat * xhat)) over the last axis, where dxhat = g * gamma.
     Every row mean is an einsum row sum over n: numpy's `mean(axis=-1)`
     over rows this short costs several times an elementwise pass.
     """
-    a, gamma, beta = _coerce(a), _coerce(gamma), _coerce(beta)
     x = a.data
     n = x.shape[-1]
     xhat = x - (np.einsum("...i->...", x) / n)[..., None]
-    inv = (np.einsum("...i,...i->...", xhat, xhat) / n + eps)[..., None] ** -0.5
+    inv = (np.einsum("...i,...i->...", xhat, xhat) / n + _LN_EPS)[..., None] ** -0.5
     xhat *= inv
     data = xhat * gamma.data
     data += beta.data
@@ -408,8 +406,6 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, axis: int = -2) -> 
     layouts: dS^T = V dMix^T, then dK = dS^T Q, dQ^T = K^T dS^T and
     dV^T = dMix^T P, each merged from its own layout.
     """
-    x = _coerce(x)
-    wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
     nd = x.ndim
     if nd < 3:
         raise ValueError(f"attention needs an input of rank >= 3, got {x.shape}")
@@ -478,8 +474,6 @@ def readout(s, x, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
     dmix, dbv = (sum p_j) dmix, dq = du Wk + (sum ds_j) bk, and dx_j =
     ds_j (q Wk^T) + p_j (dmix Wv^T). The node keeps q, p and mix.
     """
-    s, x = _coerce(s), _coerce(x)
-    wq, bq, wk, bk, wv, bv, wo, bo = (_coerce(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
     if s.ndim != 3 or x.ndim != 3 or s.shape[1] != 1 or s.shape[0] != x.shape[0]:
         raise ValueError(
             f"readout needs a query (B, 1, E) and tokens (B, M, E), got {s.shape} and {x.shape}"
@@ -586,12 +580,8 @@ def index(a: Tensor, key) -> Tensor:
 # construction helpers
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def normal(rng, shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:
-    """Gaussian init drawn element-by-element from a SplitMix64 stream."""
-    n = math.prod(shape) if shape else 1
-    vals = np.fromiter((rng.normal(0.0, std) for _ in range(n)), dtype=np.float64, count=n)
-    return Tensor(vals.reshape(shape), requires_grad=requires_grad)
+def normal(rng, shape, std: float) -> Tensor:
+    """A parameter of N(0, std^2) values drawn one by one from a SplitMix64 stream."""
+    n = math.prod(shape)
+    vals = np.fromiter((rng.normal(std) for _ in range(n)), dtype=np.float64, count=n)
+    return Tensor(vals.reshape(shape), requires_grad=True)

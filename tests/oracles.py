@@ -47,7 +47,7 @@ from rtslab.sim.strategies import (
     _train_action,
     _UnitIndex,
 )
-from rtslab.tensor import Tape, Tensor, _coerce, _result, _softmax, _sum_to_shape
+from rtslab.tensor import Tape, Tensor, _result, _softmax, _sum_to_shape
 
 COMBAT = (UnitKind.WORKER, UnitKind.LIGHT, UnitKind.HEAVY, UnitKind.RANGED)
 
@@ -112,6 +112,10 @@ def surviving_units_label(record: MatchRecord) -> int | None:
     if n1 == n2:
         return None
     return 1 if n1 > n2 else 0
+
+
+def _coerce(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def mul(a: Tensor, b) -> Tensor:

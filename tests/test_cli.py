@@ -24,6 +24,7 @@ from rtslab.model.config import field_kind
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
     Dataset,
+    DatasetHeader,
     MatchRecord,
     UnitKind,
     decode_planes,
@@ -339,7 +340,8 @@ class TestGenerateStream:
         assert main(args + ["--roster", "WorkerRushLite,PassiveLite"]) == 0
         before = _files(tmp_path)
         capsys.readouterr()
-        assert main(args + ["--roster", "PassiveLite,PassiveLite"]) == 3  # every match a draw
+        # a single step decides no match
+        assert main(args + ["--roster", "LightRushLite,HeavyRushLite", "--max-steps", "1"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no decided matches" in err
         assert _files(tmp_path) == before
@@ -803,6 +805,18 @@ class TestCorruptDataset:
         rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
         assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:2: {where}")
 
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(DatasetHeader)])
+    def test_header_lacking_a_key_exits_2_naming_it(self, pipeline, tmp_path, capsys, key):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        del header[key]
+        lines[0] = _canonical_dump(header)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
+        rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:1: record lacks key {key!r}")
+
     def test_three_plane_frame_stops_timeline(self, pipeline, tmp_path, capsys):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
         where = _three_planes(lines)
@@ -1198,12 +1212,14 @@ class TestRejectedRun:
         (["generate", "--rounds", "3"], "rounds_per_pair must be even and positive"),
         (["generate", "--rounds", "0"], "rounds_per_pair must be even and positive"),
         (["generate", "--roster", "PassiveLite"], "need at least 2 strategies"),
+        (["generate", "--roster", "WorkerRushLite,WorkerRushLite,PassiveLite"],
+         "roster must not repeat a strategy: WorkerRushLite,WorkerRushLite,PassiveLite"),
         (["train", "--epochs", "0"], "batch_size and epochs must be >= 1"),
         (["train", "--batch-size", "0"], "batch_size and epochs must be >= 1"),
         (["train", "--lr", "0"], "lr must be positive"),
         (["timeline", "--match-id", "-1"], "match_id -1 out of range"),
-    ], ids=["odd-rounds", "zero-rounds", "one-strategy", "zero-epochs", "zero-batch",
-            "zero-lr", "negative-match-id"])
+    ], ids=["odd-rounds", "zero-rounds", "one-strategy", "repeated-strategy", "zero-epochs",
+            "zero-batch", "zero-lr", "negative-match-id"])
     def test_exits_3_and_makes_no_output_directory(self, pipeline, tmp_path, capsys, argv,
                                                    words):
         if argv[0] != "generate":

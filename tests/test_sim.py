@@ -25,12 +25,13 @@ from rtslab.sim.encode import (
     PLANE_FACTION,
     PLANE_FACTION_RES,
     PLANE_HEALTH,
+    PLANE_MAX,
     PLANE_NEUTRAL_RES,
     PLANE_TYPE,
     normalize_planes,
 )
 from rtslab.sim.engine import PHASES, check_winner
-from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, STORE_CAP
+from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STORE_CAP
 from rtslab.sim.state import GameState, Unit
 from rtslab.sim.strategies import DEFAULT_ROSTER
 
@@ -555,6 +556,24 @@ class TestEncode:
         raw[(plane, *cell)] = value
         with pytest.raises(ValueError, match=re.escape(f"cell {named}:")):
             decode_planes(raw)
+
+    def test_every_plane_limit_is_reached(self):
+        # every kind at full hp on both sides, a full node, both stores full
+        s = empty_state(store=STORE_CAP)
+        for col, kind in enumerate(UnitKind):
+            for row, owner in ((0, P1), (1, P2)):
+                if kind == UnitKind.RESOURCE:
+                    owner = NEUTRAL
+                s.units[(row, col)] = Unit(kind, MAX_HP[kind], owner,
+                                           RESOURCE_STOCK if kind == UnitKind.RESOURCE else 0)
+        raw = raw_planes(s)
+        assert np.array_equal(raw.max(axis=(1, 2)), PLANE_MAX[:, 0, 0])
+        at_limit = raw == PLANE_MAX
+        assert at_limit.any(axis=(1, 2)).all()
+        assert np.all(normalize_planes(raw)[at_limit] == 1.0)
+        back = decode_planes(raw)
+        assert sorted(back.units.items()) == sorted(s.units.items()) and back.store == s.store
+        assert np.array_equal(raw_planes(back), raw)
 
     def test_all_values_normalized(self):
         rec = run_match(make_strategy("RandomBiasedLite"), make_strategy("WorkerRushLite"), 4)
