@@ -11,3 +11,8 @@ __version__ = "0.1.0"
 
 class CorruptArtifact(ValueError):
     """An input file exists but its content is malformed (CLI exit code 2)."""
+
+
+class ConfigError(ValueError):
+    """Bad configuration: a model config, a run config or a command line
+    (CLI exit code 3)."""

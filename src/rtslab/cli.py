@@ -11,16 +11,20 @@ Subcommands:
     timeline   per-step scores of every evaluator over one chosen match
 
 Settings merge from a JSON config file (--config) and flag overrides;
-unknown config keys are rejected by name. Every command is idempotent:
+unknown config keys are rejected by name. One checker, `sim.schema`,
+reads the settings, a dataset.jsonl header and a model's config.json:
+each key's type from its field and its range from one table (a seed,
+for one, must lie in 0..2**64-1). Every command is idempotent:
 identical config + seed produces byte-identical output files. Errors end
 in one line on stderr. A command checks its settings and inputs before it
 makes the output directory, so a rejected run creates none. Exit codes:
 
     0  success
     2  missing or unwritable artifact, or a corrupt one: a dataset.jsonl
-       header that lacks a key (named with the file and line 1), a
-       dataset.jsonl line that does not parse, lacks a key or disagrees
-       with the header
+       header that is not a JSON object, or lacks a key or holds one of
+       the wrong type or out of range (named with the file, line 1 and
+       the key), a dataset.jsonl line that does not parse, lacks a key
+       or disagrees with the header
        (no frames, frame shape, a plane value outside its range, a
        duration below 1, frame steps out of order or past the duration,
        winner value; named by file and line),
@@ -28,8 +32,9 @@ makes the output directory, so a rejected run creates none. Exit codes:
        and line when compare or timeline scores it classically),
        a splits.json whose splits are not disjoint lists of in-range
        indices of decided matches, a model directory's config.json that
-       does not parse or holds a bad key or value, a checkpoint that is
-       truncated, padded, holds a NaN/Inf or does not fit its config.json,
+       does not parse or holds a bad key or value (named with the key),
+       a checkpoint that is truncated, padded, holds a NaN/Inf or does
+       not fit its config.json,
        a model whose map size differs from the dataset header's
     3  configuration violation: a flag that does not parse, is unknown or
        is not one the subcommand takes, a missing subcommand, a --config
@@ -47,7 +52,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from collections import defaultdict
 from contextlib import closing
@@ -58,7 +62,7 @@ from typing import NamedTuple
 from . import CorruptArtifact
 from .baselines import lanchester_eval, simple_eval, winner_by_score
 from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
-from .model.config import PRESETS, VARIANTS, fields_from_json
+from .model.config import PRESETS, VARIANTS
 from .sim import (
     Dataset,
     DatasetHeader,
@@ -71,7 +75,8 @@ from .sim import (
 from .sim.dataset import replaced_on_success
 from .sim.encode import decode_planes
 from .sim.engine import sample_timeline, visible_prefix
-from .sim.state import MIN_MAP_SIZE, GameState
+from .sim.schema import from_json
+from .sim.state import GameState
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
     Prediction,
@@ -127,6 +132,7 @@ class RunConfig:
     lr: float = TrainConfig.lr
 
     def validate(self) -> None:
+        """The rules `from_json` cannot check from one value alone."""
         get_preset(self.preset)
         for name in self.roster:
             if name not in REGISTRY:
@@ -135,41 +141,29 @@ class RunConfig:
                 )
         if len(set(self.roster)) != len(self.roster):
             raise ConfigError(f"roster must not repeat a strategy: {','.join(self.roster)}")
-        if not self.fractions:
-            raise ConfigError("config key 'fractions' must be a non-empty list, got []")
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ConfigError(f"fractions must lie in (0, 1]: {self.fractions}")
         if len(set(self.fractions)) != len(self.fractions):
             raise ConfigError(f"fractions must not repeat a value: {self.fractions}")
-        # a process pool forks all its workers at the first submit
-        cores = os.cpu_count() or 1
-        if not 1 <= self.threads <= cores:
-            raise ConfigError(f"threads must be in 1..{cores} (CPU cores here), got {self.threads}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.capture_every < 1:
-            raise ConfigError(f"capture_every must be >= 1, got {self.capture_every}")
-        if self.map_size < MIN_MAP_SIZE:
-            raise ConfigError(f"map_size must be >= {MIN_MAP_SIZE}, got {self.map_size}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    """The run config from the JSON file at `path` (if any), with
-    `overrides` (flag values) on top; every value is checked against its
-    RunConfig field and then `RunConfig.validate`."""
-    merged: dict = {}
+    """The run config from RunConfig's defaults, the JSON file at `path`
+    (if any) on top, then `overrides` (flag values); every value is
+    checked against its field's type and range (`from_json`), then
+    `RunConfig.validate`."""
+    merged = dataclasses.asdict(RunConfig())
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise MissingArtifact(f"config file not found: {path}")
         try:
-            merged = json.loads(p.read_text(encoding="utf-8"))
+            given = json.loads(p.read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:  # a UnicodeDecodeError is a ValueError too
             raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
-        if not isinstance(merged, dict):
+        if not isinstance(given, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
+        merged.update(given)
     merged.update(overrides)
-    cfg = RunConfig(**fields_from_json(RunConfig, merged))
+    cfg = from_json(RunConfig, merged)
     cfg.validate()
     return cfg
 
@@ -226,9 +220,8 @@ def _frames_digest(rec: MatchRecord) -> bytes:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    roster = list(cfg.roster)
     records = run_tournament(
-        roster,
+        cfg.roster,
         cfg.rounds_per_pair,
         cfg.seed,
         max_steps=cfg.max_steps,
@@ -260,7 +253,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         capture_every=cfg.capture_every,
         max_steps=cfg.max_steps,
         seed=cfg.seed,
-        roster=roster,
+        roster=cfg.roster,
         rounds_per_pair=cfg.rounds_per_pair,
     )
     with closing(records):  # ends the worker processes if the write fails

@@ -6,7 +6,10 @@ File layout: the first line is a header record
      "channels":5,"capture_every":2,"max_steps":1000,"seed":...,
      "roster":[...],"rounds_per_pair":...}
 
-followed by one match record per line
+which must give every key, each of its field's type and in its range, as
+the one schema reader checks it (`schema.from_json`, one range table for
+these keys and a run config's); a header that does not is named with its
+key and line 1. It is followed by one match record per line
 
     {"kind":"match","strategy_a":...,"strategy_b":...,"seed":...,
      "winner":"p1"|"p2"|"draw","duration":...,
@@ -38,7 +41,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -48,8 +51,8 @@ from .. import CorruptArtifact
 from ..rng import SplitMix64
 from .encode import CHANNELS, PLANE_MAX
 from .engine import MatchRecord
+from .schema import FORMAT_VERSION, from_json
 
-FORMAT_VERSION = 1
 WINNERS = ("p1", "p2", "draw")
 _INT64_MAX = 2**63 - 1
 _INT = re.compile(rb"-?[1-9][0-9]{0,18}|0")  # json.dumps of an int of at most 19 digits
@@ -66,7 +69,7 @@ class DatasetHeader:
     capture_every: int = 2
     max_steps: int = 1000
     seed: int = 0
-    roster: list[str] = field(default_factory=list)
+    roster: tuple[str, ...] = ()
     rounds_per_pair: int = 0
     format_version: int = FORMAT_VERSION
 
@@ -170,7 +173,7 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
     is written in `_match_pieces`.
     """
     header = dataset.header
-    _check_header(header)
+    from_json(DatasetHeader, asdict(header), "header")  # the reader's check
     shape = (header.channels, header.map_height, header.map_width)
     with replaced_on_success(path) as f:
         f.write(_dump_line({"kind": "header", **asdict(header)}).encode() + b"\n")
@@ -211,16 +214,6 @@ def _check_planes(planes: np.ndarray) -> None:
         f"frame {f} plane {p} holds {planes[f, p, r, c]} at ({r}, {c}), "
         f"not an int in 0..{PLANE_MAX[p, 0, 0]}"
     )
-
-
-def _check_header(header: DatasetHeader) -> None:
-    """The header's checks on read and on write: CHANNELS channels and
-    map sizes that are ints >= 1."""
-    if header.channels != CHANNELS:  # decode_planes reads all CHANNELS planes
-        raise ValueError(f"header channels {header.channels!r} is not {CHANNELS}")
-    for size in (header.map_height, header.map_width):
-        if type(size) is not int or size < 1:
-            raise ValueError(f"header map size {size!r} is not an int >= 1")
 
 
 def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
@@ -360,24 +353,21 @@ def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
 
 
 def _read_header(line: bytes) -> DatasetHeader:
+    """The header of the first line: a JSON object of kind "header" whose
+    other keys are DatasetHeader's, all of them, as `from_json` checks."""
     head = json.loads(line.decode("utf-8"))
-    if head.get("kind") != "header":
+    if not isinstance(head, dict):
+        raise ValueError("header is not a JSON object")
+    if head.pop("kind", None) != "header":
         raise ValueError("first line is not a header record")
-    for f in fields(DatasetHeader):  # the defaults are for writers, not for a file
-        if f.name not in head:
-            raise KeyError(f.name)
-    if head["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {head['format_version']}")
-    header = DatasetHeader(**{k: v for k, v in head.items() if k != "kind"})
-    _check_header(header)
-    return header
+    return from_json(DatasetHeader, head, "header")
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """Parse a dataset file one line at a time; CorruptArtifact names the
     first bad line.
 
-    The header must give CHANNELS channels and int map sizes. Each match
+    The header must pass `_read_header`. Each match
     line must hold at least one frame of the header's shape and pass
     `_check_match`. It is read only in the writer's layout, which
     `_read_match` checks from the line's own bytes, so an accepted line is

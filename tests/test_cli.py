@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -19,8 +20,7 @@ import pytest
 import rtslab.sim.tournament
 from rtslab.baselines import lanchester_eval, simple_eval, winner_by_score
 from rtslab.cli import RunConfig, build_parser, main
-from rtslab.model import ModelConfig
-from rtslab.model.config import field_kind
+from rtslab.model import ConfigError, ModelConfig
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
     Dataset,
@@ -36,7 +36,11 @@ from rtslab.sim import (
     write_dataset,
 )
 from rtslab.sim.encode import PLANE_FACTION_RES, PLANE_HEALTH, PLANE_TYPE
+from rtslab.sim.schema import RANGES, field_kind, from_json
 from rtslab.train.metrics import metrics_from_confusion
+
+
+NONEMPTY_FRACTIONS = "a non-empty list of values in (0, 1]"
 
 
 def sha(path: Path) -> str:
@@ -109,7 +113,7 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "map_size must be >= 8" in err
+        assert err.count("\n") == 1 and "config key 'map_size' must be >= 8" in err
         assert not (tmp_path / "x").exists()
 
     def test_smallest_map_generates(self, tmp_path):
@@ -173,10 +177,13 @@ class TestGenerate:
 
     @pytest.mark.parametrize("entry,words", [
         ({"preset": "huge"}, "unknown preset 'huge'"),
-        ({"fractions": [0.5, 1.5]}, "fractions must lie in (0, 1]"),
-        ({"fractions": [0.0]}, "fractions must lie in (0, 1]"),
+        ({"fractions": [0.5, 1.5]}, f"config key 'fractions' must be {NONEMPTY_FRACTIONS}"),
+        ({"fractions": [0.0]}, f"config key 'fractions' must be {NONEMPTY_FRACTIONS}"),
         ({"fractions": [0.2, 0.2]}, "fractions must not repeat a value: (0.2, 0.2)"),
-    ], ids=["unknown-preset", "fraction-above-1", "fraction-0", "fraction-repeated"])
+        ({"seed": -1}, "config key 'seed' must be in 0..18446744073709551615, got -1"),
+        ({"seed": 2**64}, f"config key 'seed' must be in 0..{2**64 - 1}, got {2**64}"),
+    ], ids=["unknown-preset", "fraction-above-1", "fraction-0", "fraction-repeated",
+            "seed-negative", "seed-2**64"])
     def test_value_out_of_range_exits_3(self, entry, words, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entry))
@@ -204,13 +211,14 @@ class TestGenerate:
         assert f"1..{os.cpu_count() or 1}" in err
         assert not (tmp_path / "x" / "dataset.jsonl").exists()
 
-    @pytest.mark.parametrize("cls", [RunConfig, ModelConfig])
+    @pytest.mark.parametrize("cls", [RunConfig, ModelConfig, DatasetHeader])
     def test_every_config_field_has_a_kind(self, cls):
         hints = typing.get_type_hints(cls)
         for field in dataclasses.fields(cls):
             what, check = field_kind(hints[field.name])
             if field.default is not dataclasses.MISSING:
                 assert check(field.default), (field.name, what)
+                assert field.name not in RANGES or RANGES[field.name].holds(field.default)
         with pytest.raises(TypeError, match="no config kind"):
             field_kind(dict[str, int])
 
@@ -594,6 +602,17 @@ class TestModelDirectory:
         rc = self.compare_with(pipeline, tmp_path, bad, "{}")
         assert_one_line_exit_2(rc, capsys, "config.json")
 
+    @pytest.mark.parametrize("old,new", [
+        ('"patch": 4', '"patch": 0'), ('"patch": 4', '"patch": -4'),
+        ('"layers": 2', '"layers": 0'), ('"map_height": 16', '"map_height": 0'),
+    ], ids=["patch-0", "patch-negative", "layers-0", "map_height-0"])
+    def test_dimension_below_1_exits_2_naming_the_key(self, pipeline, tmp_path, capsys, old, new):
+        text = (pipeline["model"] / "config.json").read_text()
+        assert old in text
+        rc = self.compare_with(pipeline, tmp_path, text.replace(old, new), "{}")
+        key = old.split('"')[1]
+        assert_one_line_exit_2(rc, capsys, "config.json: ", f"config key {key!r} must be >= 1")
+
     def test_config_not_fitting_checkpoint_exits_2_naming_both(self, pipeline, tmp_path, capsys):
         text = (pipeline["model"] / "config.json").read_text()
         bad = text.replace('"time_steps": 8', '"time_steps": 4')
@@ -732,7 +751,7 @@ def _three_channel_header(lines):
         record = json.loads(lines[i])
         record["frames"] = [[step, planes[:3]] for step, planes in record["frames"]]
         lines[i] = json.dumps(record)
-    return "dataset.jsonl:1: header channels 3 is not 5"
+    return "dataset.jsonl:1: header key 'channels' must be 5, got 3"
 
 
 def _blank_line(lines):
@@ -815,7 +834,34 @@ class TestCorruptDataset:
         data.write_text("\n".join(lines) + "\n")
         (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
         rc = main(["compare", "--dataset", str(data), "--out", str(tmp_path / "c")])
-        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:1: record lacks key {key!r}")
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:1: header lacks key {key!r}")
+
+    @pytest.mark.parametrize("command", ["compare", "train"])
+    @pytest.mark.parametrize("header,words", [
+        ({"seed": "x"}, "header key 'seed' must be an integer"),
+        ({"roster": 5}, "header key 'roster' must be a list of strings"),
+        ({"capture_every": -1}, "header key 'capture_every' must be >= 1"),
+        ({"rounds_per_pair": "x"}, "header key 'rounds_per_pair' must be an integer"),
+        ({"channels": 5.0}, "header key 'channels' must be an integer, got 5.0"),
+        ({"format_version": True}, "header key 'format_version' must be an integer"),
+        ({"format_version": 1.0}, "header key 'format_version' must be an integer"),
+        ({"seed": -1}, "header key 'seed' must be in 0..18446744073709551615, got -1"),
+        ([1], "header is not a JSON object"),
+    ], ids=["seed-str", "roster-int", "capture_every-negative", "rounds_per_pair-str",
+            "channels-float", "format_version-bool", "format_version-float", "seed-negative",
+            "list"])
+    def test_bad_header_value_exits_2_naming_the_key(self, pipeline, tmp_path, capsys,
+                                                      command, header, words):
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        if isinstance(header, dict):
+            header = {**json.loads(lines[0]), **header}
+        lines[0] = _canonical_dump(header)
+        data = tmp_path / "dataset.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        (tmp_path / "splits.json").write_bytes((pipeline["data"] / "splits.json").read_bytes())
+        models = ["--models", str(pipeline["model"])] if command == "compare" else []
+        rc = main([command, "--dataset", str(data), "--out", str(tmp_path / "o")] + models)
+        assert_one_line_exit_2(rc, capsys, f"dataset.jsonl:1: {words}")
 
     def test_three_plane_frame_stops_timeline(self, pipeline, tmp_path, capsys):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -1024,6 +1070,116 @@ class TestSeededFuzz:
         assert codes - {0}, codes  # some corruption is caught
 
 
+def _wrong_types(annotation, rng: SplitMix64) -> list:
+    """A JSON value of each type that a field of `annotation` (int, float,
+    str, X | None or tuple[X, ...]) must reject, with seeded numbers and
+    strings; which types fit is worked out here, not by `field_kind`."""
+    args = typing.get_args(annotation)
+    listed = typing.get_origin(annotation) is tuple
+    fits = {int: (int,), float: (int, float), str: (str,)}[args[0] if args else annotation]
+    number = 1 + rng.randrange(999)
+    word = "".join(chr(97 + rng.randrange(26)) for _ in range(1 + rng.randrange(8)))
+    values = [None, True, number, number + 0.5, float(number), word, [number], [word], {word: 1}]
+    if listed:
+        return [v for v in values if type(v) is not list or any(type(x) not in fits for x in v)]
+    return [v for v in values if type(v) not in fits and (v is not None or not args)]
+
+
+def _range_edges(annotation, bounds) -> tuple[list, list]:
+    """(inside, outside): each finite edge of `bounds` and one step inside
+    it, and one step outside it, as JSON values of a field of `annotation`
+    (an int step, or 2**-20 for a float or a list of floats)."""
+    args = typing.get_args(annotation)
+    listed = typing.get_origin(annotation) is tuple
+    step = 1 if (args[0] if args else annotation) is int else 2.0**-20
+    inside, outside = [], []
+    if bounds.open_low:
+        inside.append(bounds.low + step)
+        outside.append(bounds.low)
+    else:
+        inside += [bounds.low, bounds.low + step]
+        outside.append(bounds.low - step)
+    if bounds.high != math.inf:
+        inside += [bounds.high, bounds.high - step]
+        outside.append(bounds.high + step)
+    inside = [v for v in inside if bounds.low <= v <= bounds.high]
+    if listed:
+        return [[v] for v in inside], [[v] for v in outside] + [[]]  # a listed range needs an item
+    return inside, outside
+
+
+class TestSchemaFuzz:
+    """Every field of the three objects the one schema reader reads, given
+    each wrong JSON type and each range edge one step out: exit 3 for a
+    run config, 2 for a dataset header or a model's config.json, on one
+    line naming the key, and no traceback. One step inside each edge, the
+    reader does not reject the key."""
+
+    def run_config(self, pipeline, tmp_path, key, value) -> int:
+        cfg = tmp_path / "cfg.json"
+        small = {"roster": ["WorkerRushLite", "PassiveLite"], "rounds_per_pair": 2,
+                 "max_steps": 40, "out": str(tmp_path / "x")}
+        cfg.write_text(json.dumps({**small, key: value}))
+        return main(["generate", "--config", str(cfg)])
+
+    def header(self, pipeline, tmp_path, key, value) -> int:
+        lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
+        lines[0] = _canonical_dump({**json.loads(lines[0]), key: value})
+        (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+        shutil.copy(pipeline["data"] / "splits.json", tmp_path)
+        return main(["compare", "--dataset", str(tmp_path / "dataset.jsonl"),
+                     "--models", str(pipeline["model"]), "--out", str(tmp_path / "c")])
+
+    def model_config(self, pipeline, tmp_path, key, value) -> int:
+        model = tmp_path / "model"
+        model.mkdir(exist_ok=True)
+        shutil.copy(pipeline["model"] / "best.ckpt", model)
+        config = json.loads((pipeline["model"] / "config.json").read_text())
+        (model / "config.json").write_text(json.dumps({**config, key: value}))
+        return main(["compare", "--dataset", str(pipeline["data"] / "dataset.jsonl"),
+                     "--models", str(model), "--out", str(tmp_path / "c")])
+
+    def test_every_range_names_a_field(self):
+        names = {f.name for cls in (RunConfig, ModelConfig, DatasetHeader)
+                 for f in dataclasses.fields(cls)}
+        assert set(RANGES) <= names
+
+    @pytest.mark.parametrize("cls,code,where,what", [
+        (RunConfig, 3, "", "config"), (DatasetHeader, 2, "dataset.jsonl:1: ", "header"),
+        (ModelConfig, 2, "config.json: ", "config"),
+    ], ids=["run-config", "header", "model-config"])
+    def test_bad_value_exits_naming_the_key(self, pipeline, tmp_path, capsys, cls, code, where,
+                                            what):
+        header = json.loads((pipeline["data"] / "dataset.jsonl").read_text().split("\n")[0])
+        config = json.loads((pipeline["model"] / "config.json").read_text())
+        del header["kind"], config["block_form"]  # read before the schema reader
+        write, base = {RunConfig: (self.run_config, dataclasses.asdict(RunConfig())),
+                       DatasetHeader: (self.header, header),
+                       ModelConfig: (self.model_config, config)}[cls]
+        rng = SplitMix64({RunConfig: 31, DatasetHeader: 32, ModelConfig: 33}[cls])
+        hints = typing.get_type_hints(cls)
+        capsys.readouterr()
+        cases = 0
+        for field in dataclasses.fields(cls):
+            key, bad = field.name, _wrong_types(hints[field.name], rng)
+            if key in RANGES:
+                inside, outside = _range_edges(hints[key], RANGES[key])
+                bad += outside
+                for value in inside:
+                    try:
+                        from_json(cls, {**base, key: value}, what)
+                    except ConfigError as exc:  # another field's rule, such as divisibility
+                        assert f"key {key!r}" not in str(exc), (key, value, exc)
+            for value in bad:
+                rc = write(pipeline, tmp_path, key, value)
+                err = capsys.readouterr().err
+                assert rc == code and err.count("\n") == 1, (key, value, rc, err)
+                assert "Traceback" not in err, err
+                assert f"{where}{what} key {key!r}" in err, (key, value, err)
+                cases += 1
+        assert cases >= 5 * len(dataclasses.fields(cls))
+
+
 class TestCompare:
     def test_four_tables_with_fraction_rows(self, pipeline, tmp_path):
         out = tmp_path / "c"
@@ -1218,8 +1374,12 @@ class TestRejectedRun:
         (["train", "--batch-size", "0"], "batch_size and epochs must be >= 1"),
         (["train", "--lr", "0"], "lr must be positive"),
         (["timeline", "--match-id", "-1"], "match_id -1 out of range"),
+        # SplitMix64 takes a seed mod 2**64: -1 would replay seed 2**64 - 1
+        (["generate", "--seed", "-1"], "config key 'seed' must be in 0..18446744073709551615"),
+        (["train", "--seed", "-5"], "config key 'seed' must be in 0..18446744073709551615"),
     ], ids=["odd-rounds", "zero-rounds", "one-strategy", "repeated-strategy", "zero-epochs",
-            "zero-batch", "zero-lr", "negative-match-id"])
+            "zero-batch", "zero-lr", "negative-match-id", "generate-negative-seed",
+            "train-negative-seed"])
     def test_exits_3_and_makes_no_output_directory(self, pipeline, tmp_path, capsys, argv,
                                                    words):
         if argv[0] != "generate":

@@ -156,7 +156,7 @@ class TestPersistence:
         ds = Dataset(
             header=DatasetHeader(
                 capture_every=5, max_steps=50, seed=6,
-                roster=["WorkerRushLite", "PassiveLite"], rounds_per_pair=2,
+                roster=("WorkerRushLite", "PassiveLite"), rounds_per_pair=2,
             ),
             records=recs,
         )
@@ -226,7 +226,7 @@ def _read_round_trip(path) -> bool:
     write_dataset(rewritten, got)
     assert rewritten.read_bytes() == path.read_bytes()
     header, matches = oracle_read_dataset(path)
-    assert {"kind": "header", **asdict(got.header)} == header
+    assert {"kind": "header", **asdict(got.header), "roster": list(got.header.roster)} == header
     assert len(got.records) == len(matches)
     for record, match in zip(got.records, matches):
         assert type(match["duration"]) is int
@@ -526,8 +526,10 @@ class TestWriterChecks:
         assert not path.exists()
 
     @pytest.mark.parametrize("header,words", [
-        (DatasetHeader(map_height=4, map_width=4, channels=4), "header channels 4 is not 5"),
-        (DatasetHeader(map_height=4, map_width="4"), "header map size '4' is not an int"),
+        (DatasetHeader(map_height=4, map_width=4, channels=4),
+         "header key 'channels' must be 5, got 4"),
+        (DatasetHeader(map_height=4, map_width="4"),
+         "header key 'map_width' must be an integer, got '4'"),
     ], ids=["four-channels", "str-map-size"])
     def test_bad_header_rejected(self, tmp_path, header, words):
         path = tmp_path / "d.jsonl"
