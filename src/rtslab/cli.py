@@ -60,7 +60,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import CorruptArtifact
-from .baselines import lanchester_eval, simple_eval, winner_by_score
 from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
 from .model.config import PRESETS, VARIANTS
 from .sim import (
@@ -73,17 +72,14 @@ from .sim import (
     write_dataset,
 )
 from .sim.dataset import replaced_on_success
-from .sim.encode import decode_planes
-from .sim.engine import sample_timeline, visible_prefix
+from .sim.engine import frames_until
 from .sim.schema import from_json
-from .sim.state import GameState
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
 from .train import (
     Prediction,
     TrainConfig,
     dataset_to_examples,
     op_stability,
-    predict_probs,
     progress_stratified_eval,
     stratified_metrics,
     train_model,
@@ -95,7 +91,7 @@ from .train.published import (
     REFERENCE_PRECISION,
     REFERENCE_RECALL,
 )
-from .train.stratified import DEFAULT_FRACTIONS
+from .train.stratified import DEFAULT_FRACTIONS, UndecodableFrame, fraction_cuts
 
 # batch size per preset (as published; desk values are this lab's defaults)
 PRESET_BATCH_SIZE: dict[str, int] = {
@@ -331,30 +327,6 @@ def _test_split(cfg: RunConfig) -> tuple[DatasetHeader, dict[int, MatchRecord]]:
     return header, dict(zip(manifest["test"], parts["test"]))
 
 
-def _undecodable(dataset: str, line: int, exc: ValueError) -> CorruptArtifact:
-    """The error of a record at `line` of `dataset` whose frame `decode_planes` rejects."""
-    return CorruptArtifact(f"{dataset}:{line}: a frame is not the encoding of a legal state: {exc}")
-
-
-def _last_visible_states(cfg: RunConfig, records: dict[int, MatchRecord]
-                         ) -> dict[tuple[int, float], GameState]:
-    """The state at the end of each record's visible prefix at each of
-    `cfg.fractions`, keyed by (dataset index, fraction). Each distinct frame
-    is decoded once; one that `decode_planes` rejects is `_undecodable`,
-    named by its record's line."""
-    states, decoded = {}, {}
-    for rho in cfg.fractions:
-        for i, record in records.items():
-            step, planes = visible_prefix(record, rho)[-1]
-            if (i, step) not in decoded:
-                try:
-                    decoded[i, step] = decode_planes(planes)
-                except ValueError as exc:
-                    raise _undecodable(cfg.dataset, i + 2, exc) from None
-            states[i, rho] = decoded[i, step]
-    return states
-
-
 def _model_name(config: ModelConfig) -> str:
     stem = "tstf" if config.variant == "tstf" else "spacetime"
     return f"{stem}-{config.layers}"
@@ -464,8 +436,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(f"eval takes exactly one model directory in --models, got {len(cfg.models)}")
     header, records = _test_split(cfg)
     [(name, model)] = _load_models(cfg, header)
+    table = progress_stratified_eval([(name, model)], records, fraction_cuts(records, (1.0,)),
+                                     classical=False)
     out = _out_dir(cfg)
-    table = progress_stratified_eval([(name, model)], records, (1.0,), None)
     [(_, metrics)] = stratified_metrics(table)[name]
     tp, fp, fn, tn = metrics.confusion
     _write_csv(
@@ -501,12 +474,12 @@ def _paper_reference_rows() -> list[list]:
 def cmd_compare(cfg: RunConfig) -> int:
     header, records = _test_split(cfg)
     models = _load_models(cfg, header)
-    states = _last_visible_states(cfg, records)
-    out = _out_dir(cfg)
     # every evaluator is scored before a file is written
-    table = progress_stratified_eval(models, records, cfg.fractions, states)
-    _write_csv(out / "predictions.csv", list(Prediction._fields),
-               [row._replace(prediction="tie") if row.prediction is None else row
+    table = progress_stratified_eval(models, records, fraction_cuts(records, cfg.fractions))
+    out = _out_dir(cfg)
+    # the (P1, P2) scores are timeline's; a prediction's prob is in its row
+    _write_csv(out / "predictions.csv", list(Prediction._fields[:-1]),
+               [(row._replace(prediction="tie") if row.prediction is None else row)[:-1]
                 for row in table])
     stability_rows: list[list] = []
     for name, rows in stratified_metrics(table).items():
@@ -537,30 +510,13 @@ def cmd_timeline(cfg: RunConfig) -> int:
             f"match_id {cfg.match_id} out of range (dataset has {len(dataset.records)} records)"
         )
     record = dataset.records[cfg.match_id]
-    try:
-        states = [decode_planes(planes) for _, planes in record.frames]
-    except ValueError as exc:
-        raise _undecodable(cfg.dataset, cfg.match_id + 2, exc) from None
-
-    # the row at frame i sees frames[: i + 1] only: the record cut there,
-    # where full progress ends at that frame's step
-    cuts = [
-        dataclasses.replace(record, frames=record.frames[: i + 1], duration=step)
-        for i, (step, _) in enumerate(record.frames)
-    ]
     models = _load_models(cfg, dataset.header)
+    # the row at a frame's step sees the frames up to that step only
+    cuts = [(step, cfg.match_id, frames_until(record, step)) for step, _ in record.frames]
+    table = progress_stratified_eval(models, {cfg.match_id: record}, [cuts])
     out = _out_dir(cfg)
-    rows: list[list] = []
-    for name, model in models:
-        clips = (sample_timeline(cut, model.config.time_steps, 1.0) for cut in cuts)
-        for cut, prob in zip(cuts, predict_probs(model, clips).tolist()):
-            pred = "p1" if prob >= THRESHOLD else "p2"
-            # neural scores are (P1, P2) = (y, 1-y), one probability split
-            rows.append([name, cut.duration, prob, 1.0 - prob, pred])
-    for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
-        for (step, _), state in zip(record.frames, states):
-            s1, s2 = evaluator(state, 1), evaluator(state, 2)
-            rows.append([name, step, s1, s2, winner_by_score(s1, s2)])
+    verdicts = {1: "p1", 0: "p2", None: "tie"}
+    rows = [[row.evaluator, row.fraction, *row.scores, verdicts[row.prediction]] for row in table]
     path = out / f"timeline_match{cfg.match_id}.csv"
     note = (
         "# neural rows: p1_score,p2_score = (y, 1-y), one predicted probability split; "
@@ -659,7 +615,12 @@ def main(argv: list[str] | None = None) -> int:
         args = vars(build_parser().parse_args(argv))
         command, path = args.pop("command"), args.pop("config")
         overrides = {key: value for key, value in args.items() if value is not None}
-        return COMMANDS[command][0](load_run_config(path, overrides))
+        cfg = load_run_config(path, overrides)
+        try:
+            return COMMANDS[command][0](cfg)
+        except UndecodableFrame as exc:  # the scorer names a record by its dataset index
+            raise CorruptArtifact(f"{cfg.dataset}:{exc.index + 2}: a frame is not the "
+                                  f"encoding of a legal state: {exc}") from None
     except (OSError, CorruptArtifact) as exc:  # OSError covers MissingArtifact
         print(f"error: {exc}", file=sys.stderr)
         return 2

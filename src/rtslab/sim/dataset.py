@@ -51,7 +51,7 @@ from .. import CorruptArtifact
 from ..rng import SplitMix64
 from .encode import CHANNELS, PLANE_MAX
 from .engine import MatchRecord
-from .schema import FORMAT_VERSION, from_json
+from .schema import FORMAT_VERSION, RANGES, from_json
 
 WINNERS = ("p1", "p2", "draw")
 _INT64_MAX = 2**63 - 1
@@ -181,7 +181,7 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
             steps = [step for step, _ in rec.frames]
             try:
                 planes = _stack_frames([frame for _, frame in rec.frames], shape)
-                _check_match(rec.winner, rec.duration, steps, planes)
+                _check_match(rec, steps, planes)
             except ValueError as exc:
                 raise ValueError(f"record {i}: {exc}") from None
             f.writelines(_match_pieces(rec, steps, planes))
@@ -216,15 +216,23 @@ def _check_planes(planes: np.ndarray) -> None:
     )
 
 
-def _check_match(winner, duration, steps: list, planes: np.ndarray) -> None:
+def _check_match(rec: MatchRecord, steps: list, planes: np.ndarray) -> None:
     """The checks of a match record on read and on write: the winner is
-    one of WINNERS, the duration an int >= 1, frame steps strictly
-    increasing ints in 0..duration and below 2**63 (the reader parses them
-    as int64), and planes in range (`_check_planes`)."""
+    one of WINNERS, the duration an int >= 1, the seed an int in the
+    shared `seed` range, each strategy name a string, frame steps
+    (`steps`) strictly increasing ints in 0..duration and below 2**63
+    (the reader parses them as int64), and `planes` in range
+    (`_check_planes`)."""
+    winner, duration = rec.winner, rec.duration
     if winner not in WINNERS:
         raise ValueError(f"winner {winner!r} is not one of {WINNERS}")
     if type(duration) is not int or duration < 1:
         raise ValueError(f"duration {duration!r} is not an int >= 1")
+    if type(rec.seed) is not int or not RANGES["seed"].holds(rec.seed):
+        raise ValueError(f"seed {rec.seed!r} is not an int {RANGES['seed']}")
+    for key in ("strategy_a", "strategy_b"):
+        if type(getattr(rec, key)) is not str:
+            raise ValueError(f"{key} {getattr(rec, key)!r} is not a string")
     last, top = -1, min(duration, _INT64_MAX)
     for i, step in enumerate(steps):
         if type(step) is not int:
@@ -247,6 +255,13 @@ def _frame_count(frames: bytes, shape: tuple[int, int, int]) -> int:
     """The number of frames in the text `[[step,planes],...]`, which with its
     value bytes (digits and "-") deleted must be the separators of whole
     frames of `shape`."""
+    if frames == b"[]":
+        return 0  # rejected as a record with no frames once its fields are read
+    if len(frames) < 2 * math.prod(shape):
+        # a frame's text holds a value and a separator for each plane value:
+        # a shorter text cannot hold one, and is rejected before anything of
+        # the header's size is made, so the line's length bounds the work
+        raise ValueError(_NOT_LAYOUT)
     separators = _frame_separators(shape)
     skeleton = frames.translate(None, _VALUE_BYTES)
     count = (len(skeleton) - 1) // (len(separators) + 1)
@@ -347,9 +362,10 @@ def _read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
         raise ValueError(_NOT_LAYOUT)
     if not steps:
         raise ValueError("record has no frames")
-    _check_match(fields["winner"], fields["duration"], steps, planes)
-    return MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
-                       fields["winner"], fields["duration"], list(zip(steps, planes)))
+    rec = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
+                      fields["winner"], fields["duration"], list(zip(steps, planes)))
+    _check_match(rec, steps, planes)
+    return rec
 
 
 def _read_header(line: bytes) -> DatasetHeader:

@@ -319,21 +319,26 @@ def run_match(
     )
 
 
-def visible_prefix(record: MatchRecord, progress: float) -> list[tuple[int, np.ndarray]]:
-    """The frames seen at `progress`: every frame with step <=
-    ceil(progress * duration), or the first frame if none is that early."""
-    if not 0.0 < progress <= 1.0:
-        raise ValueError(f"progress must be in (0, 1], got {progress}")
+def frames_until(record: MatchRecord, step: int) -> list[tuple[int, np.ndarray]]:
+    """The frames seen at `step`: every frame with step <= `step`, or the
+    first frame if none is that early. Every cut of a match is one."""
     if not record.frames:
         raise ValueError("record has no frames")
-    cutoff = math.ceil(progress * record.duration)
-    return [f for f in record.frames if f[0] <= cutoff] or record.frames[:1]
+    return [f for f in record.frames if f[0] <= step] or record.frames[:1]
 
 
-def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0) -> np.ndarray:
-    """Select `frame_count` evenly spaced frames from the visible prefix.
+def visible_prefix(record: MatchRecord, progress: float) -> list[tuple[int, np.ndarray]]:
+    """The frames seen at `progress`: `frames_until` step ceil(progress * duration)."""
+    if not 0.0 < progress <= 1.0:
+        raise ValueError(f"progress must be in (0, 1], got {progress}")
+    return frames_until(record, math.ceil(progress * record.duration))
 
-    For P prefix frames (`visible_prefix`), frame i comes from prefix index
+
+def sample_timeline(prefix: list[tuple[int, np.ndarray]], frame_count: int) -> np.ndarray:
+    """Select `frame_count` evenly spaced frames from the visible frames
+    `prefix` (a cut: `frames_until` or `visible_prefix`).
+
+    For P prefix frames, frame i comes from prefix index
     round_half_up(i*(P-1)/(T-1)); T=1 degenerates to the last prefix frame.
     Returns the selected raw frames, shape (T, C, H, W), in the frames'
     own dtype (uint8 for a played or read record); a model normalizes
@@ -341,7 +346,6 @@ def sample_timeline(record: MatchRecord, frame_count: int, progress: float = 1.0
     """
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
-    prefix = visible_prefix(record, progress)
     last = len(prefix) - 1
     if frame_count == 1:
         picks = [last]

@@ -13,7 +13,7 @@ from ..model.network import WinPredictor
 from ..rng import SplitMix64, derive_seed
 from ..sim.dataset import winner_label
 from ..sim.encode import normalize_planes
-from ..sim.engine import sample_timeline
+from ..sim.engine import sample_timeline, visible_prefix
 from ..tensor import Tape, Tensor
 from .loss import bce_loss
 from .optim import AdamW, TrainConfig
@@ -163,5 +163,5 @@ def dataset_to_examples(records, frame_count: int) -> list[Example]:
     for rec in records:
         label = winner_label(rec)
         if label is not None:
-            out.append((sample_timeline(rec, frame_count, 1.0), label))
+            out.append((sample_timeline(visible_prefix(rec, 1.0), frame_count), label))
     return out

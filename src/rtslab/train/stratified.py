@@ -1,10 +1,14 @@
-"""Progress-stratified evaluation: one predictions table and its summaries.
+"""Progress-stratified evaluation: one scorer of cuts, one predictions
+table and its summaries.
 
-For each progress fraction rho, every test match is re-evaluated as if
-only the first ceil(rho * duration) steps had been observed: the neural
-models resample their frame window from that prefix, the classical
-evaluators score the last visible state. `progress_stratified_eval` keeps
-each prediction as one row of a table; every summary (`stratified_metrics`,
+A cut of a match is the frames seen up to some step (`frames_until`); at
+progress fraction rho it is the visible prefix up to step
+ceil(rho * duration) (`visible_prefix`, `fraction_cuts`).
+`progress_stratified_eval` is the one scorer of cuts, for `compare` and
+`eval` (a group per fraction) and for `timeline` (one group, a cut at
+each frame's step): the neural models resample their frame window from
+the cut, the classical evaluators score its last state. Each prediction
+is one row of a table; every summary (`stratified_metrics`,
 `op_stability`) is computed from that table, scoring each prediction
 against the record's final winner label. A classical tie scores as wrong.
 """
@@ -19,8 +23,8 @@ import numpy as np
 from ..baselines import lanchester_eval, simple_eval, winner_by_score
 from ..model.network import WinPredictor
 from ..sim.dataset import winner_label
-from ..sim.engine import MatchRecord, sample_timeline
-from ..sim.state import GameState
+from ..sim.encode import decode_planes
+from ..sim.engine import MatchRecord, sample_timeline, visible_prefix
 from .loop import THRESHOLD, predict_probs
 from .metrics import MetricsReport, compute_metrics
 
@@ -29,53 +33,80 @@ log = logging.getLogger(__name__)
 DEFAULT_FRACTIONS = (0.04, 0.2, 0.4, 0.6, 0.8, 1.0)
 PHASE_SPLIT = 0.4
 
+# (cut key, dataset index, the visible frames): one cut of one record
+Cut = tuple[float, int, list[tuple[int, np.ndarray]]]
+
 
 class Prediction(NamedTuple):
-    """`evaluator`'s verdict on the test record at dataset index `record`
-    seen up to progress `fraction`: one row of the predictions table."""
+    """`evaluator`'s verdict on the record at dataset index `record` seen
+    up to the cut `fraction` (a progress fraction, or a step in a
+    timeline): one row of the predictions table."""
 
     evaluator: str
     fraction: float
     record: int
-    label: int  # 1: player 1 won, 0: player 2 won
+    label: int | None  # 1: player 1 won, 0: player 2 won, None: a draw
     prediction: int | None  # 1 or 0; None for a classical tie
     prob: float | None  # the neural win probability; None for a classical row
+    scores: tuple[float, float]  # (P1, P2): (prob, 1 - prob), or a rule's two state scores
+
+
+class UndecodableFrame(ValueError):
+    """The last visible frame of the record at dataset index `index` is not
+    the encoding of a legal state (`decode_planes` rejects it)."""
+
+    def __init__(self, index: int, reason: ValueError):
+        super().__init__(str(reason))
+        self.index = index
+
+
+def fraction_cuts(records: dict[int, MatchRecord], fractions: tuple[float, ...]) -> list[list[Cut]]:
+    """One group per fraction of `fractions`: each record's visible prefix at it."""
+    return [[(rho, i, visible_prefix(r, rho)) for i, r in records.items()] for rho in fractions]
 
 
 def progress_stratified_eval(
     models: list[tuple[str, WinPredictor]],
     records: dict[int, MatchRecord],
-    fractions: tuple[float, ...],
-    states: dict[tuple[int, float], GameState] | None,
+    groups: list[list[Cut]],
+    classical: bool = True,
 ) -> list[Prediction]:
-    """The predictions table of `records` (test records by dataset index) at
-    each of `fractions`, in evaluator x fraction x record order: each
-    (name, model) of `models`, then, unless `states` is None, the classical
-    rules "simple" and "lanchester".
+    """The predictions table of the cuts in `groups` of `records` (by
+    dataset index), in evaluator x group x cut order: each (name, model)
+    of `models`, then, if `classical`, the rules "simple" and "lanchester".
 
-    A model resamples each clip from the visible prefix (`sample_timeline`)
-    and predicts 1 when `predict_probs` gives at least THRESHOLD; one cache
-    serves all its fractions, so a recurring clip is forwarded once. A
-    classical rule scores `states[index, rho]`, the last visible state.
+    A model resamples each clip from the cut (`sample_timeline`) and
+    predicts 1 when `predict_probs` gives at least THRESHOLD; it takes one
+    `predict_probs` call per group, and one cache serves all its groups,
+    so a recurring clip is forwarded once. A classical rule scores the
+    state of the cut's last frame; each distinct (index, step) is decoded
+    once, and a frame `decode_planes` rejects raises UndecodableFrame.
     """
     labels = {i: winner_label(r) for i, r in records.items()}
     table = []
     for name, model in models:
         cache: dict[bytes, float] = {}
-        for rho in fractions:
-            clips = (sample_timeline(r, model.config.time_steps, rho) for r in records.values())
+        for group in groups:
+            clips = (sample_timeline(frames, model.config.time_steps) for _, _, frames in group)
             probs = predict_probs(model, clips, cache).tolist()
-            table += [Prediction(name, rho, i, labels[i], int(p >= THRESHOLD), p)
-                      for i, p in zip(records, probs)]
-    if states is not None:
-        # looked up per call, so a wrapper installed on either score sees every call
-        for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
-            for rho in fractions:
-                for i in records:
-                    state = states[i, rho]
-                    winner = winner_by_score(evaluator(state, 1), evaluator(state, 2))
-                    prediction = None if winner == "tie" else int(winner == "p1")
-                    table.append(Prediction(name, rho, i, labels[i], prediction, None))
+            table += [Prediction(name, key, i, labels[i], int(p >= THRESHOLD), p, (p, 1.0 - p))
+                      for (key, i, _), p in zip(group, probs)]
+    if not classical:
+        return table
+    states = {}
+    # looked up per call, so a wrapper installed on either score sees every call
+    for name, evaluator in (("simple", simple_eval), ("lanchester", lanchester_eval)):
+        for key, i, frames in (cut for group in groups for cut in group):
+            step, planes = frames[-1]
+            if (i, step) not in states:
+                try:
+                    states[i, step] = decode_planes(planes)
+                except ValueError as exc:
+                    raise UndecodableFrame(i, exc) from None
+            scores = evaluator(states[i, step], 1), evaluator(states[i, step], 2)
+            winner = winner_by_score(*scores)
+            prediction = None if winner == "tie" else int(winner == "p1")
+            table.append(Prediction(name, key, i, labels[i], prediction, None, scores))
     return table
 
 

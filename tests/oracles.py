@@ -347,8 +347,10 @@ def oracle_read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
     if not len(values):
         raise ValueError("record has no frames")
     steps, planes = values[:, 0].tolist(), values[:, 1:].reshape(-1, *shape)
+    record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
+                         fields["winner"], fields["duration"], [])
     try:
-        _check_match(fields["winner"], fields["duration"], steps, planes)
+        _check_match(record, steps, planes)
     except ValueError:
         # the check would name a number the file does not hold: np.fromstring
         # reads any number past int64 as _INT64_MAX, and a bracket between
@@ -357,8 +359,7 @@ def oracle_read_match(line: bytes, shape: tuple[int, int, int]) -> MatchRecord:
             raise ValueError(_NOT_LAYOUT) from None
         raise
     planes = planes.astype(np.uint8)
-    record = MatchRecord(fields["strategy_a"], fields["strategy_b"], fields["seed"],
-                         fields["winner"], fields["duration"], list(zip(steps, planes)))
+    record.frames = list(zip(steps, planes))
     if b"".join(_match_pieces(record, steps, planes)) != line:
         raise ValueError(_NOT_LAYOUT)
     return record

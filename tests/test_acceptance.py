@@ -36,12 +36,10 @@ from rtslab.model import (
 )
 from rtslab.rng import SplitMix64
 from rtslab.sim import (
-    decode_planes,
     run_tournament,
     schedule_round_robin,
     split_dataset,
 )
-from rtslab.sim.engine import visible_prefix
 from rtslab.sim.rules import P1
 from rtslab.sim.state import Unit
 from rtslab.sim.rules import MAX_HP, UnitKind
@@ -58,6 +56,7 @@ from rtslab.train import (
     train_model,
 )
 from rtslab.train.metrics import metrics_from_confusion
+from rtslab.train.stratified import fraction_cuts
 from rtslab.train.published import REFERENCE_ACCURACY, REFERENCE_OP_STD
 
 DESK_GRADCHECK = ModelConfig(
@@ -223,9 +222,8 @@ class TestCriterion04ProgressTrend:
         model, _ = toy_lab["models"]["tstf"]
         records = dict(enumerate(toy_lab["test_records"]))
         fractions = (0.04, 1.0)
-        states = {(i, rho): decode_planes(visible_prefix(r, rho)[-1][1])
-                  for i, r in records.items() for rho in fractions}
-        table = progress_stratified_eval([("tstf-2", model)], records, fractions, states)
+        table = progress_stratified_eval([("tstf-2", model)], records,
+                                         fraction_cuts(records, fractions))
         metrics = {name: dict(rows) for name, rows in stratified_metrics(table).items()}
         acc_early, acc_full = (metrics["tstf-2"][rho].accuracy for rho in fractions)
         assert acc_full >= acc_early, f"acc(1.0)={acc_full:.3f} < acc(0.04)={acc_early:.3f}"
@@ -428,8 +426,9 @@ class TestEndToEndPipeline:
         model_dir = dirs["tstf"]
 
         # pick a match the converged model classifies correctly at rho=1
+        by_index = dict(enumerate(test_records))
         table = progress_stratified_eval(
-            [("tstf-2", model)], dict(enumerate(test_records)), (1.0,), None)
+            [("tstf-2", model)], by_index, fraction_cuts(by_index, (1.0,)), classical=False)
         match_id = next(row.record for row in table if row.prediction == row.label)
         out = tmp_path / "timeline"
         rc = main([

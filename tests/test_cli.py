@@ -36,6 +36,7 @@ from rtslab.sim import (
     write_dataset,
 )
 from rtslab.sim.encode import PLANE_FACTION_RES, PLANE_HEALTH, PLANE_TYPE
+from rtslab.sim.engine import visible_prefix
 from rtslab.sim.schema import RANGES, field_kind, from_json
 from rtslab.train.metrics import metrics_from_confusion
 
@@ -736,6 +737,15 @@ def _no_frames(lines):
     return "dataset.jsonl:2: record has no frames"
 
 
+def _map_height_past_the_line(lines):
+    # one frame of the header's shape would take 5 GB: the line is too short
+    # to hold it, and is rejected before anything of that size is made
+    header = json.loads(lines[0])
+    header["map_height"] = 10**9
+    lines[0] = _canonical_dump(header)
+    return "dataset.jsonl:2: match line is not in the writer's layout"
+
+
 def _unknown_winner(lines):
     record = json.loads(lines[1])
     record["winner"] = "p3"
@@ -790,9 +800,11 @@ class TestCorruptDataset:
     @pytest.mark.parametrize(
         "corrupt",
         [_drop_winner, _truncate_last, _append_non_utf8, _three_planes, _repeated_step,
-         _no_frames, _unknown_winner, _three_channel_header, _deep_nesting, _blank_line],
+         _no_frames, _unknown_winner, _three_channel_header, _deep_nesting, _blank_line,
+         _map_height_past_the_line],
         ids=["missing-winner", "truncated-line", "non-utf8", "three-planes", "repeated-step",
-             "no-frames", "unknown-winner", "three-channel-header", "deep-nesting", "blank-line"],
+             "no-frames", "unknown-winner", "three-channel-header", "deep-nesting", "blank-line",
+             "map-height-past-the-line"],
     )
     def test_bad_record_exits_2_naming_the_line(self, pipeline, tmp_path, capsys, corrupt):
         lines = (pipeline["data"] / "dataset.jsonl").read_text().splitlines()
@@ -1350,6 +1362,45 @@ class TestTimeline:
                 evaluator = evaluators[name]
                 assert (s1, s2) == (str(evaluator(state, 1)), str(evaluator(state, 2)))
                 assert verdict == winner_by_score(evaluator(state, 1), evaluator(state, 2))
+
+    def test_rows_equal_compare_at_the_same_cut(self, pipeline, tmp_path):
+        # one cut and one scorer: compare's row at rho is the timeline's row at
+        # the last frame visible at rho, so at rho = 1.0 its last row: the
+        # classical verdict exactly, a tie included, the probability to 1e-12
+        data = tmp_path / "data"
+        assert main([
+            "generate", "--out", str(data), "--seed", "3",
+            "--roster", "RangedRushLite,HeavyRushLite", "--rounds", "4",
+            "--max-steps", "80", "--capture-every", "2",  # both score even at step 2
+        ]) == 0
+        dataset = data / "dataset.jsonl"
+        records = read_dataset(dataset).records
+        models = ["--models", str(pipeline["model"])]  # the same 16x16 maps
+        assert main(["compare", "--dataset", str(dataset), "--fractions", "0.04,0.2,1.0",
+                     "--out", str(tmp_path / "c")] + models) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "c" / "predictions.csv").read_text().splitlines()[1:]]
+        verdicts = {"1": "p1", "0": "p2", "tie": "tie"}
+        ties = 0
+        for match_id in sorted({int(row[2]) for row in rows}):
+            out = tmp_path / f"t{match_id}"
+            assert main(["timeline", "--dataset", str(dataset), "--match-id", str(match_id),
+                         "--out", str(out)] + models) == 0
+            lines = (out / f"timeline_match{match_id}.csv").read_text().splitlines()[2:]
+            timeline = {(line.split(",")[0], int(line.split(",")[1])): line.split(",")
+                        for line in lines}
+            record = records[match_id]
+            for evaluator, rho, _, _, prediction, prob in [r for r in rows
+                                                           if r[2] == str(match_id)]:
+                step = visible_prefix(record, float(rho))[-1][0]
+                if rho == "1.0":
+                    assert step == record.frames[-1][0]
+                _, _, p1_score, _, verdict = timeline[evaluator, step]
+                assert verdict == verdicts[prediction]
+                ties += verdict == "tie"
+                if prob:
+                    assert float(p1_score) == pytest.approx(float(prob), abs=1e-12)
+        assert ties  # the case a verdict map could get wrong occurs
 
     def test_match_id_out_of_range_exits_3(self, pipeline, tmp_path):
         rc = main([

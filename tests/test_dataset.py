@@ -329,16 +329,35 @@ class TestReadParity:
         (lambda line: _move_first_value(line, b",["), LAYOUT),
         (_edit_record(lambda r: r.__setitem__("other", 1)), LAYOUT),
         (lambda line: line[:-1] + b',"zz":[0],"kind":"match"}', LAYOUT),
+        (_edit_record(lambda r: r.__setitem__("seed", "x")),
+         "seed 'x' is not an int in 0..18446744073709551615"),
+        (_edit_record(lambda r: r.__setitem__("seed", -1)), "seed -1 is not an int in 0.."),
+        (_edit_record(lambda r: r.__setitem__("seed", 2**64)),
+         "seed 18446744073709551616 is not an int in 0.."),
+        (_edit_record(lambda r: r.__setitem__("strategy_a", 5)), "strategy_a 5 is not a string"),
     ], ids=["leading-zero", "digit-after-bracket", "empty-slot", "whitespace",
             "19-digit-value", "2**63-step", "digit-inside-brackets", "minus-zero",
             "plus-sign", "2**63-value", "value-missing", "value-extra", "300-in-plane-0",
             "no-frames", "leading-zero-and-300", "empty-first-slot", "value-after-bracket",
-            "value-before-bracket", "extra-key", "second-kind-after-frames"])
+            "value-before-bracket", "extra-key", "second-kind-after-frames", "str-seed",
+            "negative-seed", "2**64-seed", "int-strategy"])
     def test_fixed_edits(self, tmp_path, edit, words):
         header, line = _canonical_lines(tmp_path)
         path = tmp_path / "d.jsonl"
         path.write_bytes(header + b"\n" + edit(line) + b"\n")
         with pytest.raises(CorruptArtifact, match=re.escape(f"d.jsonl:2: {words}")):
+            read_dataset(path)
+
+    def test_frame_size_past_the_line_is_not_allocated(self, tmp_path):
+        # one zero frame of a 10**9 x 8 header would take 40 GB; the line is
+        # too short to hold a frame of that shape, so it is rejected first
+        header, line = _canonical_lines(tmp_path)
+        head = json.loads(header)
+        head["map_height"] = 10**9
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+                         + b"\n" + line + b"\n")
+        with pytest.raises(CorruptArtifact, match=re.escape(f"d.jsonl:2: {LAYOUT}")):
             read_dataset(path)
 
 
@@ -507,16 +526,20 @@ class TestWriterChecks:
         ({"duration": True}, "duration True is not an int >= 1"),
         ({"duration": 10.0}, "duration 10.0 is not an int >= 1"),
         ({"winner": "p3"}, "winner 'p3' is not one of"),
+        ({"seed": "x"}, "seed 'x' is not an int in 0..18446744073709551615"),
+        ({"seed": -1}, "seed -1 is not an int in 0.."),
+        ({"seed": 2**64}, "seed 18446744073709551616 is not an int in 0.."),
+        ({"strategy_a": 5}, "strategy_a 5 is not a string"),
         ({"duration": 2**63, "frames": _frames(2**63)},
          "frame 0 step 9223372036854775808 is outside 0..9223372036854775807"),
     ], ids=["negative", "26-in-plane-4", "uint8-8-in-plane-0", "float-planes",
             "numpy-int-step", "float-step", "negative-step", "step-past-duration",
             "repeated-step", "decreasing-step", "no-frames", "frame-shape",
             "zero-duration", "bool-duration", "float-duration", "unknown-winner",
-            "2**63-step"])
+            "2**63-step", "str-seed", "negative-seed", "2**64-seed", "int-strategy"])
     def test_rejected_naming_record_and_frame(self, tmp_path, changes, words):
         good = MatchRecord("A", "B", 0, "p1", 10, _frames(2, 6))
-        bad = replace(good, seed=1, **changes)
+        bad = replace(good, **{"seed": 1, **changes})
         path = tmp_path / "d.jsonl"
         header = DatasetHeader(map_height=4, map_width=4)
         with pytest.raises(ValueError) as caught:

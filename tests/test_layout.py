@@ -10,8 +10,7 @@ from pathlib import Path
 import rtslab.train.stratified
 from rtslab import cli
 from rtslab.model import WinPredictor
-from rtslab.sim import decode_planes, run_tournament
-from rtslab.sim.engine import visible_prefix
+from rtslab.sim import run_tournament
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rtslab"
@@ -58,6 +57,21 @@ def test_planes_are_normalized_in_one_module():
             if named:
                 namers.add(path.relative_to(SRC).as_posix())
     assert namers == {"train/loop.py"}, f"modules naming normalize_planes: {sorted(namers)}"
+
+
+def test_cli_scores_only_through_the_one_scorer():
+    # every cut is scored in progress_stratified_eval; a CLI that imports a
+    # model call, a clip sampler, a cut by fraction, a decoder or a rule
+    # has grown a second scoring path
+    scoring = {"predict_probs", "sample_timeline", "visible_prefix", "decode_planes",
+               "simple_eval", "lanchester_eval", "winner_by_score"}
+    named = set()
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & scoring, f"cli.py names: {sorted(named & scoring)}"
 
 
 def test_no_module_imports_threading():
@@ -137,11 +151,10 @@ def test_tracer_counts_every_classical_score(monkeypatch):
     names = ["WorkerRushLite", "LightRushLite"]
     records = dict(enumerate(run_tournament(names, 2, 3, max_steps=40, capture_every=4)))
     fractions = (0.2, 0.6, 1.0)
-    states = {(i, rho): decode_planes(visible_prefix(r, rho)[-1][1])
-              for i, r in records.items() for rho in fractions}
+    cuts = rtslab.train.stratified.fraction_cuts(records, fractions)
     tracer = Tracer()
     with tracer.installed():
-        rtslab.train.stratified.progress_stratified_eval([], records, fractions, states)
+        rtslab.train.stratified.progress_stratified_eval([], records, cuts)
     assert tracer.calls["baselines.eval"] == 4 * len(records) * len(fractions)
 
 

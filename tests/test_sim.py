@@ -30,7 +30,7 @@ from rtslab.sim.encode import (
     PLANE_TYPE,
     normalize_planes,
 )
-from rtslab.sim.engine import PHASES, check_winner
+from rtslab.sim.engine import PHASES, check_winner, frames_until, visible_prefix
 from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STORE_CAP
 from rtslab.sim.state import GameState, Unit
 from rtslab.sim.strategies import DEFAULT_ROSTER
@@ -595,37 +595,56 @@ def synthetic_record(n_frames: int, duration: int) -> MatchRecord:
 class TestSampleTimeline:
     def test_identity_selection(self):
         rec = synthetic_record(6, 12)
-        out = sample_timeline(rec, 6, 1.0)
+        out = sample_timeline(visible_prefix(rec, 1.0), 6)
         assert list(out[:, PLANE_HEALTH, 0, 0]) == [0, 1, 2, 3, 4, 5]
 
     def test_single_frame_takes_prefix_end(self):
         rec = synthetic_record(6, 12)
-        out = sample_timeline(rec, 1, 1.0)
+        out = sample_timeline(visible_prefix(rec, 1.0), 1)
         assert out[0, PLANE_HEALTH, 0, 0] == 5
-        half = sample_timeline(rec, 1, 0.5)
+        half = sample_timeline(visible_prefix(rec, 0.5), 1)
         assert half[0, PLANE_HEALTH, 0, 0] == 2  # frames at steps 2..12
+        # rho = 0.5 of 12 steps is the cut at step 6
+        assert sample_timeline(frames_until(rec, 6), 1).tobytes() == half.tobytes()
 
     def test_ten_frames_to_five_uses_half_up_rounding(self):
         rec = synthetic_record(10, 10)
-        out = sample_timeline(rec, 5, 1.0)
+        out = sample_timeline(visible_prefix(rec, 1.0), 5)
         assert list(out[:, PLANE_HEALTH, 0, 0]) == [0, 2, 5, 7, 9]
 
     def test_short_prefix_repeats(self):
         rec = synthetic_record(2, 10)
-        out = sample_timeline(rec, 4, 1.0)
+        out = sample_timeline(visible_prefix(rec, 1.0), 4)
         assert list(out[:, PLANE_HEALTH, 0, 0]) == [0, 0, 1, 1]
         assert out.shape == (4, 5, 4, 4) and out.dtype == np.uint8
 
     def test_contract_errors(self):
         rec = synthetic_record(3, 6)
         with pytest.raises(ValueError, match="frame_count"):
-            sample_timeline(rec, 0, 1.0)
+            sample_timeline(visible_prefix(rec, 1.0), 0)
         with pytest.raises(ValueError, match="progress"):
-            sample_timeline(rec, 2, 0.0)
+            visible_prefix(rec, 0.0)
         with pytest.raises(ValueError, match="progress"):
-            sample_timeline(rec, 2, 1.5)
+            visible_prefix(rec, 1.5)
+        with pytest.raises(ValueError, match="no frames"):
+            frames_until(MatchRecord("A", "B", 0, "p1", 6, []), 6)
 
     def test_tiny_progress_still_yields_a_frame(self):
-        rec = synthetic_record(5, 100)
-        out = sample_timeline(rec, 3, 0.001)
+        rec = synthetic_record(5, 100)  # the first frame is at step 20
+        out = sample_timeline(visible_prefix(rec, 0.001), 3)
         assert out.shape[0] == 3
+        for cut in (visible_prefix(rec, 0.001), frames_until(rec, 0)):
+            assert len(cut) == 1 and cut[0] is rec.frames[0]
+
+    def test_a_step_cut_does_not_read_the_duration(self):
+        # two records that share their frames up to step 6 but differ in
+        # duration: one clip at the step cut, two at one fraction
+        short = synthetic_record(4, 8)  # frames at steps 2, 4, 6, 8
+        tail = short.frames[3][1]
+        later = [(20, tail + 4), (40, tail + 6)]
+        long = MatchRecord("A", "B", 0, "p1", 40, short.frames[:3] + later)
+        clip = sample_timeline(frames_until(short, 6), 4)
+        assert sample_timeline(frames_until(long, 6), 4).tobytes() == clip.tobytes()
+        assert list(clip[:, PLANE_HEALTH, 0, 0]) == [0, 1, 1, 2]
+        at_half = [sample_timeline(visible_prefix(r, 0.5), 4) for r in (short, long)]
+        assert at_half[0].tobytes() != at_half[1].tobytes()

@@ -22,6 +22,7 @@ from rtslab.sim import (
     write_dataset,
 )
 from rtslab.sim.encode import PLANE_MAX, normalize_planes
+from rtslab.sim.engine import visible_prefix
 from rtslab.tensor import Tape, Tensor
 from rtslab.train import (
     AdamW,
@@ -39,6 +40,7 @@ from rtslab.train import (
 )
 from rtslab.train.loop import INFER_BATCH, THRESHOLD, dataset_to_examples
 from rtslab.train.metrics import metrics_from_confusion
+from rtslab.train.stratified import fraction_cuts
 
 from oracles import grad_check
 
@@ -556,21 +558,22 @@ class TestStratified:
             records.append(MatchRecord("A", "B", i, "p1" if i % 2 else "p2", 8, frames))
         # dataset indices need not start at 0 or be sorted
         by_index = {3 * i + 1 if i % 2 else 40 - i: r for i, r in enumerate(records)}
-        table = progress_stratified_eval([("m", model)], by_index, (0.5, 1.0), None)
+        table = progress_stratified_eval([("m", model)], by_index,
+                                         fraction_cuts(by_index, (0.5, 1.0)), classical=False)
         assert [(row.fraction, row.record) for row in table] == [
             (rho, i) for rho in (0.5, 1.0) for i in by_index]
         [_, (_, full)] = stratified_metrics(table)["m"]
         labels = np.array([1 if r.winner == "p1" else 0 for r in records])
         # the model's time_steps: 2
-        probs = predict_probs(model, [sample_timeline(r, 2, 1.0) for r in records])
+        probs = predict_probs(model, [sample_timeline(visible_prefix(r, 1.0), 2) for r in records])
         direct = (probs >= THRESHOLD).astype(int)
         assert full.accuracy == pytest.approx(float((direct == labels).mean()))
         assert [row.prob for row in table[10:]] == pytest.approx(probs.tolist(), abs=1e-12)
 
     def test_tie_predictions_score_as_wrong(self):
         # a tie on label 1 counts as a false negative, on label 0 as a false positive
-        table = [Prediction("simple", 1.0, 7, 1, None, None),
-                 Prediction("simple", 1.0, 9, 0, None, None)]
+        table = [Prediction("simple", 1.0, 7, 1, None, None, (2.0, 2.0)),
+                 Prediction("simple", 1.0, 9, 0, None, None, (2.0, 2.0))]
         [(rho, report)] = stratified_metrics(table)["simple"]
         assert rho == 1.0 and report.accuracy == 0.0
         assert report.confusion == (0, 1, 1, 0)  # (tp, fp, fn, tn)
