@@ -3,7 +3,7 @@ model preset, next to the published full-scale totals.
 
 The census (each parameter's group) and the published totals live here,
 with their one reader; the package itself counts only the active total
-(`rtslab.model.count_params`). Regenerate the file from the repository
+(`rtslab.model.params.count_params`). Regenerate the file from the repository
 root with
 
     PYTHONPATH=src python3 docs/parameter_counts.py > docs/parameter_counts.md

@@ -11,7 +11,7 @@ Subcommands:
     timeline   per-step scores of every evaluator over one chosen match
 
 Settings merge from a JSON config file (--config) and flag overrides;
-unknown config keys are rejected by name. One checker, `sim.schema`,
+unknown config keys are rejected by name. One checker, `rtslab.schema`,
 reads the settings, a dataset.jsonl header and a model's config.json:
 each key's type from its field and its range from one table (a seed,
 for one, must lie in 0..2**64-1). Every command is idempotent:
@@ -59,39 +59,39 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from . import CorruptArtifact
-from .model import ConfigError, ModelConfig, WinPredictor, count_params, get_preset
-from .model.config import PRESETS, VARIANTS
-from .sim import (
+from . import ConfigError, CorruptArtifact
+from .model.config import PRESETS, VARIANTS, ModelConfig, get_preset
+from .model.network import WinPredictor
+from .model.params import count_params
+from .schema import from_json
+from .sim.dataset import (
     Dataset,
     DatasetHeader,
-    MatchRecord,
     read_dataset,
-    run_tournament,
+    replaced_on_success,
     split_dataset,
     write_dataset,
 )
-from .sim.dataset import replaced_on_success
-from .sim.engine import frames_until
-from .sim.schema import from_json
+from .sim.engine import MatchRecord, frames_until
 from .sim.strategies import DEFAULT_ROSTER, REGISTRY
-from .train import (
-    Prediction,
-    TrainConfig,
-    dataset_to_examples,
-    op_stability,
-    progress_stratified_eval,
-    stratified_metrics,
-    train_model,
-)
-from .train.loop import THRESHOLD
+from .sim.tournament import run_tournament
+from .train.loop import THRESHOLD, dataset_to_examples, train_model
+from .train.optim import TrainConfig
 from .train.published import (
     REFERENCE_ACCURACY,
     REFERENCE_OP_STD,
     REFERENCE_PRECISION,
     REFERENCE_RECALL,
 )
-from .train.stratified import DEFAULT_FRACTIONS, UndecodableFrame, fraction_cuts
+from .train.stratified import (
+    DEFAULT_FRACTIONS,
+    Prediction,
+    UndecodableFrame,
+    fraction_cuts,
+    op_stability,
+    progress_stratified_eval,
+    stratified_metrics,
+)
 
 # batch size per preset (as published; desk values are this lab's defaults)
 PRESET_BATCH_SIZE: dict[str, int] = {

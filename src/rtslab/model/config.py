@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .. import ConfigError, CorruptArtifact
-from ..sim.schema import from_json
+from ..schema import from_json
 
 VARIANTS = ("tstf", "space_time_only")
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import CorruptArtifact
+from .. import ConfigError, CorruptArtifact
 from .. import tensor as T
 from ..checkpoint import save_checkpoint
 from ..tensor import Tensor
-from .config import ConfigError, ModelConfig
+from .config import ModelConfig
 from .params import init_params, load_params
 
 

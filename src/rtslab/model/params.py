@@ -21,52 +21,50 @@ per-group census of these arrays is docs/parameter_counts.py.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
+from .. import ConfigError
 from ..checkpoint import load_checkpoint
 from ..rng import SplitMix64
 from ..tensor import Tensor, normal
-from .config import ConfigError, ModelConfig
+from .config import ModelConfig
 
 
-def _attention_names(prefix: str, dim: int) -> list[tuple[str, tuple[int, ...], str]]:
+Spec = Iterator[tuple[str, tuple[int, ...], str]]
+
+
+def _attention_names(prefix: str, dim: int) -> Spec:
     """(name, shape, init-kind) for one attention submodule of width `dim`."""
-    out = []
     for part in ("wq", "wk", "wv", "wo"):
-        out.append((f"{prefix}.{part}", (dim, dim), "weight"))
+        yield f"{prefix}.{part}", (dim, dim), "weight"
     for part in ("bq", "bk", "bv", "bo"):
-        out.append((f"{prefix}.{part}", (dim,), "zero"))
-    return out
+        yield f"{prefix}.{part}", (dim,), "zero"
 
 
-def parameter_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """Every parameter's (name, shape, init-kind), in creation order."""
+def parameter_spec(config: ModelConfig) -> Spec:
+    """Every parameter's (name, shape, init-kind), in creation order, one
+    at a time, so a reader may stop before a huge `layers` is spelled out."""
     d = config.embed_dim
-    spec: list[tuple[str, tuple[int, ...], str]] = [
-        ("embed.weight", (d, config.patch_values), "weight"),
-        ("embed.bias", (d,), "zero"),
-        ("pos", (config.seq_len, d), "embedding"),
-        ("cls", (d,), "embedding"),
-    ]
+    yield "embed.weight", (d, config.patch_values), "weight"
+    yield "embed.bias", (d,), "zero"
+    yield "pos", (config.seq_len, d), "embedding"
+    yield "cls", (d,), "embedding"
     for l in range(config.layers):
         base = f"layers.{l}"
-        spec += _attention_names(f"{base}.sa", d)
-        spec += _attention_names(f"{base}.ta", d)
-        spec += _attention_names(f"{base}.fa", config.channel_dim)
-        spec += _attention_names(f"{base}.cls_attn", d)
-        spec += [
-            (f"{base}.cls_norm.gamma", (d,), "one"),
-            (f"{base}.cls_norm.beta", (d,), "zero"),
-            (f"{base}.norm.gamma", (d,), "one"),
-            (f"{base}.norm.beta", (d,), "zero"),
-        ]
-    spec += [
-        ("head.w1", (d, 4 * d), "weight"),
-        ("head.b1", (4 * d,), "zero"),
-        ("head.w2", (4 * d, 1), "weight"),
-        ("head.b2", (), "zero"),
-    ]
-    return spec
+        yield from _attention_names(f"{base}.sa", d)
+        yield from _attention_names(f"{base}.ta", d)
+        yield from _attention_names(f"{base}.fa", config.channel_dim)
+        yield from _attention_names(f"{base}.cls_attn", d)
+        yield f"{base}.cls_norm.gamma", (d,), "one"
+        yield f"{base}.cls_norm.beta", (d,), "zero"
+        yield f"{base}.norm.gamma", (d,), "one"
+        yield f"{base}.norm.beta", (d,), "zero"
+    yield "head.w1", (d, 4 * d), "weight"
+    yield "head.b1", (4 * d,), "zero"
+    yield "head.w2", (4 * d, 1), "weight"
+    yield "head.b2", (), "zero"
 
 
 def _fan_in(name: str, shape: tuple[int, ...]) -> int:
@@ -105,21 +103,22 @@ def count_params(config: ModelConfig) -> int:
 
 
 def load_params(path, config: ModelConfig) -> dict[str, Tensor]:
-    """Load a checkpoint, validating every shape against the config."""
+    """Load a checkpoint, validating every name and shape against the
+    config. The config's names are walked only until one is missing from
+    the checkpoint, so the work is bounded by the checkpoint's size, not
+    by the config's `layers`."""
     arrays = load_checkpoint(path)
-    expected = {name: shape for name, shape, _ in parameter_spec(config)}
-    if set(arrays) != set(expected):
-        missing = sorted(set(expected) - set(arrays))
-        extra = sorted(set(arrays) - set(expected))
-        raise ConfigError(
-            f"checkpoint does not match config: missing={missing[:4]} extra={extra[:4]}"
-        )
-    out: dict[str, Tensor] = {}
-    for name, arr in arrays.items():
-        if tuple(arr.shape) != tuple(expected[name]):
+    matched = set()
+    for name, shape, _ in parameter_spec(config):
+        if name not in arrays:
+            raise ConfigError(f"checkpoint does not match config: missing={[name]}")
+        if arrays[name].shape != shape:
             raise ConfigError(
                 f"checkpoint shape mismatch for {name}: "
-                f"file {tuple(arr.shape)} vs config {tuple(expected[name])}"
+                f"file {arrays[name].shape} vs config {shape}"
             )
-        out[name] = Tensor(arr, requires_grad=True)
-    return out
+        matched.add(name)
+    extra = sorted(set(arrays) - matched)
+    if extra:
+        raise ConfigError(f"checkpoint does not match config: extra={extra[:4]}")
+    return {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}

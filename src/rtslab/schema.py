@@ -3,7 +3,6 @@
 A run config, a model's config.json and a dataset.jsonl header all go
 through `from_json`, which raises ConfigError naming the key; the caller
 picks the exit code: 3 for a run config, CorruptArtifact's 2 for a file.
-It sits in sim/ because its table reads CHANNELS and MIN_MAP_SIZE.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from collections.abc import Callable
 from dataclasses import fields
 from typing import NamedTuple
 
-from .. import ConfigError
-from .encode import CHANNELS
-from .state import MIN_MAP_SIZE
+from . import ConfigError
+from .sim.encode import CHANNELS
+from .sim.state import MIN_MAP_SIZE
 
 FORMAT_VERSION = 1  # of dataset.jsonl
 
@@ -75,6 +74,9 @@ RANGES: dict[str, Range] = {
     "heads": Range(1),
     "time_steps": Range(1),
     "patch": Range(1),
+    "epochs": Range(1),
+    "batch_size": Range(1),
+    "lr": Range(0, open_low=True),
 }
 
 

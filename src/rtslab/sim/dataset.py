@@ -49,9 +49,9 @@ import numpy as np
 
 from .. import CorruptArtifact
 from ..rng import SplitMix64
+from ..schema import FORMAT_VERSION, RANGES, from_json
 from .encode import CHANNELS, PLANE_MAX
 from .engine import MatchRecord
-from .schema import FORMAT_VERSION, RANGES, from_json
 
 WINNERS = ("p1", "p2", "draw")
 _INT64_MAX = 2**63 - 1

@@ -12,10 +12,10 @@ Contracts:
 * A Tensor is immutable after creation except for gradient accumulation.
   (A central-difference gradient check, such as ``grad_check`` in
   ``tests/oracles.py``, perturbs ``.data`` in place and restores it, and
-  an optimizer such as ``rtslab.train.AdamW`` makes each parameter's
-  ``.data`` and ``.grad`` views into its flat buffers and updates them in
-  place; those are the sanctioned exceptions, and each owns the
-  parameters while it runs.)
+  an optimizer such as ``rtslab.train.optim.AdamW`` makes each
+  parameter's ``.data`` and ``.grad`` views into its flat buffers and
+  updates them in place; those are the sanctioned exceptions, and each
+  owns the parameters while it runs.)
 * Calling ``backward`` twice on the same tape accumulates leaf gradients
   additively. An intermediate node's gradient is released as soon as its
   backward has consumed it, so after the pass every recorded node's

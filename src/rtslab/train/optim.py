@@ -31,10 +31,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        # the decay factor 1 - lr*wd must lie in (0, 1]: at -1 a
-        # zero-gradient step flips every parameter's sign
+        # lr, batch_size and epochs are checked by the run config's
+        # schema.RANGES. The decay factor 1 - lr*wd must lie in (0, 1]: at
+        # -1 a zero-gradient step flips every parameter's sign
         if not 0 <= self.lr * self.weight_decay < 1:
             raise ValueError(
                 f"weight_decay must satisfy 0 <= lr*weight_decay < 1 (lr={self.lr:g}), "
@@ -44,8 +43,6 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
 
 
 class AdamW:

@@ -34,11 +34,18 @@ from rtslab.baselines import (
     UNIT_WEIGHT,
 )
 from rtslab.rng import SplitMix64, derive_seed
-from rtslab.sim import UnitKind
 from rtslab.sim.dataset import _INT64_MAX, _NOT_LAYOUT, _check_match, _match_pieces
 from rtslab.sim.engine import Action, MatchRecord, check_winner, step
 from rtslab.sim.encode import CHANNELS, PLANE_FACTION
-from rtslab.sim.rules import ATTACK_RANGE, COST, MAX_HP, P1, P2, TRAINABLE_AT_BARRACKS
+from rtslab.sim.rules import (
+    ATTACK_RANGE,
+    COST,
+    MAX_HP,
+    P1,
+    P2,
+    TRAINABLE_AT_BARRACKS,
+    UnitKind,
+)
 from rtslab.sim.state import GameState, Unit, manhattan, standard_start
 from rtslab.sim.strategies import (
     _attack_or_advance,

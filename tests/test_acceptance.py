@@ -26,38 +26,21 @@ from parameter_counts import GROUPS, REFERENCE_PARAM_COUNTS, accounting_report, 
 
 from rtslab.baselines import lanchester_eval, simple_eval
 from rtslab.cli import main
-from rtslab.model import (
-    ModelConfig,
-    WinPredictor,
-    count_params,
-    get_preset,
-    init_params,
-    parameter_spec,
-)
+from rtslab.model.config import ModelConfig, get_preset
+from rtslab.model.network import WinPredictor
+from rtslab.model.params import count_params, init_params, parameter_spec
 from rtslab.rng import SplitMix64
-from rtslab.sim import (
-    run_tournament,
-    schedule_round_robin,
-    split_dataset,
-)
-from rtslab.sim.rules import P1
+from rtslab.sim.dataset import split_dataset
+from rtslab.sim.rules import MAX_HP, P1, UnitKind
 from rtslab.sim.state import Unit
-from rtslab.sim.rules import MAX_HP, UnitKind
+from rtslab.sim.tournament import run_tournament, schedule_round_robin
 from rtslab.tensor import Tensor
-from rtslab.train import (
-    AdamW,
-    TrainConfig,
-    bce_loss,
-    compute_metrics,
-    dataset_to_examples,
-    evaluate_accuracy,
-    progress_stratified_eval,
-    stratified_metrics,
-    train_model,
-)
-from rtslab.train.metrics import metrics_from_confusion
-from rtslab.train.stratified import fraction_cuts
+from rtslab.train.loop import dataset_to_examples, evaluate_accuracy, train_model
+from rtslab.train.loss import bce_loss
+from rtslab.train.metrics import compute_metrics, metrics_from_confusion
+from rtslab.train.optim import AdamW, TrainConfig
 from rtslab.train.published import REFERENCE_ACCURACY, REFERENCE_OP_STD
+from rtslab.train.stratified import fraction_cuts, progress_stratified_eval, stratified_metrics
 
 DESK_GRADCHECK = ModelConfig(
     layers=2, embed_dim=20, heads=5, channels=5, time_steps=4,
@@ -395,7 +378,7 @@ class TestEndToEndPipeline:
     compare and timeline commands and checks their promised behavior."""
 
     def test_timeline_and_compare_on_converged_model(self, toy_lab, tmp_path):
-        from rtslab.sim import Dataset, DatasetHeader, write_dataset
+        from rtslab.sim.dataset import Dataset, DatasetHeader, write_dataset
         import json
 
         data_dir = tmp_path / "data"

@@ -7,9 +7,8 @@ from oracles import empty_state, oracle_lanchester, oracle_simple, random_small_
 
 from rtslab.baselines import BASE_WEIGHT, lanchester_eval, simple_eval, winner_by_score
 from rtslab.rng import SplitMix64
-from rtslab.sim import UnitKind, standard_start
-from rtslab.sim.rules import MAX_HP, P1, P2
-from rtslab.sim.state import Unit
+from rtslab.sim.rules import MAX_HP, P1, P2, UnitKind
+from rtslab.sim.state import Unit, standard_start
 
 
 class TestSimpleEval:

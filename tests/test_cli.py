@@ -18,26 +18,24 @@ import numpy as np
 import pytest
 
 import rtslab.sim.tournament
+from rtslab import ConfigError
 from rtslab.baselines import lanchester_eval, simple_eval, winner_by_score
 from rtslab.cli import RunConfig, build_parser, main
-from rtslab.model import ConfigError, ModelConfig
+from rtslab.model.config import ModelConfig
 from rtslab.rng import SplitMix64
-from rtslab.sim import (
-    Dataset,
-    DatasetHeader,
-    MatchRecord,
-    UnitKind,
+from rtslab.schema import RANGES, field_kind, from_json
+from rtslab.sim.dataset import Dataset, DatasetHeader, read_dataset, write_dataset
+from rtslab.sim.encode import (
+    PLANE_FACTION_RES,
+    PLANE_HEALTH,
+    PLANE_TYPE,
     decode_planes,
     raw_planes,
-    read_dataset,
-    run_tournament,
-    schedule_round_robin,
-    standard_start,
-    write_dataset,
 )
-from rtslab.sim.encode import PLANE_FACTION_RES, PLANE_HEALTH, PLANE_TYPE
-from rtslab.sim.engine import visible_prefix
-from rtslab.sim.schema import RANGES, field_kind, from_json
+from rtslab.sim.engine import MatchRecord, visible_prefix
+from rtslab.sim.rules import UnitKind
+from rtslab.sim.state import standard_start
+from rtslab.sim.tournament import run_tournament, schedule_round_robin
 from rtslab.train.metrics import metrics_from_confusion
 
 
@@ -219,7 +217,9 @@ class TestGenerate:
             what, check = field_kind(hints[field.name])
             if field.default is not dataclasses.MISSING:
                 assert check(field.default), (field.name, what)
-                assert field.name not in RANGES or RANGES[field.name].holds(field.default)
+                # a null, such as batch_size's "the preset's", takes no range
+                bounds = RANGES.get(field.name)
+                assert not bounds or field.default is None or bounds.holds(field.default)
         with pytest.raises(TypeError, match="no config kind"):
             field_kind(dict[str, int])
 
@@ -617,6 +617,15 @@ class TestModelDirectory:
     def test_config_not_fitting_checkpoint_exits_2_naming_both(self, pipeline, tmp_path, capsys):
         text = (pipeline["model"] / "config.json").read_text()
         bad = text.replace('"time_steps": 8', '"time_steps": 4')
+        assert bad != text
+        rc = self.compare_with(pipeline, tmp_path, bad, "{}")
+        assert_one_line_exit_2(rc, capsys, "config.json", "best.ckpt")
+
+    def test_config_with_huge_layers_exits_2_naming_both(self, pipeline, tmp_path, capsys):
+        # the config's parameter names are walked only as far as the
+        # checkpoint's: 10**5 layers would otherwise list 3.6M of them
+        text = (pipeline["model"] / "config.json").read_text()
+        bad = text.replace('"layers": 2', '"layers": 100000')
         assert bad != text
         rc = self.compare_with(pipeline, tmp_path, bad, "{}")
         assert_one_line_exit_2(rc, capsys, "config.json", "best.ckpt")
@@ -1421,9 +1430,9 @@ class TestRejectedRun:
         (["generate", "--roster", "PassiveLite"], "need at least 2 strategies"),
         (["generate", "--roster", "WorkerRushLite,WorkerRushLite,PassiveLite"],
          "roster must not repeat a strategy: WorkerRushLite,WorkerRushLite,PassiveLite"),
-        (["train", "--epochs", "0"], "batch_size and epochs must be >= 1"),
-        (["train", "--batch-size", "0"], "batch_size and epochs must be >= 1"),
-        (["train", "--lr", "0"], "lr must be positive"),
+        (["train", "--epochs", "0"], "config key 'epochs' must be >= 1, got 0"),
+        (["train", "--batch-size", "0"], "config key 'batch_size' must be >= 1, got 0"),
+        (["train", "--lr", "0"], "config key 'lr' must be > 0, got 0.0"),
         (["timeline", "--match-id", "-1"], "match_id -1 out of range"),
         # SplitMix64 takes a seed mod 2**64: -1 would replay seed 2**64 - 1
         (["generate", "--seed", "-1"], "config key 'seed' must be in 0..18446744073709551615"),

@@ -17,19 +17,20 @@ from oracles import (
 from rtslab import CorruptArtifact
 from rtslab.cli import main
 from rtslab.rng import SplitMix64
-from rtslab.sim import (
+from rtslab.sim import dataset as dataset_module
+from rtslab.sim.dataset import (
+    WINNERS,
     Dataset,
     DatasetHeader,
+    _read_match,
+    largest_remainder_sizes,
     read_dataset,
-    run_tournament,
-    schedule_round_robin,
     split_dataset,
     write_dataset,
 )
-from rtslab.sim import dataset as dataset_module
-from rtslab.sim.dataset import WINNERS, _read_match, largest_remainder_sizes
 from rtslab.sim.encode import PLANE_MAX
 from rtslab.sim.engine import MatchRecord
+from rtslab.sim.tournament import run_tournament, schedule_round_robin
 
 
 def fake_records(n: int, draws: int = 0) -> list[MatchRecord]:

@@ -9,21 +9,22 @@ from pathlib import Path
 
 import rtslab.train.stratified
 from rtslab import cli
-from rtslab.model import WinPredictor
-from rtslab.sim import run_tournament
+from rtslab.model.network import WinPredictor
+from rtslab.sim.tournament import run_tournament
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rtslab"
 
 
+# The names a subpackage's __init__ imports, which perfbench imports by
+# package path; every other name is imported from the module defining it.
+PACKAGE_NAMES = {"model": {"WinPredictor", "get_preset"}, "train": {"bce_loss"}}
+
+
 def test_every_public_definition_is_used_in_src():
-    # a top-level public def or class that no module (other than the
-    # re-exporting __init__ files) names is test-only or dead code
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.rglob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    # a top-level public def or class that no module names is test-only
+    # or dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -40,6 +41,32 @@ def test_every_public_definition_is_used_in_src():
         and node.name not in used
     )
     assert not unused, f"public definitions no src module uses: {unused}"
+
+
+def test_subpackage_inits_hold_only_their_docstring():
+    # a re-export layer gives each name two import paths, and loading a
+    # leaf module then loads its whole package
+    for path in sorted(SRC.glob("*/__init__.py")):
+        docstring, *rest = ast.parse(path.read_text(encoding="utf-8")).body
+        assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+        names = set()
+        for node in rest:
+            assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.dump(node)
+            names |= {alias.name for alias in node.names if alias.asname is None}
+        assert names == PACKAGE_NAMES.get(path.parent.name, set()), path
+
+
+def test_src_imports_no_name_through_a_subpackage():
+    # `from .sim import x` must name a module of sim/, not a name sim/
+    # would have to re-export
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rtslab")):
+                base = path.parents[node.level - 1] if node.level else SRC.parent
+                target = base.joinpath(*(node.module or "").split("."))
+                if target != SRC and (target / "__init__.py").exists():
+                    for alias in node.names:
+                        assert (target / f"{alias.name}.py").exists(), (path, alias.name)
 
 
 def test_planes_are_normalized_in_one_module():

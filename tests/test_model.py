@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from rtslab import tensor as T
-from rtslab.model import (
-    ConfigError,
-    ModelConfig,
-    WinPredictor,
-    count_params,
-    get_preset,
-    init_params,
-    parameter_spec,
-)
+from rtslab import ConfigError
+from rtslab.model.config import ModelConfig, get_preset
+from rtslab.model.network import WinPredictor
+from rtslab.model.params import count_params, init_params, parameter_spec
 from rtslab.rng import SplitMix64
 from rtslab.tensor import Tape, Tensor
 
@@ -306,7 +301,7 @@ class TestForward:
 
     def test_small_gradient_check(self):
         # full forward + binary cross-entropy at B=1, T=2, N=4, C=5, D=10
-        from rtslab.train import bce_loss
+        from rtslab.train.loss import bce_loss
 
         cfg = small_config()
         model = WinPredictor.create(cfg, seed=16)
@@ -334,7 +329,7 @@ class TestTapeBudget:
         ids=["tstf-49", "space_time_only-41"],
     )
     def test_desk_train_step_node_count(self, variant, nodes):
-        from rtslab.train import bce_loss
+        from rtslab.train.loss import bce_loss
 
         cfg = dataclasses.replace(get_preset("desk"), variant=variant)
         model = WinPredictor.create(cfg, seed=19)
@@ -356,7 +351,7 @@ class TestTapeBudget:
         ids=["tstf", "space_time_only"],
     )
     def test_desk_forward_tape_bytes(self, variant, nbytes):
-        from rtslab.train import bce_loss
+        from rtslab.train.loss import bce_loss
 
         def base(a):
             while a.base is not None:
@@ -428,3 +423,24 @@ class TestPersistence:
             WinPredictor.load(tmp_path / "m.ckpt", small_config(layers=2))
         with pytest.raises(ConfigError, match="match|mismatch"):
             WinPredictor.load(tmp_path / "m.ckpt", small_config(embed_dim=20, heads=5))
+        WinPredictor.create(small_config(layers=2), seed=18).save(tmp_path / "m2.ckpt")
+        with pytest.raises(ConfigError, match=r"extra=\['layers\.1\."):
+            WinPredictor.load(tmp_path / "m2.ckpt", small_config())
+
+    def test_load_walks_the_config_only_as_far_as_the_checkpoint(self, tmp_path, monkeypatch):
+        # a config.json may ask for any number of layers; the names they
+        # imply are walked only until one is missing from the checkpoint
+        model = WinPredictor.create(small_config(), seed=18)
+        model.save(tmp_path / "m.ckpt")
+        consumed = 0
+
+        def counting_spec(config):
+            nonlocal consumed
+            for entry in parameter_spec(config):
+                consumed += 1
+                yield entry
+
+        monkeypatch.setattr("rtslab.model.params.parameter_spec", counting_spec)
+        with pytest.raises(ConfigError, match="missing"):
+            WinPredictor.load(tmp_path / "m.ckpt", small_config(layers=10**4))
+        assert consumed <= len(model.params) + 1

@@ -9,18 +9,6 @@ import pytest
 
 from rtslab.rng import SplitMix64
 from rtslab.sim import engine, strategies
-from rtslab.sim import (
-    Action,
-    MatchRecord,
-    UnitKind,
-    decode_planes,
-    make_strategy,
-    raw_planes,
-    run_match,
-    sample_timeline,
-    standard_start,
-    step,
-)
 from rtslab.sim.encode import (
     PLANE_FACTION,
     PLANE_FACTION_RES,
@@ -28,12 +16,24 @@ from rtslab.sim.encode import (
     PLANE_MAX,
     PLANE_NEUTRAL_RES,
     PLANE_TYPE,
+    decode_planes,
     normalize_planes,
+    raw_planes,
 )
-from rtslab.sim.engine import PHASES, check_winner, frames_until, visible_prefix
-from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STORE_CAP
-from rtslab.sim.state import GameState, Unit
-from rtslab.sim.strategies import DEFAULT_ROSTER
+from rtslab.sim.engine import (
+    PHASES,
+    Action,
+    MatchRecord,
+    check_winner,
+    frames_until,
+    run_match,
+    sample_timeline,
+    step,
+    visible_prefix,
+)
+from rtslab.sim.rules import MAX_HP, NEUTRAL, P1, P2, RESOURCE_STOCK, STORE_CAP, UnitKind
+from rtslab.sim.state import GameState, Unit, standard_start
+from rtslab.sim.strategies import DEFAULT_ROSTER, make_strategy
 
 from oracles import empty_state, oracle_decode_planes, oracle_raw_planes, oracle_run_match
 
